@@ -11,13 +11,28 @@ namespace effact {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/** Runs `phase()` and adds its wall time in milliseconds to `key`. */
+template <typename PhaseFn>
+auto
+timed(const char *key, StatSet &stats, PhaseFn &&phase)
+{
+    const Clock::time_point t0 = Clock::now();
+    auto result = phase();
+    const std::chrono::duration<double, std::milli> ms =
+        Clock::now() - t0;
+    stats.add(key, ms.count());
+    return result;
+}
+
 /** Runs `verify()` timed, accumulates the checkpoint stats, and panics
- *  via `enforceVerified` when the report is dirty. */
+ *  via `enforceVerified` when the report is dirty. Returns the wall time
+ *  in milliseconds. */
 template <typename VerifyFn>
-void
+double
 checkpoint(VerifyFn &&verify, const char *context, StatSet &stats)
 {
-    using Clock = std::chrono::steady_clock;
     const Clock::time_point t0 = Clock::now();
     const VerifyReport rep = verify();
     const std::chrono::duration<double, std::milli> ms =
@@ -25,6 +40,7 @@ checkpoint(VerifyFn &&verify, const char *context, StatSet &stats)
     stats.add("verify.checks", double(rep.checksRun));
     stats.add("verify.ms", ms.count());
     enforceVerified(rep, context);
+    return ms.count();
 }
 
 } // namespace
@@ -141,12 +157,20 @@ MachineProgram
 Compiler::runBackEnd(const IrProgram &prog, AnalysisManager &analyses,
                      StatSet &stats) const
 {
-    auto order = runScheduler(prog, analyses, opts_, stats);
-    auto streaming = runStreaming(prog, order, opts_.streaming,
-                                  opts_.fifoDepth, stats);
-    MachineProgram mp = runRegAllocAndCodegen(prog, order, streaming,
-                                              opts_, stats,
-                                              analyses.exec());
+    // Per-phase wall clock (`backend.*.ms`); the regalloc phase
+    // includes machine-code emission.
+    const std::vector<int> order = timed("backend.schedule.ms", stats, [&] {
+        return runScheduler(prog, analyses, opts_, stats);
+    });
+    const StreamingInfo streaming =
+        timed("backend.streaming.ms", stats, [&] {
+            return runStreaming(prog, order, opts_.streaming,
+                                opts_.fifoDepth, stats);
+        });
+    MachineProgram mp = timed("backend.regalloc.ms", stats, [&] {
+        return runRegAllocAndCodegen(prog, order, streaming, opts_, stats,
+                                     analyses.exec());
+    });
     stats.set("machine.instructions", double(mp.insts.size()));
     // Post-backend checkpoint: the machine program handed to the
     // scheduler-graph builder and the simulator is well-formed (register
@@ -154,8 +178,9 @@ Compiler::runBackEnd(const IrProgram &prog, AnalysisManager &analyses,
     if (opts_.verifyLevel > 0) {
         MachVerifyBudget budget;
         budget.sramBytes = opts_.sramBytes;
-        checkpoint([&] { return verifyMachine(mp, budget); }, "back end",
-                   stats);
+        stats.add("backend.verify.ms",
+                  checkpoint([&] { return verifyMachine(mp, budget); },
+                             "back end", stats));
     }
     return mp;
 }

@@ -99,14 +99,15 @@ struct CompilerOptions
 // rewrites, so the pass-manager layer can detect change (and keep
 // cached analyses sound) without duplicating the passes' stat keys.
 //
-// Every pass takes an optional `ParallelExec`. The default (serial)
-// executor selects the legacy single-threaded scan — the oracle path.
-// A parallel executor selects a region-sharded algorithm that produces
-// the *identical* final IR and the identical stat counts at any thread
-// count (chunk boundaries depend only on the program size, and every
-// cross-chunk merge is performed in deterministic ascending-chunk
-// order), so machine code, fingerprints and `CompileCache` snapshots
-// are byte-identical to the serial pipeline.
+// Every pass except PRE takes an optional `ParallelExec`. The default
+// (serial) executor selects the legacy single-threaded scan — the
+// oracle path. A parallel executor selects a region-sharded algorithm
+// that produces the *identical* final IR and the identical stat counts
+// at any thread count (chunk boundaries depend only on the program
+// size, and every cross-chunk merge is performed in deterministic
+// ascending-chunk order), so machine code, fingerprints and
+// `CompileCache` snapshots are byte-identical to the serial pipeline.
+// PRE has no sharded variant: it is one serial scan at every width.
 
 /** Copy propagation: removes VecCopy chains. */
 size_t runCopyProp(IrProgram &prog, StatSet &stats,
@@ -117,9 +118,8 @@ size_t runConstProp(IrProgram &prog, StatSet &stats,
                     const ParallelExec &exec = ParallelExec());
 
 /** Value-numbering PRE: removes redundant computations and re-loads of
- *  read-only data (models on-chip key/constant reuse). */
-size_t runPre(IrProgram &prog, StatSet &stats,
-              const ParallelExec &exec = ParallelExec());
+ *  read-only data (models on-chip key/constant reuse). Serial only. */
+size_t runPre(IrProgram &prog, StatSet &stats);
 
 /** Peephole computation merge: MUL+ADD -> MAC (executed on reused NTT
  *  units, Sec. III-2) and iNTT 1/N post-scale folding into BConv

@@ -151,7 +151,10 @@ createPass(const std::string &name)
     if (name == "constprop")
         return std::make_unique<FnPass>("constprop", &runConstProp);
     if (name == "pre")
-        return std::make_unique<FnPass>("pre", &runPre);
+        return std::make_unique<FnPass>(
+            "pre", [](IrProgram &prog, StatSet &stats, const ParallelExec &) {
+                return runPre(prog, stats); // serial at every width
+            });
     if (name == "peephole")
         return std::make_unique<FnPass>("peephole", &runPeephole);
     if (name == "rotalg")

@@ -1,12 +1,10 @@
 #include "compiler/pass.h"
 
-#include <unordered_map>
-
 namespace effact {
 
 namespace {
 
-/** Hash key for value numbering. */
+/** Value-numbering key. */
 struct VnKey
 {
     uint8_t op;
@@ -28,23 +26,38 @@ struct VnKey
     }
 };
 
-struct VnKeyHash
+/** splitmix64 finalizer: full avalanche of one 64-bit word. */
+u64
+mix64(u64 x)
 {
-    size_t
-    operator()(const VnKey &k) const
-    {
-        size_t h = k.op;
-        h = h * 1000003 + static_cast<size_t>(k.a + 1);
-        h = h * 1000003 + static_cast<size_t>(k.b + 1);
-        h = h * 1000003 + static_cast<size_t>(k.c + 1);
-        h = h * 1000003 + static_cast<size_t>(k.imm);
-        h = h * 1000003 + k.use_imm;
-        h = h * 1000003 + k.modulus;
-        h = h * 1000003 + static_cast<size_t>(k.mem_obj + 1);
-        h = h * 1000003 + static_cast<size_t>(k.mem_idx);
-        return h;
-    }
-};
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+u64
+packPair(int lo, int hi)
+{
+    return u64(uint32_t(lo)) | u64(uint32_t(hi)) << 32;
+}
+
+/** Key hash: the four packed key words, each scaled by its own odd
+ *  constant, folded together and run through the splitmix64 finalizer.
+ *  The packing drops the top half of `mem_idx`, which can only cause a
+ *  collision (one extra key compare), never a wrong merge. */
+u64
+hashKey(const VnKey &k)
+{
+    const u64 head = u64(k.op) | u64(k.use_imm) << 8 |
+                     u64(uint16_t(k.mem_idx)) << 16 | u64(k.modulus) << 32;
+    return mix64(head * 0x9e3779b97f4a7c15ULL ^
+                 packPair(k.a, k.b) * 0xc2b2ae3d27d4eb4fULL ^
+                 packPair(k.c, k.mem_obj) * 0x165667b19e3779f9ULL ^
+                 k.imm * 0xd6e8feb86659fd93ULL);
+}
 
 bool
 commutative(IrOp op)
@@ -53,8 +66,10 @@ commutative(IrOp op)
 }
 
 /** Builds the VN key from an instruction's current operand values;
- *  returns false for impure instructions (stores, mutable loads). */
-bool
+ *  returns false for impure instructions (stores, mutable loads).
+ *  Inlined into the scan's two call sites: as an out-of-line call it
+ *  made the paper-scale scan ~1.6x slower. */
+inline bool
 makeKey(const IrProgram &prog, const IrInst &inst, VnKey &key)
 {
     key = VnKey{};
@@ -96,8 +111,7 @@ makeKey(const IrProgram &prog, const IrInst &inst, VnKey &key)
     }
 }
 
-/** Shared dead-code elimination tail (identical input state in both
- *  paths, so one implementation serves both). */
+/** Dead-code elimination: anything unused that is not a Store. */
 size_t
 runDce(IrProgram &prog)
 {
@@ -131,88 +145,36 @@ struct CseCounts
     size_t reload = 0;
 };
 
-/** Legacy single-threaded scan — the serial oracle path. */
+/** One slot of the value-numbering table: the winning instruction
+ *  (-1 = empty) and the high half of its key hash. */
+struct VnSlot
+{
+    int32_t winner;
+    uint32_t tag;
+};
+
 CseCounts
-runCseSerial(IrProgram &prog)
+runCse(IrProgram &prog)
 {
     // Value numbering over the SSA program (the dominator structure of a
     // straight-line program is trivial, so hash-based VN subsumes the
     // PRE of [15,32,36] here). Loads from read-only objects (keys,
     // plaintext constants) are pure and participate; mutable loads and
     // stores do not.
-    std::unordered_map<VnKey, int, VnKeyHash> table;
-    table.reserve(prog.insts.size());
-    std::vector<int> fwd(prog.insts.size());
-    for (size_t i = 0; i < fwd.size(); ++i)
-        fwd[i] = static_cast<int>(i);
-    auto resolve = [&](int v) {
-        while (v >= 0 && fwd[v] != v)
-            v = fwd[v];
-        return v;
-    };
-
-    CseCounts counts;
-    for (size_t i = 0; i < prog.insts.size(); ++i) {
-        IrInst &inst = prog.insts[i];
-        if (inst.dead)
-            continue;
-        for (int *slot : inst.operandSlots())
-            if (*slot >= 0)
-                *slot = resolve(*slot);
-        VnKey key;
-        if (!makeKey(prog, inst, key))
-            continue;
-        auto [it, inserted] = table.emplace(key, static_cast<int>(i));
-        if (!inserted) {
-            fwd[i] = it->second;
-            inst.dead = true;
-            if (inst.op == IrOp::Load)
-                ++counts.reload;
-            else
-                ++counts.cse;
-        }
-    }
-    return counts;
-}
-
-/**
- * Region-sharded equivalent of the serial CSE scan. The serial pass's
- * fixpoint is exactly the *congruence closure* of the program with
- * min-index winners: the ascending scan sees every operand fully
- * resolved by the time it visits an instruction, so two instructions
- * end up forwarded to the same value iff their structures are equal
- * after recursively resolving operands, and each class keeps its
- * smallest index. That characterization is order-free, so the parallel
- * algorithm computes the same closure by rounds:
- *
- *  - Round 1 handles the bulk: keys over the raw operands are computed
- *    per shard, deduplicated by a hash-partitioned map-reduce (S fixed
- *    key shards, each merging its chunk streams in ascending order, so
- *    every shard map is thread-count independent — and min-index
- *    winners make it order-independent anyway), then kills are applied
- *    per shard.
- *  - Later rounds converge the cascades: any live instruction with an
- *    operand forwarded this pass re-resolves and re-keys against the
- *    persistent winner table. These worklists are tiny (only consumers
- *    of killed values), so they run sequentially in ascending index
- *    order — which is precisely the serial scan's tie-break, keeping
- *    winner selection identical. A re-keyed instruction that collides
- *    with a *larger* live winner replaces it (the old winner becomes
- *    the dup), which is exactly where the serial scan's min-index
- *    winner would have been the newcomer.
- *
- * The fixpoint kills the same instruction set with the same forwarding
- * roots as the serial scan, and a final sharded sweep resolves every
- * entry-live instruction's operands (dead ones too — the serial scan
- * resolves an instruction's operands before killing it).
- */
-CseCounts
-runCseParallel(IrProgram &prog, const ParallelExec &exec)
-{
+    //
+    // The table is open-addressed with linear probing, at least twice as
+    // many slots as instructions (load factor <= 1/2), allocated once.
+    // A slot stores no key: the scan only ever rewrites the current
+    // instruction, so a winner's operands stay exactly as they were
+    // resolved when it was inserted, and re-running `makeKey` on it
+    // reproduces its key. The tag rejects almost every non-matching slot
+    // before that re-keying has to touch the winner.
     const size_t n = prog.insts.size();
-    constexpr size_t kKeyShards = 64;
-    const std::vector<ChunkRange> chunks = splitChunks(n, kDefaultChunkGrain);
-    const size_t chunk_count = chunks.size();
+    size_t capacity = 1;
+    while (capacity < 2 * n)
+        capacity <<= 1;
+    const size_t mask = capacity - 1;
+    std::vector<VnSlot> table(capacity, VnSlot{-1, 0});
 
     std::vector<int> fwd(n);
     for (size_t i = 0; i < n; ++i)
@@ -223,182 +185,50 @@ runCseParallel(IrProgram &prog, const ParallelExec &exec)
         return v;
     };
 
-    std::vector<VnKey> keys(n);
-    std::vector<uint8_t> pure(n, 0);
-    std::vector<uint8_t> entry_dead(n, 0);
-
-    // Round 1, phase A: keys on raw operands + purity + entry liveness.
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                           const IrInst &inst = prog.insts[i];
-                           entry_dead[i] = inst.dead ? 1 : 0;
-                           if (!inst.dead)
-                               pure[i] =
-                                   makeKey(prog, inst, keys[i]) ? 1 : 0;
-                       }
-                   });
-
-    // Phase B: bucket pure instructions by key-hash shard. Shard choice
-    // depends only on the key, never on the worker count.
-    std::vector<std::vector<std::vector<int>>> buckets(
-        chunk_count, std::vector<std::vector<int>>(kKeyShards));
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t c, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i)
-                           if (pure[i])
-                               buckets[c][VnKeyHash()(keys[i]) % kKeyShards]
-                                   .push_back(static_cast<int>(i));
-                   });
-
-    // Phase C: per-shard winner maps — merge chunk streams in ascending
-    // order; first insert wins, which is the min index.
-    std::vector<std::unordered_map<VnKey, int, VnKeyHash>> table(kKeyShards);
-    exec.forChunks(kKeyShards, 1, [&](size_t, size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-            size_t total = 0;
-            for (size_t c = 0; c < chunk_count; ++c)
-                total += buckets[c][s].size();
-            table[s].reserve(total);
-            for (size_t c = 0; c < chunk_count; ++c)
-                for (int i : buckets[c][s])
-                    table[s].emplace(keys[i], i);
-        }
-    });
-
-    // Phase D: kills. Winners are min-index, so they always survive.
-    std::vector<CseCounts> chunk_counts(chunk_count);
-    exec.forChunks(
-        n, kDefaultChunkGrain, [&](size_t c, size_t begin, size_t end) {
-            CseCounts &counts = chunk_counts[c];
-            for (size_t i = begin; i < end; ++i) {
-                if (!pure[i])
-                    continue;
-                const int w =
-                    table[VnKeyHash()(keys[i]) % kKeyShards].at(keys[i]);
-                if (w < static_cast<int>(i)) {
-                    IrInst &inst = prog.insts[i];
-                    fwd[i] = w;
-                    inst.dead = true;
-                    if (inst.op == IrOp::Load)
-                        ++counts.reload;
-                    else
-                        ++counts.cse;
-                }
-            }
-        });
     CseCounts counts;
-    for (const CseCounts &cc : chunk_counts) {
-        counts.cse += cc.cse;
-        counts.reload += cc.reload;
-    }
-
-    // Rounds >= 2: cascade convergence. A slot pointing at a value this
-    // pass forwarded (fwd[s] != s) means the owner must re-resolve and
-    // re-key; entry-dead operands never trip the test, matching the
-    // serial scan which leaves them untouched.
-    std::vector<std::vector<int>> chunk_worklists(chunk_count);
-    for (;;) {
-        exec.forChunks(n, kDefaultChunkGrain,
-                       [&](size_t c, size_t begin, size_t end) {
-                           std::vector<int> &wl = chunk_worklists[c];
-                           wl.clear();
-                           for (size_t i = begin; i < end; ++i) {
-                               const IrInst &inst = prog.insts[i];
-                               if (inst.dead)
-                                   continue;
-                               for (int s : inst.operands())
-                                   if (s >= 0 && fwd[s] != s) {
-                                       wl.push_back(static_cast<int>(i));
-                                       break;
-                                   }
-                           }
-                       });
-        size_t pending = 0;
-        for (const std::vector<int> &wl : chunk_worklists)
-            pending += wl.size();
-        if (pending == 0)
-            break;
-        // Sequential, ascending: identical tie-breaks to the serial
-        // scan. The worklist is only consumers of freshly killed
-        // values, a vanishing fraction of the program.
-        for (const std::vector<int> &wl : chunk_worklists) {
-            for (int i : wl) {
-                IrInst &inst = prog.insts[i];
-                if (inst.dead)
-                    continue; // killed earlier this round
-                for (int *slot : inst.operandSlots())
-                    if (*slot >= 0)
-                        *slot = resolve(*slot);
-                if (!pure[i])
-                    continue;
-                VnKey key;
-                makeKey(prog, inst, key);
-                if (key == keys[i])
-                    continue;
-                // Drop the stale entry if this instruction was its
-                // key's winner.
-                auto &old_shard =
-                    table[VnKeyHash()(keys[i]) % kKeyShards];
-                auto old_it = old_shard.find(keys[i]);
-                if (old_it != old_shard.end() && old_it->second == i)
-                    old_shard.erase(old_it);
-                keys[i] = key;
-                auto &shard = table[VnKeyHash()(key) % kKeyShards];
-                auto [it, inserted] = shard.emplace(key, i);
-                if (inserted)
-                    continue;
-                const int w = it->second;
-                if (w < i) {
-                    fwd[i] = w;
-                    inst.dead = true;
-                    if (inst.op == IrOp::Load)
-                        ++counts.reload;
-                    else
-                        ++counts.cse;
-                } else {
-                    // This instruction is the smaller index: it becomes
-                    // the winner and the old winner becomes the dup —
-                    // the serial scan would have chosen the same class
-                    // representative.
-                    IrInst &loser = prog.insts[w];
-                    fwd[w] = i;
-                    loser.dead = true;
-                    if (loser.op == IrOp::Load)
-                        ++counts.reload;
-                    else
-                        ++counts.cse;
-                    it->second = i;
-                }
+    for (size_t i = 0; i < n; ++i) {
+        IrInst &inst = prog.insts[i];
+        if (inst.dead)
+            continue;
+        for (int *slot : inst.operandSlots())
+            if (*slot >= 0)
+                *slot = resolve(*slot);
+        VnKey key;
+        if (!makeKey(prog, inst, key))
+            continue;
+        const u64 h = hashKey(key);
+        const auto tag = static_cast<uint32_t>(h >> 32);
+        for (size_t s = h & mask;; s = (s + 1) & mask) {
+            VnSlot &slot = table[s];
+            if (slot.winner < 0) {
+                // First insert wins: the winner is the smallest index.
+                slot = {static_cast<int32_t>(i), tag};
+                break;
             }
+            if (slot.tag != tag)
+                continue;
+            VnKey winner_key;
+            makeKey(prog, prog.insts[slot.winner], winner_key);
+            if (!(winner_key == key))
+                continue;
+            fwd[i] = slot.winner;
+            inst.dead = true;
+            if (inst.op == IrOp::Load)
+                ++counts.reload;
+            else
+                ++counts.cse;
+            break;
         }
     }
-
-    // Final sweep: every entry-live instruction's operands resolve to
-    // their closure roots (the serial scan resolved an instruction's
-    // slots before deciding its fate, dups included).
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                           if (entry_dead[i])
-                               continue;
-                           IrInst &inst = prog.insts[i];
-                           for (int *slot : inst.operandSlots())
-                               if (*slot >= 0)
-                                   *slot = resolve(*slot);
-                       }
-                   });
     return counts;
 }
 
 } // namespace
 
 size_t
-runPre(IrProgram &prog, StatSet &stats, const ParallelExec &exec)
+runPre(IrProgram &prog, StatSet &stats)
 {
-    const CseCounts counts = exec.parallel() ? runCseParallel(prog, exec)
-                                             : runCseSerial(prog);
-    // Dead-code elimination: anything unused that is not a Store.
+    const CseCounts counts = runCse(prog);
     const size_t dce = runDce(prog);
 
     stats.add("pre.cseRemoved", double(counts.cse));

@@ -7,9 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compiler/pass.h"
 #include "compiler/pass_manager.h"
 #include "ir/workloads.h"
+#include "reference_pre.h"
 
 namespace effact {
 namespace {
@@ -144,6 +147,252 @@ TEST(Pre, DoesNotMergeMutableLoads)
     StatSet stats;
     runPre(prog, stats);
     EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"), 0);
+}
+
+// --- PRE: directed collisions against the flat value-numbering table --------
+
+struct PreCounts
+{
+    double cse = 0;
+    double reload = 0;
+};
+
+/**
+ * Runs PRE on a program of three mutable loads x, y, z followed by the
+ * two instructions `emit` appends (both stored, so DCE keeps them), and
+ * returns the VN counts. Mutable loads never take part in value
+ * numbering, so the pair alone decides the counts. The result must also
+ * match the reference scan exactly.
+ */
+template <typename EmitFn>
+PreCounts
+preOnPair(EmitFn &&emit)
+{
+    IrProgram prog;
+    prog.degree = 1 << 10;
+    IrBuilder b(prog);
+    const int in = b.object("in", 3, false);
+    const int out = b.object("out", 2, false);
+    const int x = b.load(in, 0, 1).limbs[0];
+    const int y = b.load(in, 1, 1).limbs[0];
+    const int z = b.load(in, 2, 1).limbs[0];
+    const auto [first, second] = emit(b, x, y, z);
+    b.store(out, 0, PolyVal{{first}});
+    b.store(out, 1, PolyVal{{second}});
+
+    IrProgram expected = prog;
+    StatSet expected_stats;
+    referencePre(expected, expected_stats);
+    StatSet stats;
+    runPre(prog, stats);
+    EXPECT_EQ(fingerprint(prog), fingerprint(expected));
+    EXPECT_EQ(stats.toString(), expected_stats.toString());
+    return {stats.get("pre.cseRemoved"),
+            stats.get("pre.readOnlyReloadsRemoved")};
+}
+
+/** A Mac `a * b + c`, as the peephole emits it. */
+int
+emitMac(IrBuilder &b, int a, int bv, int c)
+{
+    IrInst inst;
+    inst.op = IrOp::Mac;
+    inst.a = a;
+    inst.b = bv;
+    inst.c = c;
+    return b.program().emit(inst);
+}
+
+TEST(Pre, CommutativeSwapMerges)
+{
+    for (IrOp op : {IrOp::Add, IrOp::Mul}) {
+        const PreCounts got = preOnPair([op](IrBuilder &b, int x, int y,
+                                             int) {
+            return std::pair{b.emit1(op, x, y, 0), b.emit1(op, y, x, 0)};
+        });
+        EXPECT_EQ(got.cse, 1) << irOpName(op);
+        EXPECT_EQ(got.reload, 0) << irOpName(op);
+    }
+}
+
+TEST(Pre, SubWithSwappedOperandsDoesNotMerge)
+{
+    PreCounts got = preOnPair([](IrBuilder &b, int x, int y, int) {
+        return std::pair{b.emit1(IrOp::Sub, x, y, 0),
+                         b.emit1(IrOp::Sub, y, x, 0)};
+    });
+    EXPECT_EQ(got.cse, 0);
+    got = preOnPair([](IrBuilder &b, int x, int y, int) {
+        return std::pair{b.emit1(IrOp::Sub, x, y, 0),
+                         b.emit1(IrOp::Sub, x, y, 0)};
+    });
+    EXPECT_EQ(got.cse, 1);
+}
+
+TEST(Pre, ImmediateEqualToOperandIdDoesNotMerge)
+{
+    // `x * y` and `x * imm` with imm == y's value id: the keys differ
+    // only in `useImm` (and where the number sits), never in the value.
+    PreCounts got = preOnPair([](IrBuilder &b, int x, int y, int) {
+        return std::pair{
+            b.emit1(IrOp::Mul, x, y, 0),
+            b.emit1(IrOp::Mul, x, -1, 0, IrTag::Normal, u64(y), true)};
+    });
+    EXPECT_EQ(got.cse, 0);
+    // Immediate forms are never commuted: `y * imm(x)` vs `x * imm(y)`.
+    got = preOnPair([](IrBuilder &b, int x, int y, int) {
+        return std::pair{
+            b.emit1(IrOp::Add, x, -1, 0, IrTag::Normal, u64(y), true),
+            b.emit1(IrOp::Add, y, -1, 0, IrTag::Normal, u64(x), true)};
+    });
+    EXPECT_EQ(got.cse, 0);
+    got = preOnPair([](IrBuilder &b, int x, int y, int) {
+        return std::pair{
+            b.emit1(IrOp::Mul, x, -1, 0, IrTag::Normal, u64(y), true),
+            b.emit1(IrOp::Mul, x, -1, 0, IrTag::Normal, u64(y), true)};
+    });
+    EXPECT_EQ(got.cse, 1);
+}
+
+TEST(Pre, MacAccumulatorIsPartOfTheKey)
+{
+    PreCounts got = preOnPair([](IrBuilder &b, int x, int y, int z) {
+        return std::pair{emitMac(b, x, y, z), emitMac(b, x, y, x)};
+    });
+    EXPECT_EQ(got.cse, 0);
+    got = preOnPair([](IrBuilder &b, int x, int y, int z) {
+        return std::pair{emitMac(b, x, y, z), emitMac(b, x, y, z)};
+    });
+    EXPECT_EQ(got.cse, 1);
+}
+
+TEST(Pre, GaloisElementIsPartOfTheKey)
+{
+    auto rotate = [](IrBuilder &b, int v, u64 elt) {
+        return b.emit1(IrOp::Auto, v, -1, 0, IrTag::Normal, elt, true);
+    };
+    PreCounts got = preOnPair([&](IrBuilder &b, int x, int, int) {
+        return std::pair{rotate(b, x, 3), rotate(b, x, 5)};
+    });
+    EXPECT_EQ(got.cse, 0);
+    got = preOnPair([&](IrBuilder &b, int x, int, int) {
+        return std::pair{rotate(b, x, 5), rotate(b, x, 5)};
+    });
+    EXPECT_EQ(got.cse, 1);
+}
+
+TEST(Pre, ModulusIsPartOfTheKey)
+{
+    PreCounts got = preOnPair([](IrBuilder &b, int x, int y, int) {
+        return std::pair{b.emit1(IrOp::Mul, x, y, 0),
+                         b.emit1(IrOp::Mul, x, y, 1)};
+    });
+    EXPECT_EQ(got.cse, 0);
+    got = preOnPair([](IrBuilder &b, int x, int, int) {
+        return std::pair{b.emit1(IrOp::Ntt, x, -1, 2),
+                         b.emit1(IrOp::Ntt, x, -1, 3)};
+    });
+    EXPECT_EQ(got.cse, 0);
+}
+
+TEST(Pre, ReadOnlyLoadsKeyOnObjectAndIndex)
+{
+    PreCounts got = preOnPair([](IrBuilder &b, int, int, int) {
+        const int key = b.object("key", 2, true);
+        return std::pair{b.load(key, 0, 1).limbs[0],
+                         b.load(key, 1, 1).limbs[0]};
+    });
+    EXPECT_EQ(got.reload, 0);
+    got = preOnPair([](IrBuilder &b, int, int, int) {
+        const int key = b.object("key", 2, true);
+        const int other = b.object("other", 2, true);
+        return std::pair{b.load(key, 1, 1).limbs[0],
+                         b.load(other, 1, 1).limbs[0]};
+    });
+    EXPECT_EQ(got.reload, 0);
+    got = preOnPair([](IrBuilder &b, int, int, int) {
+        const int key = b.object("key", 2, true);
+        return std::pair{b.load(key, 1, 1).limbs[0],
+                         b.load(key, 1, 1).limbs[0]};
+    });
+    EXPECT_EQ(got.reload, 1);
+    EXPECT_EQ(got.cse, 0);
+}
+
+TEST(Pre, CrowdedTableKeepsExactCounts)
+{
+    // Every instruction is pure, so the table runs at its maximum load
+    // factor of 1/2: long linear-probe chains, and chains that run off
+    // the end of the slot array and wrap to slot 0 (with the current key
+    // hash: probes of up to 18 slots, and 18 of the programs wrap; a
+    // probe that stops at the wrap fails this test). Each size is a
+    // power of two, so the table has exactly twice as many slots as
+    // instructions. The tail repeats the first `dups` loads and the
+    // first `dups` immediate adds; `variant` shifts the immediates to
+    // move every add key.
+    for (int n : {16, 64, 256, 1024, 4096}) {
+        const u64 variants = u64(std::max(8, 4096 / n));
+        for (u64 variant = 0; variant < variants; ++variant) {
+            const int dups = n / 16;
+            const int distinct = (n - 2 * dups) / 2;
+            IrProgram prog;
+            prog.degree = 1 << 10;
+            IrBuilder b(prog);
+            const int key = b.object("key", distinct, true);
+            std::vector<int> loads;
+            for (int j = 0; j < distinct; ++j)
+                loads.push_back(b.load(key, j, 1).limbs[0]);
+            const u64 imm0 = 1 + variant * u64(n);
+            auto addImm = [&](int j) {
+                b.emit1(IrOp::Add, loads[0], -1, 0, IrTag::Normal,
+                        imm0 + u64(j), true);
+            };
+            for (int j = 0; j < n - 2 * dups - distinct; ++j)
+                addImm(j);
+            for (int j = 0; j < dups; ++j) {
+                b.load(key, j, 1);
+                addImm(j);
+            }
+            ASSERT_EQ(prog.insts.size(), size_t(n));
+
+            const std::string tag = std::to_string(n) + "/" +
+                                    std::to_string(variant);
+            IrProgram expected = prog;
+            StatSet expected_stats;
+            referencePre(expected, expected_stats);
+            StatSet stats;
+            runPre(prog, stats);
+            EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"), dups) << tag;
+            EXPECT_EQ(stats.get("pre.cseRemoved"), dups) << tag;
+            // Nothing is stored, so everything that survived VN is dead.
+            EXPECT_EQ(stats.get("pre.deadCodeRemoved"), n - 2 * dups)
+                << tag;
+            EXPECT_EQ(fingerprint(prog), fingerprint(expected)) << tag;
+        }
+    }
+}
+
+TEST(Pre, MatchesReferenceOnStockWorkloads)
+{
+    // Reduced-size stock workloads through both PRE-bearing pipeline
+    // shapes, compared at every PRE step of the fixed point.
+    FheParams boot;
+    boot.logN = 14;
+    boot.levels = 16;
+    boot.dnum = 4;
+    const FheParams deep{13, 24, 4};
+    std::vector<std::pair<std::string, Workload>> workloads;
+    workloads.emplace_back("bootstrapping",
+                           buildBootstrapping(boot, {256, 2, 2, 63, 8}));
+    workloads.emplace_back("dblookup", buildDbLookup(boot, 64));
+    workloads.emplace_back("helr", buildHelr(deep));
+    workloads.emplace_back("resnet20", buildResNet20(deep));
+    for (const auto &[name, w] : workloads)
+        for (const char *spec : {"copyprop,constprop,pre,peephole",
+                                 "copyprop,constprop,rotalg,pre,peephole"})
+            EXPECT_GE(expectPreMatchesReference(w.program, spec,
+                                                name + " / " + spec),
+                      2u);
 }
 
 TEST(Peephole, FusesMulAddIntoMac)

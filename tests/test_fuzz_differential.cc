@@ -46,6 +46,7 @@
 #include "compiler/pass_manager.h"
 #include "math/primes.h"
 #include "platform/platform.h"
+#include "reference_pre.h"
 #include "rns/bconv.h"
 #include "runtime/thread_pool.h"
 #include "sim/machine.h"
@@ -603,6 +604,16 @@ checkSemanticEquivalence(uint64_t seed, GenMode mode, size_t target_insts)
     EXPECT_LE(rotalg_opt.liveCount(), original.liveCount()) << rtag;
 }
 
+/** PRE against the reference scan on one generated program: raw, and at
+ *  every PRE step of the two PRE-bearing pipeline shapes. */
+void
+checkPreMatchesReference(const IrProgram &prog, const std::string &tag)
+{
+    for (const char *spec :
+         {"pre", "copyprop,constprop,pre,peephole", kRotalgSpec})
+        expectPreMatchesReference(prog, spec, tag + " / " + spec);
+}
+
 // --- Simulator differential -----------------------------------------------
 
 /** Random hardware shape: unit counts, window, SRAM budget, bandwidth. */
@@ -799,6 +810,26 @@ TEST(FuzzDifferential, EventCoreMatchesReferenceSimulator)
 {
     for (uint64_t seed = 0; seed < 200; ++seed)
         checkSimulatorEquivalence(seed, 120);
+}
+
+TEST(FuzzDifferential, PreMatchesReferenceScan)
+{
+    // Every program of the three fast suites above, in their seeds,
+    // modes and sizes.
+    for (uint64_t seed = 0; seed < 100; ++seed)
+        checkPreMatchesReference(
+            ProgramGen(seed, GenMode::kArithmetic, 80).build(),
+            "arithmetic seed " + std::to_string(seed));
+    for (uint64_t seed = 1000; seed < 1100; ++seed)
+        checkPreMatchesReference(
+            ProgramGen(seed, GenMode::kScaleChains, 80).build(),
+            "scale-chains seed " + std::to_string(seed));
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        const GenMode mode =
+            seed % 2 == 0 ? GenMode::kArithmetic : GenMode::kScaleChains;
+        checkPreMatchesReference(ProgramGen(seed, mode, 120).build(),
+                                 "simulator seed " + std::to_string(seed));
+    }
 }
 
 // --- Slow sweep (ctest -C slow -L slow) -----------------------------------

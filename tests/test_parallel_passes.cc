@@ -7,7 +7,8 @@
  * machine code. Chunk boundaries depend only on the program size, never
  * on the worker count, so 1, 2 and 8 threads must all match the serial
  * oracle exactly; this suite pins that contract per pass and end to end
- * through `Compiler::compile`.
+ * through `Compiler::compile`. PRE has no sharded variant (it runs
+ * serial at every width), so it appears only in the end-to-end checks.
  */
 #include <gtest/gtest.h>
 
@@ -119,7 +120,6 @@ using PassFn = size_t (*)(IrProgram &, StatSet &, const ParallelExec &);
 const std::vector<std::pair<std::string, PassFn>> kPasses = {
     {"copyprop", &runCopyProp},
     {"constprop", &runConstProp},
-    {"pre", &runPre},
     {"peephole", &runPeephole},
 };
 

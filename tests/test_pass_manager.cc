@@ -14,6 +14,7 @@
 #include "ir/workloads.h"
 #include "platform/platform.h"
 #include "runtime/thread_pool.h"
+#include "service/protocol.h"
 #include "sim/machine.h"
 
 namespace effact {
@@ -351,6 +352,35 @@ TEST(FixedPoint, DepGraphBuiltAtMostOncePerCompile)
     Compiler compiler(opts);
     compiler.compile(w.program);
     EXPECT_EQ(compiler.stats().get("analysis.depgraphBuilds"), 1);
+}
+
+// --- Back-end phase timers ------------------------------------------------
+
+TEST(BackEndTimers, PhaseKeysPresentAndCanonicalStatsStable)
+{
+    // Every back-end phase reports its wall clock under `backend.*.ms`
+    // (the verifier only when it runs). The keys end in `.ms`, so the
+    // canonical form drops them: two identical compiles stay byte-equal.
+    for (int verify_level : {0, 1}) {
+        CompilerOptions opts = Platform::fullOptions(size_t(8) << 20);
+        opts.verifyLevel = verify_level;
+        std::vector<uint8_t> canonical[2];
+        for (std::vector<uint8_t> &bytes : canonical) {
+            Workload w = buildDbLookup(FheParams{12, 6, 2}, 32);
+            Compiler compiler(opts);
+            compiler.compile(w.program);
+            const StatSet &stats = compiler.stats();
+            for (const char *key :
+                 {"backend.schedule.ms", "backend.streaming.ms",
+                  "backend.regalloc.ms"})
+                EXPECT_TRUE(stats.has(key)) << key;
+            EXPECT_EQ(stats.has("backend.verify.ms"), verify_level > 0);
+            ServiceResult res;
+            res.stats = stats;
+            bytes = canonicalResultBytes(res);
+        }
+        EXPECT_EQ(canonical[0], canonical[1]) << "verify " << verify_level;
+    }
 }
 
 // --- Equivalence with the pre-pass-manager backend ------------------------
