@@ -3,8 +3,9 @@
  * Simulator-throughput benchmark: compiles the paper-scale fully-packed
  * bootstrapping trace (logN = 16, L = 24, ~150k machine instructions)
  * and measures both issue cores — the legacy O(n * window) rescan loop
- * (`Simulator::runReference`) and the event-driven dependence-graph
- * core (`Simulator::run`) — in simulated instructions per second.
+ * (`referenceSimulate`, from the test-support library) and the
+ * event-driven dependence-graph core (`Simulator::run`) — in simulated
+ * instructions per second.
  * Verifies cycle-count equivalence while at it. Results are recorded
  * in bench/NOTES.md.
  */
@@ -13,6 +14,7 @@
 #include <functional>
 
 #include "bench_common.h"
+#include "reference_sim.h"
 
 namespace effact {
 namespace {
@@ -52,7 +54,7 @@ run()
     Simulator sim(hw);
     SimReport ref, ev;
     const double t_ref =
-        secondsOf([&] { return sim.runReference(mp); }, ref, 3);
+        secondsOf([&] { return referenceSimulate(hw, mp); }, ref, 3);
     const double t_ev = secondsOf([&] { return sim.run(mp); }, ev, 3);
 
     Table t("simulator throughput");

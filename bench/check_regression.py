@@ -1,17 +1,13 @@
 #!/usr/bin/env python3
 """Gate a perf-lane JSON against its checked-in baseline.
 
-Understands three schemas, dispatched on the "schema" field (current
+Understands two schemas, dispatched on the "schema" field (current
 and baseline must agree):
 
 - effact-bench-sweep-v1 (bench_perf_lane -> BENCH_sweep.json vs
   bench/baseline.json): simulator throughput + the fig11 preset x SRAM
   grid + the per-optimization win matrix (opt_wins), including per-job
   cycles/fingerprint matching.
-
-- effact-bench-latency-v1 (bench_compile_latency ->
-  BENCH_compile_latency.json vs bench/baseline_latency.json): the
-  single-big-job within-job-parallelism latency measurement.
 
 - effact-bench-kernels-v1 (bench_kernels -> BENCH_kernels.json vs
   bench/baseline_kernels.json): the SIMD kernel-tier microbench. The
@@ -82,23 +78,6 @@ SCHEMAS = {
         ],
         "grid": True,
         "wins": True,
-    },
-    # The latency bench itself aborts if any jobThreads setting moves a
-    # bit, so the exact keys here re-check the *cross-run* invariant:
-    # this commit produces the same machine code and cycle count as the
-    # baseline commit. The speedup ratio is recorded but not gated — it
-    # measures the runner's core count, not the code.
-    "effact-bench-latency-v1": {
-        "exact": [
-            "compile_latency.instructions",
-            "compile_latency.cycles",
-            "compile_latency.fingerprint",
-        ],
-        "wall": [
-            "compile_latency.serial_wall_ms",
-            "compile_latency.parallel_wall_ms",
-        ],
-        "grid": False,
     },
     # The kernel bench gates the scalar-vs-vector microbench walls and
     # the cross-tier output fingerprint. `tiers_exercised` and the

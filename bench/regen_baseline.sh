@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Regenerate bench/baseline.json, bench/baseline_latency.json and
-# bench/baseline_kernels.json, the perf-gate references for the CI
-# `perf` job. Run this deliberately when compiler/simulator/kernel
-# behavior changes move the deterministic fields (cycles,
-# fingerprints), and commit the results together with the change that
-# moved them.
+# Regenerate bench/baseline.json and bench/baseline_kernels.json, the
+# perf-gate references for the CI `perf` job. Run this deliberately
+# when compiler/simulator/kernel behavior changes move the deterministic
+# fields (cycles, fingerprints), and commit the results together with
+# the change that moved them.
 #
 # Wall-clock fields are machine-dependent: numbers produced here come
 # from *this* machine. If the CI runner class is slower, either leave
@@ -20,14 +19,11 @@ cmake -B "$BUILD_DIR" -S . \
   -DEFFACT_BUILD_TESTS=OFF \
   -DEFFACT_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j \
-  --target bench_perf_lane bench_compile_latency bench_kernels
+  --target bench_perf_lane bench_kernels
 "$BUILD_DIR"/bench/bench_perf_lane bench/baseline.json
 python3 bench/check_regression.py bench/baseline.json bench/baseline.json
-"$BUILD_DIR"/bench/bench_compile_latency bench/baseline_latency.json
-python3 bench/check_regression.py bench/baseline_latency.json \
-  bench/baseline_latency.json
 "$BUILD_DIR"/bench/bench_kernels bench/baseline_kernels.json
 python3 bench/check_regression.py bench/baseline_kernels.json \
   bench/baseline_kernels.json
-echo "wrote bench/baseline.json + bench/baseline_latency.json +" \
-  "baseline_kernels.json — review wall_ms headroom before committing"
+echo "wrote bench/baseline.json + bench/baseline_kernels.json —" \
+  "review wall_ms headroom before committing"

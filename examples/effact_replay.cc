@@ -36,9 +36,9 @@ usage(const char *argv0)
         "                   determinism oracle)\n"
         "  --connect SOCK   drive the log through a live daemon\n"
         "  --make-demo      write a 3-request demo log to LOG and exit\n"
-        "options: --threads N --job-threads N --queue-depth N --batch N\n"
-        "         --cache-bytes N --shutdown (with --connect: stop the\n"
-        "         daemon after the log)\n",
+        "options: --threads N --queue-depth N --batch N --cache-bytes N\n"
+        "         --shutdown (with --connect: stop the daemon after the\n"
+        "         log)\n",
         argv0);
 }
 
@@ -199,8 +199,6 @@ main(int argc, char **argv)
             shutdown_after = true;
         } else if (arg == "--threads" && parseSize(value(), &n)) {
             service.threads = n;
-        } else if (arg == "--job-threads" && parseSize(value(), &n)) {
-            service.jobThreads = n;
         } else if (arg == "--queue-depth" && parseSize(value(), &n)) {
             service.queueCapacity = n;
         } else if (arg == "--batch" && parseSize(value(), &n)) {

@@ -24,9 +24,9 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--socket PATH] [--threads N] [--job-threads N]\n"
-        "          [--queue-depth N] [--batch N] [--cache-bytes N]\n"
-        "          [--verify N] [--record FILE]\n"
+        "usage: %s [--socket PATH] [--threads N] [--queue-depth N]\n"
+        "          [--batch N] [--cache-bytes N] [--verify N]\n"
+        "          [--record FILE]\n"
         "\n"
         "Defaults: socket $EFFACT_SOCKET (or /tmp/effact.sock), threads\n"
         "$EFFACT_THREADS, queue depth $EFFACT_QUEUE_DEPTH (64), cache\n"
@@ -71,8 +71,6 @@ main(int argc, char **argv)
             opts.recordPath = value();
         } else if (arg == "--threads" && parseSize(value(), &n)) {
             opts.service.threads = n;
-        } else if (arg == "--job-threads" && parseSize(value(), &n)) {
-            opts.service.jobThreads = n;
         } else if (arg == "--queue-depth" && parseSize(value(), &n)) {
             opts.service.queueCapacity = n;
         } else if (arg == "--batch" && parseSize(value(), &n)) {

@@ -7,7 +7,7 @@
  * conversion — see math/kernels.h) exist in one implementation per
  * *tier*. A tier is picked once per process from CPUID, clamped by the
  * `EFFACT_SIMD` environment variable (`scalar`, `avx2` or `native`,
- * mirroring `EFFACT_JOB_THREADS`' env-default pattern), and every
+ * mirroring `EFFACT_THREADS`' env-default pattern), and every
  * kernel call dispatches through a per-tier function table. All tiers
  * are exact-value identical — same `u64` outputs, not just the same
  * residues — so the tier knob can never move a fingerprint, a cycle

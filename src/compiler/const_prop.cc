@@ -2,21 +2,8 @@
 
 namespace effact {
 
-namespace {
-
-bool
-identityFoldable(const IrInst &inst)
-{
-    if (inst.dead || !inst.useImm)
-        return false;
-    if (inst.op == IrOp::Mul && inst.imm == 1)
-        return true;
-    return (inst.op == IrOp::Add || inst.op == IrOp::Sub) && inst.imm == 0;
-}
-
-/** Legacy single-threaded scan — the serial oracle path. */
-std::pair<size_t, size_t>
-runConstPropSerial(IrProgram &prog)
+size_t
+runConstProp(IrProgram &prog, StatSet &stats)
 {
     // Identity folding on immediates: x*1 -> x, x+0 -> x, and chained
     // immediate multiplies combined into a single constant (the real
@@ -68,119 +55,6 @@ runConstPropSerial(IrProgram &prog)
             }
         }
     }
-    return {folded, chained};
-}
-
-/**
- * Region-sharded equivalent. Identity foldability is a pure function of
- * an instruction's entry state (nothing in this pass rewrites the op /
- * imm / useImm fields another instruction's identity check reads), so
- * the forwarding graph is known up front: `parent[i] = a` for foldable
- * instructions. Pointer-jumping resolves every operand to the same
- * non-folded root the serial scan reaches, and the folds themselves are
- * applied shard-locally.
- *
- * The Mul-of-Mul chain folds are NOT order-free — a chain of stacked
- * immediate multiplies folds one link per *visit* in ascending order
- * (each candidate reads its producer's already-folded imm/a) — so they
- * run as a short sequential sub-phase over the shard-collected
- * candidate list, concatenated in ascending order. That reproduces both
- * the serial rewrites and the serial `chained` count exactly; the
- * sub-phase touches only the (few) candidates, not the whole program.
- */
-std::pair<size_t, size_t>
-runConstPropParallel(IrProgram &prog, const ParallelExec &exec)
-{
-    const size_t n = prog.insts.size();
-    std::vector<int> parent(n), next(n);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                           const IrInst &inst = prog.insts[i];
-                           parent[i] = identityFoldable(inst)
-                                           ? inst.a
-                                           : static_cast<int>(i);
-                       }
-                   });
-    const size_t chunk_count = splitChunks(n, kDefaultChunkGrain).size();
-    std::vector<uint8_t> chunk_changed(chunk_count, 0);
-    for (;;) {
-        std::fill(chunk_changed.begin(), chunk_changed.end(), 0);
-        exec.forChunks(n, kDefaultChunkGrain,
-                       [&](size_t c, size_t begin, size_t end) {
-                           uint8_t changed = 0;
-                           for (size_t i = begin; i < end; ++i) {
-                               const int p = parent[i];
-                               const int pp =
-                                   p >= 0 && parent[p] != p ? parent[p] : p;
-                               next[i] = pp;
-                               changed |= pp != p;
-                           }
-                           chunk_changed[c] = changed;
-                       });
-        parent.swap(next);
-        bool any = false;
-        for (uint8_t f : chunk_changed)
-            any = any || f != 0;
-        if (!any)
-            break;
-    }
-
-    // Resolve + identity-fold, sharded; collect chain-fold candidates.
-    std::vector<size_t> chunk_folded(chunk_count, 0);
-    std::vector<std::vector<int>> chunk_candidates(chunk_count);
-    exec.forChunks(
-        n, kDefaultChunkGrain, [&](size_t c, size_t begin, size_t end) {
-            size_t folded = 0;
-            std::vector<int> &candidates = chunk_candidates[c];
-            for (size_t i = begin; i < end; ++i) {
-                IrInst &inst = prog.insts[i];
-                if (inst.dead)
-                    continue;
-                for (int *slot : inst.operandSlots())
-                    if (*slot >= 0)
-                        *slot = parent[*slot];
-                if (!inst.useImm)
-                    continue;
-                if (identityFoldable(inst)) {
-                    inst.dead = true;
-                    ++folded;
-                } else if (inst.op == IrOp::Mul && inst.a >= 0) {
-                    candidates.push_back(static_cast<int>(i));
-                }
-            }
-            chunk_folded[c] = folded;
-        });
-    size_t folded = 0;
-    for (size_t f : chunk_folded)
-        folded += f;
-
-    // Sequential chain-fold sub-phase, ascending over all candidates
-    // (shards are index-ordered, so concatenation is ascending).
-    size_t chained = 0;
-    for (const std::vector<int> &candidates : chunk_candidates) {
-        for (int i : candidates) {
-            IrInst &inst = prog.insts[i];
-            IrInst &src = prog.insts[inst.a];
-            if (!src.dead && src.op == IrOp::Mul && src.useImm &&
-                src.modulus == inst.modulus) {
-                inst.imm = inst.imm * src.imm;
-                inst.a = src.a;
-                ++chained;
-            }
-        }
-    }
-    return {folded, chained};
-}
-
-} // namespace
-
-size_t
-runConstProp(IrProgram &prog, StatSet &stats, const ParallelExec &exec)
-{
-    const auto [folded, chained] = exec.parallel()
-                                       ? runConstPropParallel(prog, exec)
-                                       : runConstPropSerial(prog);
     stats.add("constProp.identityFolded", double(folded));
     stats.add("constProp.immChained", double(chained));
     return folded + chained;

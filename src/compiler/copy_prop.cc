@@ -2,11 +2,8 @@
 
 namespace effact {
 
-namespace {
-
-/** Legacy single-threaded scan — the serial oracle path. */
 size_t
-runCopyPropSerial(IrProgram &prog)
+runCopyProp(IrProgram &prog, StatSet &stats)
 {
     // Union-find style forwarding: a Copy's value is its source's value.
     std::vector<int> fwd(prog.insts.size());
@@ -33,99 +30,6 @@ runCopyPropSerial(IrProgram &prog)
             ++removed;
         }
     }
-    return removed;
-}
-
-/**
- * Region-sharded equivalent. The serial scan's final state is fully
- * characterized: every live-at-entry instruction's operands point at
- * the transitive non-Copy root of their copy chain, and every
- * live-at-entry Copy is dead. Both are order-free properties, so the
- * parallel algorithm computes the same fixpoint directly:
- *
- *   1. seed `parent[i] = a` for live Copies (else `i`), sharded;
- *   2. pointer-jump (`parent[i] <- parent[parent[i]]`) to convergence
- *      with double buffering — each round is a pure function of the
- *      previous array, so the result is thread-count independent;
- *   3. rewrite every live instruction's slots to `parent[slot]` and
- *      kill the Copies, sharded (each shard writes only its own
- *      instructions' fields).
- *
- * `removed` sums the per-shard Copy kills in ascending shard order.
- */
-size_t
-runCopyPropParallel(IrProgram &prog, const ParallelExec &exec)
-{
-    const size_t n = prog.insts.size();
-    std::vector<int> parent(n), next(n);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                           const IrInst &inst = prog.insts[i];
-                           parent[i] = !inst.dead && inst.op == IrOp::Copy
-                                           ? inst.a
-                                           : static_cast<int>(i);
-                       }
-                   });
-
-    // Pointer jumping halves every chain's length per round, so this
-    // loop runs O(log chain) times. `changed` flags are shard-private
-    // and OR-reduced after the join.
-    const size_t chunk_count = splitChunks(n, kDefaultChunkGrain).size();
-    std::vector<uint8_t> chunk_changed(chunk_count, 0);
-    for (;;) {
-        std::fill(chunk_changed.begin(), chunk_changed.end(), 0);
-        exec.forChunks(n, kDefaultChunkGrain,
-                       [&](size_t c, size_t begin, size_t end) {
-                           uint8_t changed = 0;
-                           for (size_t i = begin; i < end; ++i) {
-                               const int p = parent[i];
-                               const int pp =
-                                   p >= 0 && parent[p] != p ? parent[p] : p;
-                               next[i] = pp;
-                               changed |= pp != p;
-                           }
-                           chunk_changed[c] = changed;
-                       });
-        parent.swap(next);
-        bool any = false;
-        for (uint8_t f : chunk_changed)
-            any = any || f != 0;
-        if (!any)
-            break;
-    }
-
-    std::vector<size_t> chunk_removed(chunk_count, 0);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t c, size_t begin, size_t end) {
-                       size_t removed = 0;
-                       for (size_t i = begin; i < end; ++i) {
-                           IrInst &inst = prog.insts[i];
-                           if (inst.dead)
-                               continue;
-                           for (int *slot : inst.operandSlots())
-                               if (*slot >= 0)
-                                   *slot = parent[*slot];
-                           if (inst.op == IrOp::Copy) {
-                               inst.dead = true;
-                               ++removed;
-                           }
-                       }
-                       chunk_removed[c] = removed;
-                   });
-    size_t removed = 0;
-    for (size_t r : chunk_removed)
-        removed += r;
-    return removed;
-}
-
-} // namespace
-
-size_t
-runCopyProp(IrProgram &prog, StatSet &stats, const ParallelExec &exec)
-{
-    const size_t removed = exec.parallel() ? runCopyPropParallel(prog, exec)
-                                           : runCopyPropSerial(prog);
     stats.add("copyProp.removed", double(removed));
     return removed;
 }

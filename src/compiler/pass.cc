@@ -62,17 +62,17 @@ MachineProgram
 Compiler::compile(IrProgram &prog, AnalysisManager &analyses,
                   CompileCache *cache)
 {
-    compileMiddle(prog, analyses, cache);
-    return compileBack(prog, analyses);
+    stats_.clear();
+    runMiddleEnd(prog, analyses, stats_, cache);
+    return runBackEnd(prog, analyses, stats_);
 }
 
 void
-Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
-                        CompileCache *cache)
+Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
+                       StatSet &stats, CompileCache *cache) const
 {
-    stats_.clear();
     if (cache == nullptr) {
-        runMiddleEnd(prog, analyses, stats_);
+        optimize(prog, analyses, stats);
         return;
     }
 
@@ -84,7 +84,7 @@ Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
         key,
         [this, &prog, &analyses] {
             MiddleEndSnapshot built;
-            runMiddleEnd(prog, analyses, built.stats);
+            optimize(prog, analyses, built.stats);
             built.optimized = prog; // immutable copy (fresh uid)
             return built;
         },
@@ -96,21 +96,15 @@ Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
         prog = snap->optimized;
     }
     // Replaying the snapshot's stats (also on the miss path, where they
-    // are exactly what runMiddleEnd just recorded) keeps hit and miss
+    // are exactly what optimize just recorded) keeps hit and miss
     // compiles byte-identical except for the cache.hit marker.
-    stats_.merge(snap->stats);
-    stats_.set("cache.hit", hit ? 1 : 0);
-}
-
-MachineProgram
-Compiler::compileBack(const IrProgram &prog, AnalysisManager &analyses)
-{
-    return runBackEnd(prog, analyses, stats_);
+    stats.merge(snap->stats);
+    stats.set("cache.hit", hit ? 1 : 0);
 }
 
 void
-Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
-                       StatSet &stats) const
+Compiler::optimize(IrProgram &prog, AnalysisManager &analyses,
+                   StatSet &stats) const
 {
     const size_t before = prog.liveCount();
     stats.set("input.instructions", double(before));
@@ -168,8 +162,7 @@ Compiler::runBackEnd(const IrProgram &prog, AnalysisManager &analyses,
                                 opts_.fifoDepth, stats);
         });
     MachineProgram mp = timed("backend.regalloc.ms", stats, [&] {
-        return runRegAllocAndCodegen(prog, order, streaming, opts_, stats,
-                                     analyses.exec());
+        return runRegAllocAndCodegen(prog, order, streaming, opts_, stats);
     });
     stats.set("machine.instructions", double(mp.insts.size()));
     // Post-backend checkpoint: the machine program handed to the

@@ -8,7 +8,6 @@
 #define EFFACT_COMPILER_PASS_H
 
 #include "common/stats.h"
-#include "compiler/region.h"
 #include "ir/ir.h"
 #include "isa/isa.h"
 
@@ -98,34 +97,21 @@ struct CompilerOptions
 // Each records detailed statistics and returns its total number of
 // rewrites, so the pass-manager layer can detect change (and keep
 // cached analyses sound) without duplicating the passes' stat keys.
-//
-// Every pass except PRE takes an optional `ParallelExec`. The default
-// (serial) executor selects the legacy single-threaded scan — the
-// oracle path. A parallel executor selects a region-sharded algorithm
-// that produces the *identical* final IR and the identical stat counts
-// at any thread count (chunk boundaries depend only on the program
-// size, and every cross-chunk merge is performed in deterministic
-// ascending-chunk order), so machine code, fingerprints and
-// `CompileCache` snapshots are byte-identical to the serial pipeline.
-// PRE has no sharded variant: it is one serial scan at every width.
 
 /** Copy propagation: removes VecCopy chains. */
-size_t runCopyProp(IrProgram &prog, StatSet &stats,
-                   const ParallelExec &exec = ParallelExec());
+size_t runCopyProp(IrProgram &prog, StatSet &stats);
 
 /** Constant propagation/folding on immediate operands. */
-size_t runConstProp(IrProgram &prog, StatSet &stats,
-                    const ParallelExec &exec = ParallelExec());
+size_t runConstProp(IrProgram &prog, StatSet &stats);
 
 /** Value-numbering PRE: removes redundant computations and re-loads of
- *  read-only data (models on-chip key/constant reuse). Serial only. */
+ *  read-only data (models on-chip key/constant reuse). */
 size_t runPre(IrProgram &prog, StatSet &stats);
 
 /** Peephole computation merge: MUL+ADD -> MAC (executed on reused NTT
  *  units, Sec. III-2) and iNTT 1/N post-scale folding into BConv
  *  constants (Eq. 5). */
-size_t runPeephole(IrProgram &prog, StatSet &stats,
-                   const ParallelExec &exec = ParallelExec());
+size_t runPeephole(IrProgram &prog, StatSet &stats);
 
 /**
  * Rotation-chain algebraic rewrite (spec key `"rotalg"`): composes
@@ -138,8 +124,7 @@ size_t runPeephole(IrProgram &prog, StatSet &stats,
  * AUTO unit) and canonicalizes equal net rotations onto one Galois
  * element so PRE can deduplicate them.
  */
-size_t runRotAlg(IrProgram &prog, StatSet &stats,
-                 const ParallelExec &exec = ParallelExec());
+size_t runRotAlg(IrProgram &prog, StatSet &stats);
 
 /**
  * Alias analysis (Sec. IV-B2): orders memory operations that may touch
@@ -185,8 +170,7 @@ MachineProgram runRegAllocAndCodegen(const IrProgram &prog,
                                      const std::vector<int> &order,
                                      const StreamingInfo &streaming,
                                      const CompilerOptions &opts,
-                                     StatSet &stats,
-                                     const ParallelExec &exec = ParallelExec());
+                                     StatSet &stats);
 
 class CompileCache; // compiler/compile_cache.h
 
@@ -228,32 +212,20 @@ class Compiler
                            CompileCache *cache);
 
     /**
-     * Staged variant of `compile`, stage 1: the cache-aware middle end
-     * alone (pipeline to fixed point, or snapshot adoption on a cache
-     * hit). Resets the compiler's stats. Pairs with `compileBack`; the
-     * pair is exactly `compile(prog, analyses, cache)` split at the
-     * hardware boundary, so a stage-pipelined driver can run another
-     * job's back end between the two.
-     */
-    void compileMiddle(IrProgram &prog, AnalysisManager &analyses,
-                       CompileCache *cache);
-
-    /** Staged variant of `compile`, stage 2: the back end over the
-     *  program `compileMiddle` optimized. Appends to the stats
-     *  `compileMiddle` started. */
-    MachineProgram compileBack(const IrProgram &prog,
-                               AnalysisManager &analyses);
-
-    /**
      * Middle end: runs the declarative optimization pipeline to its
      * bounded fixed point (asserting convergence) and compacts the
      * program. Hardware-independent by construction — no
      * `HardwareConfig`-derived option is consulted. Records
      * `input.instructions`, `pass.*`, `pipeline.*` and `optimized.*`
      * into `stats`.
+     *
+     * With a shared `cache` (default null = uncached) the run goes
+     * through it (see `compile`): on a hit `prog` adopts a clone of the
+     * cached snapshot, and either way the snapshot's statistics are
+     * merged into `stats` along with the `cache.hit` marker.
      */
     void runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
-                      StatSet &stats) const;
+                      StatSet &stats, CompileCache *cache = nullptr) const;
 
     /**
      * Back end: global scheduling, streaming decisions, SRAM regalloc
@@ -269,6 +241,10 @@ class Compiler
     const CompilerOptions &options() const { return opts_; }
 
   private:
+    /** The uncached pipeline body of `runMiddleEnd`. */
+    void optimize(IrProgram &prog, AnalysisManager &analyses,
+                  StatSet &stats) const;
+
     CompilerOptions opts_;
     StatSet stats_;
 };

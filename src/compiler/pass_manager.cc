@@ -32,65 +32,7 @@ AnalysisManager::depGraph(const IrProgram &prog, StatSet &stats)
         stats.add("analysis.cacheHits", 1);
         return graph_;
     }
-    if (!exec_.parallel()) {
-        graph_ = DepGraph::fromIr(prog, aliasEdges(prog, stats));
-    } else {
-        // Parallel analysis build: the alias scan and the SSA edge
-        // shards are independent, so they run side by side on the pool.
-        // Concatenating the shards in ascending chunk order and then
-        // appending the memory edges reproduces `fromIr`'s serial edge
-        // append order byte-for-byte, and the stat keys recorded are
-        // the same as the serial path's.
-        const bool alias_cached =
-            aliasUid_ == prog.uid() && aliasVersion_ == prog.version();
-        StatSet alias_stats; // thread-private; merged after the join
-        const size_t n = prog.insts.size();
-        const std::vector<ChunkRange> chunks =
-            splitChunks(n, kDefaultChunkGrain);
-        std::vector<std::vector<DepGraph::Edge>> shards(chunks.size());
-        exec_.fork2(
-            [&] {
-                if (!alias_cached)
-                    aliasEdges_ = runAliasAnalysis(prog, alias_stats);
-            },
-            [&] {
-                exec_.forChunks(
-                    n, kDefaultChunkGrain,
-                    [&](size_t c, size_t begin, size_t end) {
-                        std::vector<DepGraph::Edge> &out = shards[c];
-                        for (size_t i = begin; i < end; ++i) {
-                            const IrInst &inst = prog.insts[i];
-                            if (inst.dead)
-                                continue;
-                            for (int operand : inst.operands())
-                                if (operand >= 0)
-                                    out.push_back({operand,
-                                                   static_cast<int>(i),
-                                                   DepKind::True});
-                        }
-                    });
-            });
-        if (alias_cached) {
-            stats.add("analysis.cacheHits", 1);
-        } else {
-            // Publish: single-flight per (uid, version) — later
-            // aliasEdges() calls at this version hit the cache.
-            aliasUid_ = prog.uid();
-            aliasVersion_ = prog.version();
-            stats.add("analysis.aliasBuilds", 1);
-        }
-        stats.merge(alias_stats);
-        DepGraph g(n);
-        for (const std::vector<DepGraph::Edge> &shard : shards)
-            g.addEdges(shard);
-        std::vector<DepGraph::Edge> mem;
-        mem.reserve(aliasEdges_.size());
-        for (auto [from, to] : aliasEdges_)
-            mem.push_back({from, to, DepKind::MemAlias});
-        g.addEdges(mem);
-        g.finalize();
-        graph_ = std::move(g);
-    }
+    graph_ = DepGraph::fromIr(prog, aliasEdges(prog, stats));
     graphUid_ = prog.uid();
     graphVersion_ = prog.version();
     stats.add("analysis.depgraphBuilds", 1);
@@ -121,7 +63,7 @@ namespace {
 class FnPass : public Pass
 {
   public:
-    using Fn = size_t (*)(IrProgram &, StatSet &, const ParallelExec &);
+    using Fn = size_t (*)(IrProgram &, StatSet &);
 
     FnPass(const char *pass_name, Fn fn) : name_(pass_name), fn_(fn) {}
 
@@ -130,7 +72,7 @@ class FnPass : public Pass
     bool run(IrProgram &prog, AnalysisManager &analyses,
              StatSet &stats) override
     {
-        const bool changed = fn_(prog, stats, analyses.exec()) > 0;
+        const bool changed = fn_(prog, stats) > 0;
         if (changed)
             prog.bumpVersion();
         return changed;
@@ -151,10 +93,7 @@ createPass(const std::string &name)
     if (name == "constprop")
         return std::make_unique<FnPass>("constprop", &runConstProp);
     if (name == "pre")
-        return std::make_unique<FnPass>(
-            "pre", [](IrProgram &prog, StatSet &stats, const ParallelExec &) {
-                return runPre(prog, stats); // serial at every width
-            });
+        return std::make_unique<FnPass>("pre", &runPre);
     if (name == "peephole")
         return std::make_unique<FnPass>("peephole", &runPeephole);
     if (name == "rotalg")

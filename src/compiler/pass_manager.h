@@ -41,30 +41,14 @@ class AnalysisManager
     const std::vector<std::pair<int, int>> &
     aliasEdges(const IrProgram &prog, StatSet &stats);
 
-    /** IR-level dependence graph: SSA true edges + the alias edges.
-     *  Under a parallel executor the alias scan and the sharded SSA
-     *  edge collection run side by side (they are independent per
-     *  (uid, version)); the merge reproduces `DepGraph::fromIr`'s
-     *  serial edge order exactly. The alias result is published to this
-     *  manager's cache either way — single-flight per key: a later
-     *  `aliasEdges()` at the same version is a hit, never a rebuild. */
+    /** IR-level dependence graph: SSA true edges + the alias edges
+     *  (built through `aliasEdges`, so that result is cached too). */
     const DepGraph &depGraph(const IrProgram &prog, StatSet &stats);
 
     /** Drops every cached analysis (version keying normally suffices). */
     void invalidateAll();
 
-    /**
-     * Installs the within-job executor used by passes and analysis
-     * builds that this manager drives. Default is the serial executor
-     * (legacy single-threaded algorithms). The manager itself must
-     * still be driven by one thread at a time; the executor only fans
-     * work *it* initiates into the pool.
-     */
-    void setExec(const ParallelExec &exec) { exec_ = exec; }
-    const ParallelExec &exec() const { return exec_; }
-
   private:
-    ParallelExec exec_;
     static constexpr uint64_t kNoVersion = ~uint64_t(0);
 
     // Keys are (IrProgram::uid, version): version counters of two

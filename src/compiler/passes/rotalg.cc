@@ -21,11 +21,7 @@
  * The algorithm is snapshot-based and order-free: phase A builds a
  * read-only snapshot of (source, element, chainable) per instruction,
  * then every rotation walks the *original* chain on that snapshot and
- * rewrites only its own fields. The result is independent of visit
- * order, so the serial and region-sharded paths run the same code and
- * are bit-identical at any thread count. Use counts for the DCE phase
- * are relaxed atomic increments — a commutative sum, deterministic
- * regardless of interleaving.
+ * rewrites only its own fields, so no rewrite reads another's output.
  *
  * Invariant (rule `ir.auto.elt`): a live immediate-form Auto carries a
  * Galois element in [1, 2N). The pass preserves it — composed elements
@@ -33,9 +29,6 @@
  * and identity compositions (element 1) fold into Copy instead.
  */
 #include "compiler/pass.h"
-
-#include <atomic>
-#include <memory>
 
 namespace effact {
 
@@ -60,7 +53,7 @@ struct RotCounts
 } // namespace
 
 size_t
-runRotAlg(IrProgram &prog, StatSet &stats, const ParallelExec &exec)
+runRotAlg(IrProgram &prog, StatSet &stats)
 {
     const size_t n = prog.insts.size();
     const u64 two_n = u64(prog.degree) * 2;
@@ -68,114 +61,84 @@ runRotAlg(IrProgram &prog, StatSet &stats, const ParallelExec &exec)
         return 0;
 
     // Phase A: read-only snapshot of the rotation graph before any
-    // rewrite, so phase B's chain walks are race-free and order-free.
+    // rewrite, so phase B's chain walks see only original chains.
     RotSnapshot snap;
     snap.is_rot.resize(n);
     snap.src.resize(n);
     snap.elt.resize(n);
     snap.mod.resize(n);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                           const IrInst &inst = prog.insts[i];
-                           snap.is_rot[i] = !inst.dead &&
-                                            inst.op == IrOp::Auto &&
-                                            inst.useImm && inst.a >= 0;
-                           snap.src[i] = inst.a;
-                           snap.elt[i] = inst.imm % two_n;
-                           snap.mod[i] = inst.modulus;
-                       }
-                   });
+    for (size_t i = 0; i < n; ++i) {
+        const IrInst &inst = prog.insts[i];
+        snap.is_rot[i] = !inst.dead && inst.op == IrOp::Auto &&
+                         inst.useImm && inst.a >= 0;
+        snap.src[i] = inst.a;
+        snap.elt[i] = inst.imm % two_n;
+        snap.mod[i] = inst.modulus;
+    }
 
     // Phase B: every rotation walks its own original chain on the
     // snapshot (operands reference earlier values, so the walk strictly
     // decreases and terminates) and rewrites only its own fields.
-    const size_t chunk_count = splitChunks(n, kDefaultChunkGrain).size();
-    std::vector<RotCounts> per_chunk(chunk_count);
-    exec.forChunks(n, kDefaultChunkGrain, [&](size_t c, size_t begin,
-                                              size_t end) {
-        RotCounts &rc = per_chunk[c];
-        for (size_t i = begin; i < end; ++i) {
-            if (!snap.is_rot[i])
-                continue;
-            IrInst &inst = prog.insts[i];
-            u64 product = snap.elt[i];
-            int root = snap.src[i];
-            size_t hops = 0;
-            while (root >= 0 && snap.is_rot[size_t(root)] &&
-                   snap.mod[size_t(root)] == snap.mod[i]) {
-                const u64 composed =
-                    product * snap.elt[size_t(root)] % two_n;
-                if (composed == 0)
-                    break; // would leave the legal element range
-                product = composed;
-                root = snap.src[size_t(root)];
-                ++hops;
-            }
-            if (hops > 0) {
-                if (product == 1) {
-                    inst.op = IrOp::Copy;
-                    inst.a = root;
-                    inst.b = -1;
-                    inst.useImm = false;
-                    inst.imm = 0;
-                    ++rc.identity;
-                } else {
-                    inst.a = root;
-                    inst.imm = product;
-                    ++rc.composed;
-                }
-            } else if (product == 1) {
+    RotCounts total;
+    for (size_t i = 0; i < n; ++i) {
+        if (!snap.is_rot[i])
+            continue;
+        IrInst &inst = prog.insts[i];
+        u64 product = snap.elt[i];
+        int root = snap.src[i];
+        size_t hops = 0;
+        while (root >= 0 && snap.is_rot[size_t(root)] &&
+               snap.mod[size_t(root)] == snap.mod[i]) {
+            const u64 composed = product * snap.elt[size_t(root)] % two_n;
+            if (composed == 0)
+                break; // would leave the legal element range
+            product = composed;
+            root = snap.src[size_t(root)];
+            ++hops;
+        }
+        if (hops > 0) {
+            if (product == 1) {
                 inst.op = IrOp::Copy;
+                inst.a = root;
                 inst.b = -1;
                 inst.useImm = false;
                 inst.imm = 0;
-                ++rc.identity;
-            } else if (inst.imm != product && product != 0) {
+                ++total.identity;
+            } else {
+                inst.a = root;
                 inst.imm = product;
-                ++rc.canonicalized;
+                ++total.composed;
             }
+        } else if (product == 1) {
+            inst.op = IrOp::Copy;
+            inst.b = -1;
+            inst.useImm = false;
+            inst.imm = 0;
+            ++total.identity;
+        } else if (inst.imm != product && product != 0) {
+            inst.imm = product;
+            ++total.canonicalized;
         }
-    });
-
-    // Phase C: retire rotations the re-rooting left without uses.
-    // Relaxed atomic counts — a commutative sum is deterministic.
-    std::unique_ptr<std::atomic<uint32_t>[]> uses(
-        new std::atomic<uint32_t>[n]);
-    for (size_t i = 0; i < n; ++i)
-        uses[i].store(0, std::memory_order_relaxed);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                           const IrInst &inst = prog.insts[i];
-                           if (inst.dead)
-                               continue;
-                           for (int v : inst.operands())
-                               if (v >= 0)
-                                   uses[size_t(v)].fetch_add(
-                                       1, std::memory_order_relaxed);
-                       }
-                   });
-    exec.forChunks(n, kDefaultChunkGrain, [&](size_t c, size_t begin,
-                                              size_t end) {
-        RotCounts &rc = per_chunk[c];
-        for (size_t i = begin; i < end; ++i) {
-            IrInst &inst = prog.insts[i];
-            if (!inst.dead && inst.op == IrOp::Auto &&
-                uses[i].load(std::memory_order_relaxed) == 0) {
-                inst.dead = true;
-                ++rc.dead;
-            }
-        }
-    });
-
-    RotCounts total;
-    for (const RotCounts &rc : per_chunk) {
-        total.composed += rc.composed;
-        total.identity += rc.identity;
-        total.canonicalized += rc.canonicalized;
-        total.dead += rc.dead;
     }
+
+    // Phase C: retire rotations the re-rooting left without uses. All
+    // uses are counted before any rotation is retired.
+    std::vector<uint32_t> uses(n, 0);
+    for (const IrInst &inst : prog.insts) {
+        if (inst.dead)
+            continue;
+        for (int v : inst.operands())
+            if (v >= 0)
+                ++uses[size_t(v)];
+    }
+    for (size_t i = 0; i < n; ++i) {
+        IrInst &inst = prog.insts[i];
+        if (!inst.dead && inst.op == IrOp::Auto && uses[i] == 0) {
+            inst.dead = true;
+            ++total.dead;
+        }
+    }
+
     stats.add("rotalg.composed", double(total.composed));
     stats.add("rotalg.identity", double(total.identity));
     stats.add("rotalg.canonicalized", double(total.canonicalized));

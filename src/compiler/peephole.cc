@@ -1,15 +1,9 @@
 #include "compiler/pass.h"
 
-#include <atomic>
-#include <memory>
-
 namespace effact {
 
-namespace {
-
-/** Legacy single-threaded scan — the serial oracle path. */
-std::pair<size_t, size_t>
-runPeepholeSerial(IrProgram &prog)
+size_t
+runPeephole(IrProgram &prog, StatSet &stats)
 {
     // Use counts (live instructions only). `c` counts too: a value kept
     // alive only as a Mac accumulator must not be fused away.
@@ -81,163 +75,6 @@ runPeepholeSerial(IrProgram &prog)
             }
         }
     }
-    return {mac_fused, intt_folds};
-}
-
-/**
- * Region-sharded equivalent, phased so every decision reads the same
- * state the serial scan would have seen:
- *
- * The serial scan's two rewrites interact only through single-use Mul
- * instructions: an Eq. 5 fold turns a Mul into a Copy at the *producer*
- * index, which (operands point backward) is always visited before any
- * Add that could have fused it — so serial gives the Eq. 5 fold
- * priority, and a Mac fusion decision always sees the post-fold op.
- * Fusions never interact with each other (the consumed Mul is
- * single-use, so no two Adds contend) or with fold decisions (folds
- * read Intt producers, which nothing in this pass rewrites).
- *
- * Phases, each a sharded loop with a barrier between:
- *   1. use counts via relaxed atomic adds (commutative, so the totals
- *      are thread-count independent);
- *   2. decide + apply Eq. 5 folds (pure function of entry state;
- *      writes only the candidate's own op/useImm);
- *   3. decide Mac fusions on the post-fold state (read-only), recording
- *      (add, fused-mul, swap) per shard;
- *   4. apply fusions: disjoint writes — each decided Add rewrites
- *      itself plus its privately-owned single-use Mul.
- */
-std::pair<size_t, size_t>
-runPeepholeParallel(IrProgram &prog, const ParallelExec &exec)
-{
-    const size_t n = prog.insts.size();
-    const size_t chunk_count = splitChunks(n, kDefaultChunkGrain).size();
-
-    // Phase 1: use counts.
-    std::unique_ptr<std::atomic<uint32_t>[]> uses_atomic(
-        new std::atomic<uint32_t>[n]);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i)
-                           uses_atomic[i].store(0,
-                                                std::memory_order_relaxed);
-                   });
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                           const IrInst &inst = prog.insts[i];
-                           if (inst.dead)
-                               continue;
-                           for (int operand : inst.operands())
-                               if (operand >= 0)
-                                   uses_atomic[operand].fetch_add(
-                                       1, std::memory_order_relaxed);
-                       }
-                   });
-    std::vector<uint32_t> uses(n);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i)
-                           uses[i] = uses_atomic[i].load(
-                               std::memory_order_relaxed);
-                   });
-
-    // Phase 2: Eq. 5 folds. The candidate test reads only the
-    // candidate's own entry fields, its Intt producer (never rewritten
-    // by this pass), and the entry use counts.
-    std::vector<size_t> chunk_folds(chunk_count, 0);
-    exec.forChunks(n, kDefaultChunkGrain,
-                   [&](size_t c, size_t begin, size_t end) {
-                       size_t folds = 0;
-                       for (size_t i = begin; i < end; ++i) {
-                           IrInst &inst = prog.insts[i];
-                           if (inst.dead || inst.op != IrOp::Mul ||
-                               !inst.useImm || inst.a < 0)
-                               continue;
-                           const IrInst &src = prog.insts[inst.a];
-                           if (!src.dead && src.op == IrOp::Intt &&
-                               inst.tag == IrTag::Normal &&
-                               uses[inst.a] == 1) {
-                               inst.op = IrOp::Copy;
-                               inst.useImm = false;
-                               ++folds;
-                           }
-                       }
-                       chunk_folds[c] = folds;
-                   });
-    size_t intt_folds = 0;
-    for (size_t f : chunk_folds)
-        intt_folds += f;
-
-    // Phase 3: fusion decisions on the post-fold state, read-only.
-    struct Fusion
-    {
-        int add;
-        bool swapped;
-    };
-    std::vector<std::vector<Fusion>> chunk_fusions(chunk_count);
-    exec.forChunks(
-        n, kDefaultChunkGrain, [&](size_t c, size_t begin, size_t end) {
-            std::vector<Fusion> &fusions = chunk_fusions[c];
-            for (size_t i = begin; i < end; ++i) {
-                const IrInst &inst = prog.insts[i];
-                if (inst.dead || inst.op != IrOp::Add || inst.useImm ||
-                    inst.a < 0 || inst.b < 0)
-                    continue;
-                auto isFusableMul = [&](int v) {
-                    const IrInst &m = prog.insts[v];
-                    return !m.dead && m.op == IrOp::Mul && uses[v] == 1 &&
-                           m.modulus == inst.modulus;
-                };
-                if (isFusableMul(inst.b))
-                    fusions.push_back({static_cast<int>(i), false});
-                else if (isFusableMul(inst.a))
-                    fusions.push_back({static_cast<int>(i), true});
-            }
-        });
-
-    // Phase 4: apply. Writes are disjoint: each Add rewrites itself and
-    // kills its fused Mul, and a fused Mul has exactly one user (its
-    // Add), so no two decisions touch the same instruction. The Mul's
-    // fields are read only here, by its owning decision.
-    size_t mac_fused = 0;
-    std::vector<const std::vector<Fusion> *> all(chunk_count);
-    for (size_t c = 0; c < chunk_count; ++c) {
-        all[c] = &chunk_fusions[c];
-        mac_fused += chunk_fusions[c].size();
-    }
-    exec.forChunks(
-        chunk_count, 1, [&](size_t, size_t begin, size_t end) {
-            for (size_t c = begin; c < end; ++c) {
-                for (const Fusion &f : *all[c]) {
-                    IrInst &inst = prog.insts[f.add];
-                    if (f.swapped)
-                        std::swap(inst.a, inst.b);
-                    IrInst &mul = prog.insts[inst.b];
-                    const int addend = inst.a;
-                    inst.op = IrOp::Mac;
-                    inst.a = mul.a;
-                    inst.b = mul.b;
-                    inst.c = addend;
-                    inst.useImm = mul.useImm;
-                    inst.imm = mul.imm;
-                    if (inst.tag == IrTag::Normal)
-                        inst.tag = mul.tag;
-                    mul.dead = true;
-                }
-            }
-        });
-    return {mac_fused, intt_folds};
-}
-
-} // namespace
-
-size_t
-runPeephole(IrProgram &prog, StatSet &stats, const ParallelExec &exec)
-{
-    const auto [mac_fused, intt_folds] =
-        exec.parallel() ? runPeepholeParallel(prog, exec)
-                        : runPeepholeSerial(prog);
     stats.add("peephole.macFused", double(mac_fused));
     stats.add("peephole.inttScaleFolded", double(intt_folds));
     return mac_fused + intt_folds;

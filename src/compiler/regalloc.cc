@@ -27,7 +27,7 @@ toOpcode(IrOp op)
     panic("bad IrOp");
 }
 
-/** Read-only state shared by the emission core and its counting twin. */
+/** Read-only allocation results the emission reads. */
 struct EmitCtx
 {
     const IrProgram &prog;
@@ -44,18 +44,14 @@ struct EmitCtx
 };
 
 /**
- * Emits the machine code for one scheduled IR instruction into `sink`
- * (spill reloads first, then the instruction, then its spill store —
- * the exact order the classic single append loop produced).
- * `scratch_calls` is the global running count of scratch-register
- * grabs; the register is `alloc_regs + scratch_calls % num_scratch`,
- * which makes the round-robin resumable at any point — the key to
- * sharded emission: a shard seeds it with the exclusive prefix sum of
- * earlier shards' counts and emits bytes identical to the serial loop.
+ * Appends the machine code for one scheduled IR instruction to `mp`:
+ * spill reloads first, then the instruction, then its spill store.
+ * `scratch_calls` is the running count of scratch-register grabs; the
+ * register is `alloc_regs + scratch_calls % num_scratch`, a round-robin
+ * over the scratch pool.
  */
-template <class Sink>
 void
-emitOne(const EmitCtx &cx, int idx, Sink &sink, u64 &scratch_calls)
+emitOne(const EmitCtx &cx, int idx, MachineProgram &mp, u64 &scratch_calls)
 {
     const size_t i = static_cast<size_t>(idx);
     const IrInst &inst = cx.prog.insts[i];
@@ -88,8 +84,8 @@ emitOne(const EmitCtx &cx, int idx, Sink &sink, u64 &scratch_calls)
             load.dest = Operand::regOp(r);
             load.hbmAddr = cx.spill_addr[value];
             load.irId = value;
-            sink.push(load);
-            ++sink.spillLoads;
+            mp.insts.push_back(load);
+            ++mp.spillLoads;
             return Operand::regOp(r);
         }
         // Value streams to a store or is scratch-resident.
@@ -113,7 +109,7 @@ emitOne(const EmitCtx &cx, int idx, Sink &sink, u64 &scratch_calls)
                      static_cast<u64>(inst.mem.index) * cx.residue_bytes;
         mi.modulus = inst.modulus;
         mi.irId = idx;
-        sink.push(mi);
+        mp.insts.push_back(mi);
         return;
     }
 
@@ -127,7 +123,7 @@ emitOne(const EmitCtx &cx, int idx, Sink &sink, u64 &scratch_calls)
                      static_cast<u64>(inst.mem.index) * cx.residue_bytes;
         mi.modulus = inst.modulus;
         mi.irId = idx;
-        sink.push(mi);
+        mp.insts.push_back(mi);
         return;
     }
 
@@ -155,7 +151,7 @@ emitOne(const EmitCtx &cx, int idx, Sink &sink, u64 &scratch_calls)
     } else {
         mi.dest = Operand::regOp(scratchReg());
     }
-    sink.push(mi);
+    mp.insts.push_back(mi);
 
     if (cx.spilled[i] && !cx.remat[i]) {
         MachInst spill;
@@ -163,98 +159,17 @@ emitOne(const EmitCtx &cx, int idx, Sink &sink, u64 &scratch_calls)
         spill.src0 = mi.dest;
         spill.hbmAddr = cx.spill_addr[i];
         spill.irId = idx;
-        sink.push(spill);
-        ++sink.spillStores;
+        mp.insts.push_back(spill);
+        ++mp.spillStores;
     }
 }
-
-/** Emission-count twin of `emitOne`: how many machine instructions and
- *  scratch-register grabs one scheduled instruction produces. Pure per
- *  instruction — this is what lets shards compute exact output offsets
- *  and round-robin seeds without emitting anything. */
-struct EmitCount
-{
-    uint32_t insts = 0;
-    uint32_t scratch = 0;
-};
-
-EmitCount
-countOne(const EmitCtx &cx, int idx)
-{
-    const size_t i = static_cast<size_t>(idx);
-    const IrInst &inst = cx.prog.insts[i];
-    EmitCount count;
-
-    auto countOperand = [&](int value) {
-        const IrInst &def = cx.prog.insts[value];
-        if (def.op == IrOp::Load && cx.streaming.streamedLoad[value])
-            return;
-        if (cx.streaming.fifoForward[value])
-            return;
-        if (cx.assigned[value] >= 0)
-            return;
-        if (cx.spilled[value]) {
-            ++count.insts; // reload load
-            ++count.scratch;
-            return;
-        }
-        ++count.scratch; // scratch-resident fallback
-    };
-
-    if (inst.op == IrOp::Load) {
-        if (cx.streaming.streamedLoad[i] || cx.remat[i])
-            return count;
-        ++count.insts;
-        if (cx.assigned[i] < 0)
-            ++count.scratch;
-        return count;
-    }
-    if (inst.op == IrOp::Store) {
-        if (!cx.streaming.streamedStore[i])
-            countOperand(inst.a);
-        ++count.insts;
-        return count;
-    }
-    if (inst.a >= 0)
-        countOperand(inst.a);
-    if (!inst.useImm && inst.b >= 0)
-        countOperand(inst.b);
-    if (inst.op == IrOp::Mac && inst.c >= 0)
-        countOperand(inst.c);
-    if (!cx.value_streams_to_store[i] && !cx.streaming.fifoForward[i] &&
-        cx.assigned[i] < 0)
-        ++count.scratch;
-    ++count.insts;
-    if (cx.spilled[i] && !cx.remat[i])
-        ++count.insts; // spill store
-    return count;
-}
-
-/** Serial sink: appends to the program like the classic loop. */
-struct AppendSink
-{
-    std::vector<MachInst> &out;
-    size_t spillLoads = 0;
-    size_t spillStores = 0;
-    void push(const MachInst &mi) { out.push_back(mi); }
-};
-
-/** Sharded sink: writes into a precomputed slice of the output. */
-struct SliceSink
-{
-    MachInst *cursor;
-    size_t spillLoads = 0;
-    size_t spillStores = 0;
-    void push(const MachInst &mi) { *cursor++ = mi; }
-};
 
 } // namespace
 
 MachineProgram
 runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                       const StreamingInfo &streaming,
-                      const CompilerOptions &opts, StatSet &stats,
-                      const ParallelExec &exec)
+                      const CompilerOptions &opts, StatSet &stats)
 {
     const size_t n = prog.insts.size();
     const size_t residue_bytes = prog.degree * 8;
@@ -539,70 +454,12 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                      spill_addr, obj_base,  residue_bytes,
                      alloc_regs, num_scratch};
 
-    if (!exec.parallel()) {
-        // Serial path: one append loop in schedule order, exactly the
-        // classic emission. The exact-count pre-pass is skipped; a
-        // heuristic reserve avoids the worst reallocation churn.
-        mp.insts.reserve(order.size() + order.size() / 4);
-        AppendSink sink{mp.insts};
-        u64 scratch_calls = 0;
-        for (int idx : order)
-            emitOne(cx, idx, sink, scratch_calls);
-        mp.spillLoads += sink.spillLoads;
-        mp.spillStores += sink.spillStores;
-    } else {
-        // Sharded emission: per-instruction output sizes and scratch
-        // grabs are position-independent, so shards count, a prefix sum
-        // fixes each shard's output offset and round-robin seed, and
-        // every shard emits its slice — byte-identical to the serial
-        // loop at any thread count.
-        const std::vector<ChunkRange> chunks =
-            splitChunks(order.size(), kDefaultChunkGrain);
-        const size_t chunk_count = chunks.size();
-        std::vector<u64> chunk_insts(chunk_count, 0);
-        std::vector<u64> chunk_scratch(chunk_count, 0);
-        exec.forChunks(order.size(), kDefaultChunkGrain,
-                       [&](size_t c, size_t begin, size_t end) {
-                           u64 insts = 0, scratch = 0;
-                           for (size_t k = begin; k < end; ++k) {
-                               const EmitCount ec = countOne(cx, order[k]);
-                               insts += ec.insts;
-                               scratch += ec.scratch;
-                           }
-                           chunk_insts[c] = insts;
-                           chunk_scratch[c] = scratch;
-                       });
-        std::vector<u64> base_insts(chunk_count + 1, 0);
-        std::vector<u64> base_scratch(chunk_count + 1, 0);
-        for (size_t c = 0; c < chunk_count; ++c) {
-            base_insts[c + 1] = base_insts[c] + chunk_insts[c];
-            base_scratch[c + 1] = base_scratch[c] + chunk_scratch[c];
-        }
-        mp.insts.resize(base_insts[chunk_count]);
-        std::vector<size_t> shard_spill_loads(chunk_count, 0);
-        std::vector<size_t> shard_spill_stores(chunk_count, 0);
-        exec.forChunks(
-            order.size(), kDefaultChunkGrain,
-            [&](size_t c, size_t begin, size_t end) {
-                SliceSink sink{mp.insts.data() + base_insts[c]};
-                u64 scratch_calls = base_scratch[c];
-                for (size_t k = begin; k < end; ++k)
-                    emitOne(cx, order[k], sink, scratch_calls);
-                EFFACT_ASSERT(sink.cursor ==
-                                      mp.insts.data() + base_insts[c + 1] &&
-                                  scratch_calls == base_scratch[c] +
-                                                       chunk_scratch[c],
-                              "sharded emission diverged from its count "
-                              "pre-pass in chunk %zu",
-                              c);
-                shard_spill_loads[c] = sink.spillLoads;
-                shard_spill_stores[c] = sink.spillStores;
-            });
-        for (size_t c = 0; c < chunk_count; ++c) {
-            mp.spillLoads += shard_spill_loads[c];
-            mp.spillStores += shard_spill_stores[c];
-        }
-    }
+    // One append loop in schedule order; a heuristic reserve avoids
+    // the worst reallocation churn.
+    mp.insts.reserve(order.size() + order.size() / 4);
+    u64 scratch_calls = 0;
+    for (int idx : order)
+        emitOne(cx, idx, mp, scratch_calls);
 
     for (uint8_t s : streaming.streamedLoad)
         mp.streamedOps += s;

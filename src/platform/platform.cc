@@ -35,42 +35,26 @@ Platform::run(Workload &workload, AnalysisManager &analyses,
     using Clock = std::chrono::steady_clock;
     using Ms = std::chrono::duration<double, std::milli>;
 
-    Compiler compiler = makeCompiler();
+    const Compiler compiler(copts_);
+    PlatformResult result;
     const Clock::time_point t0 = Clock::now();
-    compiler.compileMiddle(workload.program, analyses, cache);
+    compiler.runMiddleEnd(workload.program, analyses, result.compilerStats,
+                          cache);
     const Clock::time_point t1 = Clock::now();
-    MachineProgram mp = compiler.compileBack(workload.program, analyses);
+    const MachineProgram mp = compiler.runBackEnd(
+        workload.program, analyses, result.compilerStats);
     const Clock::time_point t2 = Clock::now();
-    SimReport sim = simulate(mp);
+    result.sim = Simulator(hw_).run(mp);
     const Clock::time_point t3 = Clock::now();
 
-    PlatformResult result = assemble(compiler, mp, workload,
-                                     std::move(sim));
-    result.jobStats.set("job.middle.ms", Ms(t1 - t0).count());
-    result.jobStats.set("job.backend.ms", Ms(t2 - t1).count());
-    result.jobStats.set("job.sim.ms", Ms(t3 - t2).count());
-    return result;
-}
-
-SimReport
-Platform::simulate(const MachineProgram &mp) const
-{
-    Simulator sim(hw_);
-    return sim.run(mp);
-}
-
-PlatformResult
-Platform::assemble(const Compiler &compiler, const MachineProgram &mp,
-                   const Workload &workload, SimReport sim) const
-{
-    PlatformResult result;
-    result.sim = std::move(sim);
-    result.compilerStats = compiler.stats();
     result.benchTimeMs = result.sim.timeMs * workload.repeat;
     result.amortizedUs =
         result.benchTimeMs * 1e3 / workload.amortizeFactor;
     result.dramGb = result.sim.dramBytes * workload.repeat / 1e9;
     result.machineFingerprint = fingerprint(mp);
+    result.jobStats.set("job.middle.ms", Ms(t1 - t0).count());
+    result.jobStats.set("job.backend.ms", Ms(t2 - t1).count());
+    result.jobStats.set("job.sim.ms", Ms(t3 - t2).count());
     return result;
 }
 

@@ -67,24 +67,6 @@ class Platform
     PlatformResult run(Workload &workload, AnalysisManager &analyses,
                        CompileCache *cache) const;
 
-    // --- Staged pieces (the pipelined sweep path) -----------------------
-    // `run` is exactly `Compiler::compileMiddle` + `compileBack` +
-    // `simulate` + `assemble`; a stage-pipelined driver calls the pieces
-    // as separate pool tasks so stages of different jobs overlap. The
-    // assembled result is identical either way.
-
-    /** A compiler configured for this platform (hardware-adjusted
-     *  options: `sramBytes`, `issueWindow`). */
-    Compiler makeCompiler() const { return Compiler(copts_); }
-
-    /** Simulates a compiled program on this platform's hardware. */
-    SimReport simulate(const MachineProgram &mp) const;
-
-    /** Assembles the benchmark-level result from the staged pieces. */
-    PlatformResult assemble(const Compiler &compiler,
-                            const MachineProgram &mp,
-                            const Workload &workload, SimReport sim) const;
-
     const HardwareConfig &hardware() const { return hw_; }
     const CompilerOptions &compilerOptions() const { return copts_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <optional>
 
 #include "common/logging.h"
@@ -15,20 +14,17 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using Ms = std::chrono::duration<double, std::milli>;
 
-/** Runs one job monolithically against a worker-owned analysis manager
- *  (and, when the engine has one, the shared compile cache). `exec`
- *  carries the within-job parallelism: a default executor keeps every
- *  pass on the legacy serial scans. */
+/** Runs one job against a worker-owned analysis manager (and, when the
+ *  engine has one, the shared compile cache). */
 SweepResult
 runJob(const SweepJob &job, size_t index, AnalysisManager &analyses,
-       CompileCache *cache, const ParallelExec &exec)
+       CompileCache *cache)
 {
     EFFACT_ASSERT(job.build != nullptr, "sweep job '%s' has no workload",
                   job.name.c_str());
     const Clock::time_point t0 = Clock::now();
     Workload workload = job.build();
     const double ir_ms = Ms(Clock::now() - t0).count();
-    analyses.setExec(exec);
     Platform platform(job.hw, job.copts);
     SweepResult r;
     r.name = job.name;
@@ -37,25 +33,6 @@ runJob(const SweepJob &job, size_t index, AnalysisManager &analyses,
     r.platform.jobStats.set("job.ir.ms", ir_ms);
     return r;
 }
-
-/**
- * Mutable state of one stage-pipelined job, alive from its IR-build
- * task to its simulate task. Stages chain strictly (each submits the
- * next when it finishes), so no synchronization beyond the pool queue
- * is needed; each job owns a private `AnalysisManager` because
- * consecutive stages may land on different workers.
- */
-struct StagedJob
-{
-    std::optional<Workload> workload;
-    std::optional<Platform> platform;
-    std::optional<Compiler> compiler;
-    AnalysisManager analyses;
-    MachineProgram mp;
-    double irMs = 0;
-    double middleMs = 0;
-    double backendMs = 0;
-};
 
 /** Accumulates one value into `<key>.{sum,min,max,count}`. */
 void
@@ -103,139 +80,38 @@ SweepEngine::runAll()
     results_.resize(jobs_.size());
 
     const size_t want = threads();
-    const size_t job_threads = std::max<size_t>(opts_.jobThreads, 1);
     if (want <= 1 || jobs_.size() <= 1) {
         // Serial path: submission order on the calling thread, one
         // shared analysis manager (sound: caches key on program uid).
-        // Within-job parallelism still applies — a pool sized
-        // `jobThreads` runs the region shards while the job itself
-        // stays on the calling thread (the single-big-job latency
-        // case).
         workers_used_ = 1;
         AnalysisManager analyses;
-        std::optional<ThreadPool> shard_pool;
-        ParallelExec exec;
-        if (job_threads > 1 && !jobs_.empty()) {
-            shard_pool.emplace(job_threads);
-            exec = ParallelExec(&*shard_pool);
-        }
         for (size_t i = 0; i < jobs_.size(); ++i)
-            results_[i] = runJob(jobs_[i], i, analyses,
-                                 opts_.compileCache, exec);
+            results_[i] = runJob(jobs_[i], i, analyses, opts_.compileCache);
     } else {
         const size_t n_workers = std::min(want, jobs_.size());
         workers_used_ = n_workers;
-        // Pool sized for both levels: job tasks outside, region shards
-        // inside (nested task groups share the queue and the workers).
         // An external pool arrives pre-sized by its owner.
-        const size_t pool_size = std::max(n_workers, job_threads);
         std::optional<ThreadPool> owned;
         ThreadPool *pool = opts_.pool;
         if (pool == nullptr) {
-            owned.emplace(pool_size);
+            owned.emplace(n_workers);
             pool = &*owned;
         }
-        if (!opts_.pipelineStages || opts_.pool != nullptr) {
-            // Per-worker analysis managers: caching without locking.
-            // Workers write disjoint result slots, so the only
-            // synchronization is the pool's queue and the group wait
-            // barrier. One extra manager slot for the calling thread:
-            // `Group::wait` helps run queued tasks inline, and inline
-            // tasks on an external thread report index
-            // `threadCount()`.
-            std::vector<AnalysisManager> analyses(pool->threadCount() + 1);
-            ThreadPool::Group group(*pool);
-            for (size_t i = 0; i < jobs_.size(); ++i) {
-                group.submit([this, i, &analyses, pool,
-                              job_threads](size_t worker) {
-                    const ParallelExec exec =
-                        job_threads > 1 ? ParallelExec(pool, worker)
-                                        : ParallelExec();
-                    results_[i] = runJob(jobs_[i], i, analyses[worker],
-                                         opts_.compileCache, exec);
-                });
-            }
-            group.wait();
-        } else {
-            // Stage-pipelined: each job is four chained tasks. A stage
-            // submits its successor on completion, so job A's simulate
-            // overlaps job B's back end; `pool.wait()` returns only
-            // once every chain has run to its end (chained submissions
-            // keep the pool busy).
-            std::vector<StagedJob> staged(jobs_.size());
-            for (size_t i = 0; i < jobs_.size(); ++i) {
-                pool->submit([this, i, &staged, pool,
-                             job_threads](size_t) {
-                    const SweepJob &job = jobs_[i];
-                    EFFACT_ASSERT(job.build != nullptr,
-                                  "sweep job '%s' has no workload",
-                                  job.name.c_str());
-                    StagedJob &st = staged[i];
-                    const Clock::time_point t0 = Clock::now();
-                    st.workload.emplace(job.build());
-                    st.irMs = Ms(Clock::now() - t0).count();
-
-                    pool->submit([this, i, &staged, pool,
-                                 job_threads](size_t worker) {
-                        const SweepJob &job = jobs_[i];
-                        StagedJob &st = staged[i];
-                        st.platform.emplace(job.hw, job.copts);
-                        st.compiler.emplace(st.platform->makeCompiler());
-                        st.analyses.setExec(
-                            job_threads > 1 ? ParallelExec(pool, worker)
-                                            : ParallelExec());
-                        const Clock::time_point t0 = Clock::now();
-                        st.compiler->compileMiddle(st.workload->program,
-                                                   st.analyses,
-                                                   opts_.compileCache);
-                        st.middleMs = Ms(Clock::now() - t0).count();
-
-                        pool->submit([this, i, &staged, pool,
-                                     job_threads](size_t worker) {
-                            StagedJob &st = staged[i];
-                            st.analyses.setExec(
-                                job_threads > 1
-                                    ? ParallelExec(pool, worker)
-                                    : ParallelExec());
-                            const Clock::time_point t0 = Clock::now();
-                            st.mp = st.compiler->compileBack(
-                                st.workload->program, st.analyses);
-                            st.backendMs = Ms(Clock::now() - t0).count();
-
-                            pool->submit([this, i, &staged](size_t) {
-                                StagedJob &st = staged[i];
-                                const Clock::time_point t0 = Clock::now();
-                                SimReport rep =
-                                    st.platform->simulate(st.mp);
-                                const double sim_ms =
-                                    Ms(Clock::now() - t0).count();
-                                SweepResult &r = results_[i];
-                                r.name = jobs_[i].name;
-                                r.jobIndex = i;
-                                r.platform = st.platform->assemble(
-                                    *st.compiler, st.mp, *st.workload,
-                                    std::move(rep));
-                                r.platform.jobStats.set("job.ir.ms",
-                                                        st.irMs);
-                                r.platform.jobStats.set("job.middle.ms",
-                                                        st.middleMs);
-                                r.platform.jobStats.set("job.backend.ms",
-                                                        st.backendMs);
-                                r.platform.jobStats.set("job.sim.ms",
-                                                        sim_ms);
-                                // Release the job's working set early:
-                                // a big grid holds N IR programs
-                                // otherwise.
-                                st.workload.reset();
-                                st.compiler.reset();
-                                st.mp = MachineProgram();
-                            });
-                        });
-                    });
-                });
-            }
-            pool->wait();
+        // Per-worker analysis managers: caching without locking.
+        // Workers write disjoint result slots, so the only
+        // synchronization is the pool's queue and the group wait
+        // barrier. One extra manager slot for the calling thread:
+        // `Group::wait` helps run queued tasks inline, and inline tasks
+        // report index `threadCount()`.
+        std::vector<AnalysisManager> analyses(pool->threadCount() + 1);
+        ThreadPool::Group group(*pool);
+        for (size_t i = 0; i < jobs_.size(); ++i) {
+            group.submit([this, i, &analyses](size_t worker) {
+                results_[i] = runJob(jobs_[i], i, analyses[worker],
+                                     opts_.compileCache);
+            });
         }
+        group.wait();
     }
 
     // Aggregates from the ordered results on the calling thread:

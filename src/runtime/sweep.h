@@ -11,9 +11,10 @@
  * (workload, preset) once. Each job is pure given its inputs, and
  * cache entries are immutable single-flight snapshots, so results —
  * simulated cycles, machine-code fingerprints, stat aggregates — are
- * byte-identical at any thread count and any hit pattern. `threads = 1`
- * is the serial path: jobs run in submission order on the calling
- * thread with no pool.
+ * byte-identical at any thread count and any hit pattern. Each job is
+ * one pool task, so parallelism is across jobs only. `threads = 1` is
+ * the serial path: jobs run in submission order on the calling thread
+ * with no pool.
  */
 #ifndef EFFACT_RUNTIME_SWEEP_H
 #define EFFACT_RUNTIME_SWEEP_H
@@ -75,31 +76,6 @@ struct SweepOptions
      */
     int verifyLevel = -1;
     /**
-     * Within-job parallelism width (defaults to the `EFFACT_JOB_THREADS`
-     * environment variable, which defaults to 1 = serial passes). When
-     * > 1, each job's middle end, analysis builds and back-end emission
-     * run region-sharded on that many workers (`ParallelExec`): a single
-     * paper-scale job drops its latency instead of only the batch
-     * throughput scaling. Results are bit-identical at any setting —
-     * chunk boundaries depend only on program sizes and every
-     * cross-chunk merge is deterministic — so this knob is deliberately
-     * NOT part of any cache key or preset hash. With `threads > 1` the
-     * shards share the batch pool via nested task groups; the pool is
-     * sized `max(threads, jobThreads)` so a lone job can still fan out.
-     */
-    size_t jobThreads = defaultJobThreadCount();
-    /**
-     * Stage-pipelined execution: run each job as four chained pool
-     * tasks (IR build -> middle end -> back end -> simulate) instead of
-     * one monolithic task, so job A's simulation overlaps job B's back
-     * end even when the grid is small relative to the worker count.
-     * Results (and their order) are identical to the monolithic mode;
-     * only host scheduling changes. Ignored on the serial path
-     * (`threads <= 1`), where stages would chain on one thread anyway,
-     * and with an external `pool` (see below).
-     */
-    bool pipelineStages = false;
-    /**
      * Caller-owned worker pool: when set, the parallel path runs its
      * job tasks as a `ThreadPool::Group` on this pool instead of
      * constructing a private one — the long-lived-service shape, where
@@ -109,9 +85,7 @@ struct SweepOptions
      * concurrency appetite but the pool's own width is what actually
      * bounds parallelism. Results are byte-identical to a private
      * pool of any size (worker scheduling is never observable).
-     * `pipelineStages` is ignored with an external pool (stage
-     * chaining is wired to private-pool draining); the monolithic
-     * per-job tasks are used instead. Ignored on the serial path.
+     * Ignored on the serial path.
      */
     ThreadPool *pool = nullptr;
 };

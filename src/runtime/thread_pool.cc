@@ -133,10 +133,9 @@ ThreadPool::Group::submit(Task task)
 }
 
 void
-ThreadPool::Group::wait(size_t helper_worker)
+ThreadPool::Group::wait()
 {
-    const size_t inline_index =
-        helper_worker == SIZE_MAX ? pool_.threadCount() : helper_worker;
+    const size_t inline_index = pool_.threadCount();
     std::unique_lock<std::mutex> lock(pool_.mu_);
     while (pending_ > 0) {
         // Help: steal one of our own queued tasks and run it inline.
@@ -191,12 +190,6 @@ defaultThreadCount()
     const unsigned hw = std::thread::hardware_concurrency();
     return envThreadCount("EFFACT_THREADS",
                           hw == 0 ? 1 : static_cast<size_t>(hw));
-}
-
-size_t
-defaultJobThreadCount()
-{
-    return envThreadCount("EFFACT_JOB_THREADS", 1);
 }
 
 } // namespace effact

@@ -5,12 +5,12 @@
  * submitter can give each worker its own unlocked context (the
  * `SweepEngine` hands every worker a private `AnalysisManager`).
  *
- * `ThreadPool::Group` adds nested-task support: a task already running
- * on a worker can fan out sub-tasks into the shared queue and block on
- * just those, helping execute them while it waits. That makes the pool
- * safe for two-level parallelism (jobs outside, per-job region shards
- * inside) without a second pool and without deadlock: a waiter never
- * sleeps while one of its own sub-tasks is still queued.
+ * `ThreadPool::Group` is a batch of tasks that can be waited on apart
+ * from the rest of the pool's work: the `SweepEngine` runs each batch
+ * as one group, so a long-lived pool (the service daemon's) can serve
+ * many batches. A waiter helps execute its own queued tasks and never
+ * sleeps while one of them is still queued, so groups also nest
+ * without deadlock.
  */
 #ifndef EFFACT_RUNTIME_THREAD_POOL_H
 #define EFFACT_RUNTIME_THREAD_POOL_H
@@ -37,17 +37,16 @@ class ThreadPool
     /** Task signature: `worker` is the executing worker's index in
      *  `[0, threadCount())`, stable for that worker's lifetime. Tasks
      *  executed inline by a thread blocked in `Group::wait()` receive
-     *  the index that waiter passed (its own worker index, or
-     *  `threadCount()` for an external thread). */
+     *  `threadCount()`, the same index for every waiting thread. */
     using Task = std::function<void(size_t worker)>;
 
     /**
      * Spawns `threads` workers (at least one). `maxQueued` bounds the
      * *queued* (not yet running) task count seen by `trySubmit`:
      * 0 = unbounded (the batch default), > 0 = admission control for
-     * service owners. Plain `submit` ignores the bound — internal
-     * fan-out (group sub-tasks, stage chaining) must never be refused,
-     * or a half-submitted job would deadlock its own barrier.
+     * service owners. Plain `submit` ignores the bound — a group's
+     * tasks must never be refused, or a half-submitted batch would
+     * deadlock its own barrier.
      */
     explicit ThreadPool(size_t threads, size_t maxQueued = 0);
 
@@ -99,7 +98,7 @@ class ThreadPool
      * dequeues and runs them on the calling thread, and it only sleeps
      * when every remaining task of the group is already running on some
      * other thread. Safe to use from inside a pool task (nested
-     * parallelism) and from external threads alike. Not thread-safe
+     * groups) and from external threads alike. Not thread-safe
      * itself: one thread drives a given group.
      */
     class Group
@@ -118,12 +117,9 @@ class ThreadPool
         /**
          * Blocks until every task submitted to this group has finished,
          * executing queued group tasks inline while it waits. Tasks run
-         * inline receive `helper_worker` as their worker index; pass
-         * the caller's own worker index when waiting from inside a pool
-         * task (defaults to `threadCount()`, the "external thread"
-         * slot).
+         * inline receive `threadCount()` as their worker index.
          */
-        void wait(size_t helper_worker = SIZE_MAX);
+        void wait();
 
       private:
         friend class ThreadPool;
@@ -162,13 +158,6 @@ class ThreadPool
  * concurrency (at least 1). `EFFACT_THREADS=1` selects the serial path.
  */
 size_t defaultThreadCount();
-
-/**
- * Within-job worker-count default: the `EFFACT_JOB_THREADS` environment
- * variable when set to a positive integer, otherwise 1 (within-job
- * parallelism is opt-in; results are identical at any setting).
- */
-size_t defaultJobThreadCount();
 
 } // namespace effact
 

@@ -17,14 +17,6 @@ DepGraph::addEdge(int from, int to, DepKind kind)
 }
 
 void
-DepGraph::addEdges(const std::vector<Edge> &edges)
-{
-    raw_.reserve(raw_.size() + edges.size());
-    for (const Edge &e : edges)
-        addEdge(e.from, e.to, e.kind);
-}
-
-void
 DepGraph::finalize()
 {
     EFFACT_ASSERT(!finalized_, "graph already finalized");

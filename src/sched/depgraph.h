@@ -63,7 +63,7 @@ class DepGraph
     DepGraph() = default;
     explicit DepGraph(size_t n) : n_(n) {}
 
-    /** One raw `(from, to, kind)` edge, for bulk append. */
+    /** One raw `(from, to, kind)` edge, as appended before `finalize`. */
     struct Edge
     {
         int from;
@@ -89,13 +89,6 @@ class DepGraph
 
     /** Appends one edge; `from` must precede `to` in the stream. */
     void addEdge(int from, int to, DepKind kind);
-
-    /** Appends a batch of edges (same precondition as `addEdge`).
-     *  Shard-collected edge lists concatenated in ascending chunk order
-     *  reproduce the serial append order byte-for-byte — this is how
-     *  the parallel `AnalysisManager` build stays bit-identical to
-     *  `fromIr`. */
-    void addEdges(const std::vector<Edge> &edges);
 
     /** Compacts appended edges into CSR form; call before queries. */
     void finalize();

@@ -59,7 +59,6 @@ oracleOptions(const ServiceOptions &base)
 {
     ServiceOptions oracle = base;
     oracle.threads = 1;
-    oracle.jobThreads = 1;
     oracle.cacheBytes = 0;
     oracle.useCache = false;
     return oracle;
@@ -163,9 +162,8 @@ ServiceCore::ServiceCore(ServiceOptions opts)
         opts_.queueCapacity = 1;
     if (opts_.batchSize == 0)
         opts_.batchSize = 1;
-    const size_t job_threads = std::max<size_t>(opts_.jobThreads, 1);
     if (opts_.threads > 1)
-        pool_.emplace(std::max(opts_.threads, job_threads));
+        pool_.emplace(opts_.threads);
 }
 
 size_t
@@ -231,7 +229,6 @@ ServiceCore::runBatch()
 
     SweepOptions so;
     so.threads = opts_.threads;
-    so.jobThreads = std::max<size_t>(opts_.jobThreads, 1);
     so.compileCache = opts_.useCache ? &cache_ : nullptr;
     so.pool = pool_ ? &*pool_ : nullptr;
     SweepEngine engine(so);

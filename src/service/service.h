@@ -51,8 +51,6 @@ struct ServiceOptions
     /** Sweep worker count (1 = run batches serially on the driver
      *  thread; no pool is created). */
     size_t threads = defaultThreadCount();
-    /** Within-job parallelism width (see `SweepOptions::jobThreads`) */
-    size_t jobThreads = defaultJobThreadCount();
     /** Admission bound on accepted-but-unexecuted requests. */
     size_t queueCapacity = defaultQueueCapacity();
     /** Auto-execute threshold: once this many requests are pending the

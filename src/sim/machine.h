@@ -43,14 +43,6 @@ class Simulator
     /** Runs the program to completion and reports timing/utilization. */
     SimReport run(const MachineProgram &prog) const;
 
-    /**
-     * The legacy O(n * window) rescan issue loop, cycle-equivalent to
-     * `run()`. Kept as the differential-testing oracle and as the
-     * before/after baseline for `bench_sim_speed`; new code should use
-     * `run()`.
-     */
-    SimReport runReference(const MachineProgram &prog) const;
-
     const HardwareConfig &config() const { return cfg_; }
 
   private:

@@ -8,6 +8,7 @@
 
 #include "compiler/pass.h"
 #include "ir/builder.h"
+#include "reference_sim.h"
 #include "sched/depgraph.h"
 #include "sim/machine.h"
 
@@ -157,7 +158,7 @@ TEST(DepGraphMachine, WarOverwriteDoesNotWaitForUnissuedReaders)
     const double ew = double(n) / double(hw.lanes);
     const double ntt = double(n) * 15 / 2.0 / double(hw.lanes);
     EXPECT_NEAR(r.cycles, ew + 16 + ntt + 16, 1e-6);
-    SimReport ref = Simulator(hw).runReference(mp);
+    SimReport ref = referenceSimulate(hw, mp);
     EXPECT_DOUBLE_EQ(r.cycles, ref.cycles);
 }
 

@@ -8,9 +8,9 @@
  *      reference interpreter, on seeded random IR programs the stock
  *      workloads never produce;
  *  (b) the event-driven `Simulator::run` against the legacy rescan
- *      oracle `runReference` — cycle/traffic-identical on the compiled
- *      random programs across random hardware shapes, SRAM budgets
- *      (spill pressure!), issue windows and pipeline presets.
+ *      oracle `referenceSimulate` — cycle/traffic-identical on the
+ *      compiled random programs across random hardware shapes, SRAM
+ *      budgets (spill pressure!), issue windows and pipeline presets.
  *
  * Reference semantics. Values are u64 scalars with wrapping arithmetic
  * (Add/Sub/Mul/Mac), and NTT/iNTT/automorphism are opaque injective
@@ -47,8 +47,8 @@
 #include "math/primes.h"
 #include "platform/platform.h"
 #include "reference_pre.h"
+#include "reference_sim.h"
 #include "rns/bconv.h"
-#include "runtime/thread_pool.h"
 #include "sim/machine.h"
 
 namespace effact {
@@ -486,25 +486,12 @@ legacyOptimize(IrProgram &prog, const CompilerOptions &opts, StatSet &stats)
     prog.compact();
 }
 
-/** Shard workers for the within-job-parallel recompiles, shared across
- *  seeds (the pool is stateless between uses). */
-ThreadPool &
-fuzzPool()
-{
-    static ThreadPool pool(8);
-    return pool;
-}
-
-/** The fixed-point pipeline over the same option switches. A parallel
- *  `exec` runs every pass region-sharded — the randomized pin that the
- *  sharded pipeline is bit-identical to the serial one. */
+/** The fixed-point pipeline over the same option switches. */
 void
 fixedPointOptimize(IrProgram &prog, const CompilerOptions &opts,
-                   StatSet &stats,
-                   const ParallelExec &exec = ParallelExec())
+                   StatSet &stats)
 {
     AnalysisManager analyses;
-    analyses.setExec(exec);
     PassManager pm = PassManager::fromSpec(pipelineSpecFromOptions(opts));
     pm.setMaxIterations(opts.pipelineMaxIterations);
     // Every randomized pipeline run is checkpointed: a pass that leaves
@@ -519,11 +506,9 @@ fixedPointOptimize(IrProgram &prog, const CompilerOptions &opts,
  *  reach passes (rotalg) that `pipelineSpecFromOptions` never emits. */
 void
 fixedPointOptimizeSpec(IrProgram &prog, const std::string &spec,
-                       StatSet &stats,
-                       const ParallelExec &exec = ParallelExec())
+                       StatSet &stats)
 {
     AnalysisManager analyses;
-    analyses.setExec(exec);
     PassManager pm = PassManager::fromSpec(spec);
     pm.setVerifyLevel(1);
     pm.run(prog, analyses, stats);
@@ -575,11 +560,6 @@ checkSemanticEquivalence(uint64_t seed, GenMode mode, size_t target_insts)
         legacyOptimize(legacy, opts, stats);
         IrProgram fixed_point = original;
         fixedPointOptimize(fixed_point, opts, stats);
-        // Region-sharded run of the same pipeline: identical final IR.
-        IrProgram sharded = original;
-        fixedPointOptimize(sharded, opts, stats,
-                           ParallelExec(&fuzzPool()));
-        EXPECT_EQ(fingerprint(sharded), fingerprint(fixed_point)) << tag;
 
         EXPECT_EQ(interpret(legacy), mem_original) << tag;
         EXPECT_EQ(interpret(fixed_point), mem_original) << tag;
@@ -589,17 +569,12 @@ checkSemanticEquivalence(uint64_t seed, GenMode mode, size_t target_insts)
     }
 
     // The rotalg pipeline (unreachable from the bool switches): the
-    // algebraic rewrites must preserve the memory image, never grow the
-    // program (in-place rewrites + Auto-restricted DCE only), and stay
-    // bit-identical under region sharding.
+    // algebraic rewrites must preserve the memory image and never grow
+    // the program (in-place rewrites + Auto-restricted DCE only).
     const std::string rtag = "seed " + std::to_string(seed) + " rotalg";
     StatSet rot_stats;
     IrProgram rotalg_opt = original;
     fixedPointOptimizeSpec(rotalg_opt, kRotalgSpec, rot_stats);
-    IrProgram rotalg_sharded = original;
-    fixedPointOptimizeSpec(rotalg_sharded, kRotalgSpec, rot_stats,
-                           ParallelExec(&fuzzPool()));
-    EXPECT_EQ(fingerprint(rotalg_sharded), fingerprint(rotalg_opt)) << rtag;
     EXPECT_EQ(interpret(rotalg_opt), mem_original) << rtag;
     EXPECT_LE(rotalg_opt.liveCount(), original.liveCount()) << rtag;
 }
@@ -673,25 +648,9 @@ checkSimulatorEquivalence(uint64_t seed, size_t target_insts)
     MachineProgram mp = compiler.compile(prog);
     ASSERT_FALSE(mp.insts.empty()) << "seed " << seed;
 
-    // Within-job-parallel recompile of the same input: machine code
-    // byte-identical across the whole random option/hardware space
-    // (spill-heavy SRAM budgets exercise the sharded emission's scratch
-    // round-robin seeding).
-    {
-        IrProgram prog_sharded =
-            ProgramGen(seed, mode, target_insts).build();
-        Compiler sharded_compiler(opts);
-        AnalysisManager analyses;
-        analyses.setExec(ParallelExec(&fuzzPool()));
-        const MachineProgram mp_sharded =
-            sharded_compiler.compile(prog_sharded, analyses);
-        EXPECT_EQ(fingerprint(mp_sharded), fingerprint(mp))
-            << "seed " << seed;
-    }
-
     Simulator sim(hw);
     const SimReport ev = sim.run(mp);
-    const SimReport ref = sim.runReference(mp);
+    const SimReport ref = referenceSimulate(hw, mp);
     const std::string tag = "seed " + std::to_string(seed);
     EXPECT_DOUBLE_EQ(ev.cycles, ref.cycles) << tag;
     EXPECT_DOUBLE_EQ(ev.dramBytes, ref.dramBytes) << tag;

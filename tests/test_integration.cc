@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "platform/platform.h"
+#include "reference_sim.h"
 
 namespace effact {
 namespace {
@@ -56,7 +57,7 @@ TEST_P(OptionMatrix, EveryPassComboSimulates)
     Compiler compiler(opts);
     MachineProgram mp = compiler.compile(w2.program);
     SimReport ev = Simulator(hw).run(mp);
-    SimReport ref = Simulator(hw).runReference(mp);
+    SimReport ref = referenceSimulate(hw, mp);
     EXPECT_DOUBLE_EQ(ev.cycles, ref.cycles);
     EXPECT_DOUBLE_EQ(ev.dramBytes, ref.dramBytes);
 }

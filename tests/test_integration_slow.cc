@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "platform/platform.h"
+#include "reference_sim.h"
 #include "runtime/sweep.h"
 
 namespace effact {
@@ -54,7 +55,7 @@ TEST(PaperScale, EventCoreMatchesLegacyLoopOnFullTrace)
 
     Simulator sim(hw);
     SimReport ev = sim.run(mp);
-    SimReport ref = sim.runReference(mp);
+    SimReport ref = referenceSimulate(hw, mp);
     EXPECT_DOUBLE_EQ(ev.cycles, ref.cycles);
     EXPECT_DOUBLE_EQ(ev.dramBytes, ref.dramBytes);
     EXPECT_DOUBLE_EQ(ev.dramUtil, ref.dramUtil);
@@ -82,7 +83,7 @@ TEST(PaperScale, EventCoreMatchesLegacyLoopOnUnoptimizedTrace)
     MachineProgram mp = compiler.compile(w.program);
     HardwareConfig hw = HardwareConfig::asicEffact27();
     SimReport ev = Simulator(hw).run(mp);
-    SimReport ref = Simulator(hw).runReference(mp);
+    SimReport ref = referenceSimulate(hw, mp);
     EXPECT_GT(ev.cycles, 0.0);
     EXPECT_DOUBLE_EQ(ev.cycles, ref.cycles);
     EXPECT_DOUBLE_EQ(ev.dramBytes, ref.dramBytes);

@@ -90,6 +90,39 @@ TEST(ThreadPool, ZeroThreadRequestStillRuns)
     EXPECT_EQ(counter.load(), 1);
 }
 
+TEST(ThreadPool, NestedGroupsDoNotDeadlock)
+{
+    // Two-level nesting on a one-thread pool: each outer group task
+    // fans out an inner group and waits on it. `Group::wait` must help
+    // run its own queued tasks instead of sleeping, or the lone worker
+    // (blocked in an inner wait) deadlocks here.
+    ThreadPool pool(1);
+    std::vector<size_t> sums(3, 0);
+    ThreadPool::Group outer(pool);
+    for (size_t c = 0; c < sums.size(); ++c) {
+        outer.submit([&pool, &sums, c](size_t) {
+            std::vector<size_t> parts(4, 0);
+            ThreadPool::Group inner(pool);
+            for (size_t p = 0; p < parts.size(); ++p) {
+                inner.submit([&parts, p](size_t) {
+                    size_t s = 0;
+                    for (size_t i = p * 4096; i < (p + 1) * 4096; ++i)
+                        s += i % 7;
+                    parts[p] = s;
+                });
+            }
+            inner.wait();
+            size_t total = 0;
+            for (size_t part : parts)
+                total += part;
+            sums[c] = total + c;
+        });
+    }
+    outer.wait();
+    EXPECT_EQ(sums[1], sums[0] + 1);
+    EXPECT_EQ(sums[2], sums[0] + 2);
+}
+
 // --- Admission control / backpressure -------------------------------------
 
 /** Blocks the pool's single worker until released, so the tests can
@@ -491,7 +524,7 @@ TEST(SweepEngine, MoreThreadsThanJobsIsFine)
     EXPECT_GT(results[0].platform.sim.cycles, 0.0);
 }
 
-// --- Within-job parallelism and stage pipelining --------------------------
+// --- Verified sweeps, external pools, per-stage timers -------------------
 
 /** The serial oracle for a grid, with a forced verify level. */
 std::vector<SweepResult>
@@ -500,7 +533,6 @@ serialOracle(const std::vector<SweepJob> &jobs, int verify_level = -1)
     SweepOptions o;
     o.threads = 1;
     o.verifyLevel = verify_level;
-    o.jobThreads = 1; // pin: the default reads EFFACT_JOB_THREADS
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);
@@ -530,76 +562,10 @@ expectSameResults(const std::vector<SweepResult> &got,
     }
 }
 
-TEST(SweepEngine, JobThreadsKeepResultsIdentical)
+TEST(SweepEngine, VerifiedPresetSweepMatchesSerialOracle)
 {
-    // Within-job parallelism at 1, 2 and 8 shard workers — stacked on
-    // serial and concurrent job execution — must reproduce the serial
-    // oracle bit for bit (region chunking depends only on program
-    // sizes, never on worker counts).
-    const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-    SweepOptions oracle_opts;
-    oracle_opts.threads = 1;
-    oracle_opts.jobThreads = 1;
-    SweepEngine oracle_engine(oracle_opts);
-    for (const SweepJob &job : jobs)
-        oracle_engine.submit(job);
-    oracle_engine.runAll();
-    const auto oracle_agg =
-        deterministicAggregates(oracle_engine.aggregates());
-
-    for (size_t threads : {1, 3}) {
-        for (size_t job_threads : {2, 8}) {
-            SweepOptions o;
-            o.threads = threads;
-            o.jobThreads = job_threads;
-            SweepEngine engine(o);
-            for (const SweepJob &job : jobs)
-                engine.submit(job);
-            const std::string tag = "threads=" +
-                                    std::to_string(threads) +
-                                    " jobThreads=" +
-                                    std::to_string(job_threads);
-            expectSameResults(engine.runAll(), oracle, tag);
-            auto agg = deterministicAggregates(engine.aggregates());
-            agg["sweep.threads"] = oracle_agg.at("sweep.threads");
-            EXPECT_EQ(agg, oracle_agg) << tag;
-        }
-    }
-}
-
-TEST(SweepEngine, PipelinedStagesMatchMonolithic)
-{
-    // Stage-pipelined execution (with and without within-job shards)
-    // only changes host scheduling, never results or aggregates.
-    const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-    for (size_t job_threads : {1, 8}) {
-        SweepOptions o;
-        o.threads = 4;
-        o.jobThreads = job_threads;
-        o.pipelineStages = true;
-        SweepEngine engine(o);
-        for (const SweepJob &job : jobs)
-            engine.submit(job);
-        const std::string tag =
-            "pipelined jobThreads=" + std::to_string(job_threads);
-        expectSameResults(engine.runAll(), oracle, tag);
-        // Per-stage wall-clock stats exist for every job, in both the
-        // pipelined and monolithic paths.
-        const StatSet &agg = engine.aggregates();
-        for (const char *key :
-             {"job.ir.ms.count", "job.middle.ms.count",
-              "job.backend.ms.count", "job.sim.ms.count"})
-            EXPECT_EQ(agg.get(key), double(jobs.size())) << tag << key;
-    }
-}
-
-TEST(SweepEngine, VerifiedPresetSweepWithNestedParallelism)
-{
-    // All four Fig. 11 presets, fully checkpoint-verified, with stage
-    // pipelining and 8 shard workers: verifier-clean and equal to the
-    // serial verified oracle.
+    // All four Fig. 11 presets, fully checkpoint-verified, on four
+    // workers: verifier-clean and equal to the serial verified oracle.
     FheParams fhe;
     fhe.logN = 13;
     fhe.levels = 8;
@@ -624,31 +590,10 @@ TEST(SweepEngine, VerifiedPresetSweepWithNestedParallelism)
     SweepOptions o;
     o.threads = 4;
     o.verifyLevel = 1;
-    o.jobThreads = 8;
-    o.pipelineStages = true;
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);
     expectSameResults(engine.runAll(), oracle, "verified presets");
-}
-
-TEST(SweepEngine, SharedCacheWithJobThreadsStaysIdentical)
-{
-    // Shared compile cache + within-job shards + pipelining: snapshots
-    // published by region-sharded middle ends replay bit-identically.
-    const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-    CompileCache cache;
-    SweepOptions o;
-    o.threads = 4;
-    o.compileCache = &cache;
-    o.jobThreads = 8;
-    o.pipelineStages = true;
-    SweepEngine engine(o);
-    for (const SweepJob &job : jobs)
-        engine.submit(job);
-    expectSameResults(engine.runAll(), oracle, "cached+sharded");
-    EXPECT_GT(cache.statsSnapshot().get("cache.hits"), 0.0);
 }
 
 TEST(SweepEngine, ExternalPoolMatchesPrivatePool)
@@ -679,27 +624,33 @@ TEST(SweepEngine, ExternalPoolMatchesPrivatePool)
     EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(SweepEngine, ExternalPoolWithJobThreadsStaysIdentical)
+TEST(SweepEngine, StageTimersPresentOnEveryPath)
 {
-    // Nested parallelism through the shared pool: per-job region shards
-    // fan out into the same queue the jobs came from.
+    // Every job reports its per-stage wall clock — IR build, middle
+    // end, back end, simulate — on the serial path, a private pool and
+    // an external pool alike.
     const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-    ThreadPool pool(4);
-    SweepOptions o;
-    o.threads = 4;
-    o.jobThreads = 4;
-    o.pool = &pool;
-    SweepEngine engine(o);
-    for (const SweepJob &job : jobs)
-        engine.submit(job);
-    expectSameResults(engine.runAll(), oracle, "external pool + shards");
+    ThreadPool external(3);
+    for (const char *path : {"serial", "private", "external"}) {
+        SweepOptions o;
+        o.threads = std::string(path) == "serial" ? 1 : 3;
+        if (std::string(path) == "external")
+            o.pool = &external;
+        SweepEngine engine(o);
+        for (const SweepJob &job : jobs)
+            engine.submit(job);
+        engine.runAll();
+        const StatSet &agg = engine.aggregates();
+        for (const char *key :
+             {"job.ir.ms.count", "job.middle.ms.count",
+              "job.backend.ms.count", "job.sim.ms.count"})
+            EXPECT_EQ(agg.get(key), double(jobs.size())) << path << key;
+    }
 }
 
 TEST(DefaultThreadCount, IsPositive)
 {
     EXPECT_GE(defaultThreadCount(), 1u);
-    EXPECT_GE(defaultJobThreadCount(), 1u);
 }
 
 } // namespace

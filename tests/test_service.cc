@@ -592,7 +592,6 @@ sessionOptions()
 {
     ServiceOptions opts;
     opts.threads = 3;
-    opts.jobThreads = 2;
     opts.queueCapacity = 7; // burst of 10 -> 3 rejections per burst
     opts.batchSize = 100;   // batching driven by the Flush frames
     opts.cacheBytes = 4096; // below one snapshot -> every publish evicts
@@ -837,14 +836,12 @@ TEST(ServiceDefaults, OracleOptionsKeepAdmissionConfig)
 {
     ServiceOptions base;
     base.threads = 8;
-    base.jobThreads = 4;
     base.queueCapacity = 5;
     base.batchSize = 3;
     base.cacheBytes = 999;
     base.verifyLevel = 1;
     const ServiceOptions oracle = oracleOptions(base);
     EXPECT_EQ(oracle.threads, 1u);
-    EXPECT_EQ(oracle.jobThreads, 1u);
     EXPECT_FALSE(oracle.useCache);
     EXPECT_EQ(oracle.cacheBytes, 0u);
     // Admission behavior must replay identically.

@@ -7,6 +7,7 @@
 
 #include "compiler/pass.h"
 #include "ir/workloads.h"
+#include "reference_sim.h"
 #include "sim/machine.h"
 
 namespace effact {
@@ -208,7 +209,7 @@ expectEquivalent(const HardwareConfig &hw, const MachineProgram &mp)
 {
     Simulator sim(hw);
     SimReport ev = sim.run(mp);
-    SimReport ref = sim.runReference(mp);
+    SimReport ref = referenceSimulate(hw, mp);
     EXPECT_DOUBLE_EQ(ev.cycles, ref.cycles);
     EXPECT_DOUBLE_EQ(ev.dramBytes, ref.dramBytes);
     EXPECT_DOUBLE_EQ(ev.dramUtil, ref.dramUtil);
