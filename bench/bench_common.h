@@ -38,9 +38,9 @@ reportCacheStats(const CompileCache &cache)
     const StatSet s = cache.statsSnapshot();
     std::fprintf(stderr,
                  "[cache] %.0f lookups, %.0f hits, %.0f middle-end "
-                 "run(s), %.0f frontend skip(s)\n",
+                 "run(s)\n",
                  s.get("cache.lookups"), s.get("cache.hits"),
-                 s.get("cache.misses"), s.get("cache.frontend_skipped"));
+                 s.get("cache.misses"));
 }
 
 /** Compile + simulate a fresh copy of a workload builder's output. */

@@ -189,14 +189,15 @@ measureOptimizationWins()
          [](CompilerOptions &o) {
              o.pipeline = "copyprop,constprop,rotalg,pre,peephole";
          }},
-        {"regalloc", [](CompilerOptions &o) { o.regalloc = "priority"; }},
+        {"regalloc",
+         [](CompilerOptions &o) { o.regalloc = RegAllocPolicy::Priority; }},
         {"scheduler",
-         [](CompilerOptions &o) { o.scheduler = "latency"; }},
+         [](CompilerOptions &o) { o.scheduler = Scheduler::Latency; }},
         {"optimized",
          [](CompilerOptions &o) {
              o.pipeline = "copyprop,constprop,rotalg,pre,peephole";
-             o.regalloc = "priority";
-             o.scheduler = "latency";
+             o.regalloc = RegAllocPolicy::Priority;
+             o.scheduler = Scheduler::Latency;
          }},
     };
     const std::vector<std::pair<const char *, std::function<Workload()>>>
@@ -304,10 +305,8 @@ emit(const char *path)
                  grid.cacheStats.get("cache.lookups"));
     std::fprintf(f, "      \"hits\": %.0f,\n",
                  grid.cacheStats.get("cache.hits"));
-    std::fprintf(f, "      \"middle_end_runs\": %.0f,\n",
+    std::fprintf(f, "      \"middle_end_runs\": %.0f\n",
                  grid.cacheStats.get("cache.misses"));
-    std::fprintf(f, "      \"frontend_skipped\": %.0f\n",
-                 grid.cacheStats.get("cache.frontend_skipped"));
     std::fprintf(f, "    },\n");
     std::fprintf(f, "    \"results\": [\n");
     for (size_t i = 0; i < grid.results.size(); ++i) {

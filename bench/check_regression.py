@@ -68,7 +68,7 @@ SCHEMAS = {
             "fig11_grid.jobs",
             "fig11_grid.cache.lookups",
             "fig11_grid.cache.middle_end_runs",
-            "fig11_grid.cache.frontend_skipped",
+            "fig11_grid.cache.hits",
             "opt_wins.jobs",
         ],
         "wall": [

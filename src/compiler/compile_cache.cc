@@ -1,10 +1,9 @@
 #include "compiler/compile_cache.h"
 
-#include <cstdlib>
 #include <vector>
 
+#include "common/env.h"
 #include "common/logging.h"
-#include "compiler/pass_manager.h"
 
 namespace effact {
 
@@ -26,16 +25,7 @@ snapshotBytes(const MiddleEndSnapshot &snap)
 size_t
 defaultCacheBytes()
 {
-    if (const char *env = std::getenv("EFFACT_CACHE_BYTES")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return static_cast<size_t>(v);
-        warn("ignoring invalid EFFACT_CACHE_BYTES='%s' (want a byte "
-             "count; 0 = unbounded)",
-             env);
-    }
-    return 0;
+    return envSize("EFFACT_CACHE_BYTES", 0, /*min=*/0);
 }
 
 uint64_t
@@ -50,33 +40,19 @@ middleEndPresetHash(const CompilerOptions &opts)
         for (int byte = 0; byte < 8; ++byte)
             mixByte((v >> (byte * 8)) & 0xff);
     };
-    // The executed pipeline spec, not the raw switches: options that
-    // derive the same spec run the same middle end.
-    const std::string spec = opts.pipeline.empty()
-                                 ? pipelineSpecFromOptions(opts)
-                                 : opts.pipeline;
-    mix(spec.size());
-    for (char c : spec)
+    mix(opts.pipeline.size());
+    for (char c : opts.pipeline)
         mixByte(static_cast<unsigned char>(c));
     mix(opts.pipelineMaxIterations);
-    // Back-end switches that are part of the preset identity but not of
+    // Back-end options that are part of the preset identity but not of
     // the hardware config (see the header on why they are included).
     // `verifyLevel` is deliberately absent: checkpoint verification
     // never changes the emitted code, so verified and unverified
     // compiles of the same preset share one cache entry.
-    mix(opts.schedule ? 1 : 0);
+    mix(uint64_t(opts.scheduler));
     mix(opts.streaming ? 1 : 0);
     mix(opts.fifoDepth);
-    // Back-end policy strings: like schedule/streaming these never
-    // change the middle end's output, but they are part of the preset
-    // identity, so sweeps varying them keep distinct stats expectations.
-    auto mixStr = [&](const std::string &s) {
-        mix(s.size());
-        for (char c : s)
-            mixByte(static_cast<unsigned char>(c));
-    };
-    mixStr(opts.scheduler);
-    mixStr(opts.regalloc);
+    mix(uint64_t(opts.regalloc));
     return h;
 }
 
@@ -124,7 +100,6 @@ CompileCache::getOrBuild(const CompileCacheKey &key,
             accountAndEvict(key, slot);
     } else {
         ++hits_;
-        ++frontendSkipped_;
         {
             std::unique_lock<std::mutex> lock(slot->mu);
             slot->readyCv.wait(lock, [&] { return slot->ready; });
@@ -192,7 +167,6 @@ CompileCache::statsSnapshot() const
     s.set("cache.lookups", lookups);
     s.set("cache.hits", hit_count);
     s.set("cache.misses", lookups - hit_count);
-    s.set("cache.frontend_skipped", double(frontendSkipped_.load()));
     s.set("cache.entries", double(entryCount()));
     s.set("cache.evictions", double(evictions_.load()));
     s.set("cache.bytes", double(currentBytes()));
@@ -234,7 +208,6 @@ CompileCache::clear()
     }
     lookups_ = 0;
     hits_ = 0;
-    frontendSkipped_ = 0;
     evictions_ = 0;
 }
 

@@ -19,11 +19,11 @@
  *   fields `Platform` overwrites from its `HardwareConfig`. That split
  *   is the whole point: jobs that differ only in hardware share an
  *   entry. Presets that happen to share a pipeline spec but differ in
- *   back-end switches (e.g. MAD-enhanced vs streaming, both
+ *   back-end options (e.g. MAD-enhanced vs streaming, both
  *   `"copyprop,constprop,pre"`) keep separate entries on purpose — it
  *   costs one extra pipeline run per such pair, keeps hit accounting
  *   per-(workload, preset) — the unit sweep grids are defined over —
- *   and stays trivially sound if a future pass consults those switches.
+ *   and stays trivially sound if a future pass consults those options.
  *
  * Concurrency. The store is sharded and mutex-protected, and lookups
  * are single-flight: the first requester of a key runs the build while
@@ -67,10 +67,9 @@ struct CompileCacheKey
 };
 
 /**
- * FNV-1a hash of the middle-end-relevant compiler preset: the executed
- * pipeline spec (the explicit `pipeline` string, or the one derived
- * from the four optimization switches), the fixed-point sweep bound,
- * and the remaining non-hardware options (`schedule`, `streaming`,
+ * FNV-1a hash of the middle-end-relevant compiler preset: the pipeline
+ * spec, the fixed-point sweep bound, and the remaining non-hardware
+ * options (the `scheduler` and `regalloc` policy codes, `streaming`,
  * `fifoDepth`). `sramBytes` and `issueWindow` are excluded — `Platform`
  * rewrites them from `HardwareConfig`, and splitting on them is exactly
  * what the cache exists to avoid.
@@ -108,11 +107,11 @@ size_t snapshotBytes(const MiddleEndSnapshot &snap);
 
 /**
  * Byte-budget default for daemon-style owners: the `EFFACT_CACHE_BYTES`
- * environment variable when set to a positive integer (bytes),
- * otherwise 0 = unbounded. Batch sweeps keep the unbounded default —
- * one snapshot per (workload, preset) is small next to the jobs
- * themselves; the budget exists for long-lived services that see
- * thousands of distinct keys.
+ * environment variable when set to a decimal byte count (a signed or
+ * non-numeric value warns and is ignored), otherwise 0 = unbounded.
+ * Batch sweeps keep the unbounded default — one snapshot per
+ * (workload, preset) is small next to the jobs themselves; the budget
+ * exists for long-lived services that see thousands of distinct keys.
  */
 size_t defaultCacheBytes();
 
@@ -137,16 +136,12 @@ size_t defaultCacheBytes();
  * Statistics (all monotone, reset only by `clear()`):
  * - `cache.lookups`  — compiles that consulted the cache;
  * - `cache.hits`     — lookups served from an existing entry (including
- *                      ones that waited on an in-flight build);
+ *                      ones that waited on an in-flight build); each
+ *                      skips the optimization pipeline entirely;
  * - `cache.misses`   — lookups that ran the middle end (= entries
  *                      built; single-flight makes this exactly the
  *                      distinct-key count when nothing is evicted, and
  *                      counts rebuilds of evicted keys otherwise);
- * - `cache.frontend_skipped` — compiles that skipped the optimization
- *                      pipeline entirely. Equal to `cache.hits` under
- *                      `Compiler::compile`'s wiring, where every hit
- *                      reuses the snapshot; tracked separately so a
- *                      future lookup-only consumer can't skew it;
  * - `cache.evictions` — entries dropped by the byte budget;
  * - `cache.entries`  — entries currently stored;
  * - `cache.bytes`    — accounted bytes of the published entries;
@@ -252,7 +247,6 @@ class CompileCache
     std::array<Shard, kShards> shards_;
     std::atomic<uint64_t> lookups_{0};
     std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> frontendSkipped_{0};
     std::atomic<uint64_t> evictions_{0};
 
     const size_t budget_; ///< 0 = unbounded

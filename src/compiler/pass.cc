@@ -68,11 +68,11 @@ Compiler::compile(IrProgram &prog, AnalysisManager &analyses,
 }
 
 void
-Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
+Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager & /*analyses*/,
                        StatSet &stats, CompileCache *cache) const
 {
     if (cache == nullptr) {
-        optimize(prog, analyses, stats);
+        optimize(prog, stats);
         return;
     }
 
@@ -82,9 +82,9 @@ Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
     bool hit = false;
     std::shared_ptr<const MiddleEndSnapshot> snap = cache->getOrBuild(
         key,
-        [this, &prog, &analyses] {
+        [this, &prog] {
             MiddleEndSnapshot built;
-            optimize(prog, analyses, built.stats);
+            optimize(prog, built.stats);
             built.optimized = prog; // immutable copy (fresh uid)
             return built;
         },
@@ -103,8 +103,7 @@ Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
 }
 
 void
-Compiler::optimize(IrProgram &prog, AnalysisManager &analyses,
-                   StatSet &stats) const
+Compiler::optimize(IrProgram &prog, StatSet &stats) const
 {
     const size_t before = prog.liveCount();
     stats.set("input.instructions", double(before));
@@ -120,12 +119,10 @@ Compiler::optimize(IrProgram &prog, AnalysisManager &analyses,
     // point. The repeat subsumes the old special-cased "copy-prop again
     // after the Eq. 5 peephole" cleanup and catches any second-order
     // reductions one sweep misses.
-    PassManager pipeline = PassManager::fromSpec(
-        opts_.pipeline.empty() ? pipelineSpecFromOptions(opts_)
-                               : opts_.pipeline);
+    PassManager pipeline = PassManager::fromSpec(opts_.pipeline);
     pipeline.setMaxIterations(opts_.pipelineMaxIterations);
     pipeline.setVerifyLevel(opts_.verifyLevel);
-    pipeline.run(prog, analyses, stats);
+    pipeline.run(prog, stats);
     EFFACT_ASSERT(pipeline.converged(),
                   "optimization pipeline '%s' did not converge in %zu "
                   "sweeps",

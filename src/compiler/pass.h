@@ -1,11 +1,15 @@
 /**
  * @file
- * Compiler backend driver (Sec. IV-B): SSA optimization passes, alias
- * analysis, global static scheduling, linear-scan SRAM allocation,
- * streaming-merge, and machine-code generation.
+ * Compiler backend driver (Sec. IV-B): the options that name each
+ * compiler decision once (pass pipeline spec, scheduling and spill
+ * policies), SSA optimization passes, alias analysis, global static
+ * scheduling, linear-scan SRAM allocation, streaming-merge, and
+ * machine-code generation.
  */
 #ifndef EFFACT_COMPILER_PASS_H
 #define EFFACT_COMPILER_PASS_H
+
+#include <cstdint>
 
 #include "common/stats.h"
 #include "ir/ir.h"
@@ -15,21 +19,51 @@ namespace effact {
 
 int defaultVerifyLevel(); // verify/verify.h (EFFACT_VERIFY)
 
-/** Which optimizations run; switches drive the Fig. 11 ablation. */
+/**
+ * Global list-scheduling policy of the back end (`runScheduler`). The
+ * two reordering policies share the windowed list scheduler and differ
+ * only in the per-instruction weights behind its critical-path
+ * priorities.
+ */
+enum class Scheduler : uint8_t
+{
+    ProgramOrder, ///< no global scheduling: IR program order
+    /** Legacy static weights (NTT 16 / mem 8 / MAC 1.5 / else 1). */
+    CriticalPath,
+    /**
+     * Weights from the simulator's own occupancy model (lane-normalized
+     * NTT butterfly count, HBM bytes/cycle, startup overhead — see
+     * `ResourceModel`), so the longest path is measured in modeled
+     * cycles rather than abstract units.
+     */
+    Latency,
+};
+
+/** Spill-victim policy of the SRAM register allocator. */
+enum class RegAllocPolicy : uint8_t
+{
+    Linear, ///< legacy furthest-interval-end heuristic
+    /**
+     * Scores candidates against the spill-dominated cycle model: evict
+     * the value minimizing (reloads still due + 1) / (distance to its
+     * interval end), i.e. the fewest reload instructions
+     * re-materialized per cycle of occupancy freed. `Linear` is kept
+     * as the differential oracle.
+     */
+    Priority,
+};
+
+/** One field per compiler decision; the Fig. 11 ablation presets are
+ *  values of this struct (see `Platform`). */
 struct CompilerOptions
 {
-    bool copyProp = true;
-    bool constProp = true;
-    bool pre = true;       ///< partial redundancy elimination (CSE/VN)
-    bool peephole = true;  ///< computation merge (MAC fusion, Eq. 5 fold)
     /**
      * Declarative optimization pipeline, a comma-separated pass-name
-     * spec (e.g. `"copyprop,constprop,pre,peephole"`). When empty the
-     * pipeline is derived from the four switches above
-     * (`pipelineSpecFromOptions`); when set it overrides them. The
-     * pipeline runs to a bounded fixed point (see `PassManager`).
+     * spec; the only way to select passes. The default is the four
+     * stock passes; empty runs none. The pipeline runs to a bounded
+     * fixed point (see `PassManager`).
      */
-    std::string pipeline;
+    std::string pipeline = "copyprop,constprop,pre,peephole";
     /**
      * Fixed-point sweep bound for the optimization pipeline; compile
      * panics if it has not converged within this many sweeps. A guard
@@ -39,32 +73,15 @@ struct CompilerOptions
      * almost nothing under the version-skip.
      */
     size_t pipelineMaxIterations = 64;
-    bool schedule = true;  ///< global list scheduling (off = program order)
-    bool streaming = true; ///< streaming memory access (Sec. IV-C)
     /**
-     * Back-end scheduler priority function, applied when `schedule` is
-     * on: `"critical"` is the legacy static-weight critical path
-     * (NTT 16 / mem 8 / MAC 1.5 / else 1), `"latency"` derives each
-     * instruction's weight from the simulator's own occupancy model
-     * (lane-normalized NTT butterfly count, HBM bytes/cycle, startup
-     * overhead — see `ResourceModel`), so the longest path is measured
-     * in modeled cycles rather than abstract units. Part of the
-     * middle-end preset hash? No — scheduling is back-end (hardware-
-     * dependent), but the string *is* mixed into `middleEndPresetHash`
+     * Back-end scheduling policy. Scheduling is back-end (hardware-
+     * dependent), but the policy *is* mixed into `middleEndPresetHash`
      * so sweeps that vary it never share middle-end snapshots with
      * mismatched stats expectations.
      */
-    std::string scheduler = "critical";
-    /**
-     * Spill-victim policy for the SRAM register allocator: `"linear"`
-     * is the legacy furthest-interval-end heuristic, `"priority"`
-     * scores candidates against the spill-dominated cycle model —
-     * evict the value minimizing (reloads still due) / (distance to
-     * next use), i.e. the fewest reload instructions re-materialized
-     * per cycle of breathing room bought. The legacy allocator is kept
-     * as the differential oracle.
-     */
-    std::string regalloc = "linear";
+    Scheduler scheduler = Scheduler::CriticalPath;
+    bool streaming = true; ///< streaming memory access (Sec. IV-C)
+    RegAllocPolicy regalloc = RegAllocPolicy::Linear; ///< spill policy
     /** Vector lanes of the target (drives the latency scheduler's
      *  occupancy weights); `Platform` overwrites it from
      *  `HardwareConfig::lanes`. */
@@ -138,9 +155,9 @@ class AnalysisManager; // pass_manager.h
 /**
  * Global list scheduling on the SSA + memory dependence graph using
  * critical-path priorities (longest path to a sink). Consumes the
- * cached `DepGraph` analysis (built on demand when `opts.schedule`).
- * `opts.scheduler` selects the per-instruction latency model behind
- * the priorities ("critical" = legacy static weights, "latency" =
+ * cached `DepGraph` analysis (built on demand unless `opts.scheduler`
+ * is `ProgramOrder`). `opts.scheduler` selects the per-instruction
+ * latency model behind the priorities (`Latency` takes its
  * `ResourceModel` occupancy weights from `opts.lanes` /
  * `opts.hbmBytesPerCycle`). Returns the instruction order.
  */
@@ -223,6 +240,10 @@ class Compiler
      * through it (see `compile`): on a hit `prog` adopts a clone of the
      * cached snapshot, and either way the snapshot's statistics are
      * merged into `stats` along with the `cache.hit` marker.
+     *
+     * No pass reads a cached analysis, so `analyses` is unused; the
+     * parameter stays until the repository benchmark, which calls this
+     * signature, changes.
      */
     void runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
                       StatSet &stats, CompileCache *cache = nullptr) const;
@@ -231,7 +252,7 @@ class Compiler
      * Back end: global scheduling, streaming decisions, SRAM regalloc
      * and machine-code emission over the (already optimized) program.
      * This is the `HardwareConfig`-dependent half (`sramBytes`,
-     * `issueWindow`, `fifoDepth`, the schedule/streaming switches).
+     * `issueWindow`, `fifoDepth`, `streaming` and the two policies).
      */
     MachineProgram runBackEnd(const IrProgram &prog,
                               AnalysisManager &analyses,
@@ -242,8 +263,7 @@ class Compiler
 
   private:
     /** The uncached pipeline body of `runMiddleEnd`. */
-    void optimize(IrProgram &prog, AnalysisManager &analyses,
-                  StatSet &stats) const;
+    void optimize(IrProgram &prog, StatSet &stats) const;
 
     CompilerOptions opts_;
     StatSet stats_;

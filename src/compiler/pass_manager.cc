@@ -1,6 +1,5 @@
 #include "compiler/pass_manager.h"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 
@@ -50,62 +49,40 @@ AnalysisManager::invalidateAll()
     graph_ = DepGraph();
 }
 
-// --- Pass adapters over the legacy pass functions -------------------------
+// --- Pass registry --------------------------------------------------------
 
 namespace {
 
-/**
- * Wraps one of the `run*(IrProgram&, StatSet&) -> size_t` pass
- * functions: the rewrite count the function returns is the change
- * signal, and the adapter bumps the program version exactly when it is
- * non-zero.
- */
-class FnPass : public Pass
-{
-  public:
-    using Fn = size_t (*)(IrProgram &, StatSet &);
-
-    FnPass(const char *pass_name, Fn fn) : name_(pass_name), fn_(fn) {}
-
-    const char *name() const override { return name_; }
-
-    bool run(IrProgram &prog, AnalysisManager &analyses,
-             StatSet &stats) override
-    {
-        const bool changed = fn_(prog, stats) > 0;
-        if (changed)
-            prog.bumpVersion();
-        return changed;
-    }
-
-  private:
-    const char *name_;
-    Fn fn_;
+/** Every pass, in canonical pipeline order: the one place a pass is
+ *  named. */
+constexpr PassEntry kPasses[] = {
+    {"copyprop", &runCopyProp},
+    {"constprop", &runConstProp},
+    {"pre", &runPre},
+    {"peephole", &runPeephole},
+    {"rotalg", &runRotAlg},
 };
 
-} // namespace
-
-std::unique_ptr<Pass>
-createPass(const std::string &name)
+const PassEntry *
+findPass(const std::string &name)
 {
-    if (name == "copyprop")
-        return std::make_unique<FnPass>("copyprop", &runCopyProp);
-    if (name == "constprop")
-        return std::make_unique<FnPass>("constprop", &runConstProp);
-    if (name == "pre")
-        return std::make_unique<FnPass>("pre", &runPre);
-    if (name == "peephole")
-        return std::make_unique<FnPass>("peephole", &runPeephole);
-    if (name == "rotalg")
-        return std::make_unique<FnPass>("rotalg", &runRotAlg);
+    for (const PassEntry &entry : kPasses)
+        if (name == entry.name)
+            return &entry;
     return nullptr;
 }
+
+} // namespace
 
 const std::vector<std::string> &
 knownPassNames()
 {
-    static const std::vector<std::string> names = {
-        "copyprop", "constprop", "pre", "peephole", "rotalg"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> all;
+        for (const PassEntry &entry : kPasses)
+            all.push_back(entry.name);
+        return all;
+    }();
     return names;
 }
 
@@ -141,12 +118,11 @@ parsePipelineSpec(const std::string &spec, std::vector<std::string> *names,
             return false;
         }
         saw_field = true;
-        const std::vector<std::string> &known = knownPassNames();
-        if (std::find(known.begin(), known.end(), token) == known.end()) {
+        if (findPass(token) == nullptr) {
             if (error) {
                 *error = "unknown pass '" + token + "' in pipeline spec '" +
                          spec + "' (known:";
-                for (const std::string &known_name : known)
+                for (const std::string &known_name : knownPassNames())
                     *error += " " + known_name;
                 *error += ")";
             }
@@ -163,24 +139,7 @@ parsePipelineSpec(const std::string &spec, std::vector<std::string> *names,
 std::string
 pipelineSpecFromOptions(const CompilerOptions &opts)
 {
-    std::string spec;
-    auto append = [&spec](bool enabled, const char *name) {
-        if (!enabled)
-            return;
-        if (!spec.empty())
-            spec += ',';
-        spec += name;
-    };
-    append(opts.copyProp, "copyprop");
-    append(opts.constProp, "constprop");
-    append(opts.pre, "pre");
-    append(opts.peephole, "peephole");
-    // The Eq. 5 peephole fold leaves Copies behind that only copy-prop
-    // removes; a peephole pipeline therefore always carries one (the
-    // legacy backend likewise ran the cleanup regardless of the
-    // copyProp switch).
-    append(opts.peephole && !opts.copyProp, "copyprop");
-    return spec;
+    return opts.pipeline;
 }
 
 // --- PassManager ----------------------------------------------------------
@@ -194,31 +153,24 @@ PassManager::fromSpec(const std::string &spec)
         fatal("bad compiler pipeline: %s", error.c_str());
     PassManager pm;
     for (const std::string &name : names)
-        pm.add(createPass(name));
+        pm.passes_.push_back(*findPass(name));
     return pm;
-}
-
-void
-PassManager::add(std::unique_ptr<Pass> pass)
-{
-    EFFACT_ASSERT(pass != nullptr, "null pass added to pipeline");
-    passes_.push_back(std::move(pass));
 }
 
 std::string
 PassManager::spec() const
 {
     std::string s;
-    for (const auto &pass : passes_) {
+    for (const PassEntry &pass : passes_) {
         if (!s.empty())
             s += ',';
-        s += pass->name();
+        s += pass.name;
     }
     return s;
 }
 
 size_t
-PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
+PassManager::run(IrProgram &prog, StatSet &stats)
 {
     using Clock = std::chrono::steady_clock;
     EFFACT_ASSERT(maxIterations_ > 0,
@@ -239,7 +191,7 @@ PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
     // a loud non-convergence instead of an endless compile.
     //
     // A pass whose input version is unchanged since its own last run is
-    // skipped outright (sound by the Pass::run own-fixed-point
+    // skipped outright (sound by the `PassEntry` own-fixed-point
     // contract): the expensive quiescent re-verification runs collapse
     // to the passes that actually saw new IR.
     constexpr uint64_t kNeverRan = ~uint64_t(0);
@@ -248,16 +200,17 @@ PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
         ++sweeps;
         bool sweep_changed = false;
         for (size_t i = 0; i < passes_.size(); ++i) {
-            const Pass &pass_ref = *passes_[i];
-            const std::string prefix =
-                std::string("pass.") + pass_ref.name();
+            const PassEntry &pass = passes_[i];
+            const std::string prefix = std::string("pass.") + pass.name;
             if (last_seen[i] == prog.version()) {
                 stats.add(prefix + ".skipped", 1);
                 continue;
             }
             const size_t live_before = prog.liveCount();
             const Clock::time_point t0 = Clock::now();
-            const bool changed = passes_[i]->run(prog, analyses, stats);
+            const bool changed = pass.run(prog, stats) > 0;
+            if (changed)
+                prog.bumpVersion();
             const std::chrono::duration<double, std::milli> ms =
                 Clock::now() - t0;
             last_seen[i] = prog.version();
@@ -277,9 +230,8 @@ PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
                     Clock::now() - v0;
                 stats.add("verify.checks", double(vr.checksRun));
                 stats.add("verify.ms", vms.count());
-                enforceVerified(vr, (std::string("pass '") +
-                                     pass_ref.name() + "'")
-                                        .c_str());
+                enforceVerified(
+                    vr, (std::string("pass '") + pass.name + "'").c_str());
             }
         }
         if (!sweep_changed) {

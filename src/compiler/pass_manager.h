@@ -1,20 +1,21 @@
 /**
  * @file
- * Pass-manager layer of the compiler backend (Sec. IV-B): a `Pass`
- * interface over the SSA optimizations, an `AnalysisManager` that
- * caches derived analyses (alias-dependence edges, the IR-level
- * `sched::DepGraph`) keyed on `IrProgram::version()`, and a
- * `PassManager` that runs a declarative pipeline to a bounded fixed
- * point instead of one hardcoded sweep.
+ * Pass-manager layer of the compiler backend (Sec. IV-B): an
+ * `AnalysisManager` that caches derived analyses (alias-dependence
+ * edges, the IR-level `sched::DepGraph`) keyed on
+ * `IrProgram::version()`, and a `PassManager` that runs a declarative
+ * pipeline of registry passes to a bounded fixed point instead of one
+ * hardcoded sweep.
  *
  * Pipelines are named by spec strings (`"copyprop,constprop,pre,
- * peephole"`), so the Fig. 11 ablation presets, `CompilerOptions`
- * switches, and benches all describe the same thing in one vocabulary.
+ * peephole"`), the only vocabulary for selecting passes: the Fig. 11
+ * ablation presets, `CompilerOptions::pipeline`, the service protocol
+ * and the benches all use it. The registry behind it is one
+ * `{name, function}` table in `pass_manager.cc`.
  */
 #ifndef EFFACT_COMPILER_PASS_MANAGER_H
 #define EFFACT_COMPILER_PASS_MANAGER_H
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,36 +64,29 @@ class AnalysisManager
     DepGraph graph_;
 };
 
-/** One unit of IR transformation runnable by the `PassManager`. */
-class Pass
+/**
+ * One pass-registry row: the spec token and the pass function. A pass
+ * rewrites `prog` in place, records its stats under its own namespace
+ * and returns its rewrite count (0 = unchanged).
+ *
+ * Contract: one call reaches the pass's own fixed point — re-running
+ * immediately, with no intervening IR change, finds nothing (the stock
+ * passes iterate forward through resolved operands, so a single call
+ * is transitive). The manager relies on this to skip a pass whose
+ * input version is unchanged since its last run.
+ */
+struct PassEntry
 {
-  public:
-    virtual ~Pass() = default;
-
-    /** Stable identifier; also the token used in pipeline specs. */
-    virtual const char *name() const = 0;
-
-    /**
-     * Transforms `prog`; returns true iff the IR changed. An
-     * implementation that mutates the program in place must bump
-     * `prog.version()` exactly when it reports a change, so cached
-     * analyses stay sound without being dropped needlessly.
-     *
-     * Contract: one `run` call reaches the pass's own fixed point —
-     * re-running immediately, with no intervening IR change, finds
-     * nothing (all four stock passes iterate forward through resolved
-     * operands, so a single call is transitive). The manager relies on
-     * this to skip a pass whose input version is unchanged since its
-     * last run.
-     */
-    virtual bool run(IrProgram &prog, AnalysisManager &analyses,
-                     StatSet &stats) = 0;
+    const char *name;
+    size_t (*run)(IrProgram &prog, StatSet &stats);
 };
 
 /**
- * Runs an ordered pipeline of passes to a bounded fixed point: the
- * sequence repeats until one full sweep reports no change (converged)
- * or `maxIterations()` sweeps have run. Per-pass wall-clock and
+ * Runs an ordered pipeline of registry passes to a bounded fixed point:
+ * the sequence repeats until one full sweep reports no change
+ * (converged) or `maxIterations()` sweeps have run. The manager bumps
+ * `prog.version()` exactly when a pass returns a non-zero rewrite
+ * count, which keeps cached analyses sound. Per-pass wall-clock and
  * instruction-delta statistics are recorded under namespaced keys
  * (`pass.<name>.ms`, `pass.<name>.removed`, `pass.<name>.changed`),
  * plus `pipeline.iterations` / `pipeline.converged` for the loop.
@@ -100,8 +94,6 @@ class Pass
 class PassManager
 {
   public:
-    PassManager() = default;
-
     /**
      * Builds a pipeline from a spec string: comma-separated pass names,
      * whitespace around names ignored, empty spec = empty pipeline.
@@ -109,8 +101,6 @@ class PassManager
      * first when the spec comes from untrusted input.
      */
     static PassManager fromSpec(const std::string &spec);
-
-    void add(std::unique_ptr<Pass> pass);
 
     size_t passCount() const { return passes_.size(); }
 
@@ -136,22 +126,16 @@ class PassManager
      * of sweeps executed. `converged()` reports whether the last sweep
      * was change-free (always true for an empty pipeline).
      */
-    size_t run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats);
+    size_t run(IrProgram &prog, StatSet &stats);
 
     bool converged() const { return converged_; }
 
   private:
-    std::vector<std::unique_ptr<Pass>> passes_;
+    std::vector<PassEntry> passes_;
     size_t maxIterations_ = 64;
     int verifyLevel_ = 0;
     bool converged_ = true;
 };
-
-/**
- * Creates an optimization pass by registry name (`"copyprop"`,
- * `"constprop"`, `"pre"`, `"peephole"`); nullptr if unknown.
- */
-std::unique_ptr<Pass> createPass(const std::string &name);
 
 /** Registry names in canonical pipeline order. */
 const std::vector<std::string> &knownPassNames();
@@ -166,11 +150,8 @@ bool parsePipelineSpec(const std::string &spec,
                        std::vector<std::string> *names,
                        std::string *error = nullptr);
 
-/**
- * The declarative pipeline equivalent of a set of `CompilerOptions`
- * optimization switches (e.g. all-true -> the full
- * `"copyprop,constprop,pre,peephole"` pipeline).
- */
+/** `opts.pipeline`. Kept only because the repository benchmark calls
+ *  it; no library code does. */
 std::string pipelineSpecFromOptions(const CompilerOptions &opts);
 
 } // namespace effact

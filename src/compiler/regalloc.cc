@@ -231,7 +231,7 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     std::vector<uint8_t> spilled(n, 0);  // spilled to HBM
     size_t spill_count = 0;
 
-    // Priority policy (`CompilerOptions::regalloc == "priority"`):
+    // Priority policy (`RegAllocPolicy::Priority`):
     // sorted use-position lists per value, so a spill decision can score
     // every candidate against the spill-dominated cycle model. A
     // spilled value never regains a register — emission reloads it at
@@ -253,7 +253,7 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     // register is truly free. Both constants were swept on the perf
     // lane's win grid; (r + 1)/(end - s) wins or ties every measured
     // (workload, SRAM) point.
-    const bool priority_alloc = opts.regalloc == "priority";
+    const bool priority_alloc = opts.regalloc == RegAllocPolicy::Priority;
     constexpr long long kStoreCost = 1;
     std::vector<std::vector<int>> use_pos;
     if (priority_alloc) {

@@ -11,8 +11,8 @@ namespace effact {
 
 namespace {
 
-/** Legacy latency estimate (abstract lane-beats) used for the
- *  `"critical"` priority mode. */
+/** Legacy latency estimate (abstract lane-beats) used for
+ *  `Scheduler::CriticalPath`. */
 double
 estLatency(const IrInst &inst)
 {
@@ -31,7 +31,7 @@ estLatency(const IrInst &inst)
 }
 
 /**
- * `"latency"` priority mode: per-instruction weight mirroring the
+ * `Scheduler::Latency` weights: per-instruction weight mirroring the
  * simulator's own occupancy model (`ResourceModel`), in modeled
  * cycles — element-wise ops occupy ceil(N / lanes), NTTs the
  * lane-normalized butterfly count N*log2(N)/2 / lanes, and memory ops
@@ -76,7 +76,6 @@ std::vector<int>
 runScheduler(const IrProgram &prog, AnalysisManager &analyses,
              const CompilerOptions &opts, StatSet &stats)
 {
-    const bool enabled = opts.schedule;
     const size_t n = prog.insts.size();
     // liveCount() walks every instruction; hoist it out of the scheduling
     // loop below or the pass goes quadratic on large programs (the 80k-inst
@@ -85,7 +84,7 @@ runScheduler(const IrProgram &prog, AnalysisManager &analyses,
     std::vector<int> order;
     order.reserve(live_count);
 
-    if (!enabled) {
+    if (opts.scheduler == Scheduler::ProgramOrder) {
         for (size_t i = 0; i < n; ++i)
             if (!prog.insts[i].dead)
                 order.push_back(static_cast<int>(i));
@@ -106,7 +105,7 @@ runScheduler(const IrProgram &prog, AnalysisManager &analyses,
     // The per-instruction weights come from the selected latency model;
     // only this vector differs between the two modes — the windowed
     // list-scheduling mechanics below are shared.
-    const bool model_latency = opts.scheduler == "latency";
+    const bool model_latency = opts.scheduler == Scheduler::Latency;
     std::vector<double> latency(n, 0.0);
     for (size_t i = 0; i < n; ++i)
         if (!prog.insts[i].dead)

@@ -58,19 +58,15 @@ Platform::run(Workload &workload, AnalysisManager &analyses,
     return result;
 }
 
-// Each Fig. 11 design point is one declarative pipeline spec; the
-// bool switches are kept consistent for code that inspects them.
+// Each Fig. 11 design point is one declarative pipeline spec plus its
+// back-end policies.
 
 CompilerOptions
 Platform::baselineOptions(size_t sram_bytes)
 {
     CompilerOptions o;
-    o.copyProp = false;
-    o.constProp = false;
-    o.pre = false;
-    o.peephole = false;
     o.pipeline = "";
-    o.schedule = false;
+    o.scheduler = Scheduler::ProgramOrder;
     o.streaming = false;
     o.sramBytes = sram_bytes;
     return o;
@@ -83,9 +79,8 @@ Platform::madEnhancedOptions(size_t sram_bytes)
     // keys/constants) but schedules data paths by hand within HE
     // primitives: no global scheduling or streaming.
     CompilerOptions o;
-    o.peephole = false;
     o.pipeline = "copyprop,constprop,pre";
-    o.schedule = false;
+    o.scheduler = Scheduler::ProgramOrder;
     o.streaming = false;
     o.sramBytes = sram_bytes;
     return o;
@@ -95,9 +90,8 @@ CompilerOptions
 Platform::streamingOptions(size_t sram_bytes)
 {
     CompilerOptions o;
-    o.peephole = false;
     o.pipeline = "copyprop,constprop,pre";
-    o.schedule = true;
+    o.scheduler = Scheduler::CriticalPath;
     o.streaming = true;
     o.sramBytes = sram_bytes;
     return o;
@@ -120,8 +114,8 @@ Platform::optimizedOptions(size_t sram_bytes)
     // sequence anyway, so the order only affects sweep count.
     CompilerOptions o;
     o.pipeline = "copyprop,constprop,rotalg,pre,peephole";
-    o.regalloc = "priority";
-    o.scheduler = "latency";
+    o.regalloc = RegAllocPolicy::Priority;
+    o.scheduler = Scheduler::Latency;
     o.sramBytes = sram_bytes;
     return o;
 }

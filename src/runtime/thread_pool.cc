@@ -1,14 +1,11 @@
 #include "runtime/thread_pool.h"
 
-#include <cstdlib>
-#include <string>
-
+#include "common/env.h"
 #include "common/logging.h"
 
 namespace effact {
 
-ThreadPool::ThreadPool(size_t threads, size_t maxQueued)
-    : max_queued_(maxQueued)
+ThreadPool::ThreadPool(size_t threads)
 {
     const size_t n = threads == 0 ? 1 : threads;
     workers_.reserve(n);
@@ -16,21 +13,15 @@ ThreadPool::ThreadPool(size_t threads, size_t maxQueued)
         workers_.emplace_back([this, w] { workerLoop(w); });
 }
 
-ThreadPool::~ThreadPool() { shutdown(); }
-
-void
-ThreadPool::shutdown()
+ThreadPool::~ThreadPool()
 {
     {
         std::unique_lock<std::mutex> lock(mu_);
         stopping_ = true;
-        if (joined_)
-            return;
-        joined_ = true;
     }
     work_ready_.notify_all();
     // Workers drain the queue before exiting (workerLoop's
-    // drain-before-stop check), so every accepted task has run by the
+    // drain-before-stop check), so every submitted task has run by the
     // time the joins return.
     for (std::thread &worker : workers_)
         worker.join();
@@ -46,29 +37,6 @@ ThreadPool::submit(Task task)
         queue_.push_back(Entry{std::move(task), nullptr});
     }
     work_ready_.notify_one();
-}
-
-bool
-ThreadPool::trySubmit(Task task)
-{
-    EFFACT_ASSERT(task != nullptr, "null task submitted to thread pool");
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (stopping_)
-            return false;
-        if (max_queued_ > 0 && queue_.size() >= max_queued_)
-            return false;
-        queue_.push_back(Entry{std::move(task), nullptr});
-    }
-    work_ready_.notify_one();
-    return true;
-}
-
-size_t
-ThreadPool::queueDepth() const
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    return queue_.size();
 }
 
 void
@@ -166,30 +134,11 @@ ThreadPool::Group::wait()
     }
 }
 
-namespace {
-
-size_t
-envThreadCount(const char *name, size_t fallback)
-{
-    if (const char *env = std::getenv(name)) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<size_t>(v);
-        warn("ignoring invalid %s='%s' (want a positive integer)", name,
-             env);
-    }
-    return fallback;
-}
-
-} // namespace
-
 size_t
 defaultThreadCount()
 {
     const unsigned hw = std::thread::hardware_concurrency();
-    return envThreadCount("EFFACT_THREADS",
-                          hw == 0 ? 1 : static_cast<size_t>(hw));
+    return envSize("EFFACT_THREADS", hw == 0 ? 1 : static_cast<size_t>(hw));
 }
 
 } // namespace effact

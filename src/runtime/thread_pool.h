@@ -40,15 +40,8 @@ class ThreadPool
      *  `threadCount()`, the same index for every waiting thread. */
     using Task = std::function<void(size_t worker)>;
 
-    /**
-     * Spawns `threads` workers (at least one). `maxQueued` bounds the
-     * *queued* (not yet running) task count seen by `trySubmit`:
-     * 0 = unbounded (the batch default), > 0 = admission control for
-     * service owners. Plain `submit` ignores the bound — a group's
-     * tasks must never be refused, or a half-submitted batch would
-     * deadlock its own barrier.
-     */
-    explicit ThreadPool(size_t threads, size_t maxQueued = 0);
+    /** Spawns `threads` workers (at least one). */
+    explicit ThreadPool(size_t threads);
 
     /** Drains outstanding tasks, then joins every worker. */
     ~ThreadPool();
@@ -58,33 +51,8 @@ class ThreadPool
 
     size_t threadCount() const { return workers_.size(); }
 
-    /** The `maxQueued` admission bound (0 = unbounded). */
-    size_t maxQueued() const { return max_queued_; }
-
     /** Enqueues one task; runnable immediately by any idle worker. */
     void submit(Task task);
-
-    /**
-     * Bounded-admission enqueue: refuses (returns false, task not
-     * enqueued) when the queue already holds `maxQueued()` tasks
-     * (given a nonzero bound) or the pool is shutting down; otherwise
-     * behaves exactly like `submit` and returns true. An accepted task
-     * always runs, exactly once — `shutdown()` drains before joining.
-     */
-    bool trySubmit(Task task);
-
-    /** Tasks currently queued (excluding running ones): the admission
-     *  pressure `trySubmit` checks. A point-in-time reading. */
-    size_t queueDepth() const;
-
-    /**
-     * Stops accepting new work, drains every already-accepted task,
-     * and joins the workers. Idempotent; the destructor calls it.
-     * After shutdown, `trySubmit` returns false (and `submit`
-     * asserts). Safe to race with concurrent `trySubmit` calls: each
-     * task is either refused or runs exactly once.
-     */
-    void shutdown();
 
     /** Blocks until every submitted task has finished executing
      *  (including tasks submitted through groups). Intended for the
@@ -142,20 +110,19 @@ class ThreadPool
 
     std::vector<std::thread> workers_;
     std::deque<Entry> queue_;
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::condition_variable work_ready_;
     std::condition_variable all_done_;
     std::condition_variable group_done_;
     size_t running_ = 0; ///< tasks currently executing
-    size_t max_queued_ = 0; ///< `trySubmit` admission bound (0 = none)
     bool stopping_ = false;
-    bool joined_ = false; ///< workers joined (shutdown ran to the end)
 };
 
 /**
  * Worker-count default for batch runs: the `EFFACT_THREADS` environment
- * variable when set to a positive integer, otherwise the hardware
- * concurrency (at least 1). `EFFACT_THREADS=1` selects the serial path.
+ * variable when set to a positive integer (anything else warns and is
+ * ignored), otherwise the hardware concurrency (at least 1).
+ * `EFFACT_THREADS=1` selects the serial path.
  */
 size_t defaultThreadCount();
 

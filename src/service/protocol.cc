@@ -284,18 +284,14 @@ encodeRequest(const ServiceRequest &req)
     putU8(buf, req.hw.nttMacReuse ? 1 : 0);
     putU64(buf, req.hw.issueWindow);
     // Compiler preset, minus the hardware-derived fields Platform
-    // overwrites (`sramBytes`, `issueWindow`).
-    putU8(buf, req.copts.copyProp ? 1 : 0);
-    putU8(buf, req.copts.constProp ? 1 : 0);
-    putU8(buf, req.copts.pre ? 1 : 0);
-    putU8(buf, req.copts.peephole ? 1 : 0);
+    // overwrites (`sramBytes`, `issueWindow`); each policy is its enum
+    // code.
     putString(buf, req.copts.pipeline);
     putU64(buf, req.copts.pipelineMaxIterations);
-    putU8(buf, req.copts.schedule ? 1 : 0);
     putU8(buf, req.copts.streaming ? 1 : 0);
     putU64(buf, req.copts.fifoDepth);
-    putString(buf, req.copts.scheduler);
-    putString(buf, req.copts.regalloc);
+    putU8(buf, uint8_t(req.copts.scheduler));
+    putU8(buf, uint8_t(req.copts.regalloc));
     putU64(buf, uint64_t(req.verifyLevel));
     return buf;
 }
@@ -325,17 +321,13 @@ decodeRequest(const std::vector<uint8_t> &payload, ServiceRequest *out,
     req.hw.autoUnits = size_t(r.u64());
     req.hw.nttMacReuse = r.u8() != 0;
     req.hw.issueWindow = size_t(r.u64());
-    req.copts.copyProp = r.u8() != 0;
-    req.copts.constProp = r.u8() != 0;
-    req.copts.pre = r.u8() != 0;
-    req.copts.peephole = r.u8() != 0;
     req.copts.pipeline = r.str();
     req.copts.pipelineMaxIterations = size_t(r.u64());
-    req.copts.schedule = r.u8() != 0;
     req.copts.streaming = r.u8() != 0;
     req.copts.fifoDepth = size_t(r.u64());
-    req.copts.scheduler = r.str();
-    req.copts.regalloc = r.str();
+    // Any byte decodes; `validateRequest` rejects unknown codes.
+    req.copts.scheduler = Scheduler(r.u8());
+    req.copts.regalloc = RegAllocPolicy(r.u8());
     req.verifyLevel = int64_t(r.u64());
     if (!r.ok() || !r.atEnd()) {
         if (error != nullptr)

@@ -47,9 +47,10 @@ namespace effact {
 
 /** 'E','F','C','T' read as a little-endian u32. */
 constexpr uint32_t kFrameMagic = 0x54434645u;
-/** v2: request payloads carry the back-end policy strings
- *  (`CompilerOptions::scheduler` / `::regalloc`) after `fifoDepth`. */
-constexpr uint16_t kProtocolVersion = 2;
+/** v3: request payloads select passes by the pipeline spec alone and
+ *  carry each back-end policy (`CompilerOptions::scheduler` /
+ *  `::regalloc`) as a one-byte enum code after `fifoDepth`. */
+constexpr uint16_t kProtocolVersion = 3;
 /** Hard payload bound: a request or result is a few KB; anything
  *  megabytes-large is garbage and refused before allocation. */
 constexpr uint32_t kMaxFramePayload = 1u << 20;

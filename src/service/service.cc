@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "compiler/pass_manager.h"
 #include "ir/workloads.h"
@@ -19,20 +19,6 @@ namespace effact {
 namespace {
 
 using Ms = std::chrono::duration<double, std::milli>;
-
-size_t
-envSize(const char *name, size_t fallback)
-{
-    if (const char *env = std::getenv(name)) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<size_t>(v);
-        warn("ignoring invalid %s='%s' (want a positive integer)", name,
-             env);
-    }
-    return fallback;
-}
 
 bool
 inRange(uint64_t v, uint64_t lo, uint64_t hi)
@@ -116,15 +102,17 @@ validateRequest(const ServiceRequest &req, std::string *error)
         return fail("copts.pipelineMaxIterations out of range");
     if (!inRange(req.copts.fifoDepth, 1, 1u << 20))
         return fail("copts.fifoDepth out of range");
-    if (!req.copts.pipeline.empty()) {
-        // An unknown pass name in an explicit spec must surface as a
-        // BadRequest, not as `PassManager::fromSpec`'s `fatal` in the
-        // middle of a batch.
-        std::vector<std::string> names;
-        std::string spec_error;
-        if (!parsePipelineSpec(req.copts.pipeline, &names, &spec_error))
-            return fail("bad pipeline spec: " + spec_error);
-    }
+    // An unknown pass name must surface as a BadRequest, not as
+    // `PassManager::fromSpec`'s `fatal` in the middle of a batch.
+    std::vector<std::string> names;
+    std::string spec_error;
+    if (!parsePipelineSpec(req.copts.pipeline, &names, &spec_error))
+        return fail("bad pipeline spec: " + spec_error);
+    // Policy codes arrive as raw wire bytes.
+    if (uint8_t(req.copts.scheduler) > uint8_t(Scheduler::Latency))
+        return fail("copts.scheduler code out of range");
+    if (uint8_t(req.copts.regalloc) > uint8_t(RegAllocPolicy::Priority))
+        return fail("copts.regalloc code out of range");
     if (req.verifyLevel < -1 || req.verifyLevel > 8)
         return fail("verifyLevel out of range (want -1..8)");
     return true;

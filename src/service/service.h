@@ -79,9 +79,9 @@ ServiceOptions oracleOptions(const ServiceOptions &base);
 /**
  * Validates a request against the service's admission rules: known
  * workload kind, scheme/hardware/compiler parameters inside sane
- * bounds, and a parseable pipeline spec (unknown pass names are a
- * client error, reported — never a `fatal` in the daemon). False +
- * `error` on the first violation.
+ * bounds, a parseable pipeline spec (unknown pass names are a client
+ * error, reported — never a `fatal` in the daemon) and known policy
+ * codes. False + `error` on the first violation.
  */
 bool validateRequest(const ServiceRequest &req, std::string *error);
 

@@ -103,7 +103,8 @@ TEST(PresetHash, PresetsKeySeparately)
     const size_t sram = size_t(27) << 20;
     const std::vector<CompilerOptions> presets = {
         Platform::baselineOptions(sram), Platform::madEnhancedOptions(sram),
-        Platform::streamingOptions(sram), Platform::fullOptions(sram)};
+        Platform::streamingOptions(sram), Platform::fullOptions(sram),
+        Platform::optimizedOptions(sram)};
     for (size_t i = 0; i < presets.size(); ++i)
         for (size_t j = i + 1; j < presets.size(); ++j)
             EXPECT_NE(middleEndPresetHash(presets[i]),
@@ -111,17 +112,8 @@ TEST(PresetHash, PresetsKeySeparately)
                 << "presets " << i << " and " << j
                 << " must not share a cache entry (MAD-enhanced and "
                    "streaming share a pipeline spec but differ in "
-                   "back-end switches, which are part of the preset "
+                   "back-end options, which are part of the preset "
                    "identity)";
-}
-
-TEST(PresetHash, ExplicitPipelineEqualsDerivedPipeline)
-{
-    CompilerOptions derived; // all four switches on, empty spec
-    CompilerOptions explicit_spec;
-    explicit_spec.pipeline = pipelineSpecFromOptions(derived);
-    EXPECT_EQ(middleEndPresetHash(derived),
-              middleEndPresetHash(explicit_spec));
 }
 
 // --- Cache behavior -------------------------------------------------------
@@ -149,7 +141,6 @@ TEST(CompileCache, StructurallyIdenticalProgramsHit)
     EXPECT_EQ(cs.get("cache.lookups"), 2.0);
     EXPECT_EQ(cs.get("cache.hits"), 1.0);
     EXPECT_EQ(cs.get("cache.misses"), 1.0);
-    EXPECT_EQ(cs.get("cache.frontend_skipped"), 1.0);
     EXPECT_EQ(cs.get("cache.entries"), 1.0);
 }
 
@@ -336,7 +327,6 @@ TEST(CompileCache, SingleFlightBuildCountsAreExactAtAnyThreadCount)
         // never fewer (presets key separately), racy or not.
         EXPECT_EQ(cs.get("cache.misses"), 4.0) << threads;
         EXPECT_EQ(cs.get("cache.hits"), 8.0) << threads;
-        EXPECT_EQ(cs.get("cache.frontend_skipped"), 8.0) << threads;
         EXPECT_EQ(cs.get("cache.entries"), 4.0) << threads;
         // The engine mirrors the totals into its aggregates.
         EXPECT_EQ(engine.aggregates().get("cache.misses"), 4.0);

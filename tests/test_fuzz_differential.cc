@@ -45,6 +45,7 @@
 #include "common/simd.h"
 #include "compiler/pass_manager.h"
 #include "math/primes.h"
+#include "pass_switches.h"
 #include "platform/platform.h"
 #include "reference_pre.h"
 #include "reference_sim.h"
@@ -471,47 +472,31 @@ class ProgramGen
  * sweep with the special-cased extra copy-prop after the peephole.
  */
 void
-legacyOptimize(IrProgram &prog, const CompilerOptions &opts, StatSet &stats)
+legacyOptimize(IrProgram &prog, const PassSwitches &sw, StatSet &stats)
 {
-    if (opts.copyProp)
+    if (sw.copyProp)
         runCopyProp(prog, stats);
-    if (opts.constProp)
+    if (sw.constProp)
         runConstProp(prog, stats);
-    if (opts.pre)
+    if (sw.pre)
         runPre(prog, stats);
-    if (opts.peephole) {
+    if (sw.peephole) {
         runPeephole(prog, stats);
         runCopyProp(prog, stats);
     }
     prog.compact();
 }
 
-/** The fixed-point pipeline over the same option switches. */
+/** A fixed-point run of pipeline `spec` at the default sweep bound. */
 void
-fixedPointOptimize(IrProgram &prog, const CompilerOptions &opts,
+fixedPointOptimize(IrProgram &prog, const std::string &spec,
                    StatSet &stats)
 {
-    AnalysisManager analyses;
-    PassManager pm = PassManager::fromSpec(pipelineSpecFromOptions(opts));
-    pm.setMaxIterations(opts.pipelineMaxIterations);
+    PassManager pm = PassManager::fromSpec(spec);
     // Every randomized pipeline run is checkpointed: a pass that leaves
     // malformed IR on any generated program panics here, naming itself.
     pm.setVerifyLevel(1);
-    pm.run(prog, analyses, stats);
-    ASSERT_TRUE(pm.converged()) << "pipeline did not converge";
-    prog.compact();
-}
-
-/** A fixed-point run of an *explicit* pipeline spec — the only way to
- *  reach passes (rotalg) that `pipelineSpecFromOptions` never emits. */
-void
-fixedPointOptimizeSpec(IrProgram &prog, const std::string &spec,
-                       StatSet &stats)
-{
-    AnalysisManager analyses;
-    PassManager pm = PassManager::fromSpec(spec);
-    pm.setVerifyLevel(1);
-    pm.run(prog, analyses, stats);
+    pm.run(prog, stats);
     ASSERT_TRUE(pm.converged()) << "pipeline did not converge";
     prog.compact();
 }
@@ -520,20 +505,21 @@ fixedPointOptimizeSpec(IrProgram &prog, const std::string &spec,
  *  it (composition before PRE so net elements are canonical). */
 constexpr const char *kRotalgSpec = "copyprop,constprop,rotalg,pre,peephole";
 
-/** Option presets swept per seed (switch combinations, not specs). */
-std::vector<CompilerOptions>
-optionPresets(Rng &rng)
+/** Switch presets swept per seed: each runs the legacy sweep against
+ *  the fixed point of its derived spec. */
+std::vector<PassSwitches>
+switchPresets(Rng &rng)
 {
-    std::vector<CompilerOptions> presets;
-    CompilerOptions full; // all four passes on
+    std::vector<PassSwitches> presets;
+    PassSwitches full; // all four passes on
     presets.push_back(full);
-    CompilerOptions mad = full;
+    PassSwitches mad = full;
     mad.peephole = false;
     presets.push_back(mad);
-    CompilerOptions peep_only = full;
+    PassSwitches peep_only = full;
     peep_only.copyProp = peep_only.constProp = peep_only.pre = false;
     presets.push_back(peep_only);
-    CompilerOptions coin; // one random corner per seed
+    PassSwitches coin; // one random corner per seed
     coin.copyProp = rng.uniform(2) == 0;
     coin.constProp = rng.uniform(2) == 0;
     coin.pre = rng.uniform(2) == 0;
@@ -552,14 +538,14 @@ checkSemanticEquivalence(uint64_t seed, GenMode mode, size_t target_insts)
 
     Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
     size_t preset_idx = 0;
-    for (const CompilerOptions &opts : optionPresets(rng)) {
+    for (const PassSwitches &sw : switchPresets(rng)) {
         const std::string tag = "seed " + std::to_string(seed) +
                                 " preset " + std::to_string(preset_idx++);
         StatSet stats;
         IrProgram legacy = original;
-        legacyOptimize(legacy, opts, stats);
+        legacyOptimize(legacy, sw, stats);
         IrProgram fixed_point = original;
-        fixedPointOptimize(fixed_point, opts, stats);
+        fixedPointOptimize(fixed_point, specFromSwitches(sw), stats);
 
         EXPECT_EQ(interpret(legacy), mem_original) << tag;
         EXPECT_EQ(interpret(fixed_point), mem_original) << tag;
@@ -568,13 +554,13 @@ checkSemanticEquivalence(uint64_t seed, GenMode mode, size_t target_insts)
         EXPECT_LE(fixed_point.liveCount(), legacy.liveCount()) << tag;
     }
 
-    // The rotalg pipeline (unreachable from the bool switches): the
+    // The rotalg pipeline (no legacy sweep to compare with): the
     // algebraic rewrites must preserve the memory image and never grow
     // the program (in-place rewrites + Auto-restricted DCE only).
     const std::string rtag = "seed " + std::to_string(seed) + " rotalg";
     StatSet rot_stats;
     IrProgram rotalg_opt = original;
-    fixedPointOptimizeSpec(rotalg_opt, kRotalgSpec, rot_stats);
+    fixedPointOptimize(rotalg_opt, kRotalgSpec, rot_stats);
     EXPECT_EQ(interpret(rotalg_opt), mem_original) << rtag;
     EXPECT_LE(rotalg_opt.liveCount(), original.liveCount()) << rtag;
 }
@@ -621,21 +607,30 @@ checkSimulatorEquivalence(uint64_t seed, size_t target_insts)
 
     Rng rng(seed ^ 0xda3e39cb94b95bdbULL);
     HardwareConfig hw = randomHardware(rng);
+    // The draw sequence (four pass switches, schedule on/off,
+    // streaming, FIFO depth, latency weights, spill policy, rotalg
+    // pipeline) is part of each seed's identity: reordering or dropping
+    // a draw changes the configuration every later seed samples.
+    PassSwitches sw;
+    sw.copyProp = rng.uniform(2) == 0;
+    sw.constProp = rng.uniform(2) == 0;
+    sw.pre = rng.uniform(2) == 0;
+    sw.peephole = rng.uniform(2) == 0;
+    const bool schedule = rng.uniform(2) == 0;
     CompilerOptions opts;
-    opts.copyProp = rng.uniform(2) == 0;
-    opts.constProp = rng.uniform(2) == 0;
-    opts.pre = rng.uniform(2) == 0;
-    opts.peephole = rng.uniform(2) == 0;
-    opts.schedule = rng.uniform(2) == 0;
     opts.streaming = rng.uniform(2) == 0;
     opts.fifoDepth = 1 + rng.uniform(128);
-    // Back-end policy sampling: both schedulers, both allocators, and
-    // (half the time) the rotalg-bearing explicit pipeline — every
+    // Back-end policy sampling: all three schedulers, both allocators,
+    // and (half the time) the rotalg-bearing pipeline — every
     // combination must satisfy the event-vs-reference contract.
-    opts.scheduler = rng.uniform(2) == 0 ? "latency" : "critical";
-    opts.regalloc = rng.uniform(2) == 0 ? "priority" : "linear";
-    if (rng.uniform(2) == 0)
-        opts.pipeline = kRotalgSpec;
+    const bool latency = rng.uniform(2) == 0;
+    opts.scheduler = !schedule ? Scheduler::ProgramOrder
+                     : latency ? Scheduler::Latency
+                               : Scheduler::CriticalPath;
+    opts.regalloc = rng.uniform(2) == 0 ? RegAllocPolicy::Priority
+                                        : RegAllocPolicy::Linear;
+    opts.pipeline =
+        rng.uniform(2) == 0 ? kRotalgSpec : specFromSwitches(sw);
     opts.sramBytes = hw.sramBytes;
     opts.issueWindow = hw.issueWindow;
     opts.lanes = hw.lanes;

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "pass_switches.h"
 #include "platform/platform.h"
 #include "reference_sim.h"
 
@@ -28,10 +29,13 @@ class OptionMatrix : public ::testing::TestWithParam<int> {};
 TEST_P(OptionMatrix, EveryPassComboSimulates)
 {
     const int mask = GetParam();
+    PassSwitches passes;
+    passes.pre = mask & 1;
+    passes.peephole = mask & 2;
     CompilerOptions opts;
-    opts.pre = mask & 1;
-    opts.peephole = mask & 2;
-    opts.schedule = mask & 4;
+    opts.pipeline = specFromSwitches(passes);
+    opts.scheduler =
+        mask & 4 ? Scheduler::CriticalPath : Scheduler::ProgramOrder;
     opts.streaming = mask & 8;
     opts.sramBytes = size_t(8) << 20;
 

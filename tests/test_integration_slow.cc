@@ -15,6 +15,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "pass_switches.h"
 #include "platform/platform.h"
 #include "reference_sim.h"
 #include "runtime/sweep.h"
@@ -74,9 +75,8 @@ TEST(PaperScale, EventCoreMatchesLegacyLoopOnFullTrace)
 TEST(PaperScale, EventCoreMatchesLegacyLoopOnUnoptimizedTrace)
 {
     CompilerOptions opts;
-    opts.pre = false;
-    opts.peephole = false;
-    opts.schedule = false;
+    opts.pipeline = "copyprop,constprop";
+    opts.scheduler = Scheduler::ProgramOrder;
     opts.streaming = false;
     Workload w = buildBootstrapping(paperFhe());
     Compiler compiler(opts);
@@ -103,10 +103,13 @@ TEST(PaperScale, SweepEngineRunsCornersAndDesignPoints)
     const std::vector<int> corners = {0, 1, 2, 4, 8, 15};
     HardwareConfig hw27 = HardwareConfig::asicEffact27();
     for (int mask : corners) {
+        PassSwitches passes;
+        passes.pre = mask & 1;
+        passes.peephole = mask & 2;
         CompilerOptions opts;
-        opts.pre = mask & 1;
-        opts.peephole = mask & 2;
-        opts.schedule = mask & 4;
+        opts.pipeline = specFromSwitches(passes);
+        opts.scheduler =
+            mask & 4 ? Scheduler::CriticalPath : Scheduler::ProgramOrder;
         opts.streaming = mask & 8;
         engine.submit("corner" + std::to_string(mask),
                       [] { return buildBootstrapping(paperFhe()); }, hw27,

@@ -12,6 +12,7 @@
 #include "compiler/pass_manager.h"
 #include "ir/builder.h"
 #include "ir/workloads.h"
+#include "pass_switches.h"
 #include "platform/platform.h"
 #include "service/protocol.h"
 #include "sim/machine.h"
@@ -55,19 +56,21 @@ tinyProgram()
 /**
  * The pre-pass-manager `Compiler::compile` backend sequence, verbatim:
  * one hardcoded optimization sweep with the special-cased extra
- * copy-prop after the peephole, then the same backend stages. This is
- * the oracle the fixed-point pipeline is pinned against.
+ * copy-prop after the peephole, then the same backend stages under
+ * `opts`. This is the oracle the fixed-point pipeline is pinned
+ * against.
  */
 MachineProgram
-legacyCompile(IrProgram &prog, const CompilerOptions &opts, StatSet &stats)
+legacyCompile(IrProgram &prog, const PassSwitches &sw,
+              const CompilerOptions &opts, StatSet &stats)
 {
-    if (opts.copyProp)
+    if (sw.copyProp)
         runCopyProp(prog, stats);
-    if (opts.constProp)
+    if (sw.constProp)
         runConstProp(prog, stats);
-    if (opts.pre)
+    if (sw.pre)
         runPre(prog, stats);
-    if (opts.peephole) {
+    if (sw.peephole) {
         runPeephole(prog, stats);
         runCopyProp(prog, stats);
     }
@@ -107,7 +110,7 @@ TEST(AnalysisManager, NoChangePassesKeepTheCache)
 
     // tinyProgram has no Copies and no immediates: nothing fires.
     PassManager pm = PassManager::fromSpec("copyprop,constprop");
-    size_t sweeps = pm.run(prog, analyses, stats);
+    size_t sweeps = pm.run(prog, stats);
     EXPECT_EQ(sweeps, 1u);
     EXPECT_TRUE(pm.converged());
 
@@ -130,7 +133,7 @@ TEST(AnalysisManager, IrMutationInvalidates)
 
     // A pass that fires (removes the Copy) also invalidates.
     PassManager pm = PassManager::fromSpec("copyprop");
-    pm.run(prog, analyses, stats);
+    pm.run(prog, stats);
     analyses.depGraph(prog, stats);
     EXPECT_EQ(stats.get("analysis.depgraphBuilds"), 3);
 }
@@ -200,27 +203,6 @@ TEST(PipelineSpec, RejectsUnknownAndEmptyNames)
     EXPECT_TRUE(names.empty());
 }
 
-TEST(PipelineSpec, DerivedFromOptionSwitches)
-{
-    CompilerOptions all;
-    EXPECT_EQ(pipelineSpecFromOptions(all),
-              "copyprop,constprop,pre,peephole");
-
-    CompilerOptions none;
-    none.copyProp = none.constProp = none.pre = none.peephole = false;
-    EXPECT_EQ(pipelineSpecFromOptions(none), "");
-
-    CompilerOptions mad;
-    mad.peephole = false;
-    EXPECT_EQ(pipelineSpecFromOptions(mad), "copyprop,constprop,pre");
-
-    // Peephole without copy-prop still gets the Eq. 5 Copy cleanup (the
-    // legacy backend ran it unconditionally after the peephole).
-    CompilerOptions peep_only;
-    peep_only.copyProp = peep_only.constProp = peep_only.pre = false;
-    EXPECT_EQ(pipelineSpecFromOptions(peep_only), "peephole,copyprop");
-}
-
 TEST(PipelineSpec, PresetsAreDeclarative)
 {
     const size_t mb = size_t(8) << 20;
@@ -231,26 +213,26 @@ TEST(PipelineSpec, PresetsAreDeclarative)
               "copyprop,constprop,pre");
     EXPECT_EQ(Platform::fullOptions(mb).pipeline,
               "copyprop,constprop,pre,peephole");
-    // Bool switches and specs agree, so either path builds the same
-    // pipeline.
-    for (auto &opts :
-         {Platform::madEnhancedOptions(mb), Platform::streamingOptions(mb),
-          Platform::fullOptions(mb)})
-        EXPECT_EQ(pipelineSpecFromOptions(opts), opts.pipeline);
+    // The default options are the full preset's pipeline.
+    EXPECT_EQ(CompilerOptions{}.pipeline, Platform::fullOptions(mb).pipeline);
 
-    // The optimized preset is explicit-spec only (rotalg has no bool
-    // switch) and selects the new back-end policies; the four stock
-    // presets above keep the legacy policies.
+    // The optimized preset adds rotalg and selects the new back-end
+    // policies; the four stock presets above keep the legacy policies,
+    // with global scheduling off in the two MAD-style ones.
     const CompilerOptions optimized = Platform::optimizedOptions(mb);
     EXPECT_EQ(optimized.pipeline, "copyprop,constprop,rotalg,pre,peephole");
-    EXPECT_EQ(optimized.regalloc, "priority");
-    EXPECT_EQ(optimized.scheduler, "latency");
+    EXPECT_EQ(optimized.regalloc, RegAllocPolicy::Priority);
+    EXPECT_EQ(optimized.scheduler, Scheduler::Latency);
+    for (auto &opts :
+         {Platform::baselineOptions(mb), Platform::madEnhancedOptions(mb)})
+        EXPECT_EQ(opts.scheduler, Scheduler::ProgramOrder);
+    for (auto &opts :
+         {Platform::streamingOptions(mb), Platform::fullOptions(mb)})
+        EXPECT_EQ(opts.scheduler, Scheduler::CriticalPath);
     for (auto &opts :
          {Platform::baselineOptions(mb), Platform::madEnhancedOptions(mb),
-          Platform::streamingOptions(mb), Platform::fullOptions(mb)}) {
-        EXPECT_EQ(opts.regalloc, "linear");
-        EXPECT_EQ(opts.scheduler, "critical");
-    }
+          Platform::streamingOptions(mb), Platform::fullOptions(mb)})
+        EXPECT_EQ(opts.regalloc, RegAllocPolicy::Linear);
 }
 
 // --- Fixed point ----------------------------------------------------------
@@ -270,10 +252,9 @@ TEST(FixedPoint, SecondSweepCleansPeepholeCopies)
     PolyVal scaled = b.mulImm(t, 9); // the 1/N post-scale
     b.store(out, 0, scaled);
 
-    AnalysisManager analyses;
     StatSet stats;
     PassManager pm = PassManager::fromSpec("copyprop,constprop,pre,peephole");
-    size_t sweeps = pm.run(prog, analyses, stats);
+    size_t sweeps = pm.run(prog, stats);
     EXPECT_TRUE(pm.converged());
     EXPECT_GE(sweeps, 2u);
     EXPECT_EQ(stats.get("peephole.inttScaleFolded"), 1);
@@ -347,7 +328,7 @@ TEST(FixedPoint, DepGraphBuiltAtMostOncePerCompile)
     fhe.dnum = 4;
     Workload w = buildBootstrapping(fhe, {256, 2, 2, 63, 8});
     CompilerOptions opts = Platform::baselineOptions(size_t(8) << 20);
-    opts.schedule = true;
+    opts.scheduler = Scheduler::CriticalPath;
     Compiler compiler(opts);
     compiler.compile(w.program);
     EXPECT_EQ(compiler.stats().get("analysis.depgraphBuilds"), 1);
@@ -421,23 +402,35 @@ TEST(Equivalence, FixedPointMatchesLegacySweepOnAllAblationPresets)
     // Machine code and simulated cycles must be bit-identical to the
     // hardcoded legacy sequence for every Fig. 11 preset on the stock
     // workloads, and the fixed point must never end with more
-    // instructions than the single sweep.
+    // instructions than the single sweep. Each preset is its legacy
+    // switches plus back-end options; the fixed-point side runs the spec
+    // those switches derive, which for the four stock presets is their
+    // own pipeline.
     const size_t sram = size_t(6) << 20;
     struct Preset
     {
         const char *name;
+        PassSwitches switches;
         CompilerOptions opts;
     };
-    CompilerOptions peep_only = Platform::fullOptions(sram);
-    peep_only.copyProp = peep_only.constProp = peep_only.pre = false;
-    peep_only.pipeline.clear(); // derive "peephole,copyprop" from bools
+    PassSwitches none;
+    none.copyProp = none.constProp = none.pre = none.peephole = false;
+    PassSwitches no_peephole;
+    no_peephole.peephole = false;
+    PassSwitches peep_only = none;
+    peep_only.peephole = true;
     const std::vector<Preset> presets = {
-        {"baseline", Platform::baselineOptions(sram)},
-        {"MAD-enhanced", Platform::madEnhancedOptions(sram)},
-        {"streaming", Platform::streamingOptions(sram)},
-        {"full", Platform::fullOptions(sram)},
-        {"peephole-no-copyprop", peep_only},
+        {"baseline", none, Platform::baselineOptions(sram)},
+        {"MAD-enhanced", no_peephole, Platform::madEnhancedOptions(sram)},
+        {"streaming", no_peephole, Platform::streamingOptions(sram)},
+        {"full", PassSwitches{}, Platform::fullOptions(sram)},
+        {"peephole-no-copyprop", peep_only, Platform::fullOptions(sram)},
     };
+    for (size_t i = 0; i + 1 < presets.size(); ++i)
+        EXPECT_EQ(specFromSwitches(presets[i].switches),
+                  presets[i].opts.pipeline)
+            << presets[i].name;
+    EXPECT_EQ(specFromSwitches(peep_only), "peephole,copyprop");
     HardwareConfig hw = HardwareConfig::asicEffact27();
     hw.sramBytes = sram;
 
@@ -445,11 +438,13 @@ TEST(Equivalence, FixedPointMatchesLegacySweepOnAllAblationPresets)
         for (const Preset &preset : presets) {
             IrProgram legacy_prog = stock.program;
             StatSet legacy_stats;
-            MachineProgram legacy =
-                legacyCompile(legacy_prog, preset.opts, legacy_stats);
+            MachineProgram legacy = legacyCompile(
+                legacy_prog, preset.switches, preset.opts, legacy_stats);
 
+            CompilerOptions fp_opts = preset.opts;
+            fp_opts.pipeline = specFromSwitches(preset.switches);
             IrProgram fp_prog = stock.program;
-            Compiler compiler(preset.opts);
+            Compiler compiler(fp_opts);
             MachineProgram fp = compiler.compile(fp_prog);
 
             const std::string tag =

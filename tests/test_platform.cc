@@ -145,7 +145,7 @@ TEST(Platform, SharedCompileCacheAcrossHardwarePointsIsTransparent)
     const StatSet cs = cache.statsSnapshot();
     EXPECT_EQ(cs.get("cache.lookups"), 3.0);
     EXPECT_EQ(cs.get("cache.misses"), 1.0);
-    EXPECT_EQ(cs.get("cache.frontend_skipped"), 2.0);
+    EXPECT_EQ(cs.get("cache.hits"), 2.0);
 }
 
 TEST(Platform, ScalingUpResourcesHelps)

@@ -10,14 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
-#include <thread>
 
 #include "compiler/compile_cache.h"
 #include "runtime/sweep.h"
@@ -121,162 +117,6 @@ TEST(ThreadPool, NestedGroupsDoNotDeadlock)
     outer.wait();
     EXPECT_EQ(sums[1], sums[0] + 1);
     EXPECT_EQ(sums[2], sums[0] + 2);
-}
-
-// --- Admission control / backpressure -------------------------------------
-
-/** Blocks the pool's single worker until released, so the tests can
- *  build up queue pressure deterministically. */
-class WorkerGate
-{
-  public:
-    /** The gate task; submit it first so the worker parks on it. */
-    ThreadPool::Task task()
-    {
-        return [this](size_t) {
-            entered_.store(true);
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [this] { return open_; });
-        };
-    }
-
-    /** Waits until the worker is actually parked inside the gate. */
-    void awaitEntered()
-    {
-        while (!entered_.load())
-            std::this_thread::yield();
-    }
-
-    void open()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        open_ = true;
-        cv_.notify_all();
-    }
-
-  private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool open_ = false;
-    std::atomic<bool> entered_{false};
-};
-
-TEST(Backpressure, TrySubmitRejectsExactlyWhenQueueIsFull)
-{
-    ThreadPool pool(1, /*maxQueued=*/3);
-    EXPECT_EQ(pool.maxQueued(), 3u);
-    WorkerGate gate;
-    pool.submit(gate.task());
-    gate.awaitEntered(); // worker busy, queue empty
-
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 3; ++i)
-        EXPECT_TRUE(pool.trySubmit([&ran](size_t) { ++ran; }))
-            << "queue slot " << i << " must be granted";
-    EXPECT_EQ(pool.queueDepth(), 3u);
-    // The documented reject-when-full contract: refusal leaves the task
-    // un-enqueued, so nothing about the pool changes.
-    EXPECT_FALSE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    EXPECT_EQ(pool.queueDepth(), 3u);
-
-    gate.open();
-    pool.wait();
-    EXPECT_EQ(ran.load(), 3) << "accepted tasks run; the refused one not";
-    // Draining frees the admission slots again.
-    EXPECT_TRUE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    pool.wait();
-    EXPECT_EQ(ran.load(), 4);
-}
-
-TEST(Backpressure, UnboundedSubmitIgnoresTheAdmissionBound)
-{
-    // Internal fan-out (Group sub-tasks, stage chaining) goes through
-    // plain submit and must never be refused, or a half-submitted job
-    // would deadlock its own barrier.
-    ThreadPool pool(1, /*maxQueued=*/1);
-    WorkerGate gate;
-    pool.submit(gate.task());
-    gate.awaitEntered();
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&ran](size_t) { ++ran; });
-    EXPECT_EQ(pool.queueDepth(), 8u);
-    EXPECT_FALSE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    gate.open();
-    pool.wait();
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(Backpressure, ShutdownDrainsAcceptedTasks)
-{
-    std::atomic<int> ran{0};
-    ThreadPool pool(2, /*maxQueued=*/64);
-    for (int i = 0; i < 32; ++i)
-        ASSERT_TRUE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    pool.shutdown();
-    EXPECT_EQ(ran.load(), 32) << "every accepted task runs before join";
-    // Idempotent, and permanently closed afterwards.
-    pool.shutdown();
-    EXPECT_FALSE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(Backpressure, ConcurrentSubmitAndShutdownNeverLosesOrDoublesATask)
-{
-    // Producers hammer trySubmit while the owner shuts the pool down.
-    // The contract: every task is either refused (runs zero times) or
-    // accepted (runs exactly once) — no lost or double-run tasks.
-    constexpr int kProducers = 4;
-    constexpr int kPerProducer = 64;
-    std::array<std::atomic<int>, kProducers * kPerProducer> runs{};
-    std::array<bool, kProducers * kPerProducer> accepted{};
-
-    ThreadPool pool(2, /*maxQueued=*/8);
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p)
-        producers.emplace_back([&, p] {
-            for (int i = 0; i < kPerProducer; ++i) {
-                const int id = p * kPerProducer + i;
-                accepted[id] = pool.trySubmit(
-                    [&runs, id](size_t) { ++runs[id]; });
-            }
-        });
-    // Shut down while the producers are mid-burst.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    pool.shutdown();
-    for (std::thread &t : producers)
-        t.join();
-
-    int accepted_count = 0;
-    for (int id = 0; id < kProducers * kPerProducer; ++id) {
-        EXPECT_EQ(runs[id].load(), accepted[id] ? 1 : 0)
-            << "task " << id
-            << (accepted[id] ? " was accepted but did not run exactly once"
-                             : " was refused but ran anyway");
-        accepted_count += accepted[id] ? 1 : 0;
-    }
-    // Sanity: the race window is real in both directions — some tasks
-    // get in before the shutdown; ones submitted after it are refused.
-    EXPECT_GE(accepted_count, 0);
-}
-
-TEST(Backpressure, QueueDepthTracksPressure)
-{
-    ThreadPool pool(1, /*maxQueued=*/16);
-    EXPECT_EQ(pool.queueDepth(), 0u);
-    WorkerGate gate;
-    pool.submit(gate.task());
-    gate.awaitEntered();
-    // The gate task is *running*, not queued: depth counts waiting work
-    // only (the admission pressure a service reports).
-    EXPECT_EQ(pool.queueDepth(), 0u);
-    for (size_t i = 1; i <= 5; ++i) {
-        ASSERT_TRUE(pool.trySubmit([](size_t) {}));
-        EXPECT_EQ(pool.queueDepth(), i);
-    }
-    gate.open();
-    pool.wait();
-    EXPECT_EQ(pool.queueDepth(), 0u);
 }
 
 // --- SweepEngine ----------------------------------------------------------
@@ -461,7 +301,7 @@ TEST(SweepEngine, DeterministicAcrossThreadCountsWithSharedCache)
         }
         EXPECT_EQ(engine.aggregates().get("cache.lookups"), 6.0);
         EXPECT_EQ(engine.aggregates().get("cache.misses"), 3.0);
-        EXPECT_EQ(engine.aggregates().get("cache.frontend_skipped"), 3.0);
+        EXPECT_EQ(engine.aggregates().get("cache.hits"), 3.0);
 
         // Aggregates (wall-clock keys aside) are identical across
         // thread counts, cache.* included — hit totals don't depend on

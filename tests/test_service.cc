@@ -90,14 +90,11 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     req.hw.autoUnits = 2;
     req.hw.nttMacReuse = !req.hw.nttMacReuse;
     req.hw.issueWindow = 192;
-    req.copts.copyProp = false;
-    req.copts.constProp = true;
-    req.copts.pre = false;
-    req.copts.peephole = true;
     req.copts.pipeline = "copyprop,constprop";
     req.copts.pipelineMaxIterations = 17;
-    req.copts.schedule = false;
-    req.copts.streaming = true;
+    req.copts.scheduler = Scheduler::Latency;
+    req.copts.streaming = false;
+    req.copts.regalloc = RegAllocPolicy::Priority;
     req.copts.sramBytes = size_t(13) << 20;
     req.copts.fifoDepth = 33;
     req.copts.issueWindow = 128;
@@ -125,16 +122,13 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     EXPECT_EQ(out.hw.autoUnits, req.hw.autoUnits);
     EXPECT_EQ(out.hw.nttMacReuse, req.hw.nttMacReuse);
     EXPECT_EQ(out.hw.issueWindow, req.hw.issueWindow);
-    EXPECT_EQ(out.copts.copyProp, req.copts.copyProp);
-    EXPECT_EQ(out.copts.constProp, req.copts.constProp);
-    EXPECT_EQ(out.copts.pre, req.copts.pre);
-    EXPECT_EQ(out.copts.peephole, req.copts.peephole);
     EXPECT_EQ(out.copts.pipeline, req.copts.pipeline);
     EXPECT_EQ(out.copts.pipelineMaxIterations,
               req.copts.pipelineMaxIterations);
-    EXPECT_EQ(out.copts.schedule, req.copts.schedule);
+    EXPECT_EQ(out.copts.scheduler, req.copts.scheduler);
     EXPECT_EQ(out.copts.streaming, req.copts.streaming);
     EXPECT_EQ(out.copts.fifoDepth, req.copts.fifoDepth);
+    EXPECT_EQ(out.copts.regalloc, req.copts.regalloc);
     // The two hardware-derived knobs are deliberately NOT on the wire:
     // `hw.sramBytes` / `hw.issueWindow` are authoritative (`Platform`
     // overwrites them), so a request can't smuggle in a mismatch.
@@ -415,18 +409,29 @@ TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
     tiny_bootstrap.workload = "bootstrap";
     core.submit(tiny_bootstrap);
 
+    // A policy travels as one raw wire byte: an unknown code is refused,
+    // never run as some default policy.
+    ServiceRequest bad_scheduler = smallRequest("bad-scheduler", 32);
+    bad_scheduler.copts.scheduler = Scheduler(3);
+    core.submit(bad_scheduler);
+    ServiceRequest bad_regalloc = smallRequest("bad-regalloc", 32);
+    bad_regalloc.copts.regalloc = RegAllocPolicy(2);
+    core.submit(bad_regalloc);
+
     core.submit(smallRequest("fine", 32));
 
     const std::vector<ServiceResult> results = core.flush();
-    ASSERT_EQ(results.size(), 5u);
+    ASSERT_EQ(results.size(), 7u);
     for (size_t i = 0; i + 1 < results.size(); ++i) {
         EXPECT_EQ(results[i].status, ServiceStatus::BadRequest) << i;
         EXPECT_FALSE(results[i].error.empty()) << i;
         EXPECT_EQ(results[i].cycles, 0.0) << i;
     }
-    EXPECT_EQ(results[4].status, ServiceStatus::Ok);
-    EXPECT_GT(results[4].cycles, 0.0);
-    EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 4.0);
+    EXPECT_NE(results[4].error.find("scheduler"), std::string::npos);
+    EXPECT_NE(results[5].error.find("regalloc"), std::string::npos);
+    EXPECT_EQ(results[6].status, ServiceStatus::Ok);
+    EXPECT_GT(results[6].cycles, 0.0);
+    EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 6.0);
 }
 
 TEST(ServiceCore, RejectsWhenPendingQueueIsFull)
@@ -828,8 +833,40 @@ TEST(ServiceDefaults, EnvironmentOverridesParse)
 
     ::setenv("EFFACT_CACHE_BYTES", "123456", 1);
     EXPECT_EQ(defaultCacheBytes(), 123456u);
+    ::setenv("EFFACT_CACHE_BYTES", "0", 1); // valid: unbounded
+    EXPECT_EQ(defaultCacheBytes(), 0u);
     ::unsetenv("EFFACT_CACHE_BYTES");
     EXPECT_EQ(defaultCacheBytes(), 0u);
+
+    // Digits only: a sign, a space, a suffix or an overflow warns and
+    // keeps the default, so `-1` can never wrap to 2^64 - 1.
+    // EFFACT_THREADS is restored afterwards for the rest of the suite.
+    const char *threads_env = std::getenv("EFFACT_THREADS");
+    const std::string threads_before = threads_env ? threads_env : "";
+    const bool had_threads = threads_env != nullptr;
+    ::setenv("EFFACT_THREADS", "3", 1);
+    EXPECT_EQ(defaultThreadCount(), 3u);
+    ::unsetenv("EFFACT_THREADS");
+    const size_t thread_default = defaultThreadCount();
+    for (const char *bad :
+         {"-1", "+5", " 5", "5x", "", "99999999999999999999999"}) {
+        ::setenv("EFFACT_QUEUE_DEPTH", bad, 1);
+        EXPECT_EQ(defaultQueueCapacity(), 64u) << "'" << bad << "'";
+        ::setenv("EFFACT_CACHE_BYTES", bad, 1);
+        EXPECT_EQ(defaultCacheBytes(), 0u) << "'" << bad << "'";
+        ::setenv("EFFACT_THREADS", bad, 1);
+        EXPECT_EQ(defaultThreadCount(), thread_default)
+            << "'" << bad << "'";
+    }
+    // The counts need at least one.
+    ::setenv("EFFACT_QUEUE_DEPTH", "0", 1);
+    EXPECT_EQ(defaultQueueCapacity(), 64u);
+    ::unsetenv("EFFACT_QUEUE_DEPTH");
+    ::unsetenv("EFFACT_CACHE_BYTES");
+    if (had_threads)
+        ::setenv("EFFACT_THREADS", threads_before.c_str(), 1);
+    else
+        ::unsetenv("EFFACT_THREADS");
 }
 
 TEST(ServiceDefaults, OracleOptionsKeepAdmissionConfig)

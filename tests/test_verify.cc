@@ -463,7 +463,6 @@ TEST(MachVerifier, UnusedLoadCompilesToABoundedRegister)
     // lands it in scratch, and the verifier pins the invariant.
     CompilerOptions opts;
     opts.pipeline = "";
-    opts.copyProp = opts.constProp = opts.pre = opts.peephole = false;
     opts.verifyLevel = 0; // verify explicitly below
     IrProgram prog = unusedLoadProgram();
     Compiler compiler(opts);
@@ -475,7 +474,7 @@ TEST(MachVerifier, UnusedLoadCompilesToABoundedRegister)
 TEST(MachVerifier, InjectedBadRegisterIsCaughtWithTheRightRule)
 {
     CompilerOptions opts;
-    opts.copyProp = opts.constProp = opts.pre = opts.peephole = false;
+    opts.pipeline = "";
     opts.verifyLevel = 0;
     IrProgram prog = unusedLoadProgram();
     Compiler compiler(opts);
@@ -515,7 +514,7 @@ TEST(MachVerifier, SpillPressureNeverStealsAStreamedStoreToken)
     b.store(out, 0, streamed);
 
     CompilerOptions opts = Platform::fullOptions(1); // minimum: 8 regs
-    opts.schedule = false; // program order pins the live ranges
+    opts.scheduler = Scheduler::ProgramOrder; // pins the live ranges
     opts.verifyLevel = 0;  // verify explicitly below
     Compiler compiler(opts);
     MachineProgram mp = compiler.compile(prog);
@@ -604,11 +603,10 @@ TEST(Checkpoints, PassManagerVerifiesAtPassBoundaries)
     PolyVal y = b.load(in, 1, 1);
     b.store(out, 0, b.mul(x, y));
     b.store(out, 1, b.mul(x, y)); // redundant: PRE removes one
-    AnalysisManager analyses;
     StatSet stats;
     PassManager pm = PassManager::fromSpec("copyprop,constprop,pre");
     pm.setVerifyLevel(1);
-    pm.run(prog, analyses, stats);
+    pm.run(prog, stats);
     EXPECT_TRUE(pm.converged());
     EXPECT_GT(stats.get("verify.checks"), 0.0);
     EXPECT_GT(stats.get("pass.pre.removed"), 0.0);

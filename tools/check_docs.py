@@ -40,10 +40,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
-# Direct getenv plus the repo's typed wrappers (envThreadCount /
-# envSize take the variable name as a string literal).
-GETENV_RE = re.compile(
-    r'(?:getenv|envThreadCount|envSize)\s*\(\s*"(EFFACT_[A-Z_]+)"')
+# Direct getenv plus the repo's typed wrapper (envSize takes the
+# variable name as a string literal).
+GETENV_RE = re.compile(r'(?:getenv|envSize)\s*\(\s*"(EFFACT_[A-Z_]+)"')
 PY_ENV_RE = re.compile(r'os\.environ\.get\("(EFFACT_[A-Z_]+)"')
 TABLE_ROW_RE = re.compile(r"^\|\s*`(EFFACT_[A-Z_]+)`\s*\|")
 
