@@ -19,10 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "platform/platform.h"
 #include "service/service.h"
 
 namespace {
+
+using effact::parseSize;
 
 void
 usage(const char *argv0)
@@ -40,17 +43,6 @@ usage(const char *argv0)
         "         --shutdown (with --connect: stop the daemon after the\n"
         "         log)\n",
         argv0);
-}
-
-bool
-parseSize(const char *arg, size_t *out)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (end == arg || *end != '\0')
-        return false;
-    *out = static_cast<size_t>(v);
-    return true;
 }
 
 /** Three small db-lookup design points across ablation presets: enough

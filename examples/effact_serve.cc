@@ -15,9 +15,12 @@
 #include <cstring>
 #include <string>
 
+#include "common/env.h"
 #include "service/service.h"
 
 namespace {
+
+using effact::parseSize;
 
 void
 usage(const char *argv0)
@@ -32,17 +35,6 @@ usage(const char *argv0)
         "$EFFACT_THREADS, queue depth $EFFACT_QUEUE_DEPTH (64), cache\n"
         "budget $EFFACT_CACHE_BYTES bytes (0 = unbounded).\n",
         argv0);
-}
-
-bool
-parseSize(const char *arg, size_t *out)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (end == arg || *end != '\0')
-        return false;
-    *out = static_cast<size_t>(v);
-    return true;
 }
 
 } // namespace

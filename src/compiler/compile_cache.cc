@@ -68,44 +68,56 @@ CompileCache::getOrBuild(const CompileCacheKey &key,
                          bool *hit)
 {
     EFFACT_ASSERT(build != nullptr, "compile cache needs a builder");
-    Shard &shard = shardFor(key);
-    std::shared_ptr<Slot> slot;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto [it, inserted] = shard.entries.try_emplace(key, nullptr);
-        if (inserted) {
-            it->second = std::make_shared<Slot>();
-            builder = true;
-        }
-        slot = it->second;
-    }
+    // Declared before the lock so evicted snapshots (an IrProgram free
+    // is not cheap) are destroyed after it is released.
+    std::vector<std::shared_ptr<Slot>> evicted;
+    std::unique_lock<std::mutex> lock(mu_);
     ++lookups_;
+    auto [it, builder] = index_.try_emplace(key, nullptr);
+    if (builder) {
+        it->second = std::make_shared<Slot>();
+        it->second->key = key;
+    }
+    const std::shared_ptr<Slot> slot = it->second;
 
     if (builder) {
-        // Build outside the shard lock: only same-key requesters wait.
+        // Build outside the lock: only same-key requesters wait.
+        lock.unlock();
         MiddleEndSnapshot snap = build();
         const size_t entry_bytes = snapshotBytes(snap);
-        {
-            std::lock_guard<std::mutex> lock(slot->mu);
-            slot->snap = std::move(snap);
-            slot->bytes = entry_bytes;
-            slot->ready = true;
+        lock.lock();
+        slot->snap = std::move(snap);
+        slot->bytes = entry_bytes;
+        slot->ready = true;
+        if (budget_ > 0) {
+            lru_.push_front(slot);
+            slot->lruIt = lru_.begin();
+            slot->inLru = true;
+            bytes_ += slot->bytes;
+            while (bytes_ > budget_ && !lru_.empty()) {
+                std::shared_ptr<Slot> victim = std::move(lru_.back());
+                lru_.pop_back();
+                // Only un-index the entry if it is still the current
+                // one for its key (a rebuilt successor must survive).
+                auto at = index_.find(victim->key);
+                if (at != index_.end() && at->second == victim)
+                    index_.erase(at);
+                victim->inLru = false;
+                bytes_ -= victim->bytes;
+                ++evictions_;
+                evicted.push_back(std::move(victim));
+            }
         }
-        slot->readyCv.notify_all();
-        // Waiters are unblocked before accounting: even if this entry
-        // is evicted right here (budget smaller than the entry), every
-        // requester already holds the slot and clones a valid snapshot.
-        if (budget_ > 0)
-            accountAndEvict(key, slot);
+        // Every requester already holds the slot, so even an entry
+        // evicted right here (budget smaller than the entry) is served.
+        published_.notify_all();
     } else {
         ++hits_;
-        {
-            std::unique_lock<std::mutex> lock(slot->mu);
-            slot->readyCv.wait(lock, [&] { return slot->ready; });
-        }
-        if (budget_ > 0)
-            touch(slot);
+        published_.wait(lock, [&] { return slot->ready; });
+        // A hit is a recency event, unless the entry was evicted while
+        // this requester waited.
+        if (slot->inLru)
+            lru_.splice(lru_.begin(), lru_, slot->lruIt);
     }
     if (hit != nullptr)
         *hit = !builder;
@@ -113,99 +125,30 @@ CompileCache::getOrBuild(const CompileCacheKey &key,
     return {slot, &slot->snap};
 }
 
-void
-CompileCache::accountAndEvict(const CompileCacheKey &key,
-                              const std::shared_ptr<Slot> &slot)
-{
-    // Destroy evicted snapshots outside `lru_mu_` (an IrProgram free is
-    // not cheap enough to hold a hot lock over).
-    std::vector<std::shared_ptr<Slot>> evicted;
-    {
-        std::lock_guard<std::mutex> lock(lru_mu_);
-        lru_.push_front(LruNode{key, slot});
-        slot->lruIt = lru_.begin();
-        slot->inLru = true;
-        bytes_ += slot->bytes;
-        while (bytes_ > budget_ && !lru_.empty()) {
-            LruNode &victim = lru_.back();
-            {
-                // lru_mu_ -> shard.mu is the one permitted nesting.
-                Shard &shard = shardFor(victim.key);
-                std::lock_guard<std::mutex> shard_lock(shard.mu);
-                auto it = shard.entries.find(victim.key);
-                // Only un-index the entry if it is still the current
-                // one for its key (a rebuilt successor must survive).
-                if (it != shard.entries.end() && it->second == victim.slot)
-                    shard.entries.erase(it);
-            }
-            victim.slot->inLru = false;
-            bytes_ -= victim.slot->bytes;
-            ++evictions_;
-            evicted.push_back(std::move(victim.slot));
-            lru_.pop_back();
-        }
-    }
-}
-
-void
-CompileCache::touch(const std::shared_ptr<Slot> &slot)
-{
-    std::lock_guard<std::mutex> lock(lru_mu_);
-    // Not on the list when evicted concurrently, or when this hit beat
-    // the publisher's own accounting; either way there is nothing to
-    // reorder (the publisher inserts at MRU anyway).
-    if (slot->inLru)
-        lru_.splice(lru_.begin(), lru_, slot->lruIt);
-}
-
 StatSet
 CompileCache::statsSnapshot() const
 {
-    const double lookups = double(lookups_.load());
-    const double hit_count = double(hits_.load());
+    std::lock_guard<std::mutex> lock(mu_);
     StatSet s;
-    s.set("cache.lookups", lookups);
-    s.set("cache.hits", hit_count);
-    s.set("cache.misses", lookups - hit_count);
-    s.set("cache.entries", double(entryCount()));
-    s.set("cache.evictions", double(evictions_.load()));
-    s.set("cache.bytes", double(currentBytes()));
+    s.set("cache.lookups", double(lookups_));
+    s.set("cache.hits", double(hits_));
+    s.set("cache.misses", double(lookups_ - hits_));
+    s.set("cache.entries", double(index_.size()));
+    s.set("cache.evictions", double(evictions_));
+    s.set("cache.bytes", double(bytes_));
     s.set("cache.budget_bytes", double(budget_));
     return s;
-}
-
-size_t
-CompileCache::currentBytes() const
-{
-    std::lock_guard<std::mutex> lock(lru_mu_);
-    return bytes_;
-}
-
-size_t
-CompileCache::entryCount() const
-{
-    size_t n = 0;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        n += shard.entries.size();
-    }
-    return n;
 }
 
 void
 CompileCache::clear()
 {
-    {
-        std::lock_guard<std::mutex> lock(lru_mu_);
-        for (LruNode &node : lru_)
-            node.slot->inLru = false;
-        lru_.clear();
-        bytes_ = 0;
-    }
-    for (Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.entries.clear();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::shared_ptr<Slot> &slot : lru_)
+        slot->inLru = false;
+    lru_.clear();
+    index_.clear();
+    bytes_ = 0;
     lookups_ = 0;
     hits_ = 0;
     evictions_ = 0;

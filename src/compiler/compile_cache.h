@@ -25,20 +25,20 @@
  *   per-(workload, preset) — the unit sweep grids are defined over —
  *   and stays trivially sound if a future pass consults those options.
  *
- * Concurrency. The store is sharded and mutex-protected, and lookups
- * are single-flight: the first requester of a key runs the build while
- * later requesters of the same key block until the snapshot is
- * published, then clone it. Entries are immutable after publication, so
- * any thread count and any hit pattern produce byte-identical compiles
- * — the build count per key is exactly one, which is what makes
- * `cache.*` statistics deterministic. Per-worker `AnalysisManager`s are
- * untouched by all of this and stay lock-free.
+ * Concurrency. One mutex guards the index, the LRU list and the
+ * counters; builds run outside it. Lookups are single-flight: the
+ * first requester of a key runs the build while later requesters of
+ * the same key block until the snapshot is published, then clone it.
+ * Entries are immutable after publication, so any thread count and any
+ * hit pattern produce byte-identical compiles — the build count per key
+ * is exactly one, which is what makes `cache.*` statistics
+ * deterministic. The traffic is one lookup per compile, at most a
+ * batch's worker count at once, so one lock is never contended for
+ * long.
  */
 #ifndef EFFACT_COMPILER_COMPILE_CACHE_H
 #define EFFACT_COMPILER_COMPILE_CACHE_H
 
-#include <array>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -83,8 +83,8 @@ CompileCacheKey middleEndCacheKey(const IrProgram &prog,
 /**
  * Immutable result of one middle-end run: the optimized (pipelined +
  * compacted) program and the statistics the run recorded. A cache hit
- * clones `optimized` (the copy gets a fresh `uid()`, so per-worker
- * analysis caches can never confuse it with another program) and
+ * clones `optimized` (the copy gets a fresh `uid()`, so an analysis
+ * cache can never confuse it with another program) and
  * replays `stats`, so a hit's compiler statistics are byte-identical to
  * the miss that built the entry, wall-clock keys included.
  */
@@ -116,14 +116,14 @@ size_t snapshotBytes(const MiddleEndSnapshot &snap);
 size_t defaultCacheBytes();
 
 /**
- * The sharded, single-flight snapshot store. Opt-in and shared: one
- * instance serves a whole sweep (`SweepOptions::compileCache`), or any
- * set of concurrent `Compiler::compile` calls.
+ * The single-flight snapshot store. Opt-in and shared: one instance
+ * serves a whole sweep (`SweepOptions::compileCache`), or any set of
+ * concurrent `Compiler::compile` calls.
  *
  * Bounding. With a zero byte budget (the default) entries are never
  * evicted — the store lives as long as the sweep that owns it. With a
- * positive budget, published entries are tracked on a global LRU list
- * with `snapshotBytes` accounting, and publishing a new entry evicts
+ * positive budget, published entries are tracked on an LRU list with
+ * `snapshotBytes` accounting, and publishing a new entry evicts
  * least-recently-used entries until the total fits the budget (a
  * single entry larger than the whole budget is evicted immediately
  * after publication: the store never retains more than the budget).
@@ -143,31 +143,25 @@ size_t defaultCacheBytes();
  *                      distinct-key count when nothing is evicted, and
  *                      counts rebuilds of evicted keys otherwise);
  * - `cache.evictions` — entries dropped by the byte budget;
- * - `cache.entries`  — entries currently stored;
- * - `cache.bytes`    — accounted bytes of the published entries;
+ * - `cache.entries`  — entries currently stored (published or in
+ *                      flight);
+ * - `cache.bytes`    — accounted bytes of the published entries (0
+ *                      when unbounded: nothing is accounted);
  * - `cache.budget_bytes` — the configured budget (0 = unbounded).
  */
 class CompileCache
 {
   public:
-    /** `byteBudget` = 0 keeps the legacy never-evict behavior. */
+    /** `byteBudget` = 0 keeps the never-evict behavior. */
     explicit CompileCache(size_t byteBudget = 0) : budget_(byteBudget) {}
     CompileCache(const CompileCache &) = delete;
     CompileCache &operator=(const CompileCache &) = delete;
 
-    size_t byteBudget() const { return budget_; }
-
-    /** Accounted bytes of the currently published entries. */
-    size_t currentBytes() const;
-
-    /** Entries dropped by the byte budget so far. */
-    uint64_t evictionCount() const { return evictions_.load(); }
-
     /**
      * Returns the snapshot for `key`, building it if absent. The first
-     * caller for a key runs `build` (outside any shard lock, so other
-     * keys proceed concurrently); concurrent callers for the same key
-     * block until the snapshot is published. `hit` (optional) reports
+     * caller for a key runs `build` (outside the lock, so other keys
+     * proceed concurrently); concurrent callers for the same key block
+     * until the snapshot is published. `hit` (optional) reports
      * whether the snapshot came from the cache (true) or from this
      * call's own `build` (false). `build` must not re-enter the cache.
      */
@@ -179,37 +173,24 @@ class CompileCache
     /** Point-in-time `cache.*` statistics (see class comment). */
     StatSet statsSnapshot() const;
 
-    /** Entries currently stored (published or in flight). */
-    size_t entryCount() const;
-
     /** Drops every entry and resets the counters. Not meant to race
      *  with in-flight compiles (a sweep clears between batches). */
     void clear();
 
   private:
-    struct Slot;
-
-    /** LRU node: front of the list = most recently used. Holds its own
-     *  reference to the slot so an evicted-but-still-waited-on snapshot
-     *  stays alive until the last holder drops it. */
-    struct LruNode
-    {
-        CompileCacheKey key;
-        std::shared_ptr<Slot> slot;
-    };
-
+    /** One build of one key. The LRU list and the waiters hold it by
+     *  `shared_ptr`, so an evicted snapshot stays alive until its last
+     *  holder drops it. All fields are guarded by `mu_`. */
     struct Slot
     {
-        std::mutex mu;
-        std::condition_variable readyCv;
+        CompileCacheKey key;
         bool ready = false;
         MiddleEndSnapshot snap;
         /** `snapshotBytes(snap)`, fixed at publication (entries are
          *  immutable afterwards). */
         size_t bytes = 0;
-        // LRU bookkeeping, guarded by `lru_mu_` (not this->mu).
-        std::list<LruNode>::iterator lruIt;
         bool inLru = false;
+        std::list<std::shared_ptr<Slot>>::iterator lruIt;
     };
 
     struct KeyHash
@@ -223,42 +204,18 @@ class CompileCache
         }
     };
 
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<CompileCacheKey, std::shared_ptr<Slot>, KeyHash>
-            entries;
-    };
-
-    Shard &shardFor(const CompileCacheKey &key)
-    {
-        return shards_[KeyHash{}(key) % kShards];
-    }
-
-    /** Publishes `slot` on the LRU list and evicts until the budget
-     *  holds. Called with no locks held. */
-    void accountAndEvict(const CompileCacheKey &key,
-                         const std::shared_ptr<Slot> &slot);
-
-    /** Moves a hit entry to the MRU position. No locks held on entry. */
-    void touch(const std::shared_ptr<Slot> &slot);
-
-    static constexpr size_t kShards = 16;
-    std::array<Shard, kShards> shards_;
-    std::atomic<uint64_t> lookups_{0};
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> evictions_{0};
-
-    const size_t budget_; ///< 0 = unbounded
-    /**
-     * Global recency list + byte total, guarded by `lru_mu_`. Lock
-     * ordering: `lru_mu_` may be taken alone or *before* a shard mutex
-     * (the eviction path erases index entries while holding it); no
-     * path takes `lru_mu_` while holding a shard mutex or a slot mutex.
-     */
-    mutable std::mutex lru_mu_;
-    std::list<LruNode> lru_;
+    mutable std::mutex mu_;
+    std::condition_variable published_;
+    std::unordered_map<CompileCacheKey, std::shared_ptr<Slot>, KeyHash>
+        index_;
+    /** Published entries, most recently used first; only kept when the
+     *  budget is positive. */
+    std::list<std::shared_ptr<Slot>> lru_;
     size_t bytes_ = 0;
+    uint64_t lookups_ = 0;
+    uint64_t hits_ = 0;
+    uint64_t evictions_ = 0;
+    const size_t budget_; ///< 0 = unbounded
 };
 
 } // namespace effact

@@ -46,22 +46,9 @@ checkpoint(VerifyFn &&verify, const char *context, StatSet &stats)
 } // namespace
 
 MachineProgram
-Compiler::compile(IrProgram &prog)
+Compiler::compile(IrProgram &prog, CompileCache *cache)
 {
     AnalysisManager analyses;
-    return compile(prog, analyses);
-}
-
-MachineProgram
-Compiler::compile(IrProgram &prog, AnalysisManager &analyses)
-{
-    return compile(prog, analyses, nullptr);
-}
-
-MachineProgram
-Compiler::compile(IrProgram &prog, AnalysisManager &analyses,
-                  CompileCache *cache)
-{
     stats_.clear();
     runMiddleEnd(prog, analyses, stats_, cache);
     return runBackEnd(prog, analyses, stats_);

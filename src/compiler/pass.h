@@ -205,28 +205,16 @@ class Compiler
   public:
     explicit Compiler(CompilerOptions opts = {}) : opts_(opts) {}
 
-    /** Compiles (mutates `prog` through the optimization passes). */
-    MachineProgram compile(IrProgram &prog);
-
     /**
-     * Same, against a caller-owned `AnalysisManager`. Analyses are
-     * cached keyed on (program uid, version), so one manager can serve
-     * a whole re-compilation sweep — a batch worker reuses its manager
-     * across jobs without locking, and a re-compile of unchanged IR
-     * hits the cache. The manager must not be shared across threads.
+     * Compiles (mutates `prog` through the optimization passes):
+     * `runMiddleEnd` then `runBackEnd`. With a shared `cache` (default
+     * null = uncached) the middle end goes through it: on a hit `prog`
+     * is replaced by a clone of the cached optimized-IR snapshot and
+     * the cached middle-end statistics are replayed, so the compile's
+     * results — machine code, stats — are byte-identical to the miss
+     * that built the entry. The cache is safe to share across threads.
      */
-    MachineProgram compile(IrProgram &prog, AnalysisManager &analyses);
-
-    /**
-     * Same, consulting a shared `CompileCache` (may be null = uncached).
-     * On a hit the middle end is skipped: `prog` is replaced by a clone
-     * of the cached optimized-IR snapshot and the cached middle-end
-     * statistics are replayed, so the compile's results — machine code,
-     * stats — are byte-identical to the miss that built the entry. The
-     * cache is safe to share across threads; `analyses` still is not.
-     */
-    MachineProgram compile(IrProgram &prog, AnalysisManager &analyses,
-                           CompileCache *cache);
+    MachineProgram compile(IrProgram &prog, CompileCache *cache = nullptr);
 
     /**
      * Middle end: runs the declarative optimization pipeline to its

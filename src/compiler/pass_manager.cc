@@ -38,17 +38,6 @@ AnalysisManager::depGraph(const IrProgram &prog, StatSet &stats)
     return graph_;
 }
 
-void
-AnalysisManager::invalidateAll()
-{
-    aliasUid_ = kNoVersion;
-    aliasVersion_ = kNoVersion;
-    aliasEdges_.clear();
-    graphUid_ = kNoVersion;
-    graphVersion_ = kNoVersion;
-    graph_ = DepGraph();
-}
-
 // --- Pass registry --------------------------------------------------------
 
 namespace {

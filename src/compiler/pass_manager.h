@@ -34,6 +34,12 @@ namespace effact {
  * counts are recorded in the caller's stats (`analysis.aliasBuilds`,
  * `analysis.depgraphBuilds`, `analysis.cacheHits`), which is how tests
  * pin "the DepGraph is built at most once per compile".
+ *
+ * `Compiler::compile` and `Platform::run` each build a local manager,
+ * and the scheduler asks it once per compile, so outside tests it
+ * never hits. It survives as the parameter of the three stage calls
+ * the repository benchmark makes (`runScheduler`, `runMiddleEnd`,
+ * `runBackEnd`).
  */
 class AnalysisManager
 {
@@ -45,9 +51,6 @@ class AnalysisManager
     /** IR-level dependence graph: SSA true edges + the alias edges
      *  (built through `aliasEdges`, so that result is cached too). */
     const DepGraph &depGraph(const IrProgram &prog, StatSet &stats);
-
-    /** Drops every cached analysis (version keying normally suffices). */
-    void invalidateAll();
 
   private:
     static constexpr uint64_t kNoVersion = ~uint64_t(0);

@@ -410,7 +410,6 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
         }
     }
     const size_t alloc_regs = num_regs - num_scratch;
-    stats.add("regalloc.spilledValues", double(spill_count));
 
     // HBM address map: program objects first, then the spill area.
     std::vector<u64> obj_base(prog.objects.size(), 0);

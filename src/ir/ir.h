@@ -105,11 +105,12 @@ struct IrProgram
     void compact();
 
     /**
-     * Mutation counter keying cached analyses (`AnalysisManager`): two
-     * calls observing the same version may reuse results computed at
-     * that version. `emit`/`compact` bump it internally; passes that
-     * rewrite instructions in place must call `bumpVersion()` when (and
-     * only when) they report a change.
+     * Mutation counter: two calls observing the same version may reuse
+     * results computed at that version (the `PassManager` skips a pass
+     * whose input version is unchanged since its last run, and
+     * `AnalysisManager` keys its analyses on it). `emit`/`compact` bump
+     * it internally; the `PassManager` calls `bumpVersion()` exactly
+     * when a pass reports a change.
      */
     uint64_t version() const { return version_; }
     void bumpVersion() { ++version_; }

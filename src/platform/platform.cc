@@ -16,26 +16,13 @@ Platform::Platform(HardwareConfig hw, CompilerOptions copts)
 }
 
 PlatformResult
-Platform::run(Workload &workload) const
-{
-    AnalysisManager analyses;
-    return run(workload, analyses);
-}
-
-PlatformResult
-Platform::run(Workload &workload, AnalysisManager &analyses) const
-{
-    return run(workload, analyses, nullptr);
-}
-
-PlatformResult
-Platform::run(Workload &workload, AnalysisManager &analyses,
-              CompileCache *cache) const
+Platform::run(Workload &workload, CompileCache *cache) const
 {
     using Clock = std::chrono::steady_clock;
     using Ms = std::chrono::duration<double, std::milli>;
 
     const Compiler compiler(copts_);
+    AnalysisManager analyses;
     PlatformResult result;
     const Clock::time_point t0 = Clock::now();
     compiler.runMiddleEnd(workload.program, analyses, result.compilerStats,

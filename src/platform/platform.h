@@ -14,8 +14,7 @@
 
 namespace effact {
 
-class AnalysisManager; // compiler/pass_manager.h
-class CompileCache;    // compiler/compile_cache.h
+class CompileCache; // compiler/compile_cache.h
 
 /** Benchmark-level result. */
 struct PlatformResult
@@ -46,26 +45,16 @@ class Platform
   public:
     Platform(HardwareConfig hw, CompilerOptions copts);
 
-    /** Runs a workload end-to-end (mutates its IR through the passes) */
-    PlatformResult run(Workload &workload) const;
-
     /**
-     * Same, compiling against a caller-owned `AnalysisManager` (see
-     * `Compiler::compile`): a batch worker keeps one manager across its
-     * jobs so cached analyses are reused without locking. Not safe to
-     * share one manager between concurrently running jobs.
+     * Runs a workload end-to-end (mutates its IR through the passes).
+     * With a shared `cache` (default null = uncached) the hardware-
+     * independent middle end of the compile is reused across every
+     * `Platform` that shares the cache, so a hardware sweep optimizes
+     * each (workload, preset) once. Hits are byte-identical to
+     * uncached compiles (see `Compiler::compile`).
      */
-    PlatformResult run(Workload &workload, AnalysisManager &analyses) const;
-
-    /**
-     * Same, additionally consulting a shared `CompileCache` (may be
-     * null = uncached): the hardware-independent middle end of the
-     * compile is reused across every `Platform` that shares the cache,
-     * so a hardware sweep optimizes each (workload, preset) once. Hits
-     * are byte-identical to uncached compiles (see `Compiler::compile`).
-     */
-    PlatformResult run(Workload &workload, AnalysisManager &analyses,
-                       CompileCache *cache) const;
+    PlatformResult run(Workload &workload,
+                       CompileCache *cache = nullptr) const;
 
     const HardwareConfig &hardware() const { return hw_; }
     const CompilerOptions &compilerOptions() const { return copts_; }

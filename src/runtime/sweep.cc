@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/logging.h"
-#include "compiler/pass_manager.h"
 
 namespace effact {
 
@@ -14,11 +12,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using Ms = std::chrono::duration<double, std::milli>;
 
-/** Runs one job against a worker-owned analysis manager (and, when the
- *  engine has one, the shared compile cache). */
+/** Runs one job (through the shared compile cache, when the engine has
+ *  one). */
 SweepResult
-runJob(const SweepJob &job, size_t index, AnalysisManager &analyses,
-       CompileCache *cache)
+runJob(const SweepJob &job, size_t index, CompileCache *cache)
 {
     EFFACT_ASSERT(job.build != nullptr, "sweep job '%s' has no workload",
                   job.name.c_str());
@@ -29,7 +26,7 @@ runJob(const SweepJob &job, size_t index, AnalysisManager &analyses,
     SweepResult r;
     r.name = job.name;
     r.jobIndex = index;
-    r.platform = platform.run(workload, analyses, cache);
+    r.platform = platform.run(workload, cache);
     r.platform.jobStats.set("job.ir.ms", ir_ms);
     return r;
 }
@@ -81,37 +78,22 @@ SweepEngine::runAll()
 
     const size_t want = threads();
     if (want <= 1 || jobs_.size() <= 1) {
-        // Serial path: submission order on the calling thread, one
-        // shared analysis manager (sound: caches key on program uid).
+        // Serial path: submission order on the calling thread.
         workers_used_ = 1;
-        AnalysisManager analyses;
         for (size_t i = 0; i < jobs_.size(); ++i)
-            results_[i] = runJob(jobs_[i], i, analyses, opts_.compileCache);
+            results_[i] = runJob(jobs_[i], i, opts_.compileCache);
     } else {
-        const size_t n_workers = std::min(want, jobs_.size());
-        workers_used_ = n_workers;
-        // An external pool arrives pre-sized by its owner.
-        std::optional<ThreadPool> owned;
-        ThreadPool *pool = opts_.pool;
-        if (pool == nullptr) {
-            owned.emplace(n_workers);
-            pool = &*owned;
-        }
-        // Per-worker analysis managers: caching without locking.
-        // Workers write disjoint result slots, so the only
-        // synchronization is the pool's queue and the group wait
-        // barrier. One extra manager slot for the calling thread:
-        // `Group::wait` helps run queued tasks inline, and inline tasks
-        // report index `threadCount()`.
-        std::vector<AnalysisManager> analyses(pool->threadCount() + 1);
-        ThreadPool::Group group(*pool);
-        for (size_t i = 0; i < jobs_.size(); ++i) {
-            group.submit([this, i, &analyses](size_t worker) {
-                results_[i] = runJob(jobs_[i], i, analyses[worker],
-                                     opts_.compileCache);
+        // One task per job on a pool sized to the batch, so at most
+        // `threads` jobs run at once. Workers write disjoint result
+        // slots; the pool's queue and `wait` are the only
+        // synchronization.
+        workers_used_ = std::min(want, jobs_.size());
+        ThreadPool pool(workers_used_);
+        for (size_t i = 0; i < jobs_.size(); ++i)
+            pool.submit([this, i](size_t) {
+                results_[i] = runJob(jobs_[i], i, opts_.compileCache);
             });
-        }
-        group.wait();
+        pool.wait();
     }
 
     // Aggregates from the ordered results on the calling thread:

@@ -1,20 +1,19 @@
 /**
  * @file
  * Batch-execution engine: submit N (workload, hardware, compiler
- * options) jobs, compile and simulate them concurrently on a fixed-size
- * `ThreadPool`, and collect results in deterministic submission order.
- * Every worker owns a private `AnalysisManager`, so analysis caching
- * needs no locking. Cross-job reuse is the (opt-in) shared
- * `CompileCache`: keyed on program *content* plus the compiler preset
- * — not process-local ids — it deduplicates the hardware-independent
- * middle end across jobs, so a preset x hardware grid optimizes each
- * (workload, preset) once. Each job is pure given its inputs, and
- * cache entries are immutable single-flight snapshots, so results —
- * simulated cycles, machine-code fingerprints, stat aggregates — are
- * byte-identical at any thread count and any hit pattern. Each job is
- * one pool task, so parallelism is across jobs only. `threads = 1` is
- * the serial path: jobs run in submission order on the calling thread
- * with no pool.
+ * options) jobs, compile and simulate them concurrently, and collect
+ * results in deterministic submission order. A parallel batch runs on
+ * a private `ThreadPool` of `min(threads, jobs)` workers, one task per
+ * job, so at most `threads` jobs run at once. Cross-job reuse is the
+ * (opt-in) shared `CompileCache`: keyed on program *content* plus the
+ * compiler preset, it deduplicates the hardware-independent middle end
+ * across jobs, so a preset x hardware grid optimizes each (workload,
+ * preset) once. Each job is pure given its inputs, and cache entries
+ * are immutable single-flight snapshots, so results — simulated
+ * cycles, machine-code fingerprints, stat aggregates — are
+ * byte-identical at any thread count and any hit pattern.
+ * `threads = 1` is the serial path: jobs run in submission order on
+ * the calling thread with no pool.
  */
 #ifndef EFFACT_RUNTIME_SWEEP_H
 #define EFFACT_RUNTIME_SWEEP_H
@@ -53,14 +52,14 @@ struct SweepResult
 /** Engine knobs. */
 struct SweepOptions
 {
-    /** Worker count; 1 = serial on the calling thread (no pool). */
+    /** Most jobs run at once; 1 = serial on the calling thread (no
+     *  pool). */
     size_t threads = 1;
     /**
      * Opt-in shared compile cache: when set, every job's compile
      * consults it, so the hardware-independent middle end runs once per
      * (workload, preset) key instead of once per job. The store is
-     * sharded, mutex-protected and single-flight; per-worker
-     * `AnalysisManager`s stay lock-free. Results are byte-identical to
+     * single-flight behind one mutex. Results are byte-identical to
      * an uncached run at any thread count and any hit pattern. The
      * caller owns the cache (it may outlive the engine and be shared
      * across engines); its cumulative `cache.*` stats are merged into
@@ -75,19 +74,6 @@ struct SweepOptions
      * job's options.
      */
     int verifyLevel = -1;
-    /**
-     * Caller-owned worker pool: when set, the parallel path runs its
-     * job tasks as a `ThreadPool::Group` on this pool instead of
-     * constructing a private one — the long-lived-service shape, where
-     * one fixed pool serves every batch and pool construction cost /
-     * thread churn per batch would be wrong. The engine neither sizes
-     * nor shuts the pool down; `threads` still caps this batch's
-     * concurrency appetite but the pool's own width is what actually
-     * bounds parallelism. Results are byte-identical to a private
-     * pool of any size (worker scheduling is never observable).
-     * Ignored on the serial path.
-     */
-    ThreadPool *pool = nullptr;
 };
 
 /**

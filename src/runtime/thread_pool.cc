@@ -34,7 +34,7 @@ ThreadPool::submit(Task task)
     {
         std::unique_lock<std::mutex> lock(mu_);
         EFFACT_ASSERT(!stopping_, "submit after thread pool shutdown");
-        queue_.push_back(Entry{std::move(task), nullptr});
+        queue_.push_back(std::move(task));
     }
     work_ready_.notify_one();
 }
@@ -48,23 +48,10 @@ ThreadPool::wait()
 }
 
 void
-ThreadPool::finishTask(Group *group)
-{
-    --running_;
-    if (group != nullptr) {
-        EFFACT_ASSERT(group->pending_ > 0, "group task count underflow");
-        if (--group->pending_ == 0)
-            group_done_.notify_all();
-    }
-    if (queue_.empty() && running_ == 0)
-        all_done_.notify_all();
-}
-
-void
 ThreadPool::workerLoop(size_t worker)
 {
     for (;;) {
-        Entry entry;
+        Task task;
         {
             std::unique_lock<std::mutex> lock(mu_);
             work_ready_.wait(
@@ -72,65 +59,16 @@ ThreadPool::workerLoop(size_t worker)
             // Drain-before-stop: shutdown only once the queue is empty.
             if (queue_.empty())
                 return;
-            entry = std::move(queue_.front());
+            task = std::move(queue_.front());
             queue_.pop_front();
             ++running_;
         }
-        entry.task(worker);
+        task(worker);
         {
             std::unique_lock<std::mutex> lock(mu_);
-            finishTask(entry.group);
+            if (--running_ == 0 && queue_.empty())
+                all_done_.notify_all();
         }
-    }
-}
-
-void
-ThreadPool::Group::submit(Task task)
-{
-    EFFACT_ASSERT(task != nullptr, "null task submitted to task group");
-    {
-        std::unique_lock<std::mutex> lock(pool_.mu_);
-        EFFACT_ASSERT(!pool_.stopping_, "submit after thread pool shutdown");
-        pool_.queue_.push_back(Entry{std::move(task), this});
-        ++pending_;
-    }
-    pool_.work_ready_.notify_one();
-    // A waiter of this same group (possible when a group task fans out
-    // further work into its own group) must notice the new queue entry.
-    pool_.group_done_.notify_all();
-}
-
-void
-ThreadPool::Group::wait()
-{
-    const size_t inline_index = pool_.threadCount();
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    while (pending_ > 0) {
-        // Help: steal one of our own queued tasks and run it inline.
-        auto it = pool_.queue_.begin();
-        for (; it != pool_.queue_.end(); ++it)
-            if (it->group == this)
-                break;
-        if (it != pool_.queue_.end()) {
-            Entry entry = std::move(*it);
-            pool_.queue_.erase(it);
-            ++pool_.running_;
-            lock.unlock();
-            entry.task(inline_index);
-            lock.lock();
-            pool_.finishTask(this);
-            continue;
-        }
-        // Every remaining task of this group is running on another
-        // thread; sleep until one finishes (or new group work appears).
-        pool_.group_done_.wait(lock, [this] {
-            if (pending_ == 0)
-                return true;
-            for (const Entry &e : pool_.queue_)
-                if (e.group == this)
-                    return true;
-            return false;
-        });
     }
 }
 

@@ -150,8 +150,6 @@ ServiceCore::ServiceCore(ServiceOptions opts)
         opts_.queueCapacity = 1;
     if (opts_.batchSize == 0)
         opts_.batchSize = 1;
-    if (opts_.threads > 1)
-        pool_.emplace(opts_.threads);
 }
 
 size_t
@@ -218,7 +216,6 @@ ServiceCore::runBatch()
     SweepOptions so;
     so.threads = opts_.threads;
     so.compileCache = opts_.useCache ? &cache_ : nullptr;
-    so.pool = pool_ ? &*pool_ : nullptr;
     SweepEngine engine(so);
     for (size_t idx : batch) {
         const ServiceRequest &req = window_[idx].req;

@@ -5,8 +5,9 @@
  * - `ServiceCore`: the daemon's brain, independent of any transport.
  *   Single-driver-thread request window with validation, admission
  *   control (bounded pending queue, explicit reject-when-full) and
- *   batched execution through the shared `SweepEngine` on one
- *   long-lived `ThreadPool` + bounded `CompileCache`. Fully
+ *   batched execution through a `SweepEngine` (each parallel batch on
+ *   its own pool of at most `threads` workers) over one long-lived,
+ *   bounded `CompileCache`. Fully
  *   deterministic given its configuration and the request stream:
  *   statuses, batching boundaries and every deterministic result field
  *   replay byte-identically — which is what lets a recorded session be
@@ -24,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,8 +48,8 @@ size_t defaultQueueCapacity();
  *  result streams for the same request stream. */
 struct ServiceOptions
 {
-    /** Sweep worker count (1 = run batches serially on the driver
-     *  thread; no pool is created). */
+    /** Most jobs a batch runs at once (1 = run batches serially on
+     *  the driver thread; no pool is created). */
     size_t threads = defaultThreadCount();
     /** Admission bound on accepted-but-unexecuted requests. */
     size_t queueCapacity = defaultQueueCapacity();
@@ -146,10 +146,6 @@ class ServiceCore
 
     ServiceOptions opts_;
     CompileCache cache_;
-    /** Long-lived batch pool (absent when `threads <= 1`): one pool
-     *  serves every batch, so worker threads are created once per
-     *  daemon, not once per flush. */
-    std::optional<ThreadPool> pool_;
     std::vector<Entry> window_;
     uint64_t next_seq_ = 0;
     uint64_t accepted_ = 0;

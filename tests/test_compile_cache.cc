@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "compiler/compile_cache.h"
-#include "compiler/pass_manager.h"
 #include "runtime/sweep.h"
 
 namespace effact {
@@ -47,6 +46,13 @@ comparableStats(const StatSet &stats)
         out.emplace(key, value);
     }
     return out;
+}
+
+/** One `cache.*` counter, through the cache's one read API. */
+double
+cacheStat(const CompileCache &cache, const char *key)
+{
+    return cache.statsSnapshot().get(key);
 }
 
 // --- IrProgram fingerprint ------------------------------------------------
@@ -122,18 +128,15 @@ TEST(CompileCache, StructurallyIdenticalProgramsHit)
 {
     CompileCache cache;
     Compiler compiler(Platform::fullOptions(size_t(27) << 20));
-    AnalysisManager analyses;
 
     Workload first = buildDbLookup(smallFhe(), 32);
-    MachineProgram mp1 =
-        compiler.compile(first.program, analyses, &cache);
+    MachineProgram mp1 = compiler.compile(first.program, &cache);
     EXPECT_EQ(compiler.stats().get("cache.hit"), 0.0);
 
     // A different program object with the same content (different uid,
     // freshly counted version) must hit.
     Workload second = buildDbLookup(smallFhe(), 32);
-    MachineProgram mp2 =
-        compiler.compile(second.program, analyses, &cache);
+    MachineProgram mp2 = compiler.compile(second.program, &cache);
     EXPECT_EQ(compiler.stats().get("cache.hit"), 1.0);
     EXPECT_EQ(fingerprint(mp1), fingerprint(mp2));
 
@@ -148,10 +151,9 @@ TEST(CompileCache, MutationAfterCachingMisses)
 {
     CompileCache cache;
     Compiler compiler(Platform::fullOptions(size_t(27) << 20));
-    AnalysisManager analyses;
 
     Workload cached = buildDbLookup(smallFhe(), 32);
-    compiler.compile(cached.program, analyses, &cache);
+    compiler.compile(cached.program, &cache);
     ASSERT_EQ(cache.statsSnapshot().get("cache.misses"), 1.0);
 
     // Mutate a rebuilt copy the way a pass would: rewrite in place and
@@ -164,7 +166,7 @@ TEST(CompileCache, MutationAfterCachingMisses)
     mutated.program.bumpVersion();
     EXPECT_GT(mutated.program.version(), version_before);
 
-    compiler.compile(mutated.program, analyses, &cache);
+    compiler.compile(mutated.program, &cache);
     const StatSet cs = cache.statsSnapshot();
     EXPECT_EQ(cs.get("cache.lookups"), 2.0);
     EXPECT_EQ(cs.get("cache.misses"), 2.0)
@@ -175,14 +177,13 @@ TEST(CompileCache, MutationAfterCachingMisses)
 TEST(CompileCache, DifferentPresetsDoNotShareEntries)
 {
     CompileCache cache;
-    AnalysisManager analyses;
     Workload a = buildDbLookup(smallFhe(), 32);
     Workload b = buildDbLookup(smallFhe(), 32);
 
     Compiler full(Platform::fullOptions(size_t(27) << 20));
     Compiler baseline(Platform::baselineOptions(size_t(27) << 20));
-    full.compile(a.program, analyses, &cache);
-    baseline.compile(b.program, analyses, &cache);
+    full.compile(a.program, &cache);
+    baseline.compile(b.program, &cache);
 
     const StatSet cs = cache.statsSnapshot();
     EXPECT_EQ(cs.get("cache.lookups"), 2.0);
@@ -201,22 +202,20 @@ TEST(CompileCache, HitIsByteIdenticalToUncachedCompile)
     hw13.sramBytes = size_t(13) << 20;
 
     CompileCache cache;
-    AnalysisManager analyses;
     Platform p27(hw27, Platform::fullOptions(hw27.sramBytes));
     Platform p13(hw13, Platform::fullOptions(hw13.sramBytes));
 
     Workload w27 = buildDbLookup(smallFhe(), 64);
     Workload w13 = buildDbLookup(smallFhe(), 64);
-    const PlatformResult cached27 = p27.run(w27, analyses, &cache);
-    const PlatformResult cached13 = p13.run(w13, analyses, &cache);
+    const PlatformResult cached27 = p27.run(w27, &cache);
+    const PlatformResult cached13 = p13.run(w13, &cache);
     EXPECT_EQ(cached13.compilerStats.get("cache.hit"), 1.0);
     EXPECT_EQ(cache.statsSnapshot().get("cache.misses"), 1.0);
 
     Workload u27 = buildDbLookup(smallFhe(), 64);
     Workload u13 = buildDbLookup(smallFhe(), 64);
-    AnalysisManager fresh27, fresh13;
-    const PlatformResult plain27 = p27.run(u27, fresh27);
-    const PlatformResult plain13 = p13.run(u13, fresh13);
+    const PlatformResult plain27 = p27.run(u27);
+    const PlatformResult plain13 = p13.run(u13);
 
     EXPECT_EQ(cached27.machineFingerprint, plain27.machineFingerprint);
     EXPECT_EQ(cached13.machineFingerprint, plain13.machineFingerprint);
@@ -233,17 +232,16 @@ TEST(CompileCache, ClearResetsEntriesAndCounters)
 {
     CompileCache cache;
     Compiler compiler(Platform::fullOptions(size_t(27) << 20));
-    AnalysisManager analyses;
     Workload w = buildDbLookup(smallFhe(), 32);
-    compiler.compile(w.program, analyses, &cache);
-    ASSERT_EQ(cache.entryCount(), 1u);
+    compiler.compile(w.program, &cache);
+    ASSERT_EQ(cacheStat(cache, "cache.entries"), 1.0);
 
     cache.clear();
-    EXPECT_EQ(cache.entryCount(), 0u);
+    EXPECT_EQ(cacheStat(cache, "cache.entries"), 0.0);
     EXPECT_EQ(cache.statsSnapshot().get("cache.lookups"), 0.0);
 
     Workload again = buildDbLookup(smallFhe(), 32);
-    compiler.compile(again.program, analyses, &cache);
+    compiler.compile(again.program, &cache);
     EXPECT_EQ(cache.statsSnapshot().get("cache.misses"), 1.0);
 }
 
@@ -374,11 +372,11 @@ TEST(BoundedLru, SnapshotBytesAreContentDeterministic)
 TEST(BoundedLru, ZeroBudgetNeverEvicts)
 {
     CompileCache cache; // legacy default: unbounded
-    EXPECT_EQ(cache.byteBudget(), 0u);
+    EXPECT_EQ(cacheStat(cache, "cache.budget_bytes"), 0.0);
     for (uint64_t i = 0; i < 32; ++i)
         cache.getOrBuild(synthKey(i), [i] { return synthSnapshot(i); });
-    EXPECT_EQ(cache.entryCount(), 32u);
-    EXPECT_EQ(cache.evictionCount(), 0u);
+    EXPECT_EQ(cacheStat(cache, "cache.entries"), 32.0);
+    EXPECT_EQ(cacheStat(cache, "cache.evictions"), 0.0);
 }
 
 TEST(BoundedLru, EvictsLeastRecentlyUsedFirst)
@@ -387,8 +385,8 @@ TEST(BoundedLru, EvictsLeastRecentlyUsedFirst)
     CompileCache cache(3 * entry);
     for (uint64_t i = 0; i < 3; ++i)
         cache.getOrBuild(synthKey(i), [i] { return synthSnapshot(i); });
-    ASSERT_EQ(cache.entryCount(), 3u);
-    EXPECT_EQ(cache.evictionCount(), 0u);
+    ASSERT_EQ(cacheStat(cache, "cache.entries"), 3.0);
+    EXPECT_EQ(cacheStat(cache, "cache.evictions"), 0.0);
 
     // Touch key 0 (a hit is a recency event), then publish a fourth
     // entry: the untouched key 1 is now least recently used and must be
@@ -397,8 +395,8 @@ TEST(BoundedLru, EvictsLeastRecentlyUsedFirst)
     cache.getOrBuild(synthKey(0), [] { return synthSnapshot(0); }, &hit);
     EXPECT_TRUE(hit);
     cache.getOrBuild(synthKey(3), [] { return synthSnapshot(3); });
-    EXPECT_EQ(cache.evictionCount(), 1u);
-    EXPECT_EQ(cache.entryCount(), 3u);
+    EXPECT_EQ(cacheStat(cache, "cache.evictions"), 1.0);
+    EXPECT_EQ(cacheStat(cache, "cache.entries"), 3.0);
 
     int builds = 0;
     auto probe = [&](uint64_t i) {
@@ -424,16 +422,16 @@ TEST(BoundedLru, BytesAccountingMatchesPayloads)
 {
     const size_t entry = snapshotBytes(synthSnapshot(0));
     CompileCache cache(2 * entry);
-    EXPECT_EQ(cache.currentBytes(), 0u);
+    EXPECT_EQ(cacheStat(cache, "cache.bytes"), 0.0);
 
     cache.getOrBuild(synthKey(0), [] { return synthSnapshot(0); });
-    EXPECT_EQ(cache.currentBytes(), entry);
+    EXPECT_EQ(cacheStat(cache, "cache.bytes"), double(entry));
     cache.getOrBuild(synthKey(1), [] { return synthSnapshot(1); });
-    EXPECT_EQ(cache.currentBytes(), 2 * entry);
+    EXPECT_EQ(cacheStat(cache, "cache.bytes"), double(2 * entry));
     cache.getOrBuild(synthKey(2), [] { return synthSnapshot(2); });
-    EXPECT_EQ(cache.currentBytes(), 2 * entry)
+    EXPECT_EQ(cacheStat(cache, "cache.bytes"), double(2 * entry))
         << "the third publish must evict exactly one entry's bytes";
-    EXPECT_EQ(cache.evictionCount(), 1u);
+    EXPECT_EQ(cacheStat(cache, "cache.evictions"), 1.0);
 
     const StatSet cs = cache.statsSnapshot();
     EXPECT_EQ(cs.get("cache.bytes"), double(2 * entry));
@@ -442,8 +440,8 @@ TEST(BoundedLru, BytesAccountingMatchesPayloads)
     EXPECT_EQ(cs.get("cache.entries"), 2.0);
 
     cache.clear();
-    EXPECT_EQ(cache.currentBytes(), 0u);
-    EXPECT_EQ(cache.evictionCount(), 0u);
+    EXPECT_EQ(cacheStat(cache, "cache.bytes"), 0.0);
+    EXPECT_EQ(cacheStat(cache, "cache.evictions"), 0.0);
 }
 
 TEST(BoundedLru, EntryLargerThanBudgetIsServedThenDropped)
@@ -459,9 +457,9 @@ TEST(BoundedLru, EntryLargerThanBudgetIsServedThenDropped)
     // dropped the entry (it can never retain more than the budget).
     EXPECT_EQ(snap->stats.get("synthetic.id"), 0.0);
     EXPECT_EQ(snap->optimized.name, "synthetic-lru-entry");
-    EXPECT_EQ(cache.entryCount(), 0u);
-    EXPECT_EQ(cache.currentBytes(), 0u);
-    EXPECT_EQ(cache.evictionCount(), 1u);
+    EXPECT_EQ(cacheStat(cache, "cache.entries"), 0.0);
+    EXPECT_EQ(cacheStat(cache, "cache.bytes"), 0.0);
+    EXPECT_EQ(cacheStat(cache, "cache.evictions"), 1.0);
 }
 
 TEST(BoundedLru, EvictedKeyRebuildsExactlyOnceUnderContention)
@@ -470,7 +468,7 @@ TEST(BoundedLru, EvictedKeyRebuildsExactlyOnceUnderContention)
     CompileCache cache(entry); // holds exactly one entry
     cache.getOrBuild(synthKey(7), [] { return synthSnapshot(7); });
     cache.getOrBuild(synthKey(8), [] { return synthSnapshot(8); });
-    ASSERT_EQ(cache.evictionCount(), 1u); // key 7 is gone
+    ASSERT_EQ(cacheStat(cache, "cache.evictions"), 1.0); // key 7 is gone
 
     // Eight threads re-request the evicted key concurrently: a fresh
     // single-flight build, so exactly one rebuild — and every requester
@@ -524,9 +522,9 @@ TEST(BoundedLru, WaitersSurviveImmediateEviction)
         ASSERT_NE(snap, nullptr);
         EXPECT_EQ(snap->stats.get("synthetic.id"), 1.0);
     }
-    EXPECT_EQ(cache.entryCount(), 0u);
-    EXPECT_EQ(cache.currentBytes(), 0u);
-    EXPECT_EQ(cache.evictionCount(), uint64_t(builds.load()));
+    EXPECT_EQ(cacheStat(cache, "cache.entries"), 0.0);
+    EXPECT_EQ(cacheStat(cache, "cache.bytes"), 0.0);
+    EXPECT_EQ(cacheStat(cache, "cache.evictions"), double(builds.load()));
 }
 
 TEST(BoundedLru, EvictionStatsDeterministicAcrossThreadCounts)
@@ -574,7 +572,7 @@ TEST(BoundedLru, SweepWithTinyBudgetMatchesUncachedSerial)
         engine.submit(std::move(job));
     const std::vector<SweepResult> &bounded = engine.runAll();
 
-    EXPECT_GE(cache.evictionCount(), 1u)
+    EXPECT_GE(cacheStat(cache, "cache.evictions"), 1.0)
         << "the tiny budget must actually evict";
     ASSERT_EQ(bounded.size(), plain.size());
     for (size_t i = 0; i < plain.size(); ++i) {

@@ -510,6 +510,50 @@ TEST(Compiler, SmallSramForcesSpills)
     EXPECT_EQ(m2.spillLoads, 0u);
 }
 
+TEST(RegAlloc, SpilledValuesCountedOnce)
+{
+    // Ten computed values, all live until they are stored in order, on
+    // an 8-register SRAM: 7 registers are allocatable next to the one
+    // scratch register, and the load feeding the next value holds one
+    // of them, so 6 values stay resident and exactly 4 spill under
+    // either policy, each stored once and reloaded once. A
+    // one-instruction issue window keeps reload pressure at one reload
+    // per instruction, so the scratch pool stays at one register and
+    // the allocation runs once.
+    IrProgram prog;
+    prog.degree = 1 << 12;
+    prog.lanes = 64;
+    IrBuilder b(prog);
+    const int in = b.object("in", 10, false);
+    const int out = b.object("out", 10, false);
+    std::vector<PolyVal> values;
+    for (int i = 0; i < 10; ++i)
+        values.push_back(b.addImm(b.load(in, i, 1), 1));
+    for (int i = 0; i < 10; ++i)
+        b.store(out, i, values[size_t(i)]);
+
+    std::vector<int> order(prog.insts.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = int(i);
+    for (RegAllocPolicy policy :
+         {RegAllocPolicy::Linear, RegAllocPolicy::Priority}) {
+        CompilerOptions opts;
+        opts.regalloc = policy;
+        opts.sramBytes = 8 * prog.degree * 8;
+        opts.issueWindow = 1;
+        StatSet stats;
+        const StreamingInfo streaming =
+            runStreaming(prog, order, false, opts.fifoDepth, stats);
+        const MachineProgram mp =
+            runRegAllocAndCodegen(prog, order, streaming, opts, stats);
+        EXPECT_EQ(stats.get("regalloc.registers"), 8.0);
+        EXPECT_EQ(stats.get("regalloc.scratchRegs"), 1.0);
+        EXPECT_EQ(stats.get("regalloc.spilledValues"), 4.0);
+        EXPECT_EQ(mp.spillStores, 4u);
+        EXPECT_EQ(mp.spillLoads, 4u);
+    }
+}
+
 TEST(Compiler, OptimizationReducesInstructionCount)
 {
     // The paper reports its code optimizer removes 12.9% of the

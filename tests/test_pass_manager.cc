@@ -379,16 +379,15 @@ TEST(Equivalence, ExplicitMiddleAndBackEndComposeToCompile)
         Compiler compiler(opts);
 
         Workload whole = buildDbLookup(FheParams{12, 6, 2}, 32);
-        AnalysisManager am1;
         const MachineProgram via_compile =
-            compiler.compile(whole.program, am1);
+            compiler.compile(whole.program);
 
         Workload split = buildDbLookup(FheParams{12, 6, 2}, 32);
-        AnalysisManager am2;
+        AnalysisManager analyses;
         StatSet stats;
-        compiler.runMiddleEnd(split.program, am2, stats);
+        compiler.runMiddleEnd(split.program, analyses, stats);
         const MachineProgram via_split =
-            compiler.runBackEnd(split.program, am2, stats);
+            compiler.runBackEnd(split.program, analyses, stats);
 
         EXPECT_EQ(fingerprint(via_compile), fingerprint(via_split));
         // Same optimized IR too: the middle end is a pure function of
@@ -515,9 +514,7 @@ TEST(Equivalence, OptimizedPresetShrinksAndStaysDeterministic)
 
         IrProgram again_prog = w.program;
         Compiler again_compiler(opt_opts);
-        AnalysisManager analyses;
-        const MachineProgram again =
-            again_compiler.compile(again_prog, analyses);
+        const MachineProgram again = again_compiler.compile(again_prog);
         EXPECT_EQ(fingerprint(again), fingerprint(opt)) << name;
     }
 }

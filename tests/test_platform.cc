@@ -9,7 +9,6 @@
 #include <chrono>
 
 #include "compiler/compile_cache.h"
-#include "compiler/pass_manager.h"
 #include "model/area_power.h"
 #include "model/baselines.h"
 #include "model/efficiency.h"
@@ -122,7 +121,6 @@ TEST(Platform, SharedCompileCacheAcrossHardwarePointsIsTransparent)
         size_t(6) << 20, size_t(3) << 20, size_t(12) << 20};
 
     CompileCache cache;
-    AnalysisManager analyses;
     for (size_t i = 0; i < sram_points.size(); ++i) {
         HardwareConfig hw = HardwareConfig::asicEffact27();
         hw.sramBytes = sram_points[i];
@@ -131,8 +129,7 @@ TEST(Platform, SharedCompileCacheAcrossHardwarePointsIsTransparent)
         Platform platform(hw, copts);
 
         Workload cached_w = smallBoot();
-        const PlatformResult cached =
-            platform.run(cached_w, analyses, &cache);
+        const PlatformResult cached = platform.run(cached_w, &cache);
         EXPECT_EQ(cached.compilerStats.get("cache.hit"), i == 0 ? 0.0
                                                                 : 1.0);
 

@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "compiler/compile_cache.h"
 #include "runtime/sweep.h"
@@ -84,39 +86,6 @@ TEST(ThreadPool, ZeroThreadRequestStillRuns)
     pool.submit([&counter](size_t) { ++counter; });
     pool.wait();
     EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, NestedGroupsDoNotDeadlock)
-{
-    // Two-level nesting on a one-thread pool: each outer group task
-    // fans out an inner group and waits on it. `Group::wait` must help
-    // run its own queued tasks instead of sleeping, or the lone worker
-    // (blocked in an inner wait) deadlocks here.
-    ThreadPool pool(1);
-    std::vector<size_t> sums(3, 0);
-    ThreadPool::Group outer(pool);
-    for (size_t c = 0; c < sums.size(); ++c) {
-        outer.submit([&pool, &sums, c](size_t) {
-            std::vector<size_t> parts(4, 0);
-            ThreadPool::Group inner(pool);
-            for (size_t p = 0; p < parts.size(); ++p) {
-                inner.submit([&parts, p](size_t) {
-                    size_t s = 0;
-                    for (size_t i = p * 4096; i < (p + 1) * 4096; ++i)
-                        s += i % 7;
-                    parts[p] = s;
-                });
-            }
-            inner.wait();
-            size_t total = 0;
-            for (size_t part : parts)
-                total += part;
-            sums[c] = total + c;
-        });
-    }
-    outer.wait();
-    EXPECT_EQ(sums[1], sums[0] + 1);
-    EXPECT_EQ(sums[2], sums[0] + 2);
 }
 
 // --- SweepEngine ----------------------------------------------------------
@@ -364,7 +333,7 @@ TEST(SweepEngine, MoreThreadsThanJobsIsFine)
     EXPECT_GT(results[0].platform.sim.cycles, 0.0);
 }
 
-// --- Verified sweeps, external pools, per-stage timers -------------------
+// --- Verified sweeps, concurrency bound, per-stage timers ---------------
 
 /** The serial oracle for a grid, with a forced verify level. */
 std::vector<SweepResult>
@@ -436,46 +405,14 @@ TEST(SweepEngine, VerifiedPresetSweepMatchesSerialOracle)
     expectSameResults(engine.runAll(), oracle, "verified presets");
 }
 
-TEST(SweepEngine, ExternalPoolMatchesPrivatePool)
-{
-    // A caller-owned long-lived pool (the service daemon's) must be
-    // byte-identical to the engine's private per-run pool, and reusable
-    // across consecutive batches without re-spawning workers.
-    const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-
-    ThreadPool pool(4);
-    CompileCache cache;
-    for (int batch = 0; batch < 2; ++batch) {
-        SweepOptions o;
-        o.threads = 4;
-        o.compileCache = &cache;
-        o.pool = &pool;
-        SweepEngine engine(o);
-        for (const SweepJob &job : jobs)
-            engine.submit(job);
-        expectSameResults(engine.runAll(), oracle,
-                          "external pool batch " + std::to_string(batch));
-    }
-    // The pool survives the engines and still accepts work.
-    std::atomic<int> counter{0};
-    pool.submit([&counter](size_t) { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(SweepEngine, StageTimersPresentOnEveryPath)
 {
     // Every job reports its per-stage wall clock — IR build, middle
-    // end, back end, simulate — on the serial path, a private pool and
-    // an external pool alike.
+    // end, back end, simulate — on the serial and the pooled path alike.
     const std::vector<SweepJob> jobs = smallGrid();
-    ThreadPool external(3);
-    for (const char *path : {"serial", "private", "external"}) {
+    for (const char *path : {"serial", "pooled"}) {
         SweepOptions o;
         o.threads = std::string(path) == "serial" ? 1 : 3;
-        if (std::string(path) == "external")
-            o.pool = &external;
         SweepEngine engine(o);
         for (const SweepJob &job : jobs)
             engine.submit(job);
@@ -486,6 +423,34 @@ TEST(SweepEngine, StageTimersPresentOnEveryPath)
               "job.backend.ms.count", "job.sim.ms.count"})
             EXPECT_EQ(agg.get(key), double(jobs.size())) << path << key;
     }
+}
+
+TEST(SweepEngine, RunsAtMostThreadsJobsAtOnce)
+{
+    // `threads` bounds the jobs in flight: the calling thread waits
+    // instead of running jobs itself. Each build holds its job in
+    // flight long enough for every worker to start one.
+    std::mutex mu;
+    size_t in_flight = 0;
+    size_t peak = 0;
+    SweepEngine engine({2});
+    for (SweepJob &job : smallGrid()) {
+        job.build = [build = job.build, &mu, &in_flight, &peak] {
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                peak = std::max(peak, ++in_flight);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            Workload w = build();
+            std::lock_guard<std::mutex> lock(mu);
+            --in_flight;
+            return w;
+        };
+        engine.submit(std::move(job));
+    }
+    engine.runAll();
+    EXPECT_EQ(peak, 2u);
+    EXPECT_EQ(engine.workersUsed(), 2u);
 }
 
 TEST(DefaultThreadCount, IsPositive)

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "platform/platform.h"
 #include "runtime/sweep.h"
 #include "service/service.h"
@@ -616,7 +617,7 @@ TEST(Replay, FiftyRequestSessionMatchesUncachedSerialOracleByteForByte)
 
     // The acceptance gates: the session genuinely exercised eviction
     // and rejection, not just the happy path.
-    EXPECT_GE(session.cache().evictionCount(), 1u);
+    EXPECT_GE(session.cache().statsSnapshot().get("cache.evictions"), 1.0);
     EXPECT_EQ(session.statsSnapshot().get("service.rejected"), 15.0)
         << "7-deep queue x 10-request bursts -> 3 rejections per burst";
     EXPECT_EQ(session.statsSnapshot().get("service.accepted"), 35.0);
@@ -662,7 +663,7 @@ TEST(Replay, ReplayingTheSameLogTwiceIsByteIdentical)
     ASSERT_TRUE(replayFrames(frames, cached, &c, &error)) << error;
     EXPECT_EQ(concatCanonical(c.results), concatCanonical(a.results));
     EXPECT_GT(cached.statsSnapshot().get("cache.hits"), 0.0);
-    EXPECT_EQ(cached.cache().evictionCount(), 0u);
+    EXPECT_EQ(cached.cache().statsSnapshot().get("cache.evictions"), 0.0);
 }
 
 TEST(Replay, LogRoundTripsThroughTheWriterAndLoader)
@@ -867,6 +868,23 @@ TEST(ServiceDefaults, EnvironmentOverridesParse)
         ::setenv("EFFACT_THREADS", threads_before.c_str(), 1);
     else
         ::unsetenv("EFFACT_THREADS");
+}
+
+TEST(ServiceDefaults, SizeFlagsParseDigitsOnly)
+{
+    // The one parser behind the env defaults and the effact-serve /
+    // effact-replay count flags: `--cache-bytes -1` must be rejected,
+    // not read as a 2^64 - 1 byte budget.
+    size_t n = 42;
+    for (const char *bad :
+         {"-1", "+5", " 5", "5x", "", "99999999999999999999999"}) {
+        EXPECT_FALSE(parseSize(bad, &n)) << "'" << bad << "'";
+        EXPECT_EQ(n, 42u) << "'" << bad << "'";
+    }
+    ASSERT_TRUE(parseSize("0", &n));
+    EXPECT_EQ(n, 0u);
+    ASSERT_TRUE(parseSize("3", &n));
+    EXPECT_EQ(n, 3u);
 }
 
 TEST(ServiceDefaults, OracleOptionsKeepAdmissionConfig)

@@ -572,16 +572,15 @@ TEST(Checkpoints, VerifyLevelSharesCompileCacheEntries)
     CompilerOptions opts;
     opts.verifyLevel = 1;
     IrProgram first = tinyProgram();
-    AnalysisManager analyses;
     Compiler compiler(opts);
-    compiler.compile(first, analyses, &cache);
+    compiler.compile(first, &cache);
     EXPECT_EQ(compiler.stats().get("cache.hit"), 0.0);
     const double miss_checks = compiler.stats().get("verify.checks");
 
     opts.verifyLevel = 0;
     IrProgram second = tinyProgram();
     Compiler unverified(opts);
-    unverified.compile(second, analyses, &cache);
+    unverified.compile(second, &cache);
     EXPECT_EQ(unverified.stats().get("cache.hit"), 1.0);
     // The replayed snapshot stats carry the miss's middle-end verify
     // counters (hit == miss byte-identity), even though the hit itself
