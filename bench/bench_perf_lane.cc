@@ -1,20 +1,21 @@
 /**
  * @file
- * CI perf lane: three headline measurements — simulator throughput on
- * the paper-scale bootstrapping trace (`bench_sim_speed`'s event-driven
- * core), the `bench_fig11_ablation` 15-job preset x SRAM grid on the
- * `SweepEngine` with a shared `CompileCache`, and the per-optimization
- * win matrix (each PR 10 optimization isolated against the full
- * preset) — emitted as one machine-readable `BENCH_sweep.json`
- * (cycles, wall-clock ms, cache hit stats, thread count, per-job
- * fingerprints).
+ * CI perf lane: four headline measurements — simulator throughput and
+ * peak RSS on the paper-scale bootstrapping trace (`bench_sim_speed`'s
+ * event-driven core), the `bench_fig11_ablation` 15-job preset x SRAM
+ * grid on the `SweepEngine` with a shared `CompileCache`, the
+ * per-optimization win matrix (each PR 10 optimization isolated
+ * against the full preset), and the paper grid (every paper workload
+ * x preset x SRAM point) — emitted as one machine-readable
+ * `BENCH_sweep.json` (cycles, wall-clock ms, peak RSS, cache hit
+ * stats, thread count, per-job fingerprints).
  *
  * CI uploads the file as an artifact on every push (the perf
  * trajectory) and gates on `bench/check_regression.py` against the
  * checked-in `bench/baseline.json`: deterministic fields (cycles,
- * fingerprints) must match exactly, wall-clock may regress at most 25%
- * (env-overridable). Regenerate the baseline deliberately with
- * `bench/regen_baseline.sh`.
+ * fingerprints) must match exactly, wall-clock and peak RSS may regress
+ * at most 25% (env-overridable). Regenerate the baseline deliberately
+ * with `bench/regen_baseline.sh`.
  *
  * Usage: bench_perf_lane [output.json]   (default: BENCH_sweep.json)
  */
@@ -23,6 +24,8 @@
 #include <functional>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_common.h"
 #include "common/logging.h"
@@ -39,12 +42,41 @@ msSince(const Clock::time_point &t0)
         .count();
 }
 
+/** Process high-water RSS so far, in MiB (`ru_maxrss` is KiB on Linux). */
+double
+peakRssMb()
+{
+    struct rusage usage = {};
+    getrusage(RUSAGE_SELF, &usage);
+    return double(usage.ru_maxrss) / 1024.0;
+}
+
+/** One Fig. 11 compiler preset; `macReuse` is its Fig. 11 hardware
+ *  point (the paper grid keeps the stock hardware instead). */
+struct Preset
+{
+    const char *name;
+    CompilerOptions (*options)(size_t);
+    bool macReuse;
+};
+
+const std::vector<Preset> kPresets = {
+    {"baseline", Platform::baselineOptions, false},
+    {"MAD-enhanced", Platform::madEnhancedOptions, false},
+    {"streaming", Platform::streamingOptions, false},
+    {"full", Platform::fullOptions, true},
+    {"optimized", Platform::optimizedOptions, true},
+};
+
 struct SimSpeedResult
 {
     size_t instructions = 0;
     double cycles = 0;
     double compileWallMs = 0;
     double simWallMs = 0; ///< best of 3
+    /** Process peak RSS (MiB) after one uncached `full` compile plus
+     *  three simulations of the paper job. */
+    double peakRssMb = 0;
 };
 
 /** The `bench_sim_speed` measurement: event-driven core throughput on
@@ -71,6 +103,7 @@ measureSimSpeed()
         r.cycles = report.cycles;
     }
     r.simWallMs = best;
+    r.peakRssMb = peakRssMb(); // the lane's first step: nothing else ran
     return r;
 }
 
@@ -91,19 +124,6 @@ runFig11Grid()
     HardwareConfig hw = HardwareConfig::asicEffact27();
     hw.hbmBytesPerSec = 1.0e12;
 
-    struct Step
-    {
-        const char *name;
-        CompilerOptions (*options)(size_t);
-        bool mac_reuse;
-    };
-    const std::vector<Step> steps = {
-        {"baseline", Platform::baselineOptions, false},
-        {"MAD-enhanced", Platform::madEnhancedOptions, false},
-        {"streaming", Platform::streamingOptions, false},
-        {"full", Platform::fullOptions, true},
-        {"optimized", Platform::optimizedOptions, true},
-    };
     const std::vector<size_t> sram_points = {
         size_t(27) << 20, size_t(13) << 20, size_t(54) << 20};
 
@@ -113,9 +133,9 @@ runFig11Grid()
     // compiler and simulator, never the checkpoint verifiers.
     SweepEngine engine({defaultThreadCount(), &cache, /*verifyLevel=*/0});
     for (size_t sram : sram_points) {
-        for (const Step &step : steps) {
+        for (const Preset &step : kPresets) {
             HardwareConfig cfg = hw;
-            cfg.nttMacReuse = step.mac_reuse;
+            cfg.nttMacReuse = step.macReuse;
             cfg.sramBytes = sram;
             engine.submit(std::string(step.name) + "/sram" +
                               std::to_string(sram >> 20),
@@ -132,16 +152,16 @@ runFig11Grid()
 
     // The hardware-split invariant the lane records: one middle-end
     // pipeline run per preset, at any thread count.
-    EFFACT_ASSERT(grid.cacheStats.get("cache.misses") ==
-                      double(steps.size()),
-                  "expected %zu middle-end runs, saw %.0f", steps.size(),
+    const size_t presets = kPresets.size();
+    EFFACT_ASSERT(grid.cacheStats.get("cache.misses") == double(presets),
+                  "expected %zu middle-end runs, saw %.0f", presets,
                   grid.cacheStats.get("cache.misses"));
     // The combined optimized preset never loses to the full preset at
     // any SRAM point (jobs are submitted preset-major per SRAM point,
     // so full/optimized are adjacent).
-    for (size_t i = 0; i + 1 < grid.results.size(); i += steps.size()) {
-        const SweepResult &full = grid.results[i + steps.size() - 2];
-        const SweepResult &opt = grid.results[i + steps.size() - 1];
+    for (size_t i = 0; i + 1 < grid.results.size(); i += presets) {
+        const SweepResult &full = grid.results[i + presets - 2];
+        const SweepResult &opt = grid.results[i + presets - 1];
         EFFACT_ASSERT(opt.platform.sim.cycles <= full.platform.sim.cycles,
                       "optimized preset regressed at %s: %.0f > %.0f",
                       opt.name.c_str(), opt.platform.sim.cycles,
@@ -264,6 +284,58 @@ measureOptimizationWins()
     return rows;
 }
 
+// --- Paper workload grid ---------------------------------------------------
+
+/** One (workload, preset, SRAM) job of the paper grid. */
+struct PaperRow
+{
+    std::string workload;
+    std::string preset;
+    size_t sramMb = 0;
+    double cycles = 0;
+    uint64_t fingerprint = 0;
+};
+
+/**
+ * The fixed point for every paper workload: the four
+ * `buildAllBenchmarks` workloads plus TFHE gate bootstrapping, x the
+ * five presets x {13, 27, 54} MB of SRAM on stock ASIC-EFFACT-27, on
+ * the engine with a shared compile cache. Cycles and fingerprints are
+ * gated exactly (`paper_grid.results`), so a change that alters any
+ * workload's machine code fails the lane, not only bootstrapping's.
+ */
+std::vector<PaperRow>
+measurePaperGrid()
+{
+    std::vector<std::pair<std::string, Workload>> workloads =
+        buildAllBenchmarks(paperFhe());
+    workloads.emplace_back("TFHE", buildTfheBootstrap());
+    const std::vector<size_t> sram_mb = {13, 27, 54};
+
+    CompileCache cache;
+    SweepEngine engine({defaultThreadCount(), &cache, /*verifyLevel=*/0});
+    std::vector<PaperRow> rows;
+    for (const auto &[wname, w] : workloads) {
+        for (size_t mb : sram_mb) {
+            for (const Preset &p : kPresets) {
+                HardwareConfig hw = HardwareConfig::asicEffact27();
+                hw.sramBytes = mb << 20;
+                engine.submit(wname + "/" + p.name + "/sram" +
+                                  std::to_string(mb),
+                              [&w = w] { return w; }, hw,
+                              p.options(hw.sramBytes));
+                rows.push_back({wname, p.name, mb});
+            }
+        }
+    }
+    const std::vector<SweepResult> &results = engine.runAll();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        rows[i].cycles = results[i].platform.sim.cycles;
+        rows[i].fingerprint = results[i].platform.machineFingerprint;
+    }
+    return rows;
+}
+
 int
 emit(const char *path)
 {
@@ -279,6 +351,7 @@ emit(const char *path)
     const SimSpeedResult speed = measureSimSpeed();
     const GridResult grid = runFig11Grid();
     const std::vector<WinRow> wins = measureOptimizationWins();
+    const std::vector<PaperRow> paper = measurePaperGrid();
 
     std::FILE *f = std::fopen(path, "w");
     if (f == nullptr) {
@@ -293,8 +366,9 @@ emit(const char *path)
     std::fprintf(f, "    \"compile_wall_ms\": %.3f,\n",
                  speed.compileWallMs);
     std::fprintf(f, "    \"sim_wall_ms\": %.3f,\n", speed.simWallMs);
-    std::fprintf(f, "    \"insts_per_sec\": %.0f\n",
+    std::fprintf(f, "    \"insts_per_sec\": %.0f,\n",
                  double(speed.instructions) / (speed.simWallMs / 1e3));
+    std::fprintf(f, "    \"peak_rss_mb\": %.1f\n", speed.peakRssMb);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"fig11_grid\": {\n");
     std::fprintf(f, "    \"jobs\": %zu,\n", grid.results.size());
@@ -337,17 +411,33 @@ emit(const char *path)
                      i + 1 < wins.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");
+    std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"paper_grid\": {\n");
+    std::fprintf(f, "    \"jobs\": %zu,\n", paper.size());
+    std::fprintf(f, "    \"results\": [\n");
+    for (size_t i = 0; i < paper.size(); ++i) {
+        const PaperRow &r = paper[i];
+        std::fprintf(f,
+                     "      {\"workload\": \"%s\", \"preset\": \"%s\", "
+                     "\"sram_mb\": %zu, \"cycles\": %.0f, "
+                     "\"fingerprint\": \"0x%016" PRIx64 "\"}%s\n",
+                     r.workload.c_str(), r.preset.c_str(), r.sramMb,
+                     r.cycles, r.fingerprint,
+                     i + 1 < paper.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]\n");
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
 
     std::fprintf(stderr,
-                 "[perf] sim: %zu insts, %.0f cycles, %.1f ms | grid: "
-                 "%zu jobs on %zu worker(s), %.1f ms, %.0f middle-end "
-                 "run(s)\n",
+                 "[perf] sim: %zu insts, %.0f cycles, %.1f ms, peak RSS "
+                 "%.1f MB | grid: %zu jobs on %zu worker(s), %.1f ms, "
+                 "%.0f middle-end run(s) | paper grid: %zu jobs\n",
                  speed.instructions, speed.cycles, speed.simWallMs,
-                 grid.results.size(), grid.threads, grid.wallMs,
-                 grid.cacheStats.get("cache.misses"));
+                 speed.peakRssMb, grid.results.size(), grid.threads,
+                 grid.wallMs, grid.cacheStats.get("cache.misses"),
+                 paper.size());
     std::printf("wrote %s\n", path);
     return 0;
 }

@@ -5,9 +5,10 @@ Understands two schemas, dispatched on the "schema" field (current
 and baseline must agree):
 
 - effact-bench-sweep-v1 (bench_perf_lane -> BENCH_sweep.json vs
-  bench/baseline.json): simulator throughput + the fig11 preset x SRAM
-  grid + the per-optimization win matrix (opt_wins), including per-job
-  cycles/fingerprint matching.
+  bench/baseline.json): simulator throughput and peak RSS, the fig11
+  preset x SRAM grid, the per-optimization win matrix (opt_wins) and
+  the paper grid (every paper workload x preset x SRAM point), with
+  per-row cycles/fingerprint matching.
 
 - effact-bench-kernels-v1 (bench_kernels -> BENCH_kernels.json vs
   bench/baseline_kernels.json): the SIMD kernel-tier microbench. The
@@ -24,11 +25,12 @@ Two classes of comparison:
   the baseline deliberately with bench/regen_baseline.sh and commit it
   with the change that moved the numbers.
 
-- Wall-clock fields (`*_wall_ms` / `wall_ms`): machine-dependent and
-  noisy. The gate fails only on a regression beyond the threshold
-  (default 25%; override with EFFACT_PERF_THRESHOLD=<fraction> or
-  --threshold for noisy runners). Improvements are reported, never
-  failed, so the recorded trajectory can drift downward freely.
+- Lower-is-better host fields (`*_wall_ms` / `wall_ms`, and
+  `peak_rss_mb`): machine-dependent and noisy. The gate fails only on a
+  regression beyond the threshold (default 25%; override with
+  EFFACT_PERF_THRESHOLD=<fraction> or --threshold for noisy runners).
+  Improvements are reported, never failed, so the recorded trajectory
+  can drift downward freely.
 
 Exit status: 0 clean, 1 regression/mismatch, 2 usage or schema error.
 
@@ -58,8 +60,9 @@ def get(tree, dotted):
 
 
 # Per-schema key lists: deterministic scalars compared exactly,
-# wall-clock scalars gated by the threshold, and whether the schema
-# carries the fig11 per-job results array.
+# lower-is-better host scalars gated by the threshold, and the per-job
+# result sections, each a (section, key fields) pair whose rows are
+# matched by key and compared exactly on cycles + fingerprint.
 SCHEMAS = {
     "effact-bench-sweep-v1": {
         "exact": [
@@ -70,14 +73,22 @@ SCHEMAS = {
             "fig11_grid.cache.middle_end_runs",
             "fig11_grid.cache.hits",
             "opt_wins.jobs",
+            "paper_grid.jobs",
         ],
-        "wall": [
+        "threshold": [
             "sim_speed.sim_wall_ms",
             "sim_speed.compile_wall_ms",
+            "sim_speed.peak_rss_mb",
             "fig11_grid.wall_ms",
         ],
-        "grid": True,
-        "wins": True,
+        "rows": [
+            ("fig11_grid", ("name", "sram_mb")),
+            # The binary already asserts each optimization strictly
+            # improves somewhere; this re-checks the measured numbers
+            # are the ones the baseline commit recorded.
+            ("opt_wins", ("workload", "opt", "sram_mb")),
+            ("paper_grid", ("workload", "preset", "sram_mb")),
+        ],
     },
     # The kernel bench gates the scalar-vs-vector microbench walls and
     # the cross-tier output fingerprint. `tiers_exercised` and the
@@ -89,7 +100,7 @@ SCHEMAS = {
             "kernels.fingerprint",
             "kernels.degree",
         ],
-        "wall": [
+        "threshold": [
             "kernels.ntt_forward.scalar_wall_ms",
             "kernels.ntt_forward.vector_wall_ms",
             "kernels.ntt_inverse.scalar_wall_ms",
@@ -101,9 +112,45 @@ SCHEMAS = {
             "kernels.bconv_montgomery.scalar_wall_ms",
             "kernels.bconv_montgomery.vector_wall_ms",
         ],
-        "grid": False,
+        "rows": [],
     },
 }
+
+
+def check_rows(current, baseline, section, key_fields):
+    """Matches the section's result rows by key; cycles and fingerprint
+    must equal the baseline's exactly. Returns 0 clean, 1 mismatch."""
+
+    def row_map(tree):
+        return {
+            tuple(row[k] for k in key_fields): row
+            for row in get(tree, f"{section}.results")
+        }
+
+    try:
+        cur_rows, base_rows = row_map(current), row_map(baseline)
+    except KeyError:
+        return fail(f"{section}.results: missing")
+    status = 0
+    if set(cur_rows) != set(base_rows):
+        status |= fail(
+            f"{section} shape changed: "
+            f"{sorted(set(cur_rows) ^ set(base_rows))}"
+        )
+    for key in sorted(set(cur_rows) & set(base_rows)):
+        cur, base = cur_rows[key], base_rows[key]
+        for field in ("cycles", "fingerprint"):
+            if cur.get(field) != base.get(field):
+                status |= fail(
+                    f"{section} {'/'.join(map(str, key))}.{field}: "
+                    f"{cur.get(field)} != baseline {base.get(field)}"
+                )
+    if not status:
+        print(
+            f"ok   {len(cur_rows)} {section} rows: cycles + fingerprints "
+            "match"
+        )
+    return status
 
 
 def main():
@@ -116,7 +163,7 @@ def main():
         # `or "0.25"` also covers the env var exported as an empty
         # string (CI does that when the repo variable is unset).
         default=float(os.environ.get("EFFACT_PERF_THRESHOLD") or "0.25"),
-        help="max tolerated wall-clock regression as a fraction "
+        help="max tolerated wall-clock/RSS regression as a fraction "
         "(default 0.25 = 25%%; env: EFFACT_PERF_THRESHOLD)",
     )
     args = parser.parse_args()
@@ -158,84 +205,27 @@ def main():
         else:
             print(f"ok   {key}: {cur}")
 
-    if schema["grid"]:
-        # Per-job deterministic results, matched by (name, sram_mb).
-        def job_map(tree, name):
-            jobs = {}
-            for job in get(tree, "fig11_grid.results"):
-                jobs[(job["name"], job["sram_mb"])] = job
-            return jobs
+    for section, key_fields in schema["rows"]:
+        status |= check_rows(current, baseline, section, key_fields)
 
-        cur_jobs, base_jobs = job_map(current, "current"), job_map(
-            baseline, "baseline"
-        )
-        if set(cur_jobs) != set(base_jobs):
-            status |= fail(
-                f"grid shape changed: "
-                f"{sorted(set(cur_jobs) ^ set(base_jobs))}"
-            )
-        for key in sorted(set(cur_jobs) & set(base_jobs)):
-            cur, base = cur_jobs[key], base_jobs[key]
-            for field in ("cycles", "fingerprint"):
-                if cur.get(field) != base.get(field):
-                    status |= fail(
-                        f"{key[0]}/sram{key[1]}.{field}: "
-                        f"{cur.get(field)} != baseline {base.get(field)}"
-                    )
-        if not status:
-            print(
-                f"ok   {len(cur_jobs)} grid jobs: cycles + fingerprints "
-                "match"
-            )
-
-    if schema.get("wins"):
-        # Per-optimization win rows, matched by (workload, opt, sram_mb).
-        # The binary already asserts each optimization strictly improves
-        # somewhere; this re-checks the measured numbers are the ones the
-        # baseline commit recorded.
-        def win_map(tree):
-            rows = {}
-            for row in get(tree, "opt_wins.results"):
-                rows[(row["workload"], row["opt"], row["sram_mb"])] = row
-            return rows
-
-        cur_rows, base_rows = win_map(current), win_map(baseline)
-        if set(cur_rows) != set(base_rows):
-            status |= fail(
-                f"opt_wins shape changed: "
-                f"{sorted(set(cur_rows) ^ set(base_rows))}"
-            )
-        for key in sorted(set(cur_rows) & set(base_rows)):
-            cur, base = cur_rows[key], base_rows[key]
-            for field in ("cycles", "fingerprint"):
-                if cur.get(field) != base.get(field):
-                    status |= fail(
-                        f"{key[0]}/{key[1]}/sram{key[2]}.{field}: "
-                        f"{cur.get(field)} != baseline {base.get(field)}"
-                    )
-        if not status:
-            print(
-                f"ok   {len(cur_rows)} opt-win rows: cycles + "
-                "fingerprints match"
-            )
-
-    for key in schema["wall"]:
+    for key in schema["threshold"]:
         try:
             cur, base = get(current, key), get(baseline, key)
         except KeyError:
             status |= fail(f"{key}: missing")
             continue
+        unit = "MB" if key.endswith("_mb") else "ms"
         ratio = cur / base if base > 0 else float("inf")
         if ratio > 1.0 + args.threshold:
             status |= fail(
-                f"{key}: {cur:.1f} ms vs baseline {base:.1f} ms "
+                f"{key}: {cur:.1f} {unit} vs baseline {base:.1f} {unit} "
                 f"(+{(ratio - 1) * 100:.1f}% > {args.threshold * 100:.0f}% "
                 "budget; EFFACT_PERF_THRESHOLD overrides on noisy runners)"
             )
         else:
             print(
-                f"ok   {key}: {cur:.1f} ms vs baseline {base:.1f} ms "
-                f"({(ratio - 1) * 100:+.1f}%)"
+                f"ok   {key}: {cur:.1f} {unit} vs baseline {base:.1f} "
+                f"{unit} ({(ratio - 1) * 100:+.1f}%)"
             )
 
     print("perf gate:", "FAILED" if status else "clean")

@@ -27,6 +27,32 @@ toOpcode(IrOp op)
     panic("bad IrOp");
 }
 
+/**
+ * Spill reloads emitted ahead of non-load instruction `i`: one per
+ * source operand whose value was spilled (`emitOne`'s `operandFor`). A
+ * streamed store reads its operand from the producer's FIFO instead.
+ * The scratch-pressure scan and the exact emission count both use this
+ * rule.
+ */
+uint32_t
+reloadsFor(const IrProgram &prog, size_t i, const StreamingInfo &streaming,
+           const std::vector<uint8_t> &spilled)
+{
+    const IrInst &inst = prog.insts[i];
+    if (inst.op == IrOp::Store)
+        return !streaming.streamedStore[i] && inst.a >= 0 && spilled[inst.a]
+                   ? 1
+                   : 0;
+    uint32_t cnt = 0;
+    if (inst.a >= 0 && spilled[inst.a])
+        ++cnt;
+    if (!inst.useImm && inst.b >= 0 && spilled[inst.b])
+        ++cnt;
+    if (inst.op == IrOp::Mac && inst.c >= 0 && spilled[inst.c])
+        ++cnt;
+    return cnt;
+}
+
 /** Read-only allocation results the emission reads. */
 struct EmitCtx
 {
@@ -376,24 +402,9 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
             std::max<size_t>(opts.issueWindow, 1);
         std::vector<uint32_t> reloads;
         reloads.reserve(order.size());
-        for (int idx : order) {
-            const IrInst &inst = prog.insts[static_cast<size_t>(idx)];
-            uint32_t cnt = 0;
-            if (inst.op == IrOp::Store) {
-                if (!streaming.streamedStore[static_cast<size_t>(idx)] &&
-                    inst.a >= 0 && spilled[inst.a])
-                    ++cnt;
-            } else {
-                if (inst.a >= 0 && spilled[inst.a])
-                    ++cnt;
-                if (!inst.useImm && inst.b >= 0 && spilled[inst.b])
-                    ++cnt;
-                if (inst.op == IrOp::Mac && inst.c >= 0 &&
-                    spilled[inst.c])
-                    ++cnt;
-            }
-            reloads.push_back(cnt);
-        }
+        for (int idx : order)
+            reloads.push_back(reloadsFor(prog, static_cast<size_t>(idx),
+                                         streaming, spilled));
         size_t in_window = 0, pressure = 0;
         for (size_t k = 0; k < reloads.size(); ++k) {
             in_window += reloads[k];
@@ -453,12 +464,28 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                      spill_addr, obj_base,  residue_bytes,
                      alloc_regs, num_scratch};
 
-    // One append loop in schedule order; a heuristic reserve avoids
-    // the worst reallocation churn.
-    mp.insts.reserve(order.size() + order.size() / 4);
+    // One append loop in schedule order into a buffer of exactly the
+    // emitted size, counted with `emitOne`'s rules: a load emits itself
+    // unless it is streamed or rematerialized, and never a spill store
+    // (a spilled mutable load's reloads read a slot nothing writes, a
+    // known defect); any other instruction emits its reloads, itself,
+    // and a spill store if its value was spilled.
+    size_t emitted = 0;
+    for (int idx : order) {
+        const size_t i = static_cast<size_t>(idx);
+        if (prog.insts[i].op == IrOp::Load)
+            emitted += (streaming.streamedLoad[i] || remat[i]) ? 0 : 1;
+        else
+            emitted += reloadsFor(prog, i, streaming, spilled) + 1 +
+                       (spilled[i] && !remat[i] ? 1 : 0);
+    }
+    mp.insts.reserve(emitted);
     u64 scratch_calls = 0;
     for (int idx : order)
         emitOne(cx, idx, mp, scratch_calls);
+    EFFACT_ASSERT(mp.insts.size() == emitted,
+                  "emission produced %zu machine instructions, counted %zu",
+                  mp.insts.size(), emitted);
 
     for (uint8_t s : streaming.streamedLoad)
         mp.streamedOps += s;

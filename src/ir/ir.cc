@@ -34,11 +34,12 @@ IrProgram::liveCount() const
 void
 IrProgram::compact()
 {
-    if (liveCount() == insts.size())
+    const size_t live = liveCount();
+    if (live == insts.size())
         return; // nothing dead: ids (and cached analyses) stay valid
     std::vector<int> remap(insts.size(), -1);
     std::vector<IrInst> kept;
-    kept.reserve(insts.size());
+    kept.reserve(live); // exact: the back end keeps this buffer to the end
     for (size_t i = 0; i < insts.size(); ++i) {
         if (insts[i].dead)
             continue;

@@ -101,7 +101,12 @@ struct IrProgram
     /** Number of live (non-dead) instructions. */
     size_t liveCount() const;
 
-    /** Compacts dead instructions and renumbers value ids. */
+    /**
+     * Compacts dead instructions and renumbers value ids. When anything
+     * was dead, the result holds exactly its live instructions
+     * (`insts.capacity() == insts.size()`): the back end and the
+     * simulator keep the compacted program for the rest of the job.
+     */
     void compact();
 
     /**

@@ -42,27 +42,38 @@ enum class OperandKind : uint8_t {
     Imm,    ///< scalar immediate broadcast over the residue
 };
 
-/** One machine operand. */
+/**
+ * One machine operand. Fields are ordered to pack into 16 bytes (the
+ * two one-byte fields share the slot before `reg`).
+ */
 struct Operand
 {
     OperandKind kind = OperandKind::None;
+    bool dram = false; ///< Stream operand fed from DRAM (vs FU FIFO)
     int reg = -1;    ///< register id for Reg
     u64 value = 0;   ///< immediate value, HBM address, or stream token
-    bool dram = false; ///< Stream operand fed from DRAM (vs FU FIFO)
 
     static Operand none() { return {}; }
-    static Operand regOp(int r) { return {OperandKind::Reg, r, 0, false}; }
+    static Operand regOp(int r) { return {OperandKind::Reg, false, r, 0}; }
     static Operand stream(u64 token, bool from_dram = false)
     {
-        return {OperandKind::Stream, -1, token, from_dram};
+        return {OperandKind::Stream, from_dram, -1, token};
     }
-    static Operand imm(u64 v) { return {OperandKind::Imm, -1, v, false}; }
+    static Operand imm(u64 v) { return {OperandKind::Imm, false, -1, v}; }
 };
+static_assert(sizeof(Operand) <= 16, "Operand grew past 16 bytes");
 
-/** A machine instruction. */
+/**
+ * A machine instruction. Fields are ordered to pack into 96 bytes: the
+ * 4-byte scalars fill the slot after `op`, then the four operands and
+ * the two 64-bit payloads. `fingerprint()` hashes fields by name, so
+ * the order here is free.
+ */
 struct MachInst
 {
     Opcode op = Opcode::MMUL;
+    uint32_t modulus = 0; ///< limb prime index (selects FU constants)
+    int irId = -1;        ///< originating IR value (debug/stats)
     Operand dest;
     Operand src0;
     Operand src1;
@@ -75,10 +86,8 @@ struct MachInst
      * write-only.
      */
     Operand src2;
-    uint32_t modulus = 0; ///< limb prime index (selects FU constants)
     u64 imm = 0;          ///< automorphism Galois element, etc.
     u64 hbmAddr = 0;      ///< HBM address for LOAD/STORE/stream fill
-    int irId = -1;        ///< originating IR value (debug/stats)
 
     // --- Edge accessors (dependence construction / resource decode) ----
 
@@ -98,6 +107,8 @@ struct MachInst
                (dramStream(src2) ? 1 : 0);
     }
 };
+
+static_assert(sizeof(MachInst) <= 96, "MachInst grew past 96 bytes");
 
 /** A compiled machine program plus metadata the simulator needs. */
 struct MachineProgram

@@ -39,9 +39,11 @@ Platform::run(Workload &workload, CompileCache *cache) const
         result.benchTimeMs * 1e3 / workload.amortizeFactor;
     result.dramGb = result.sim.dramBytes * workload.repeat / 1e9;
     result.machineFingerprint = fingerprint(mp);
+    const Clock::time_point t4 = Clock::now();
     result.jobStats.set("job.middle.ms", Ms(t1 - t0).count());
     result.jobStats.set("job.backend.ms", Ms(t2 - t1).count());
     result.jobStats.set("job.sim.ms", Ms(t3 - t2).count());
+    result.jobStats.set("job.fingerprint.ms", Ms(t4 - t3).count());
     return result;
 }
 

@@ -39,6 +39,9 @@ DepGraph::finalize()
         sedge_[scur[static_cast<size_t>(e.from)]++] = {e.to, e.kind};
         pedge_[pcur[static_cast<size_t>(e.to)]++] = {e.from, e.kind};
     }
+    // The CSR arrays hold every edge, once per direction; the graph lives
+    // through scheduling and simulation, so drop the raw list.
+    std::vector<Edge>().swap(raw_);
     finalized_ = true;
 }
 

@@ -42,10 +42,11 @@ struct DepEdge
  * order is a topological order — `criticalPath` relies on this.
  *
  * Edges are appended with `addEdge` and compacted into CSR form by
- * `finalize()`; the factory builders return finalized graphs. Duplicate
- * edges are kept (an instruction reading the same value through both
- * source operands counts it twice in the indegree and is woken twice,
- * which keeps the countdown consistent).
+ * `finalize()`, which then releases the appended list; the factory
+ * builders return finalized graphs. Duplicate edges are kept (an
+ * instruction reading the same value through both source operands
+ * counts it twice in the indegree and is woken twice, which keeps the
+ * countdown consistent).
  */
 class DepGraph
 {
@@ -94,7 +95,11 @@ class DepGraph
     void finalize();
 
     size_t size() const { return n_; }
-    size_t edgeCount() const { return raw_.size(); }
+    /** Edges appended so far; after `finalize()`, the CSR edge count. */
+    size_t edgeCount() const
+    {
+        return finalized_ ? sedge_.size() : raw_.size();
+    }
 
     EdgeRange succs(size_t i) const
     {
@@ -118,7 +123,7 @@ class DepGraph
 
   private:
     size_t n_ = 0;
-    std::vector<Edge> raw_;
+    std::vector<Edge> raw_; // appended edges; released by finalize()
     // CSR form, valid after finalize().
     std::vector<uint32_t> soff_, poff_;
     std::vector<DepEdge> sedge_, pedge_;

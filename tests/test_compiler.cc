@@ -11,6 +11,7 @@
 
 #include "compiler/pass.h"
 #include "compiler/pass_manager.h"
+#include "ir/builder.h"
 #include "ir/workloads.h"
 #include "reference_pre.h"
 
@@ -551,6 +552,82 @@ TEST(RegAlloc, SpilledValuesCountedOnce)
         EXPECT_EQ(stats.get("regalloc.spilledValues"), 4.0);
         EXPECT_EQ(mp.spillStores, 4u);
         EXPECT_EQ(mp.spillLoads, 4u);
+        EXPECT_EQ(mp.insts.capacity(), mp.insts.size());
+    }
+}
+
+TEST(RegAlloc, EmissionBufferIsExactlySized)
+{
+    // Every emission path on one streamed schedule: single-use loads
+    // stream into their consumer, single-use results stream to their
+    // store or ride an FU-to-FU FIFO, a read-only key is spilled and
+    // rematerialized from its home address at each use, and a Mac's
+    // spilled accumulator is reloaded. Nine values used twice, the key
+    // and the accumulator are live at once on 8 registers. Emission
+    // reserves exactly the instructions it emits.
+    IrProgram prog;
+    prog.degree = 1 << 12;
+    prog.lanes = 64;
+    IrBuilder b(prog);
+    const int in = b.object("in", 11, false);
+    const int key = b.object("key", 1, true);
+    const int out = b.object("out", 10, false);
+    const int k = b.load(key, 0, 1).limbs[0];
+    const int acc = b.mulImm(b.load(in, 0, 1), 3).limbs[0];
+    std::vector<int> values;
+    for (int i = 0; i < 9; ++i)
+        values.push_back(b.emit1(IrOp::Mul, b.load(in, i + 1, 1).limbs[0],
+                                 k, 0));
+    for (int i = 0; i < 9; ++i) {
+        const int sum = b.emit1(IrOp::Add, values[size_t(i)],
+                                values[size_t(i)], 0);
+        b.store(out, i, b.ntt(PolyVal{{sum}}));
+    }
+    IrInst mac;
+    mac.op = IrOp::Mac;
+    mac.a = b.load(in, 10, 1).limbs[0];
+    mac.b = k;
+    mac.c = acc;
+    const int fused = prog.emit(mac);
+    b.store(out, 9, PolyVal{{fused}});
+
+    std::vector<int> order(prog.insts.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = int(i);
+    for (RegAllocPolicy policy :
+         {RegAllocPolicy::Linear, RegAllocPolicy::Priority}) {
+        CompilerOptions opts;
+        opts.regalloc = policy;
+        opts.sramBytes = 8 * prog.degree * 8;
+        opts.fifoDepth = 4; // the accumulator's use is too far to forward
+        StatSet stats;
+        const StreamingInfo streaming =
+            runStreaming(prog, order, true, opts.fifoDepth, stats);
+        const MachineProgram mp =
+            runRegAllocAndCodegen(prog, order, streaming, opts, stats);
+        EXPECT_GT(stats.get("stream.loads"), 0.0);
+        EXPECT_GT(stats.get("stream.stores"), 0.0);
+        EXPECT_GT(stats.get("stream.fifoForwards"), 0.0);
+
+        // The key is never loaded at its definition, only reloaded
+        // from its home address before each use.
+        size_t key_reloads = 0;
+        bool acc_reloaded = false;
+        for (size_t j = 0; j < mp.insts.size(); ++j) {
+            const MachInst &mi = mp.insts[j];
+            if (mi.op == Opcode::LOAD_RES && mi.irId == k)
+                ++key_reloads;
+            if (mi.op == Opcode::MMAC && j > 0) {
+                const MachInst &prev = mp.insts[j - 1];
+                acc_reloaded = mi.src2.kind == OperandKind::Reg &&
+                               prev.op == Opcode::LOAD_RES &&
+                               prev.irId == acc &&
+                               prev.dest.reg == mi.src2.reg;
+            }
+        }
+        EXPECT_GT(key_reloads, 1u);
+        EXPECT_TRUE(acc_reloaded);
+        EXPECT_EQ(mp.insts.capacity(), mp.insts.size());
     }
 }
 

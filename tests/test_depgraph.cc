@@ -196,6 +196,33 @@ TEST(DepGraphMachine, DuplicateSourceCountsTwice)
     EXPECT_EQ(g.indegrees()[1], 2u);
 }
 
+TEST(DepGraphMachine, EdgeCountIsTheCsrEdgeCount)
+{
+    // After finalize() the raw edge list is gone; edgeCount() reads the
+    // CSR arrays, which hold every edge once per direction.
+    MachineProgram mp;
+    mp.residueBytes = 1 << 12;
+    mp.insts.push_back(compute(Opcode::NTT, Operand::stream(7),
+                               Operand::regOp(1)));
+    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(0),
+                               Operand::stream(7), Operand::regOp(1)));
+    mp.insts.push_back(compute(Opcode::MMAD, Operand::regOp(0),
+                               Operand::regOp(0), Operand::regOp(0)));
+    mp.insts.push_back(compute(Opcode::NTT, Operand::regOp(2),
+                               Operand::regOp(0)));
+
+    DepGraph g = DepGraph::fromMachine(mp);
+    size_t succs = 0, preds = 0;
+    for (size_t i = 0; i < g.size(); ++i) {
+        succs += g.succs(i).size();
+        preds += g.preds(i).size();
+    }
+    // fifo 0 -> 1, r0 1 -> 2 twice plus its WAW, r0 2 -> 3.
+    EXPECT_EQ(g.edgeCount(), 5u);
+    EXPECT_EQ(g.edgeCount(), succs);
+    EXPECT_EQ(g.edgeCount(), preds);
+}
+
 TEST(DepGraphIr, OperandAndAliasEdges)
 {
     IrProgram prog;

@@ -47,22 +47,33 @@ TEST(PaperScale, BootstrappingCompilesAndSimulates)
     }
 }
 
+/**
+ * The full and optimized presets on the paper trace: the event core
+ * matches the legacy loop, and the compacted IR and the emitted machine
+ * program each hold exactly their contents.
+ */
 TEST(PaperScale, EventCoreMatchesLegacyLoopOnFullTrace)
 {
-    Workload w = buildBootstrapping(paperFhe());
     HardwareConfig hw = HardwareConfig::asicEffact27();
-    Compiler compiler(Platform::fullOptions(hw.sramBytes));
-    MachineProgram mp = compiler.compile(w.program);
+    for (const CompilerOptions &opts :
+         {Platform::fullOptions(hw.sramBytes),
+          Platform::optimizedOptions(hw.sramBytes)}) {
+        Workload w = buildBootstrapping(paperFhe());
+        Compiler compiler(opts);
+        MachineProgram mp = compiler.compile(w.program);
+        EXPECT_EQ(w.program.insts.capacity(), w.program.insts.size());
+        EXPECT_EQ(mp.insts.capacity(), mp.insts.size());
 
-    Simulator sim(hw);
-    SimReport ev = sim.run(mp);
-    SimReport ref = referenceSimulate(hw, mp);
-    EXPECT_DOUBLE_EQ(ev.cycles, ref.cycles);
-    EXPECT_DOUBLE_EQ(ev.dramBytes, ref.dramBytes);
-    EXPECT_DOUBLE_EQ(ev.dramUtil, ref.dramUtil);
-    EXPECT_DOUBLE_EQ(ev.nttUtil, ref.nttUtil);
-    EXPECT_DOUBLE_EQ(ev.mulAddUtil, ref.mulAddUtil);
-    EXPECT_DOUBLE_EQ(ev.autoUtil, ref.autoUtil);
+        Simulator sim(hw);
+        SimReport ev = sim.run(mp);
+        SimReport ref = referenceSimulate(hw, mp);
+        EXPECT_DOUBLE_EQ(ev.cycles, ref.cycles);
+        EXPECT_DOUBLE_EQ(ev.dramBytes, ref.dramBytes);
+        EXPECT_DOUBLE_EQ(ev.dramUtil, ref.dramUtil);
+        EXPECT_DOUBLE_EQ(ev.nttUtil, ref.nttUtil);
+        EXPECT_DOUBLE_EQ(ev.mulAddUtil, ref.mulAddUtil);
+        EXPECT_DOUBLE_EQ(ev.autoUtil, ref.autoUtil);
+    }
 }
 
 /**

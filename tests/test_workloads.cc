@@ -155,6 +155,27 @@ TEST(Workloads, ReadOnlyFootprintIncludesKeys)
     EXPECT_GT(w.program.readOnlyBytes(), size_t(300) << 20);
 }
 
+TEST(Workloads, CompactHoldsExactlyTheLiveInstructions)
+{
+    // The compacted program lives through the whole back end and the
+    // simulator, so compaction sizes it to the survivors, not to the
+    // builder's capacity. Stores define no value, so killing them
+    // leaves every live operand intact.
+    Workload w = buildHelr(paperParams());
+    size_t stores = 0;
+    for (IrInst &inst : w.program.insts) {
+        if (inst.op == IrOp::Store) {
+            inst.dead = true;
+            ++stores;
+        }
+    }
+    const size_t live = w.program.insts.size() - stores;
+    ASSERT_GT(stores, 0u);
+    w.program.compact();
+    EXPECT_EQ(w.program.insts.size(), live);
+    EXPECT_EQ(w.program.insts.capacity(), live);
+}
+
 TEST(Workloads, CompactPreservesMix)
 {
     Workload w = buildHelr(paperParams());
