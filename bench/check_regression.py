@@ -35,11 +35,20 @@ Two classes of comparison:
 Exit status: 0 clean, 1 regression/mismatch, 2 usage or schema error.
 
 Usage: check_regression.py <current.json> <baseline.json> [--threshold F]
+       check_regression.py --moved <old.json> <new.json>
+
+--moved audits a re-baseline instead of gating a run: it lists every
+exact field (the scalars above, and cycles/fingerprint per row) whose
+value differs between two baselines of one schema, grouped by field
+name, then prints the old -> new fingerprint table. It exits 1 unless
+that map is one-to-one (distinct programs must keep distinct
+fingerprints) and every row is present in both files.
 
 Stdlib only — runs anywhere CI has a python3.
 """
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -117,18 +126,24 @@ SCHEMAS = {
 }
 
 
+# The per-row fields compared exactly, in every `rows` section.
+ROW_EXACT = ("cycles", "fingerprint")
+
+
+def row_map(tree, section, key_fields):
+    """The section's result rows keyed by their key fields."""
+    return {
+        tuple(row[k] for k in key_fields): row
+        for row in get(tree, f"{section}.results")
+    }
+
+
 def check_rows(current, baseline, section, key_fields):
     """Matches the section's result rows by key; cycles and fingerprint
     must equal the baseline's exactly. Returns 0 clean, 1 mismatch."""
-
-    def row_map(tree):
-        return {
-            tuple(row[k] for k in key_fields): row
-            for row in get(tree, f"{section}.results")
-        }
-
     try:
-        cur_rows, base_rows = row_map(current), row_map(baseline)
+        cur_rows = row_map(current, section, key_fields)
+        base_rows = row_map(baseline, section, key_fields)
     except KeyError:
         return fail(f"{section}.results: missing")
     status = 0
@@ -139,7 +154,7 @@ def check_rows(current, baseline, section, key_fields):
         )
     for key in sorted(set(cur_rows) & set(base_rows)):
         cur, base = cur_rows[key], base_rows[key]
-        for field in ("cycles", "fingerprint"):
+        for field in ROW_EXACT:
             if cur.get(field) != base.get(field):
                 status |= fail(
                     f"{section} {'/'.join(map(str, key))}.{field}: "
@@ -153,10 +168,95 @@ def check_rows(current, baseline, section, key_fields):
     return status
 
 
+def moved(old, new, schema):
+    """Re-baseline audit (--moved): prints every exact field that differs
+    between `old` and `new`, grouped by field name, and the old -> new
+    fingerprint table. Returns 0 when every row is in both files and the
+    fingerprint map is one-to-one, else 1."""
+    changes = {}  # field name -> [(where, old value, new value)]
+    status = 0
+    for key in schema["exact"]:
+        try:
+            a, b = get(old, key), get(new, key)
+        except KeyError:
+            status |= fail(f"{key}: missing")
+            continue
+        if a != b:
+            changes.setdefault(key, []).append((key, a, b))
+
+    fp_rows = {}  # old fingerprint -> {new fingerprint: [row ids]}
+    for section, key_fields in schema["rows"]:
+        try:
+            old_rows = row_map(old, section, key_fields)
+            new_rows = row_map(new, section, key_fields)
+        except KeyError:
+            status |= fail(f"{section}.results: missing")
+            continue
+        if set(old_rows) != set(new_rows):
+            status |= fail(
+                f"{section} shape changed: "
+                f"{sorted(set(old_rows) ^ set(new_rows))}"
+            )
+        for key in sorted(set(old_rows) & set(new_rows)):
+            where = "/".join([section, *map(str, key)])
+            a, b = old_rows[key], new_rows[key]
+            for field in ROW_EXACT:
+                if a.get(field) != b.get(field):
+                    changes.setdefault(field, []).append(
+                        (where, a.get(field), b.get(field))
+                    )
+            if "fingerprint" in a:
+                fp_rows.setdefault(a["fingerprint"], {}).setdefault(
+                    b["fingerprint"], []
+                ).append(where)
+
+    if not changes:
+        print("moved: nothing (every exact field is unchanged)")
+    for field, rows in changes.items():
+        print(f"moved: {field} ({len(rows)} rows)")
+        if field != "fingerprint":
+            for where, a, b in rows:
+                print(f"  {where}: {a} -> {b}")
+
+    if fp_rows:
+        news = collections.Counter(
+            b for targets in fp_rows.values() for b in targets
+        )
+        split = [a for a, targets in fp_rows.items() if len(targets) > 1]
+        merged = sorted(b for b, count in news.items() if count > 1)
+        print(
+            f"fingerprint map: {len(fp_rows)} distinct old -> "
+            f"{len(news)} distinct new"
+        )
+        for a, targets in fp_rows.items():
+            for b, where in targets.items():
+                if a != b:
+                    print(f"  {a} -> {b}  {', '.join(where)}")
+        for a in split:
+            status |= fail(f"old fingerprint {a} maps to several new ones")
+        for b in merged:
+            status |= fail(f"new fingerprint {b} has several old ones")
+        if not split and not merged:
+            print("fingerprint map: one-to-one")
+    return status
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current")
-    parser.add_argument("baseline")
+    parser.add_argument(
+        "current", help="perf-lane output (with --moved: the old baseline)"
+    )
+    parser.add_argument(
+        "baseline",
+        help="checked-in baseline (with --moved: the new baseline)",
+    )
+    parser.add_argument(
+        "--moved",
+        action="store_true",
+        help="audit a re-baseline: list the exact fields that differ "
+        "between the two files and check the fingerprint map is "
+        "one-to-one",
+    )
     parser.add_argument(
         "--threshold",
         type=float,
@@ -188,6 +288,8 @@ def main():
         )
         return 2
     schema = SCHEMAS[current["schema"]]
+    if args.moved:
+        return moved(current, baseline, schema)
 
     status = 0
 

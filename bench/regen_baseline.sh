@@ -10,8 +10,21 @@
 # generous headroom by hand (the checked-in baseline pads wall_ms for
 # exactly this reason — see bench/NOTES.md) or set
 # EFFACT_PERF_THRESHOLD on the repository for the noisy-runner case.
+# A re-baseline that should move only the deterministic fields keeps
+# the committed wall/RSS values: restore those lines before committing.
+#
+# Every re-baseline is audited: the script ends with
+#   python3 bench/check_regression.py --moved <old baseline> bench/baseline.json
+# which lists each exact field (cycles, fingerprints, counts) that moved,
+# grouped by field, with the old -> new fingerprint table, and fails
+# unless that map is one-to-one. One cause per re-baseline: record the
+# audit's output and the reason in bench/NOTES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+OLD_BASELINE=$(mktemp)
+trap 'rm -f "$OLD_BASELINE"' EXIT
+cp bench/baseline.json "$OLD_BASELINE"
 
 BUILD_DIR=${BUILD_DIR:-build-perf}
 cmake -B "$BUILD_DIR" -S . \
@@ -22,6 +35,7 @@ cmake --build "$BUILD_DIR" -j \
   --target bench_perf_lane bench_kernels
 "$BUILD_DIR"/bench/bench_perf_lane bench/baseline.json
 python3 bench/check_regression.py bench/baseline.json bench/baseline.json
+python3 bench/check_regression.py --moved "$OLD_BASELINE" bench/baseline.json
 "$BUILD_DIR"/bench/bench_kernels bench/baseline_kernels.json
 python3 bench/check_regression.py bench/baseline_kernels.json \
   bench/baseline_kernels.json

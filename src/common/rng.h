@@ -9,6 +9,8 @@
 
 #include <cstdint>
 
+#include "common/hash.h"
+
 namespace effact {
 
 /** xoshiro256** PRNG; not cryptographically secure (fine for a simulator). */
@@ -24,10 +26,7 @@ class Rng
         uint64_t x = seed;
         for (auto &word : state_) {
             x += 0x9e3779b97f4a7c15ULL;
-            uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
+            word = splitmix64(x);
         }
     }
 

@@ -31,12 +31,12 @@ runConstProp(IrProgram &prog, StatSet &stats)
             continue;
         if (inst.op == IrOp::Mul && inst.imm == 1) {
             fwd[i] = inst.a;
-            inst.dead = true;
+            prog.kill(inst);
             ++folded;
         } else if ((inst.op == IrOp::Add || inst.op == IrOp::Sub) &&
                    inst.imm == 0) {
             fwd[i] = inst.a;
-            inst.dead = true;
+            prog.kill(inst);
             ++folded;
         } else if (inst.op == IrOp::Mul && inst.a >= 0) {
             // Mul(imm c2) of Mul(imm c1) with a single consumer chain:

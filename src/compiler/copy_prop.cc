@@ -26,7 +26,7 @@ runCopyProp(IrProgram &prog, StatSet &stats)
                 *slot = resolve(*slot);
         if (inst.op == IrOp::Copy) {
             fwd[i] = inst.a;
-            inst.dead = true;
+            prog.kill(inst);
             ++removed;
         }
     }

@@ -195,7 +195,7 @@ PassManager::run(IrProgram &prog, StatSet &stats)
                 stats.add(prefix + ".skipped", 1);
                 continue;
             }
-            const size_t live_before = prog.liveCount();
+            const uint64_t kills_before = prog.kills();
             const Clock::time_point t0 = Clock::now();
             const bool changed = pass.run(prog, stats) > 0;
             if (changed)
@@ -205,7 +205,7 @@ PassManager::run(IrProgram &prog, StatSet &stats)
             last_seen[i] = prog.version();
             stats.add(prefix + ".ms", ms.count());
             stats.add(prefix + ".removed",
-                      double(live_before) - double(prog.liveCount()));
+                      double(prog.kills() - kills_before));
             stats.add(prefix + ".changed", changed ? 1 : 0);
             sweep_changed = sweep_changed || changed;
             // Pass-boundary checkpoint: a pass that changed the IR must

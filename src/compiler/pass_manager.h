@@ -93,6 +93,9 @@ struct PassEntry
  * instruction-delta statistics are recorded under namespaced keys
  * (`pass.<name>.ms`, `pass.<name>.removed`, `pass.<name>.changed`),
  * plus `pipeline.iterations` / `pipeline.converged` for the loop.
+ * `removed` is the run's `IrProgram::kills()` delta, so the manager
+ * never rescans the program, and a pass must remove instructions
+ * through `IrProgram::kill`.
  */
 class PassManager
 {

@@ -134,7 +134,7 @@ runRotAlg(IrProgram &prog, StatSet &stats)
     for (size_t i = 0; i < n; ++i) {
         IrInst &inst = prog.insts[i];
         if (!inst.dead && inst.op == IrOp::Auto && uses[i] == 0) {
-            inst.dead = true;
+            prog.kill(inst);
             ++total.dead;
         }
     }

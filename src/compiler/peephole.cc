@@ -49,7 +49,7 @@ runPeephole(IrProgram &prog, StatSet &stats)
                 inst.imm = mul.imm;
                 if (inst.tag == IrTag::Normal)
                     inst.tag = mul.tag;
-                mul.dead = true;
+                prog.kill(mul);
                 ++mac_fused;
             }
         }

@@ -1,5 +1,7 @@
 #include "compiler/pass.h"
 
+#include "common/hash.h"
+
 namespace effact {
 
 namespace {
@@ -26,18 +28,6 @@ struct VnKey
     }
 };
 
-/** splitmix64 finalizer: full avalanche of one 64-bit word. */
-u64
-mix64(u64 x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
 u64
 packPair(int lo, int hi)
 {
@@ -53,10 +43,10 @@ hashKey(const VnKey &k)
 {
     const u64 head = u64(k.op) | u64(k.use_imm) << 8 |
                      u64(uint16_t(k.mem_idx)) << 16 | u64(k.modulus) << 32;
-    return mix64(head * 0x9e3779b97f4a7c15ULL ^
-                 packPair(k.a, k.b) * 0xc2b2ae3d27d4eb4fULL ^
-                 packPair(k.c, k.mem_obj) * 0x165667b19e3779f9ULL ^
-                 k.imm * 0xd6e8feb86659fd93ULL);
+    return splitmix64(head * 0x9e3779b97f4a7c15ULL ^
+                      packPair(k.a, k.b) * 0xc2b2ae3d27d4eb4fULL ^
+                      packPair(k.c, k.mem_obj) * 0x165667b19e3779f9ULL ^
+                      k.imm * 0xd6e8feb86659fd93ULL);
 }
 
 bool
@@ -128,7 +118,7 @@ runDce(IrProgram &prog)
         IrInst &inst = prog.insts[i];
         if (inst.dead || inst.op == IrOp::Store || uses[i] != 0)
             continue;
-        inst.dead = true;
+        prog.kill(inst);
         ++dce;
         // A use count hitting zero is handled when the reverse loop
         // reaches the defining instruction.
@@ -212,7 +202,7 @@ runCse(IrProgram &prog)
             if (!(winner_key == key))
                 continue;
             fwd[i] = slot.winner;
-            inst.dead = true;
+            prog.kill(inst);
             if (inst.op == IrOp::Load)
                 ++counts.reload;
             else

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 
 #include <algorithm>
-#include <set>
 
 namespace effact {
 
@@ -257,9 +256,9 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     std::vector<uint8_t> spilled(n, 0);  // spilled to HBM
     size_t spill_count = 0;
 
-    // Priority policy (`RegAllocPolicy::Priority`):
-    // sorted use-position lists per value, so a spill decision can score
-    // every candidate against the spill-dominated cycle model. A
+    // Priority policy (`RegAllocPolicy::Priority`): the scheduled use
+    // positions of every value, so a spill decision can score every
+    // candidate against the spill-dominated cycle model. A
     // spilled value never regains a register — emission reloads it at
     // EVERY remaining use and writes its slot once at the def — so the
     // cost of evicting v at position s is its remaining-use count r
@@ -281,20 +280,37 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     // (workload, SRAM) point.
     const bool priority_alloc = opts.regalloc == RegAllocPolicy::Priority;
     constexpr long long kStoreCost = 1;
-    std::vector<std::vector<int>> use_pos;
+    // Scheduled use positions of every value in one CSR array: value v's
+    // are use_at[use_begin[v] .. use_begin[v + 1]). Filled by walking the
+    // schedule in order, so each value's run comes out ascending.
+    std::vector<uint32_t> use_begin;
+    std::vector<int> use_at;
     if (priority_alloc) {
-        use_pos.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            const IrInst &inst = prog.insts[i];
+        use_begin.assign(n + 1, 0);
+        for (int idx : order) {
+            const IrInst &inst = prog.insts[static_cast<size_t>(idx)];
             if (inst.dead)
                 continue;
             for (int operand : {inst.a, inst.b, inst.c})
-                if (operand >= 0 && pos[i] >= 0)
-                    use_pos[operand].push_back(pos[i]);
+                if (operand >= 0)
+                    ++use_begin[static_cast<size_t>(operand) + 1];
         }
-        for (std::vector<int> &u : use_pos)
-            std::sort(u.begin(), u.end());
+        for (size_t v = 0; v < n; ++v)
+            use_begin[v + 1] += use_begin[v];
+        use_at.resize(use_begin[n]);
+        std::vector<uint32_t> fill(use_begin.begin(), use_begin.end() - 1);
+        for (int idx : order) {
+            const IrInst &inst = prog.insts[static_cast<size_t>(idx)];
+            if (inst.dead)
+                continue;
+            for (int operand : {inst.a, inst.b, inst.c})
+                if (operand >= 0)
+                    use_at[fill[static_cast<size_t>(operand)]++] = pos[idx];
+        }
     }
+    // Per-value read cursor into use_at. Scan positions only increase,
+    // so a cursor only moves forward: O(uses) per scan in total.
+    std::vector<uint32_t> use_cursor;
 
     auto linearScan = [&](size_t alloc_regs) {
         assigned.assign(n, -1);
@@ -303,12 +319,26 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
         std::vector<int> free_regs;
         for (size_t r = 0; r < alloc_regs; ++r)
             free_regs.push_back(static_cast<int>(r));
-        // Active intervals ordered by end position.
-        std::set<std::pair<int, int>> active; // (end, value)
+        // Active intervals as (end, value), sorted ascending. At most
+        // `alloc_regs` entries, so a flat vector beats a node-based set.
+        std::vector<std::pair<int, int>> active;
+        active.reserve(alloc_regs);
+        auto activate = [&active](int end, int v) {
+            const std::pair<int, int> entry(end, v);
+            active.insert(
+                std::upper_bound(active.begin(), active.end(), entry),
+                entry);
+        };
 
+        if (priority_alloc)
+            use_cursor.assign(use_begin.begin(), use_begin.end() - 1);
         auto reloadsDue = [&](int v, int s) -> long long {
-            const std::vector<int> &u = use_pos[static_cast<size_t>(v)];
-            return u.end() - std::lower_bound(u.begin(), u.end(), s);
+            const size_t value = static_cast<size_t>(v);
+            const uint32_t last = use_begin[value + 1];
+            uint32_t &c = use_cursor[value];
+            while (c < last && use_at[c] < s)
+                ++c;
+            return last - c;
         };
         for (int idx : order) {
             const size_t i = static_cast<size_t>(idx);
@@ -317,24 +347,29 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
             const int start = pos[i];
             const int end = last_use[i];
             // Expire finished intervals.
-            while (!active.empty() && active.begin()->first < start) {
-                free_regs.push_back(assigned[active.begin()->second]);
-                active.erase(active.begin());
+            size_t expired = 0;
+            while (expired < active.size() &&
+                   active[expired].first < start) {
+                free_regs.push_back(assigned[active[expired].second]);
+                ++expired;
             }
+            active.erase(active.begin(),
+                         active.begin() + static_cast<long>(expired));
             if (!free_regs.empty()) {
                 assigned[i] = free_regs.back();
                 free_regs.pop_back();
-                active.emplace(end, static_cast<int>(i));
+                activate(end, idx);
             } else if (!priority_alloc) {
-                // Legacy: spill the interval that ends furthest away.
-                auto furthest = std::prev(active.end());
-                if (furthest->first > end) {
-                    int victim = furthest->second;
+                // Legacy: spill the interval that ends furthest away
+                // (the greatest (end, value)).
+                const std::pair<int, int> furthest = active.back();
+                if (furthest.first > end) {
+                    int victim = furthest.second;
                     assigned[i] = assigned[victim];
                     spilled[victim] = 1;
                     assigned[victim] = -1;
-                    active.erase(furthest);
-                    active.emplace(end, static_cast<int>(i));
+                    active.pop_back();
+                    activate(end, idx);
                 } else {
                     spilled[i] = 1;
                 }
@@ -347,14 +382,16 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                 // this position — cost/0 = infinity keeps it resident,
                 // and it frees its register on its own next tick
                 // anyway). Ties prefer the larger end distance, then
-                // the smaller value id: fully deterministic.
+                // the smaller value id: a total order, so the pick does
+                // not depend on the walk order.
                 long long best_r = reloadsDue(idx, start);
                 long long best_d = end - start;
                 int best_v = idx;
-                for (const std::pair<int, int> &entry : active) {
-                    const int v = entry.second;
+                size_t best_at = active.size(); // the incoming value
+                for (size_t k = 0; k < active.size(); ++k) {
+                    const int v = active[k].second;
                     const long long r = reloadsDue(v, start);
-                    const long long d = entry.first - start;
+                    const long long d = active[k].first - start;
                     const long long lhs = (r + kStoreCost) * best_d;
                     const long long rhs = (best_r + kStoreCost) * d;
                     if (lhs < rhs ||
@@ -363,14 +400,16 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                         best_r = r;
                         best_d = d;
                         best_v = v;
+                        best_at = k;
                     }
                 }
                 if (best_v != idx) {
                     assigned[i] = assigned[best_v];
                     spilled[best_v] = 1;
                     assigned[best_v] = -1;
-                    active.erase({last_use[best_v], best_v});
-                    active.emplace(end, static_cast<int>(i));
+                    active.erase(active.begin() +
+                                 static_cast<long>(best_at));
+                    activate(end, idx);
                 } else {
                     spilled[i] = 1;
                 }

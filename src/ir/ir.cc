@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace effact {
@@ -139,47 +140,29 @@ IrProgram::opMix() const
 uint64_t
 fingerprint(const IrProgram &prog)
 {
-    // Word-wise FNV-1a (one xor-multiply per field, not per byte): this
-    // runs once per cache lookup over programs of 10^5..10^6
-    // instructions, so the bytewise mixing `isa::fingerprint` uses on
-    // its once-per-compile machine stream would dominate small compiles
-    // (~25 ms at paper scale vs ~3 ms word-wise). The weaker per-step
-    // avalanche is repaired by a splitmix64 finalizer; the cache-key
-    // sensitivity tests cover the cases that matter (field tweaks,
-    // order swaps).
-    uint64_t h = 14695981039346656037ULL; // FNV-1a offset basis
-    auto mix = [&h](u64 v) {
-        h ^= v;
-        h *= 1099511628211ULL;
-    };
-    mix(prog.degree);
-    mix(prog.lanes);
-    mix(prog.objects.size());
+    WordHash h;
+    h.mix(prog.degree);
+    h.mix(prog.lanes);
+    h.mix(prog.objects.size());
     for (const MemObject &obj : prog.objects) {
-        mix(static_cast<u64>(static_cast<int64_t>(obj.residues)));
-        mix(obj.readOnly ? 1 : 0);
+        h.mix(static_cast<u64>(static_cast<int64_t>(obj.residues)));
+        h.mix(obj.readOnly ? 1 : 0);
     }
-    mix(prog.insts.size());
+    h.mix(prog.insts.size());
     for (const IrInst &inst : prog.insts) {
-        mix(static_cast<u64>(inst.op));
-        mix(static_cast<u64>(static_cast<int64_t>(inst.a)));
-        mix(static_cast<u64>(static_cast<int64_t>(inst.b)));
-        mix(static_cast<u64>(static_cast<int64_t>(inst.c)));
-        mix(inst.imm);
-        mix(inst.useImm ? 1 : 0);
-        mix(inst.modulus);
-        mix(static_cast<u64>(inst.tag));
-        mix(static_cast<u64>(static_cast<int64_t>(inst.mem.object)));
-        mix(static_cast<u64>(static_cast<int64_t>(inst.mem.index)));
-        mix(inst.dead ? 1 : 0);
+        h.mix(static_cast<u64>(inst.op));
+        h.mix(static_cast<u64>(static_cast<int64_t>(inst.a)));
+        h.mix(static_cast<u64>(static_cast<int64_t>(inst.b)));
+        h.mix(static_cast<u64>(static_cast<int64_t>(inst.c)));
+        h.mix(inst.imm);
+        h.mix(inst.useImm ? 1 : 0);
+        h.mix(inst.modulus);
+        h.mix(static_cast<u64>(inst.tag));
+        h.mix(static_cast<u64>(static_cast<int64_t>(inst.mem.object)));
+        h.mix(static_cast<u64>(static_cast<int64_t>(inst.mem.index)));
+        h.mix(inst.dead ? 1 : 0);
     }
-    // splitmix64 finalizer: full avalanche over the FNV accumulator.
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return h;
+    return h.finish();
 }
 
 size_t

@@ -98,8 +98,27 @@ struct IrProgram
     /** Appends an instruction; returns its value id. */
     int emit(IrInst inst);
 
-    /** Number of live (non-dead) instructions. */
+    /** Number of live (non-dead) instructions: an O(n) scan. Per-pass
+     *  removal counts come from `kills()` instead. */
     size_t liveCount() const;
+
+    /**
+     * Marks `inst`, one of `insts`, dead. Only a live -> dead transition
+     * is counted, so the difference of two `kills()` readings is exactly
+     * the number of instructions removed in between: the `PassManager`
+     * reports `pass.<name>.removed` that way instead of rescanning the
+     * program around every pass run. Passes remove instructions only
+     * through this, never by writing `dead` directly.
+     */
+    void
+    kill(IrInst &inst)
+    {
+        kills_ += inst.dead ? 0 : 1;
+        inst.dead = true;
+    }
+
+    /** Live -> dead transitions made through `kill()` so far. */
+    uint64_t kills() const { return kills_; }
 
     /**
      * Compacts dead instructions and renumbers value ids. When anything
@@ -159,6 +178,7 @@ struct IrProgram
 
     UniqueId uid_;
     uint64_t version_ = 0;
+    uint64_t kills_ = 0;
 };
 
 /** Name used in the Fig. 3 histogram for an instruction. */
@@ -176,15 +196,15 @@ std::string display(const IrInst &inst);
 
 /**
  * Order-sensitive 64-bit fingerprint over the instruction stream and
- * the semantic program metadata (degree, lanes, object shapes):
- * word-wise FNV-1a with a splitmix64 finalizer, the cache-lookup-rate
- * sibling of `isa`'s bytewise `fingerprint(MachineProgram)`. Two
- * programs
- * fingerprint equal iff they are structurally identical inputs to the
- * compiler; display-only metadata (`name`, object names) and the
- * process-local identity (`uid()`, `version()`) are deliberately
- * excluded, so independently built copies of the same workload hash
- * equal. This is the content half of the `CompileCache` key.
+ * the semantic program metadata (degree, lanes, object shapes): the
+ * word-wise `WordHash` of `common/hash.h` (one FNV-1a step per field
+ * plus a splitmix64 finalizer), shared with `isa`'s
+ * `fingerprint(MachineProgram)`. Two programs fingerprint equal iff
+ * they are structurally identical inputs to the compiler; display-only
+ * metadata (`name`, object names) and the process-local state
+ * (`uid()`, `version()`, `kills()`) are deliberately excluded, so
+ * independently built copies of the same workload hash equal. This is
+ * the content half of the `CompileCache` key.
  */
 uint64_t fingerprint(const IrProgram &prog);
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace effact {
@@ -9,34 +10,27 @@ namespace effact {
 uint64_t
 fingerprint(const MachineProgram &prog)
 {
-    uint64_t h = 14695981039346656037ULL; // FNV-1a offset basis
-    auto mix = [&h](u64 v) {
-        // Hash the value bytewise so field boundaries stay distinct.
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    };
-    mix(prog.insts.size());
-    mix(prog.numRegs);
-    mix(prog.residueBytes);
-    mix(prog.spillLoads);
-    mix(prog.spillStores);
-    mix(prog.streamedOps);
+    WordHash h;
+    h.mix(prog.insts.size());
+    h.mix(prog.numRegs);
+    h.mix(prog.residueBytes);
+    h.mix(prog.spillLoads);
+    h.mix(prog.spillStores);
+    h.mix(prog.streamedOps);
     for (const MachInst &mi : prog.insts) {
-        mix(static_cast<u64>(mi.op));
+        h.mix(static_cast<u64>(mi.op));
         for (const Operand *o : {&mi.dest, &mi.src0, &mi.src1, &mi.src2}) {
-            mix(static_cast<u64>(o->kind));
-            mix(static_cast<u64>(static_cast<int64_t>(o->reg)));
-            mix(o->value);
-            mix(o->dram ? 1 : 0);
+            h.mix(static_cast<u64>(o->kind));
+            h.mix(static_cast<u64>(static_cast<int64_t>(o->reg)));
+            h.mix(o->value);
+            h.mix(o->dram ? 1 : 0);
         }
-        mix(mi.modulus);
-        mix(mi.imm);
-        mix(mi.hbmAddr);
-        mix(static_cast<u64>(static_cast<int64_t>(mi.irId)));
+        h.mix(mi.modulus);
+        h.mix(mi.imm);
+        h.mix(mi.hbmAddr);
+        h.mix(static_cast<u64>(static_cast<int64_t>(mi.irId)));
     }
-    return h;
+    return h.finish();
 }
 
 const char *

@@ -131,11 +131,16 @@ struct MachineProgram
 };
 
 /**
- * Order-sensitive 64-bit FNV-1a fingerprint over every instruction
- * field and the program metadata. Two programs fingerprint equal iff
- * codegen emitted the same instruction stream, so batch determinism
- * tests can compare compiles across thread counts without holding every
- * `MachineProgram` in memory.
+ * Order-sensitive 64-bit fingerprint over the program metadata and, per
+ * instruction, the op, each operand's {kind, reg, value, dram},
+ * modulus, imm, hbmAddr and irId (`scratchRegs` is excluded): the
+ * word-wise `WordHash` of `common/hash.h`, one step per field, the
+ * same scheme as `fingerprint(IrProgram)`. Fields are hashed by name,
+ * so a change of `MachInst`'s layout keeps every value, and changing
+ * any single field always moves the result. Two programs fingerprint
+ * equal iff codegen emitted the same instruction stream, so batch
+ * determinism tests can compare compiles across thread counts without
+ * holding every `MachineProgram` in memory.
  */
 uint64_t fingerprint(const MachineProgram &prog);
 

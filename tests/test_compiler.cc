@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "compiler/pass.h"
 #include "compiler/pass_manager.h"
@@ -629,6 +630,238 @@ TEST(RegAlloc, EmissionBufferIsExactlySized)
         EXPECT_TRUE(acc_reloaded);
         EXPECT_EQ(mp.insts.capacity(), mp.insts.size());
     }
+}
+
+/**
+ * Hand-built spill-victim programs for the 8-register minimum (7
+ * allocatable registers next to one scratch register). In program
+ * order, value v_k = Mul(load k, #3) for k = 0..6 sits at position
+ * 2k + 1, so v4 = 9, v5 = 11 and v6 = 13. At v6's definition the
+ * registers hold v0..v5 plus load 6, and the allocator makes its one
+ * spill decision among those seven intervals and v6 itself. The tail
+ * after it fixes every candidate's remaining uses r and end distance d
+ * from position 13:
+ *
+ *   14 Add(v0, v6)  16 Add(v1, v2)  18 `third`  20 Add(v4, v5)
+ *
+ * with a store after each. v0 and v6 end at d = 1, v1 and v2 at d = 3,
+ * v3 at d = 5 (all worse (r + 1)/d ratios than v4's 2/7), load 6 at
+ * d = 0. `third` is Mul(v3, #3), or Add(v3, v5) when `v5_outlives_v4`,
+ * which also appends a third use of v5 at position 27: v5 then has
+ * r = 3 and d = 14, the same ratio as v4 at twice the distance.
+ */
+struct SpillVictimProgram
+{
+    IrProgram prog;
+    int v4 = -1;
+    int v5 = -1;
+};
+
+SpillVictimProgram
+spillVictimProgram(bool v5_outlives_v4)
+{
+    SpillVictimProgram s;
+    IrProgram &prog = s.prog;
+    prog.degree = 1 << 12;
+    prog.lanes = 64;
+    const int in = prog.addObject("in", 9, false);
+    const int out = prog.addObject("out", 6, false);
+    auto emit = [&prog](IrOp op, int a, int b, MemRef mem = {}) {
+        IrInst inst;
+        inst.op = op;
+        inst.a = a;
+        inst.b = b;
+        inst.mem = mem;
+        if (op == IrOp::Mul && b < 0) {
+            inst.useImm = true;
+            inst.imm = 3;
+        }
+        return prog.emit(inst);
+    };
+    int out_index = 0;
+    auto store = [&](int v) {
+        emit(IrOp::Store, v, -1, MemRef{out, out_index++});
+    };
+    std::vector<int> v;
+    for (int k = 0; k < 7; ++k)
+        v.push_back(emit(IrOp::Mul, emit(IrOp::Load, -1, -1, {in, k}), -1));
+    s.v4 = v[4];
+    s.v5 = v[5];
+    EXPECT_EQ(v[6], 13);
+    store(emit(IrOp::Add, v[0], v[6]));
+    store(emit(IrOp::Add, v[1], v[2]));
+    store(v5_outlives_v4 ? emit(IrOp::Add, v[3], v[5])
+                         : emit(IrOp::Mul, v[3], -1));
+    store(emit(IrOp::Add, v[4], v[5]));
+    if (v5_outlives_v4) {
+        store(emit(IrOp::Mul, emit(IrOp::Load, -1, -1, {in, 7}), -1));
+        const int u = emit(IrOp::Mul, emit(IrOp::Load, -1, -1, {in, 8}), -1);
+        const int last = emit(IrOp::Add, v[5], u);
+        EXPECT_EQ(last, 27);
+        store(last);
+    }
+    return s;
+}
+
+/** Allocates `prog` in program order on 8 registers under `policy`
+ *  and returns the values that got a spill store. */
+std::vector<int>
+spilledValues(const IrProgram &prog, RegAllocPolicy policy)
+{
+    std::vector<int> order(prog.insts.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = int(i);
+    CompilerOptions opts;
+    opts.regalloc = policy;
+    opts.sramBytes = 8 * prog.degree * 8;
+    opts.issueWindow = 1; // one reload per instruction: one scan
+    StatSet stats;
+    const StreamingInfo streaming =
+        runStreaming(prog, order, false, opts.fifoDepth, stats);
+    const MachineProgram mp =
+        runRegAllocAndCodegen(prog, order, streaming, opts, stats);
+    EXPECT_EQ(stats.get("regalloc.registers"), 8.0);
+    EXPECT_EQ(stats.get("regalloc.scratchRegs"), 1.0);
+    std::vector<int> spilled;
+    for (const MachInst &mi : mp.insts)
+        if (mi.op == Opcode::STORE_RES &&
+            prog.insts[size_t(mi.irId)].op != IrOp::Store)
+            spilled.push_back(mi.irId);
+    return spilled;
+}
+
+TEST(RegAlloc, LinearSpillsLargerValueAmongEqualEnds)
+{
+    // v4 and v5 both end at position 20, the furthest end; v6 ends at
+    // 14. The legacy scan evicts the greatest (end, value): v5.
+    const SpillVictimProgram s = spillVictimProgram(false);
+    EXPECT_EQ(spilledValues(s.prog, RegAllocPolicy::Linear),
+              std::vector<int>{s.v5});
+}
+
+TEST(RegAlloc, PrioritySpillsSmallerValueAmongEqualRatiosAndDistances)
+{
+    // v4 and v5 tie on r = 1 and d = 7, the best (r + 1)/d ratio: the
+    // smaller value id, v4, is evicted.
+    const SpillVictimProgram s = spillVictimProgram(false);
+    EXPECT_EQ(spilledValues(s.prog, RegAllocPolicy::Priority),
+              std::vector<int>{s.v4});
+}
+
+TEST(RegAlloc, PrioritySpillsLargerEndDistanceAmongEqualRatios)
+{
+    // v4 (r = 1, d = 7) and v5 (r = 3, d = 14) tie on the best ratio,
+    // 2/7: the larger end distance, v5, is evicted even though v4 has
+    // the smaller value id.
+    const SpillVictimProgram s = spillVictimProgram(true);
+    EXPECT_EQ(spilledValues(s.prog, RegAllocPolicy::Priority),
+              std::vector<int>{s.v5});
+}
+
+// --- Machine-code fingerprint ---------------------------------------------
+
+/** A compiled program with spills and streaming, so every metadata
+ *  field is non-zero. */
+MachineProgram
+fingerprintProgram()
+{
+    FheParams fhe;
+    fhe.logN = 13;
+    fhe.levels = 8;
+    fhe.dnum = 2;
+    Workload w = buildDbLookup(fhe, 32);
+    CompilerOptions opts;
+    opts.sramBytes = size_t(1) << 20;
+    Compiler compiler(opts);
+    return compiler.compile(w.program);
+}
+
+TEST(MachFingerprint, EveryLogicalFieldMovesIt)
+{
+    const MachineProgram base = fingerprintProgram();
+    ASSERT_GT(base.spillLoads, 0u);
+    ASSERT_GT(base.spillStores, 0u);
+    ASSERT_GT(base.streamedOps, 0u);
+    const uint64_t fp = fingerprint(base);
+
+    using Edit = std::function<void(MachineProgram &)>;
+    std::vector<std::pair<std::string, Edit>> edits = {
+        {"insts.size", [](MachineProgram &m) { m.insts.pop_back(); }},
+        {"numRegs", [](MachineProgram &m) { ++m.numRegs; }},
+        {"residueBytes", [](MachineProgram &m) { ++m.residueBytes; }},
+        {"spillLoads", [](MachineProgram &m) { ++m.spillLoads; }},
+        {"spillStores", [](MachineProgram &m) { ++m.spillStores; }},
+        {"streamedOps", [](MachineProgram &m) { ++m.streamedOps; }},
+    };
+    // Every field of one instruction in the middle of the stream.
+    const size_t at = base.insts.size() / 2;
+    auto inst = [at](MachineProgram &m) -> MachInst & {
+        return m.insts[at];
+    };
+    edits.push_back({"op", [&](MachineProgram &m) {
+                         inst(m).op = inst(m).op == Opcode::NTT
+                                          ? Opcode::INTT
+                                          : Opcode::NTT;
+                     }});
+    edits.push_back({"modulus", [&](MachineProgram &m) {
+                         ++inst(m).modulus;
+                     }});
+    edits.push_back({"imm", [&](MachineProgram &m) { ++inst(m).imm; }});
+    edits.push_back({"hbmAddr", [&](MachineProgram &m) {
+                         ++inst(m).hbmAddr;
+                     }});
+    edits.push_back({"irId", [&](MachineProgram &m) { ++inst(m).irId; }});
+    const std::pair<const char *, Operand MachInst::*> operands[] = {
+        {"dest", &MachInst::dest},
+        {"src0", &MachInst::src0},
+        {"src1", &MachInst::src1},
+        {"src2", &MachInst::src2},
+    };
+    for (const auto &[name, slot] : operands) {
+        const std::string prefix = std::string(name) + ".";
+        edits.push_back({prefix + "kind", [&, slot = slot](MachineProgram &m) {
+                             OperandKind &k = (inst(m).*slot).kind;
+                             k = k == OperandKind::Reg ? OperandKind::Imm
+                                                       : OperandKind::Reg;
+                         }});
+        edits.push_back({prefix + "reg", [&, slot = slot](MachineProgram &m) {
+                             ++(inst(m).*slot).reg;
+                         }});
+        edits.push_back({prefix + "value",
+                         [&, slot = slot](MachineProgram &m) {
+                             ++(inst(m).*slot).value;
+                         }});
+        edits.push_back({prefix + "dram", [&, slot = slot](MachineProgram &m) {
+                             (inst(m).*slot).dram = !(inst(m).*slot).dram;
+                         }});
+    }
+    ASSERT_EQ(edits.size(), 6u + 5u + 16u);
+    for (const auto &[field, edit] : edits) {
+        MachineProgram m = base;
+        edit(m);
+        EXPECT_NE(fingerprint(m), fp) << field;
+    }
+}
+
+TEST(MachFingerprint, OrderSensitiveAndBlindToScratchRegs)
+{
+    const MachineProgram base = fingerprintProgram();
+    const uint64_t fp = fingerprint(base);
+
+    MachineProgram swapped = base;
+    size_t j = 1;
+    while (j < swapped.insts.size() &&
+           disassemble(swapped.insts[j]) == disassemble(swapped.insts[0]))
+        ++j;
+    ASSERT_LT(j, swapped.insts.size());
+    std::swap(swapped.insts[0], swapped.insts[j]);
+    EXPECT_NE(fingerprint(swapped), fp) << "must be order-sensitive";
+
+    // The scratch pool describes the allocator's partition of the
+    // register file, not the instruction stream.
+    MachineProgram scratch = base;
+    scratch.scratchRegs += 3;
+    EXPECT_EQ(fingerprint(scratch), fp);
 }
 
 TEST(Compiler, OptimizationReducesInstructionCount)

@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "compiler/pass_manager.h"
@@ -56,17 +57,6 @@ namespace effact {
 namespace {
 
 // --- Reference interpreter ------------------------------------------------
-
-u64
-mix64(u64 x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
 
 /** A value in the reference semantics. */
 struct SemVal
@@ -102,8 +92,8 @@ interpret(const IrProgram &prog)
     std::vector<SemVal> vals(prog.insts.size());
     std::map<MemKey, u64> mem;
     auto initial = [](const MemRef &m) {
-        return mix64(0x4c6f6164ULL ^ (u64(uint32_t(m.object)) << 32) ^
-                     u64(uint32_t(m.index)));
+        return splitmix64(0x4c6f6164ULL ^ (u64(uint32_t(m.object)) << 32) ^
+                          u64(uint32_t(m.index)));
     };
     for (size_t i = 0; i < prog.insts.size(); ++i) {
         const IrInst &inst = prog.insts[i];
@@ -163,10 +153,12 @@ interpret(const IrProgram &prog)
             }
             break;
           case IrOp::Ntt:
-            out.v = mix64(0x4e7474ULL ^ a.v ^ (u64(inst.modulus) << 48));
+            out.v = splitmix64(0x4e7474ULL ^ a.v ^
+                               (u64(inst.modulus) << 48));
             break;
           case IrOp::Intt:
-            out.v = mix64(0x494e7474ULL ^ a.v ^ (u64(inst.modulus) << 48));
+            out.v = splitmix64(0x494e7474ULL ^ a.v ^
+                               (u64(inst.modulus) << 48));
             out.absorb = true;
             break;
           case IrOp::Auto: {
@@ -189,8 +181,8 @@ interpret(const IrProgram &prog)
                 // (absorb flag and provenance included).
                 out = root;
             } else {
-                out.v = mix64(0x4175746fULL ^ root.v ^ mix64(elt) ^
-                              (u64(inst.modulus) << 48));
+                out.v = splitmix64(0x4175746fULL ^ root.v ^ splitmix64(elt) ^
+                                   (u64(inst.modulus) << 48));
                 out.rotRootId = root_id;
                 out.rotElt = elt;
                 out.rotMod = inst.modulus;

@@ -9,6 +9,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "compiler/pass_manager.h"
 #include "ir/builder.h"
 #include "ir/workloads.h"
@@ -332,6 +334,178 @@ TEST(FixedPoint, DepGraphBuiltAtMostOncePerCompile)
     Compiler compiler(opts);
     compiler.compile(w.program);
     EXPECT_EQ(compiler.stats().get("analysis.depgraphBuilds"), 1);
+}
+
+// --- pass.<name>.removed oracle -------------------------------------------
+
+/**
+ * `PassManager::run`'s fixed point replayed pass by pass outside the
+ * library, with each run's removals measured the old way, as a
+ * `liveCount()` delta. The sweep and skip rules are the manager's (a
+ * pass whose input version is unchanged since its own last run is
+ * skipped), so the per-name totals are what `pass.<name>.removed` must
+ * report. A pass that sets `dead` without `IrProgram::kill` shows up
+ * here as a replay count above the manager's.
+ */
+std::map<std::string, double>
+replayRemovals(IrProgram &prog, const std::string &spec)
+{
+    static const std::map<std::string, size_t (*)(IrProgram &, StatSet &)>
+        kRun = {{"copyprop", &runCopyProp}, {"constprop", &runConstProp},
+                {"pre", &runPre},           {"peephole", &runPeephole},
+                {"rotalg", &runRotAlg}};
+    for (const std::string &name : knownPassNames())
+        EXPECT_EQ(kRun.count(name), 1u) << "replay lacks pass " << name;
+    std::vector<std::string> names;
+    EXPECT_TRUE(parsePipelineSpec(spec, &names));
+    std::map<std::string, double> removed;
+    std::vector<uint64_t> last_seen(names.size(), ~uint64_t(0));
+    bool sweep_changed = !names.empty();
+    while (sweep_changed) {
+        sweep_changed = false;
+        for (size_t i = 0; i < names.size(); ++i) {
+            if (last_seen[i] == prog.version())
+                continue;
+            const size_t live_before = prog.liveCount();
+            StatSet ignored;
+            if (kRun.at(names[i])(prog, ignored) > 0) {
+                prog.bumpVersion();
+                sweep_changed = true;
+            }
+            last_seen[i] = prog.version();
+            removed[names[i]] +=
+                double(live_before) - double(prog.liveCount());
+        }
+    }
+    return removed;
+}
+
+/**
+ * One instance of every way a pass removes an instruction: a Copy
+ * (copyprop), `x * 1` and `x + 0` (constprop's two folds), an
+ * intermediate rotation left without uses (rotalg), a duplicate
+ * multiply and an unused subtract (PRE's value numbering and DCE), and
+ * a single-use multiply feeding an add (peephole's Mac fusion). The
+ * stock workloads exercise only PRE, peephole and rotalg removals.
+ */
+IrProgram
+killSiteProgram()
+{
+    IrProgram prog;
+    prog.name = "kill-sites";
+    prog.degree = 1 << 10;
+    IrBuilder b(prog);
+    const int in = b.object("in", 2, false);
+    const int out = b.object("out", 3, false);
+    const int x = b.load(in, 0, 1).limbs[0];
+    const int y = b.load(in, 1, 1).limbs[0];
+    const int copy = b.emit1(IrOp::Copy, x, -1, 0);
+    const int times_one =
+        b.emit1(IrOp::Mul, copy, -1, 0, IrTag::Normal, 1, true);
+    const int plus_zero =
+        b.emit1(IrOp::Add, times_one, -1, 0, IrTag::Normal, 0, true);
+    const int xy = b.emit1(IrOp::Mul, x, y, 0);
+    const int xy_again = b.emit1(IrOp::Mul, x, y, 0);
+    b.emit1(IrOp::Sub, x, y, 0); // never used
+    const int product = b.emit1(IrOp::Mul, xy, y, 0);
+    const int sum = b.emit1(IrOp::Add, product, plus_zero, 0);
+    const int hop = b.emit1(IrOp::Auto, x, -1, 0, IrTag::Normal, 5, true);
+    const int rot = b.emit1(IrOp::Auto, hop, -1, 0, IrTag::Normal, 25, true);
+    b.store(out, 0, PolyVal{{sum}});
+    b.store(out, 1, PolyVal{{xy_again}});
+    b.store(out, 2, PolyVal{{rot}});
+    return prog;
+}
+
+TEST(PassRemovals, KillSiteProgramFiresEveryRemoval)
+{
+    IrProgram prog = killSiteProgram();
+    Compiler compiler(Platform::optimizedOptions(size_t(27) << 20));
+    compiler.compile(prog);
+    const StatSet &stats = compiler.stats();
+    EXPECT_EQ(stats.get("copyProp.removed"), 1);
+    EXPECT_EQ(stats.get("constProp.identityFolded"), 2);
+    EXPECT_EQ(stats.get("rotalg.deadRotations"), 1);
+    EXPECT_EQ(stats.get("pre.cseRemoved"), 1);
+    EXPECT_EQ(stats.get("pre.deadCodeRemoved"), 1);
+    EXPECT_EQ(stats.get("peephole.macFused"), 1);
+}
+
+TEST(PassRemovals, MatchLiveCountReplayOnStockWorkloadsAllPresets)
+{
+    FheParams boot;
+    boot.logN = 14;
+    boot.levels = 16;
+    boot.dnum = 4;
+    const FheParams deep{13, 24, 4};
+    std::vector<std::pair<std::string, Workload>> workloads;
+    workloads.emplace_back("bootstrapping",
+                           buildBootstrapping(boot, {256, 2, 2, 63, 8}));
+    workloads.emplace_back("dblookup", buildDbLookup(boot, 64));
+    workloads.emplace_back("helr", buildHelr(deep));
+    workloads.emplace_back("resnet20", buildResNet20(deep));
+    workloads.emplace_back("tfhe", buildTfheBootstrap());
+    workloads.emplace_back("rotbatch",
+                           buildRotationBatch(FheParams{13, 8, 2}, 4, 8));
+    Workload kill_sites;
+    kill_sites.program = killSiteProgram();
+    workloads.emplace_back("kill-sites", std::move(kill_sites));
+    const size_t sram = size_t(27) << 20;
+    const std::vector<std::pair<const char *, CompilerOptions>> presets = {
+        {"baseline", Platform::baselineOptions(sram)},
+        {"MAD-enhanced", Platform::madEnhancedOptions(sram)},
+        {"streaming", Platform::streamingOptions(sram)},
+        {"full", Platform::fullOptions(sram)},
+        {"optimized", Platform::optimizedOptions(sram)},
+    };
+
+    for (const auto &[wname, w] : workloads) {
+        for (const auto &[pname, opts] : presets) {
+            const std::string tag = wname + " / " + pname;
+            IrProgram managed = w.program;
+            AnalysisManager analyses;
+            StatSet stats;
+            Compiler(opts).runMiddleEnd(managed, analyses, stats);
+
+            IrProgram replayed = w.program;
+            const std::map<std::string, double> expected =
+                replayRemovals(replayed, opts.pipeline);
+            replayed.compact();
+            ASSERT_EQ(fingerprint(replayed), fingerprint(managed)) << tag;
+
+            std::map<std::string, double> reported;
+            double reported_sum = 0;
+            for (const auto &[key, value] : stats.all()) {
+                const std::string suffix = ".removed";
+                if (key.rfind("pass.", 0) != 0 || key.size() < suffix.size() ||
+                    key.compare(key.size() - suffix.size(), suffix.size(),
+                                suffix) != 0)
+                    continue;
+                reported[key.substr(5, key.size() - 5 - suffix.size())] =
+                    value;
+                reported_sum += value;
+            }
+            EXPECT_EQ(reported, expected) << tag;
+            EXPECT_EQ(reported_sum, stats.get("input.instructions") -
+                                        stats.get("optimized.instructions"))
+                << tag;
+        }
+    }
+}
+
+TEST(PassRemovals, KillCountsOnlyLiveToDeadTransitions)
+{
+    IrProgram prog = tinyProgram();
+    EXPECT_EQ(prog.kills(), 0u);
+    prog.kill(prog.insts[2]);
+    EXPECT_TRUE(prog.insts[2].dead);
+    EXPECT_EQ(prog.kills(), 1u);
+    prog.kill(prog.insts[2]);
+    EXPECT_EQ(prog.kills(), 1u) << "an already-dead instruction counted";
+    prog.insts[3].dead = true; // behind the counter's back
+    prog.kill(prog.insts[3]);
+    EXPECT_EQ(prog.kills(), 1u);
+    EXPECT_EQ(prog.liveCount(), prog.insts.size() - 2);
 }
 
 // --- Back-end phase timers ------------------------------------------------
