@@ -188,6 +188,7 @@ PassManager::run(IrProgram &prog, StatSet &stats)
     while (sweeps < maxIterations_) {
         ++sweeps;
         bool sweep_changed = false;
+        const uint64_t sweep_kills = prog.kills();
         for (size_t i = 0; i < passes_.size(); ++i) {
             const PassEntry &pass = passes_[i];
             const std::string prefix = std::string("pass.") + pass.name;
@@ -227,6 +228,18 @@ PassManager::run(IrProgram &prog, StatSet &stats)
             stats.set("pipeline.iterations", double(sweeps));
             stats.set("pipeline.converged", 1);
             return sweeps;
+        }
+        // Drop what this sweep removed, so the next one walks only live
+        // instructions. Compaction renumbers value ids in order, and
+        // passes decide by id order or identity, never by absolute id,
+        // so a pass at its own fixed point before it stays there after
+        // it: carry its skip over to the new version.
+        if (prog.kills() != sweep_kills) {
+            const uint64_t before = prog.version();
+            prog.compact();
+            for (uint64_t &seen : last_seen)
+                if (seen == before)
+                    seen = prog.version();
         }
     }
     converged_ = false;

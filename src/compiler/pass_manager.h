@@ -96,6 +96,14 @@ struct PassEntry
  * `removed` is the run's `IrProgram::kills()` delta, so the manager
  * never rescans the program, and a pass must remove instructions
  * through `IrProgram::kill`.
+ *
+ * After every sweep that removed instructions the manager compacts the
+ * program (`IrProgram::compact`), so the next sweep walks only live
+ * instructions and the result holds exactly them. Compaction renumbers
+ * value ids but keeps their order. A pass may therefore compare ids
+ * (PRE's commutative operand order, its first-insert-wins rule), but it
+ * must not keep ids across calls, depend on their absolute values, or
+ * expect dead slots to survive to its next call.
  */
 class PassManager
 {

@@ -94,8 +94,9 @@ runScheduler(const IrProgram &prog, AnalysisManager &analyses,
 
     // The shared dependence-graph layer: SSA true dependences + the
     // alias pass's memory-ordering edges, the same graph family the
-    // event-driven simulator consumes at the machine level. Served from
-    // the analysis cache, so a re-schedule of unchanged IR is free.
+    // event-driven simulator consumes at the machine level. Requested
+    // through the analysis manager, but built once per compile: every
+    // caller passes a fresh manager, so outside tests it never hits.
     const DepGraph &graph = analyses.depGraph(prog, stats);
     std::vector<uint32_t> preds = graph.indegrees();
 

@@ -62,18 +62,26 @@ struct MemObject
     bool readOnly = false; ///< keys/plaintext constants
 };
 
-/** One SSA instruction; its index in the program is its value id. */
+/**
+ * One SSA instruction; its index in the program is its value id.
+ * Fields are ordered to pack into 40 bytes: the 64-bit `imm` first,
+ * then the five 4-byte words (`a`, `b`, `c`, `modulus`, `mem`), then
+ * the four 1-byte fields in the last word. Every IR walk and the IR
+ * builder's growth copy move whole instructions, and `snapshotBytes`
+ * accounts them by `sizeof`. `fingerprint()` hashes fields by name, so
+ * the order here is free.
+ */
 struct IrInst
 {
-    IrOp op = IrOp::Copy;
+    u64 imm = 0;        ///< immediate scalar / Galois element
     int a = -1;         ///< first operand value id
     int b = -1;         ///< second operand value id (-1 if immediate/none)
     int c = -1;         ///< third operand (Mac accumulator only)
-    u64 imm = 0;        ///< immediate scalar / Galois element
-    bool useImm = false;///< second operand is `imm` instead of `b`
     uint32_t modulus = 0; ///< limb prime index
-    IrTag tag = IrTag::Normal;
     MemRef mem;         ///< Load/Store location
+    IrOp op = IrOp::Copy;
+    bool useImm = false;///< second operand is `imm` instead of `b`
+    IrTag tag = IrTag::Normal;
     bool dead = false;  ///< marked by passes instead of O(n) erases
 
     /** The operand slots (a, b, c) for uniform traversal/rewriting: a
@@ -82,6 +90,8 @@ struct IrInst
     std::array<int *, 3> operandSlots() { return {&a, &b, &c}; }
     std::array<int, 3> operands() const { return {a, b, c}; }
 };
+
+static_assert(sizeof(IrInst) <= 40, "IrInst grew past 40 bytes");
 
 /** An SSA program over residue polynomials. */
 struct IrProgram
@@ -121,10 +131,13 @@ struct IrProgram
     uint64_t kills() const { return kills_; }
 
     /**
-     * Compacts dead instructions and renumbers value ids. When anything
-     * was dead, the result holds exactly its live instructions
-     * (`insts.capacity() == insts.size()`): the back end and the
-     * simulator keep the compacted program for the rest of the job.
+     * Compacts dead instructions and renumbers value ids, keeping their
+     * order. When anything was dead, the result holds exactly its live
+     * instructions (`insts.capacity() == insts.size()`): the
+     * `PassManager` compacts after every sweep that removed
+     * instructions, and the back end and the simulator keep the
+     * compacted program for the rest of the job. With nothing dead it
+     * changes nothing, not even `version()`.
      */
     void compact();
 

@@ -44,6 +44,7 @@ Platform::run(Workload &workload, CompileCache *cache) const
     result.jobStats.set("job.backend.ms", Ms(t2 - t1).count());
     result.jobStats.set("job.sim.ms", Ms(t3 - t2).count());
     result.jobStats.set("job.fingerprint.ms", Ms(t4 - t3).count());
+    result.jobStats.set("job.total.ms", Ms(t4 - t0).count());
     return result;
 }
 

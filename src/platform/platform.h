@@ -23,8 +23,10 @@ struct PlatformResult
     StatSet compilerStats;
     /**
      * Per-stage wall-clock of this job (`job.middle.ms`,
-     * `job.backend.ms`, `job.sim.ms`, `job.fingerprint.ms`; the batch
-     * driver adds `job.ir.ms` for workload construction). Host timings, not
+     * `job.backend.ms`, `job.sim.ms`, `job.fingerprint.ms`, and
+     * `job.total.ms` from the first of those clock reads to the last,
+     * which the four sum to; the batch driver adds `job.ir.ms` for
+     * workload construction). Host timings, not
      * simulated ones — the one result family that is *not*
      * deterministic; `SweepEngine` aggregates it so perf lanes can see
      * where a job's latency goes.

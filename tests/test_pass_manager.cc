@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
 #include "compiler/pass_manager.h"
 #include "ir/builder.h"
@@ -237,6 +238,86 @@ TEST(PipelineSpec, PresetsAreDeclarative)
         EXPECT_EQ(opts.regalloc, RegAllocPolicy::Linear);
 }
 
+// --- pass.<name>.{removed,changed,skipped} oracle ----------------------
+
+/** What `replayPipeline` measured, keyed by pass name. */
+struct PipelineReplay
+{
+    std::map<std::string, double> removed; ///< `liveCount()` deltas
+    std::map<std::string, double> changed; ///< runs that rewrote the IR
+    std::map<std::string, double> skipped; ///< runs the skip rule saved
+    double sweeps = 0;
+    size_t killingSweeps = 0; ///< sweeps whose live count fell
+};
+
+/**
+ * `PassManager::run`'s fixed point replayed pass by pass outside the
+ * library, without the manager's between-sweep compaction, and with
+ * each run's removals measured the old way, as a `liveCount()` delta.
+ * The sweep and skip rules are the manager's (a pass whose input
+ * version is unchanged since its own last run is skipped), so the
+ * per-name totals are what `pass.<name>.removed`, `.changed` and
+ * `.skipped` must report, and `pipeline.iterations` must equal
+ * `sweeps`. A pass that sets `dead` without `IrProgram::kill` shows up
+ * here as a replay count above the manager's; a compaction that broke
+ * the skip rule shows up as a changed or skipped count that differs.
+ */
+PipelineReplay
+replayPipeline(IrProgram &prog, const std::string &spec)
+{
+    static const std::map<std::string, size_t (*)(IrProgram &, StatSet &)>
+        kRun = {{"copyprop", &runCopyProp}, {"constprop", &runConstProp},
+                {"pre", &runPre},           {"peephole", &runPeephole},
+                {"rotalg", &runRotAlg}};
+    for (const std::string &name : knownPassNames())
+        EXPECT_EQ(kRun.count(name), 1u) << "replay lacks pass " << name;
+    std::vector<std::string> names;
+    EXPECT_TRUE(parsePipelineSpec(spec, &names));
+    PipelineReplay replay;
+    std::vector<uint64_t> last_seen(names.size(), ~uint64_t(0));
+    bool sweep_changed = !names.empty();
+    while (sweep_changed) {
+        sweep_changed = false;
+        ++replay.sweeps;
+        const size_t live_at_sweep = prog.liveCount();
+        for (size_t i = 0; i < names.size(); ++i) {
+            if (last_seen[i] == prog.version()) {
+                ++replay.skipped[names[i]];
+                continue;
+            }
+            const size_t live_before = prog.liveCount();
+            StatSet ignored;
+            const bool changed = kRun.at(names[i])(prog, ignored) > 0;
+            if (changed) {
+                prog.bumpVersion();
+                sweep_changed = true;
+            }
+            last_seen[i] = prog.version();
+            replay.changed[names[i]] += changed ? 1 : 0;
+            replay.removed[names[i]] +=
+                double(live_before) - double(prog.liveCount());
+        }
+        if (prog.liveCount() != live_at_sweep)
+            ++replay.killingSweeps;
+    }
+    return replay;
+}
+
+/** `pass.<name><suffix>` stats keyed by `<name>`. */
+std::map<std::string, double>
+passStats(const StatSet &stats, const std::string &suffix)
+{
+    std::map<std::string, double> out;
+    for (const auto &[key, value] : stats.all()) {
+        if (key.rfind("pass.", 0) != 0 || key.size() < suffix.size() ||
+            key.compare(key.size() - suffix.size(), suffix.size(),
+                        suffix) != 0)
+            continue;
+        out[key.substr(5, key.size() - 5 - suffix.size())] = value;
+    }
+    return out;
+}
+
 // --- Fixed point ----------------------------------------------------------
 
 TEST(FixedPoint, SecondSweepCleansPeepholeCopies)
@@ -291,6 +372,24 @@ TEST(FixedPoint, DeepFoldChainsConvergeOneLinkPerSweep)
                     IrTag::Normal, /*imm=*/3, /*use_imm=*/true);
     b.store(out, 0, PolyVal{{v}});
 
+    // The manager compacts once per sweep that removed something: the
+    // difference to the uncompacted replay's version is exactly one
+    // bump per killing sweep, and both reach the same program.
+    const std::string spec = CompilerOptions{}.pipeline;
+    IrProgram managed = prog;
+    StatSet stats;
+    PassManager::fromSpec(spec).run(managed, stats);
+    IrProgram replayed = prog;
+    const PipelineReplay replay = replayPipeline(replayed, spec);
+    EXPECT_EQ(stats.get("pipeline.iterations"), replay.sweeps);
+    EXPECT_GE(replay.killingSweeps, size_t(kChain));
+    EXPECT_EQ(managed.version() - replayed.version(),
+              uint64_t(replay.killingSweeps));
+    EXPECT_EQ(managed.insts.size(), managed.liveCount());
+    EXPECT_EQ(managed.insts.capacity(), managed.insts.size());
+    replayed.compact();
+    EXPECT_EQ(fingerprint(managed), fingerprint(replayed));
+
     Compiler compiler; // default options: full pipeline
     compiler.compile(prog);
     EXPECT_EQ(compiler.stats().get("pipeline.converged"), 1);
@@ -336,49 +435,7 @@ TEST(FixedPoint, DepGraphBuiltAtMostOncePerCompile)
     EXPECT_EQ(compiler.stats().get("analysis.depgraphBuilds"), 1);
 }
 
-// --- pass.<name>.removed oracle -------------------------------------------
-
-/**
- * `PassManager::run`'s fixed point replayed pass by pass outside the
- * library, with each run's removals measured the old way, as a
- * `liveCount()` delta. The sweep and skip rules are the manager's (a
- * pass whose input version is unchanged since its own last run is
- * skipped), so the per-name totals are what `pass.<name>.removed` must
- * report. A pass that sets `dead` without `IrProgram::kill` shows up
- * here as a replay count above the manager's.
- */
-std::map<std::string, double>
-replayRemovals(IrProgram &prog, const std::string &spec)
-{
-    static const std::map<std::string, size_t (*)(IrProgram &, StatSet &)>
-        kRun = {{"copyprop", &runCopyProp}, {"constprop", &runConstProp},
-                {"pre", &runPre},           {"peephole", &runPeephole},
-                {"rotalg", &runRotAlg}};
-    for (const std::string &name : knownPassNames())
-        EXPECT_EQ(kRun.count(name), 1u) << "replay lacks pass " << name;
-    std::vector<std::string> names;
-    EXPECT_TRUE(parsePipelineSpec(spec, &names));
-    std::map<std::string, double> removed;
-    std::vector<uint64_t> last_seen(names.size(), ~uint64_t(0));
-    bool sweep_changed = !names.empty();
-    while (sweep_changed) {
-        sweep_changed = false;
-        for (size_t i = 0; i < names.size(); ++i) {
-            if (last_seen[i] == prog.version())
-                continue;
-            const size_t live_before = prog.liveCount();
-            StatSet ignored;
-            if (kRun.at(names[i])(prog, ignored) > 0) {
-                prog.bumpVersion();
-                sweep_changed = true;
-            }
-            last_seen[i] = prog.version();
-            removed[names[i]] +=
-                double(live_before) - double(prog.liveCount());
-        }
-    }
-    return removed;
-}
+// --- Pass stats against the replay ----------------------------------------
 
 /**
  * One instance of every way a pass removes an instruction: a Copy
@@ -468,28 +525,71 @@ TEST(PassRemovals, MatchLiveCountReplayOnStockWorkloadsAllPresets)
             Compiler(opts).runMiddleEnd(managed, analyses, stats);
 
             IrProgram replayed = w.program;
-            const std::map<std::string, double> expected =
-                replayRemovals(replayed, opts.pipeline);
+            const PipelineReplay expected =
+                replayPipeline(replayed, opts.pipeline);
             replayed.compact();
             ASSERT_EQ(fingerprint(replayed), fingerprint(managed)) << tag;
 
-            std::map<std::string, double> reported;
-            double reported_sum = 0;
-            for (const auto &[key, value] : stats.all()) {
-                const std::string suffix = ".removed";
-                if (key.rfind("pass.", 0) != 0 || key.size() < suffix.size() ||
-                    key.compare(key.size() - suffix.size(), suffix.size(),
-                                suffix) != 0)
-                    continue;
-                reported[key.substr(5, key.size() - 5 - suffix.size())] =
-                    value;
-                reported_sum += value;
-            }
-            EXPECT_EQ(reported, expected) << tag;
-            EXPECT_EQ(reported_sum, stats.get("input.instructions") -
-                                        stats.get("optimized.instructions"))
+            const std::map<std::string, double> removed =
+                passStats(stats, ".removed");
+            EXPECT_EQ(removed, expected.removed) << tag;
+            EXPECT_EQ(passStats(stats, ".changed"), expected.changed) << tag;
+            EXPECT_EQ(passStats(stats, ".skipped"), expected.skipped) << tag;
+            EXPECT_EQ(stats.get("pipeline.iterations"), expected.sweeps)
+                << tag;
+            double removed_sum = 0;
+            for (const auto &[name, value] : removed)
+                removed_sum += value;
+            EXPECT_EQ(removed_sum, stats.get("input.instructions") -
+                                       stats.get("optimized.instructions"))
                 << tag;
         }
+    }
+}
+
+TEST(PassRemovals, ManagerCompactsAfterEveryKillingSweep)
+{
+    // The manager compacts between sweeps, so its output holds exactly
+    // the live instructions and `Compiler::optimize`'s final
+    // `compact()` has nothing left to do (a no-op compaction keeps the
+    // version). Both programs here lose instructions in their first
+    // sweep and converge in a later one.
+    FheParams fhe;
+    fhe.logN = 14;
+    fhe.levels = 16;
+    fhe.dnum = 4;
+    const size_t sram = size_t(27) << 20;
+    const std::vector<std::tuple<std::string, IrProgram, CompilerOptions>>
+        cases = {
+            {"kill-sites", killSiteProgram(),
+             Platform::optimizedOptions(sram)},
+            {"bootstrapping",
+             buildBootstrapping(fhe, {256, 2, 2, 63, 8}).program,
+             Platform::fullOptions(sram)},
+        };
+    for (const auto &[name, input, opts] : cases) {
+        IrProgram managed = input;
+        StatSet stats;
+        PassManager pm = PassManager::fromSpec(opts.pipeline);
+        pm.run(managed, stats);
+        ASSERT_TRUE(pm.converged()) << name;
+        EXPECT_GT(stats.get("pipeline.iterations"), 1) << name;
+        EXPECT_LT(managed.insts.size(), input.insts.size()) << name;
+        EXPECT_EQ(managed.insts.size(), managed.liveCount()) << name;
+        EXPECT_EQ(managed.insts.capacity(), managed.insts.size()) << name;
+
+        IrProgram optimized = input;
+        AnalysisManager analyses;
+        StatSet ignored;
+        Compiler(opts).runMiddleEnd(optimized, analyses, ignored);
+        EXPECT_EQ(optimized.version(), managed.version())
+            << name << ": the final compact() renumbered again";
+        EXPECT_EQ(fingerprint(optimized), fingerprint(managed)) << name;
+
+        IrProgram replayed = input;
+        replayPipeline(replayed, opts.pipeline);
+        replayed.compact();
+        EXPECT_EQ(fingerprint(replayed), fingerprint(managed)) << name;
     }
 }
 

@@ -109,6 +109,24 @@ TEST(Platform, AblationConfigsCompileWithinBudget)
     }
 }
 
+TEST(Platform, LayerTimersCloseOnJobTotal)
+{
+    // Every host millisecond of `Platform::run` belongs to a layer: the
+    // four `job.*.ms` layer timers sum to `job.total.ms`.
+    Workload w = smallBoot();
+    const HardwareConfig hw = HardwareConfig::asicEffact27();
+    const PlatformResult r =
+        Platform(hw, Platform::fullOptions(hw.sramBytes)).run(w);
+    const StatSet &job = r.jobStats;
+    ASSERT_TRUE(job.has("job.total.ms"));
+    const double total = job.get("job.total.ms");
+    const double layers = job.get("job.middle.ms") +
+                          job.get("job.backend.ms") + job.get("job.sim.ms") +
+                          job.get("job.fingerprint.ms");
+    EXPECT_GT(total, 0.0);
+    EXPECT_NEAR(layers, total, 0.01 * total);
+}
+
 TEST(Platform, SharedCompileCacheAcrossHardwarePointsIsTransparent)
 {
     // An SRAM sweep of one (workload, preset) through Platform::run

@@ -408,8 +408,8 @@ TEST(SweepEngine, VerifiedPresetSweepMatchesSerialOracle)
 TEST(SweepEngine, StageTimersPresentOnEveryPath)
 {
     // Every job reports its per-stage wall clock — IR build, middle
-    // end, back end, simulate, machine-code fingerprint — on the serial
-    // and the pooled path alike.
+    // end, back end, simulate, machine-code fingerprint, and the total
+    // they close on — on the serial and the pooled path alike.
     const std::vector<SweepJob> jobs = smallGrid();
     for (const char *path : {"serial", "pooled"}) {
         SweepOptions o;
@@ -422,7 +422,7 @@ TEST(SweepEngine, StageTimersPresentOnEveryPath)
         for (const char *key :
              {"job.ir.ms.count", "job.middle.ms.count",
               "job.backend.ms.count", "job.sim.ms.count",
-              "job.fingerprint.ms.count"})
+              "job.fingerprint.ms.count", "job.total.ms.count"})
             EXPECT_EQ(agg.get(key), double(jobs.size())) << path << key;
     }
 }
