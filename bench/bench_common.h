@@ -5,6 +5,7 @@
 #ifndef EFFACT_BENCH_COMMON_H
 #define EFFACT_BENCH_COMMON_H
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,10 +20,10 @@ namespace effact {
 /**
  * Whether the grid benches should share a `CompileCache` across their
  * sweep jobs. On by default; `EFFACT_COMPILE_CACHE=0` disables it,
- * which is how the byte-identical-stdout claim is checked by hand
- * (`diff <(bench) <(EFFACT_COMPILE_CACHE=0 bench)`). The figure tables
- * never mention the cache, so stdout is identical either way; cache
- * notes go to stderr.
+ * which is how the byte-identical-stdout claim is checked
+ * (`diff <(bench) <(EFFACT_COMPILE_CACHE=0 bench)`; CI's perf job runs
+ * it on `bench_fig11_ablation`). The figure tables never mention the
+ * cache, so stdout is identical either way; cache notes go to stderr.
  */
 inline bool
 compileCacheEnabled()
@@ -52,19 +53,21 @@ runOn(const HardwareConfig &hw, Workload workload)
 }
 
 /**
- * Runs a populated sweep engine and reports batch wall-clock on stderr
- * (never stdout: figure tables must stay byte-identical at any
+ * `runSweep` at `EFFACT_THREADS` workers, reporting batch wall-clock on
+ * stderr (never stdout: figure tables must stay byte-identical at any
  * `EFFACT_THREADS` setting).
  */
-inline const std::vector<SweepResult> &
-runTimed(SweepEngine &engine)
+inline std::vector<PlatformResult>
+runTimed(const std::vector<SweepJob> &jobs, CompileCache *cache)
 {
     using Clock = std::chrono::steady_clock;
+    const size_t threads = defaultThreadCount();
     const Clock::time_point t0 = Clock::now();
-    const std::vector<SweepResult> &results = engine.runAll();
+    std::vector<PlatformResult> results = runSweep(jobs, threads, cache);
     const std::chrono::duration<double> seconds = Clock::now() - t0;
     std::fprintf(stderr, "[sweep] %zu jobs on %zu worker(s): %.2f s\n",
-                 engine.jobCount(), engine.workersUsed(), seconds.count());
+                 jobs.size(), std::min(threads, jobs.size()),
+                 seconds.count());
     return results;
 }
 

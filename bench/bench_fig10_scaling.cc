@@ -3,11 +3,11 @@
  * Fig. 10 — performance scaling of EFFACT-54/108/162 (SRAM + multiplier
  * scaling) over EFFACT-27 on bootstrapping, HELR and ResNet.
  *
- * The 4 x 3 (config, workload) grid runs as one `SweepEngine` batch
+ * The 4 x 3 (config, workload) grid runs as one `runSweep` batch
  * over a shared `CompileCache`: all four hardware configs share one
  * middle-end pipeline run per workload (the SRAM/multiplier scaling is
  * back-end-only), asserted below via the `cache.*` stats. Results come
- * back in submission order, so stdout is byte-identical at any
+ * back in job order, so stdout is byte-identical at any
  * `EFFACT_THREADS` setting and any cache hit pattern (wall-clock and
  * cache notes go to stderr).
  */
@@ -36,25 +36,25 @@ main()
         {"ResNet", buildResNet20},
     };
 
-    CompileCache cache;
-    SweepEngine engine(
-        {defaultThreadCount(), compileCacheEnabled() ? &cache : nullptr});
+    std::vector<SweepJob> jobs;
     for (const auto &hw : configs) {
         for (const BenchRow &bench : benches) {
             Workload (*build)(const FheParams &) = bench.build;
-            engine.submit(std::string(hw.name) + "/" + bench.name,
-                          [build] { return build(paperFhe()); }, hw,
-                          Platform::fullOptions(hw.sramBytes));
+            jobs.push_back({std::string(hw.name) + "/" + bench.name,
+                            [build] { return build(paperFhe()); }, hw,
+                            Platform::fullOptions(hw.sramBytes)});
         }
     }
-    const std::vector<SweepResult> &results = runTimed(engine);
+    CompileCache cache;
+    const std::vector<PlatformResult> results =
+        runTimed(jobs, compileCacheEnabled() ? &cache : nullptr);
     if (compileCacheEnabled()) {
         reportCacheStats(cache);
         const StatSet cs = cache.statsSnapshot();
         EFFACT_ASSERT(cs.get("cache.misses") == double(benches.size()),
                       "the %zu-job grid must run exactly %zu middle-end "
                       "pipelines (one per workload), ran %.0f",
-                      engine.jobCount(), benches.size(),
+                      jobs.size(), benches.size(),
                       cs.get("cache.misses"));
     }
 
@@ -63,7 +63,7 @@ main()
 
     // results[c * benches + b] is (config c, workload b).
     auto timeOf = [&](size_t c, size_t b) {
-        return results[c * benches.size() + b].platform.benchTimeMs;
+        return results[c * benches.size() + b].benchTimeMs;
     };
     for (size_t c = 0; c < configs.size(); ++c) {
         std::vector<std::string> row = {configs[c].name};

@@ -3,7 +3,7 @@
  * CI perf lane: four headline measurements — simulator throughput and
  * peak RSS on the paper-scale bootstrapping trace (`bench_sim_speed`'s
  * event-driven core), the `bench_fig11_ablation` 15-job preset x SRAM
- * grid on the `SweepEngine` with a shared `CompileCache`, the
+ * grid through `runSweep` with a shared `CompileCache`, the
  * per-optimization win matrix (each PR 10 optimization isolated
  * against the full preset), and the paper grid (every paper workload
  * x preset x SRAM point) — emitted as one machine-readable
@@ -112,12 +112,12 @@ struct GridResult
     double wallMs = 0;
     size_t threads = 0;
     StatSet cacheStats;
-    std::vector<SweepResult> results;
-    std::vector<size_t> sramMb;
+    std::vector<SweepJob> jobs;
+    std::vector<PlatformResult> results;
 };
 
-/** The `bench_fig11_ablation` grid, verbatim submission order, on the
- *  engine with a shared compile cache. */
+/** The `bench_fig11_ablation` grid, verbatim job order, through
+ *  `runSweep` with a shared compile cache. */
 GridResult
 runFig11Grid()
 {
@@ -128,26 +128,24 @@ runFig11Grid()
         size_t(27) << 20, size_t(13) << 20, size_t(54) << 20};
 
     GridResult grid;
-    CompileCache cache;
-    // Verification forced off batch-wide: the lane measures the
-    // compiler and simulator, never the checkpoint verifiers.
-    SweepEngine engine({defaultThreadCount(), &cache, /*verifyLevel=*/0});
     for (size_t sram : sram_points) {
         for (const Preset &step : kPresets) {
             HardwareConfig cfg = hw;
             cfg.nttMacReuse = step.macReuse;
             cfg.sramBytes = sram;
-            engine.submit(std::string(step.name) + "/sram" +
-                              std::to_string(sram >> 20),
-                          [] { return buildBootstrapping(paperFhe()); },
-                          cfg, step.options(sram));
-            grid.sramMb.push_back(sram >> 20);
+            grid.jobs.push_back(
+                {std::string(step.name) + "/sram" +
+                     std::to_string(sram >> 20),
+                 [] { return buildBootstrapping(paperFhe()); }, cfg,
+                 step.options(sram)});
         }
     }
+    CompileCache cache;
+    const size_t threads = defaultThreadCount();
     const Clock::time_point t0 = Clock::now();
-    grid.results = engine.runAll();
+    grid.results = runSweep(grid.jobs, threads, &cache);
     grid.wallMs = msSince(t0);
-    grid.threads = engine.workersUsed();
+    grid.threads = std::min(threads, grid.jobs.size());
     grid.cacheStats = cache.statsSnapshot();
 
     // The hardware-split invariant the lane records: one middle-end
@@ -157,15 +155,15 @@ runFig11Grid()
                   "expected %zu middle-end runs, saw %.0f", presets,
                   grid.cacheStats.get("cache.misses"));
     // The combined optimized preset never loses to the full preset at
-    // any SRAM point (jobs are submitted preset-major per SRAM point,
-    // so full/optimized are adjacent).
+    // any SRAM point (jobs are listed preset-major per SRAM point, so
+    // full/optimized are adjacent).
     for (size_t i = 0; i + 1 < grid.results.size(); i += presets) {
-        const SweepResult &full = grid.results[i + presets - 2];
-        const SweepResult &opt = grid.results[i + presets - 1];
-        EFFACT_ASSERT(opt.platform.sim.cycles <= full.platform.sim.cycles,
+        const PlatformResult &full = grid.results[i + presets - 2];
+        const PlatformResult &opt = grid.results[i + presets - 1];
+        EFFACT_ASSERT(opt.sim.cycles <= full.sim.cycles,
                       "optimized preset regressed at %s: %.0f > %.0f",
-                      opt.name.c_str(), opt.platform.sim.cycles,
-                      full.platform.sim.cycles);
+                      grid.jobs[i + presets - 1].name.c_str(),
+                      opt.sim.cycles, full.sim.cycles);
     }
     return grid;
 }
@@ -229,8 +227,8 @@ measureOptimizationWins()
     const std::vector<size_t> sram_points = {size_t(13) << 20,
                                              size_t(27) << 20};
 
-    CompileCache cache;
-    SweepEngine engine({defaultThreadCount(), &cache, /*verifyLevel=*/0});
+    std::vector<SweepJob> jobs;
+    std::vector<WinRow> rows;
     for (const auto &[wname, build] : workloads) {
         for (size_t sram : sram_points) {
             for (const Variant &v : variants) {
@@ -238,26 +236,19 @@ measureOptimizationWins()
                 cfg.sramBytes = sram;
                 CompilerOptions opts = Platform::fullOptions(sram);
                 v.tweak(opts);
-                engine.submit(std::string(wname) + "/" + v.name +
-                                  "/sram" + std::to_string(sram >> 20),
-                              build, cfg, opts);
+                jobs.push_back({std::string(wname) + "/" + v.name +
+                                    "/sram" + std::to_string(sram >> 20),
+                                build, cfg, opts});
+                rows.push_back({wname, v.name, sram >> 20});
             }
         }
     }
-    const std::vector<SweepResult> &results = engine.runAll();
-
-    std::vector<WinRow> rows;
-    size_t idx = 0;
-    for (const auto &[wname, build] : workloads) {
-        (void)build;
-        for (size_t sram : sram_points) {
-            for (const Variant &v : variants) {
-                const SweepResult &r = results[idx++];
-                rows.push_back({wname, v.name, sram >> 20,
-                                r.platform.sim.cycles,
-                                r.platform.machineFingerprint});
-            }
-        }
+    CompileCache cache;
+    const std::vector<PlatformResult> results =
+        runSweep(jobs, defaultThreadCount(), &cache);
+    for (size_t i = 0; i < rows.size(); ++i) {
+        rows[i].cycles = results[i].sim.cycles;
+        rows[i].fingerprint = results[i].machineFingerprint;
     }
 
     // The measured-win gate: each optimization, isolated, strictly
@@ -299,10 +290,11 @@ struct PaperRow
 /**
  * The fixed point for every paper workload: the four
  * `buildAllBenchmarks` workloads plus TFHE gate bootstrapping, x the
- * five presets x {13, 27, 54} MB of SRAM on stock ASIC-EFFACT-27, on
- * the engine with a shared compile cache. Cycles and fingerprints are
- * gated exactly (`paper_grid.results`), so a change that alters any
- * workload's machine code fails the lane, not only bootstrapping's.
+ * five presets x {13, 27, 54} MB of SRAM on stock ASIC-EFFACT-27,
+ * through `runSweep` with a shared compile cache. Cycles and
+ * fingerprints are gated exactly (`paper_grid.results`), so a change
+ * that alters any workload's machine code fails the lane, not only
+ * bootstrapping's.
  */
 std::vector<PaperRow>
 measurePaperGrid()
@@ -312,26 +304,27 @@ measurePaperGrid()
     workloads.emplace_back("TFHE", buildTfheBootstrap());
     const std::vector<size_t> sram_mb = {13, 27, 54};
 
-    CompileCache cache;
-    SweepEngine engine({defaultThreadCount(), &cache, /*verifyLevel=*/0});
+    std::vector<SweepJob> jobs;
     std::vector<PaperRow> rows;
     for (const auto &[wname, w] : workloads) {
         for (size_t mb : sram_mb) {
             for (const Preset &p : kPresets) {
                 HardwareConfig hw = HardwareConfig::asicEffact27();
                 hw.sramBytes = mb << 20;
-                engine.submit(wname + "/" + p.name + "/sram" +
-                                  std::to_string(mb),
-                              [&w = w] { return w; }, hw,
-                              p.options(hw.sramBytes));
+                jobs.push_back({wname + "/" + p.name + "/sram" +
+                                    std::to_string(mb),
+                                [&w = w] { return w; }, hw,
+                                p.options(hw.sramBytes)});
                 rows.push_back({wname, p.name, mb});
             }
         }
     }
-    const std::vector<SweepResult> &results = engine.runAll();
+    CompileCache cache;
+    const std::vector<PlatformResult> results =
+        runSweep(jobs, defaultThreadCount(), &cache);
     for (size_t i = 0; i < rows.size(); ++i) {
-        rows[i].cycles = results[i].platform.sim.cycles;
-        rows[i].fingerprint = results[i].platform.machineFingerprint;
+        rows[i].cycles = results[i].sim.cycles;
+        rows[i].fingerprint = results[i].machineFingerprint;
     }
     return rows;
 }
@@ -342,8 +335,9 @@ emit(const char *path)
     // Recorded perf numbers must be comparable run to run: refuse to
     // measure with checkpoint verification switched on via the
     // environment — a verified compile is a different workload than the
-    // one the checked-in baseline was recorded from. (The sweep below
-    // additionally forces verifyLevel 0 on every job.)
+    // one the checked-in baseline was recorded from. Every job's
+    // options default their verify level from the same environment, so
+    // this also keeps the checkpoint verifiers out of every sweep.
     EFFACT_ASSERT(defaultVerifyLevel() == 0,
                   "perf lane refuses to run with EFFACT_VERIFY set: "
                   "verification would pollute the recorded wall-clock");
@@ -384,15 +378,16 @@ emit(const char *path)
     std::fprintf(f, "    },\n");
     std::fprintf(f, "    \"results\": [\n");
     for (size_t i = 0; i < grid.results.size(); ++i) {
-        const SweepResult &r = grid.results[i];
+        const SweepJob &job = grid.jobs[i];
+        const PlatformResult &r = grid.results[i];
         std::fprintf(f,
                      "      {\"name\": \"%s\", \"sram_mb\": %zu, "
                      "\"cycles\": %.0f, \"bench_ms\": %.6f, "
                      "\"dram_gb\": %.6f, "
                      "\"fingerprint\": \"0x%016" PRIx64 "\"}%s\n",
-                     r.name.c_str(), grid.sramMb[i],
-                     r.platform.sim.cycles, r.platform.benchTimeMs,
-                     r.platform.dramGb, r.platform.machineFingerprint,
+                     job.name.c_str(), job.hw.sramBytes >> 20,
+                     r.sim.cycles, r.benchTimeMs, r.dramGb,
+                     r.machineFingerprint,
                      i + 1 < grid.results.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");

@@ -5,7 +5,7 @@
  * scale so the comparison runs in seconds). Both modes execute the
  * same 12 design points on the same worker count:
  *
- * - batch: one `SweepEngine::runAll` over a shared `CompileCache` —
+ * - batch: one `runSweep` over a shared `CompileCache` —
  *   the pre-daemon path;
  * - service: the same jobs as framed `ServiceRequest`s driven through
  *   a `ServiceCore` via `replayFrames`, i.e. the daemon path minus the
@@ -88,19 +88,19 @@ main()
     constexpr int kRounds = 4; // repeat the grid: cache-hot service reuse
 
     // --- batch mode --------------------------------------------------------
-    CompileCache batch_cache;
-    SweepEngine engine(
-        {threads, compileCacheEnabled() ? &batch_cache : nullptr});
+    std::vector<SweepJob> jobs;
     for (int round = 0; round < kRounds; ++round)
         for (const GridPoint &pt : grid) {
             HardwareConfig hw = HardwareConfig::asicEffact27();
             hw.sramBytes = pt.sramBytes;
-            engine.submit(pt.name, [] {
+            jobs.push_back({pt.name, [] {
                 return buildDbLookup(benchFhe(), kRecords);
-            }, hw, pt.copts);
+            }, hw, pt.copts});
         }
+    CompileCache batch_cache;
     const auto batch_t0 = std::chrono::steady_clock::now();
-    const std::vector<SweepResult> &batch = engine.runAll();
+    const std::vector<PlatformResult> batch = runSweep(
+        jobs, threads, compileCacheEnabled() ? &batch_cache : nullptr);
     const double batch_s = secondsSince(batch_t0);
 
     // --- service mode ------------------------------------------------------
@@ -151,13 +151,12 @@ main()
         const ServiceResult &svc = outcome.results[i];
         EFFACT_ASSERT(svc.status == ServiceStatus::Ok, "job %zu: %s", i,
                       svc.error.c_str());
-        EFFACT_ASSERT(svc.machineFingerprint ==
-                          batch[i].platform.machineFingerprint,
+        EFFACT_ASSERT(svc.machineFingerprint == batch[i].machineFingerprint,
                       "job %zu (%s): service fingerprint diverged", i,
-                      batch[i].name.c_str());
-        EFFACT_ASSERT(svc.cycles == batch[i].platform.sim.cycles,
+                      jobs[i].name.c_str());
+        EFFACT_ASSERT(svc.cycles == batch[i].sim.cycles,
                       "job %zu (%s): service cycles diverged", i,
-                      batch[i].name.c_str());
+                      jobs[i].name.c_str());
     }
 
     // Deterministic grid table (first round only; later rounds repeat).
@@ -170,13 +169,13 @@ main()
     }
     table.print();
 
-    const size_t jobs = batch.size();
+    const size_t n = batch.size();
     std::fprintf(stderr,
                  "[service-bench] %zu jobs x %zu worker(s)\n"
                  "  batch   : %.3f s (%.1f jobs/s)\n"
                  "  service : %.3f s (%.1f jobs/s, overhead %+.1f%%)\n",
-                 jobs, threads, batch_s, double(jobs) / batch_s, service_s,
-                 double(jobs) / service_s,
+                 n, threads, batch_s, double(n) / batch_s, service_s,
+                 double(n) / service_s,
                  100.0 * (service_s - batch_s) / batch_s);
     if (compileCacheEnabled()) {
         reportCacheStats(batch_cache);

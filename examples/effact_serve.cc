@@ -2,7 +2,7 @@
  * @file
  * The compile-and-simulate daemon: binds an AF_UNIX socket, accepts
  * framed requests (see `src/service/protocol.h`), batches them through
- * the shared `SweepEngine` with a bounded LRU `CompileCache` and
+ * `runSweep` with a bounded LRU `CompileCache` and
  * bounded-queue admission control, and streams results back in
  * submission order. `--record FILE` captures the client frame stream
  * as a replayable session log (see `effact-replay`).

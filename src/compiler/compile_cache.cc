@@ -43,7 +43,6 @@ middleEndPresetHash(const CompilerOptions &opts)
     mix(opts.pipeline.size());
     for (char c : opts.pipeline)
         mixByte(static_cast<unsigned char>(c));
-    mix(opts.pipelineMaxIterations);
     // Back-end options that are part of the preset identity but not of
     // the hardware config (see the header on why they are included).
     // `verifyLevel` is deliberately absent: checkpoint verification

@@ -117,7 +117,7 @@ size_t defaultCacheBytes();
 
 /**
  * The single-flight snapshot store. Opt-in and shared: one instance
- * serves a whole sweep (`SweepOptions::compileCache`), or any set of
+ * serves a whole sweep (`runSweep`'s `cache`), or any set of
  * concurrent `Compiler::compile` calls.
  *
  * Bounding. With a zero byte budget (the default) entries are never

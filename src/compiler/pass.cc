@@ -107,13 +107,12 @@ Compiler::optimize(IrProgram &prog, StatSet &stats) const
     // after the Eq. 5 peephole" cleanup and catches any second-order
     // reductions one sweep misses.
     PassManager pipeline = PassManager::fromSpec(opts_.pipeline);
-    pipeline.setMaxIterations(opts_.pipelineMaxIterations);
     pipeline.setVerifyLevel(opts_.verifyLevel);
     pipeline.run(prog, stats);
     EFFACT_ASSERT(pipeline.converged(),
                   "optimization pipeline '%s' did not converge in %zu "
                   "sweeps",
-                  pipeline.spec().c_str(), pipeline.maxIterations());
+                  pipeline.spec().c_str(), PassManager::kMaxIterations);
     prog.compact();
 
     // The program leaving here is what a `CompileCache` snapshots and

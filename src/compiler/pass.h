@@ -65,15 +65,6 @@ struct CompilerOptions
      */
     std::string pipeline = "copyprop,constprop,pre,peephole";
     /**
-     * Fixed-point sweep bound for the optimization pipeline; compile
-     * panics if it has not converged within this many sweeps. A guard
-     * against non-monotone pass bugs, set generously: rewrite chains
-     * (e.g. stacked single-use scale multiplies folding one link per
-     * sweep) legitimately take many sweeps, and quiescent sweeps cost
-     * almost nothing under the version-skip.
-     */
-    size_t pipelineMaxIterations = 64;
-    /**
      * Back-end scheduling policy. Scheduling is back-end (hardware-
      * dependent), but the policy *is* mixed into `middleEndPresetHash`
      * so sweeps that vary it never share middle-end snapshots with

@@ -162,9 +162,6 @@ size_t
 PassManager::run(IrProgram &prog, StatSet &stats)
 {
     using Clock = std::chrono::steady_clock;
-    EFFACT_ASSERT(maxIterations_ > 0,
-                  "pipeline sweep bound must be positive (0 would "
-                  "silently skip every pass yet report convergence)");
     converged_ = true;
     size_t sweeps = 0;
     if (passes_.empty()) {
@@ -185,7 +182,7 @@ PassManager::run(IrProgram &prog, StatSet &stats)
     // to the passes that actually saw new IR.
     constexpr uint64_t kNeverRan = ~uint64_t(0);
     std::vector<uint64_t> last_seen(passes_.size(), kNeverRan);
-    while (sweeps < maxIterations_) {
+    while (sweeps < kMaxIterations) {
         ++sweeps;
         bool sweep_changed = false;
         const uint64_t sweep_kills = prog.kills();

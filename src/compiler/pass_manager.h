@@ -87,7 +87,7 @@ struct PassEntry
 /**
  * Runs an ordered pipeline of registry passes to a bounded fixed point:
  * the sequence repeats until one full sweep reports no change
- * (converged) or `maxIterations()` sweeps have run. The manager bumps
+ * (converged) or `kMaxIterations` sweeps have run. The manager bumps
  * `prog.version()` exactly when a pass returns a non-zero rewrite
  * count, which keeps cached analyses sound. Per-pass wall-clock and
  * instruction-delta statistics are recorded under namespaced keys
@@ -121,10 +121,15 @@ class PassManager
     /** Round-trips the pipeline back to its spec string. */
     std::string spec() const;
 
-    /** Fixed-point sweep bound (default 64, matching
-     *  `CompilerOptions::pipelineMaxIterations`). */
-    void setMaxIterations(size_t n) { maxIterations_ = n; }
-    size_t maxIterations() const { return maxIterations_; }
+    /**
+     * Fixed-point sweep bound; `Compiler` panics if the pipeline has
+     * not converged within this many sweeps. A guard against
+     * non-monotone pass bugs, set generously: rewrite chains (e.g.
+     * stacked single-use scale multiplies folding one link per sweep)
+     * legitimately take many sweeps, and quiescent sweeps cost almost
+     * nothing under the version-skip.
+     */
+    static constexpr size_t kMaxIterations = 64;
 
     /**
      * When > 0, the IR verifier runs after every pass that reported a
@@ -146,7 +151,6 @@ class PassManager
 
   private:
     std::vector<PassEntry> passes_;
-    size_t maxIterations_ = 64;
     int verifyLevel_ = 0;
     bool converged_ = true;
 };

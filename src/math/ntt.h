@@ -55,16 +55,6 @@ class Ntt
     void backward(std::vector<u64> &a) const;
 
     /**
-     * Negacyclic convolution reference: c = a * b mod (X^N + 1, q).
-     * O(N^2); used only by tests as ground truth for the NTT path.
-     * Pointer spans so callers can pass any u64 storage (plain or
-     * aligned vectors).
-     */
-    static std::vector<u64> negacyclicMulSchoolbook(const u64 *a,
-                                                    const u64 *b, size_t n,
-                                                    u64 q);
-
-    /**
      * Twiddle tables in kernel-dispatch form (bit-reversed roots plus
      * their Shoup pre-scaled images) — what the SIMD tiers consume.
      */

@@ -25,11 +25,9 @@ struct PlatformResult
      * Per-stage wall-clock of this job (`job.middle.ms`,
      * `job.backend.ms`, `job.sim.ms`, `job.fingerprint.ms`, and
      * `job.total.ms` from the first of those clock reads to the last,
-     * which the four sum to; the batch driver adds `job.ir.ms` for
-     * workload construction). Host timings, not
-     * simulated ones — the one result family that is *not*
-     * deterministic; `SweepEngine` aggregates it so perf lanes can see
-     * where a job's latency goes.
+     * which the four sum to; `runSweep` adds `job.ir.ms` for
+     * workload construction). Host timings, not simulated ones — the
+     * one result family that is *not* deterministic.
      */
     StatSet jobStats;
     double benchTimeMs = 0;   ///< program time x workload repeat factor

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fixed-size worker thread pool for the batch-execution runtime. Tasks
- * are plain callables invoked with the executing worker's index. The
- * `SweepEngine` sizes a private pool to each parallel batch and runs
- * one task per job.
+ * are plain callables invoked with the executing worker's index.
+ * `runSweep` sizes a private pool to each parallel batch and runs one
+ * task per job.
  */
 #ifndef EFFACT_RUNTIME_THREAD_POOL_H
 #define EFFACT_RUNTIME_THREAD_POOL_H

@@ -287,7 +287,6 @@ encodeRequest(const ServiceRequest &req)
     // overwrites (`sramBytes`, `issueWindow`); each policy is its enum
     // code.
     putString(buf, req.copts.pipeline);
-    putU64(buf, req.copts.pipelineMaxIterations);
     putU8(buf, req.copts.streaming ? 1 : 0);
     putU64(buf, req.copts.fifoDepth);
     putU8(buf, uint8_t(req.copts.scheduler));
@@ -322,7 +321,6 @@ decodeRequest(const std::vector<uint8_t> &payload, ServiceRequest *out,
     req.hw.nttMacReuse = r.u8() != 0;
     req.hw.issueWindow = size_t(r.u64());
     req.copts.pipeline = r.str();
-    req.copts.pipelineMaxIterations = size_t(r.u64());
     req.copts.streaming = r.u8() != 0;
     req.copts.fifoDepth = size_t(r.u64());
     // Any byte decodes; `validateRequest` rejects unknown codes.

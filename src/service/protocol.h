@@ -47,10 +47,11 @@ namespace effact {
 
 /** 'E','F','C','T' read as a little-endian u32. */
 constexpr uint32_t kFrameMagic = 0x54434645u;
-/** v3: request payloads select passes by the pipeline spec alone and
+/** v4: request payloads select passes by the pipeline spec alone (no
+ *  sweep bound: the fixed point's bound is a compiler constant) and
  *  carry each back-end policy (`CompilerOptions::scheduler` /
  *  `::regalloc`) as a one-byte enum code after `fifoDepth`. */
-constexpr uint16_t kProtocolVersion = 3;
+constexpr uint16_t kProtocolVersion = 4;
 /** Hard payload bound: a request or result is a few KB; anything
  *  megabytes-large is garbage and refused before allocation. */
 constexpr uint32_t kMaxFramePayload = 1u << 20;
@@ -142,7 +143,7 @@ const char *serviceStatusName(ServiceStatus status);
 /**
  * One request's outcome. For `Ok`, the deterministic result fields
  * (cycles, fingerprint, instructions, bench metrics, stats) are
- * byte-identical to a batch-mode `SweepEngine` run of the same job —
+ * byte-identical to a batch-mode `runSweep` of the same job —
  * modulo wall-clock (`*.ms`) and queue-observability fields, which
  * `canonicalResult` strips for comparisons.
  */

@@ -98,8 +98,6 @@ validateRequest(const ServiceRequest &req, std::string *error)
     if (!inRange(req.hw.issueWindow, 1, 1u << 16))
         return fail("hw.issueWindow out of range");
     // Compiler options.
-    if (!inRange(req.copts.pipelineMaxIterations, 1, 4096))
-        return fail("copts.pipelineMaxIterations out of range");
     if (!inRange(req.copts.fifoDepth, 1, 1u << 20))
         return fail("copts.fifoDepth out of range");
     // An unknown pass name must surface as a BadRequest, not as
@@ -213,10 +211,8 @@ ServiceCore::runBatch()
         return;
     ++batches_;
 
-    SweepOptions so;
-    so.threads = opts_.threads;
-    so.compileCache = opts_.useCache ? &cache_ : nullptr;
-    SweepEngine engine(so);
+    std::vector<SweepJob> jobs;
+    jobs.reserve(batch.size());
     for (size_t idx : batch) {
         const ServiceRequest &req = window_[idx].req;
         CompilerOptions copts = req.copts;
@@ -226,15 +222,16 @@ ServiceCore::runBatch()
             copts.verifyLevel = int(req.verifyLevel);
         else
             copts.verifyLevel = defaultVerifyLevel();
-        engine.submit(req.name, makeWorkloadBuild(req), req.hw, copts);
+        jobs.push_back({req.name, makeWorkloadBuild(req), req.hw, copts});
     }
     const Clock::time_point batch_start = Clock::now();
-    const std::vector<SweepResult> &results = engine.runAll();
+    const std::vector<PlatformResult> results =
+        runSweep(jobs, opts_.threads, opts_.useCache ? &cache_ : nullptr);
     const Clock::time_point batch_end = Clock::now();
 
     for (size_t k = 0; k < batch.size(); ++k) {
         Entry &entry = window_[batch[k]];
-        const PlatformResult &p = results[k].platform;
+        const PlatformResult &p = results[k];
         ServiceResult &res = entry.res;
         res.status = ServiceStatus::Ok;
         res.cycles = p.sim.cycles;

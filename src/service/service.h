@@ -5,8 +5,8 @@
  * - `ServiceCore`: the daemon's brain, independent of any transport.
  *   Single-driver-thread request window with validation, admission
  *   control (bounded pending queue, explicit reject-when-full) and
- *   batched execution through a `SweepEngine` (each parallel batch on
- *   its own pool of at most `threads` workers) over one long-lived,
+ *   batched execution through `runSweep` (each parallel batch on its
+ *   own pool of at most `threads` workers) over one long-lived,
  *   bounded `CompileCache`. Fully
  *   deterministic given its configuration and the request stream:
  *   statuses, batching boundaries and every deterministic result field

@@ -278,35 +278,25 @@ presetSramGrid()
 
 TEST(CompileCache, SharedAcrossEightWorkersMatchesUncachedSerial)
 {
-    SweepEngine uncached({1});
-    for (SweepJob &job : presetSramGrid())
-        uncached.submit(std::move(job));
-    const std::vector<SweepResult> &plain = uncached.runAll();
+    const std::vector<SweepJob> jobs = presetSramGrid();
+    const std::vector<PlatformResult> plain = runSweep(jobs, 1);
 
     CompileCache cache;
-    SweepEngine engine({8, &cache});
-    for (SweepJob &job : presetSramGrid())
-        engine.submit(std::move(job));
-    const std::vector<SweepResult> &cached = engine.runAll();
+    const std::vector<PlatformResult> cached = runSweep(jobs, 8, &cache);
 
     ASSERT_EQ(cached.size(), plain.size());
     for (size_t i = 0; i < plain.size(); ++i) {
-        EXPECT_EQ(cached[i].name, plain[i].name);
-        EXPECT_DOUBLE_EQ(cached[i].platform.sim.cycles,
-                         plain[i].platform.sim.cycles)
-            << plain[i].name;
-        EXPECT_DOUBLE_EQ(cached[i].platform.sim.dramBytes,
-                         plain[i].platform.sim.dramBytes)
-            << plain[i].name;
-        EXPECT_EQ(cached[i].platform.machineFingerprint,
-                  plain[i].platform.machineFingerprint)
-            << plain[i].name;
-        EXPECT_DOUBLE_EQ(cached[i].platform.benchTimeMs,
-                         plain[i].platform.benchTimeMs)
-            << plain[i].name;
-        EXPECT_EQ(comparableStats(cached[i].platform.compilerStats),
-                  comparableStats(plain[i].platform.compilerStats))
-            << plain[i].name;
+        EXPECT_DOUBLE_EQ(cached[i].sim.cycles, plain[i].sim.cycles)
+            << jobs[i].name;
+        EXPECT_DOUBLE_EQ(cached[i].sim.dramBytes, plain[i].sim.dramBytes)
+            << jobs[i].name;
+        EXPECT_EQ(cached[i].machineFingerprint, plain[i].machineFingerprint)
+            << jobs[i].name;
+        EXPECT_DOUBLE_EQ(cached[i].benchTimeMs, plain[i].benchTimeMs)
+            << jobs[i].name;
+        EXPECT_EQ(comparableStats(cached[i].compilerStats),
+                  comparableStats(plain[i].compilerStats))
+            << jobs[i].name;
     }
 }
 
@@ -314,10 +304,8 @@ TEST(CompileCache, SingleFlightBuildCountsAreExactAtAnyThreadCount)
 {
     for (size_t threads : {size_t(1), size_t(2), size_t(8)}) {
         CompileCache cache;
-        SweepEngine engine({threads, &cache});
-        for (SweepJob &job : presetSramGrid())
-            engine.submit(std::move(job));
-        engine.runAll();
+        const std::vector<PlatformResult> results =
+            runSweep(presetSramGrid(), threads, &cache);
 
         const StatSet cs = cache.statsSnapshot();
         EXPECT_EQ(cs.get("cache.lookups"), 12.0) << threads;
@@ -326,9 +314,11 @@ TEST(CompileCache, SingleFlightBuildCountsAreExactAtAnyThreadCount)
         EXPECT_EQ(cs.get("cache.misses"), 4.0) << threads;
         EXPECT_EQ(cs.get("cache.hits"), 8.0) << threads;
         EXPECT_EQ(cs.get("cache.entries"), 4.0) << threads;
-        // The engine mirrors the totals into its aggregates.
-        EXPECT_EQ(engine.aggregates().get("cache.misses"), 4.0);
-        EXPECT_EQ(engine.aggregates().get("compile.cache.hit.sum"), 8.0);
+        // Each job's own hit marker agrees with the cache's total.
+        double hits = 0;
+        for (const PlatformResult &r : results)
+            hits += r.compilerStats.get("cache.hit");
+        EXPECT_EQ(hits, 8.0) << threads;
     }
 }
 
@@ -561,30 +551,23 @@ TEST(BoundedLru, SweepWithTinyBudgetMatchesUncachedSerial)
     // Eviction pressure must never change compile results: a budget far
     // below one real snapshot forces a rebuild for effectively every
     // job, and the sweep still matches the uncached serial oracle.
-    SweepEngine uncached({1});
-    for (SweepJob &job : presetSramGrid())
-        uncached.submit(std::move(job));
-    const std::vector<SweepResult> &plain = uncached.runAll();
+    const std::vector<SweepJob> jobs = presetSramGrid();
+    const std::vector<PlatformResult> plain = runSweep(jobs, 1);
 
     CompileCache cache(size_t(4) << 10);
-    SweepEngine engine({4, &cache});
-    for (SweepJob &job : presetSramGrid())
-        engine.submit(std::move(job));
-    const std::vector<SweepResult> &bounded = engine.runAll();
+    const std::vector<PlatformResult> bounded = runSweep(jobs, 4, &cache);
 
     EXPECT_GE(cacheStat(cache, "cache.evictions"), 1.0)
         << "the tiny budget must actually evict";
     ASSERT_EQ(bounded.size(), plain.size());
     for (size_t i = 0; i < plain.size(); ++i) {
-        EXPECT_EQ(bounded[i].platform.machineFingerprint,
-                  plain[i].platform.machineFingerprint)
-            << plain[i].name;
-        EXPECT_DOUBLE_EQ(bounded[i].platform.sim.cycles,
-                         plain[i].platform.sim.cycles)
-            << plain[i].name;
-        EXPECT_EQ(comparableStats(bounded[i].platform.compilerStats),
-                  comparableStats(plain[i].platform.compilerStats))
-            << plain[i].name;
+        EXPECT_EQ(bounded[i].machineFingerprint, plain[i].machineFingerprint)
+            << jobs[i].name;
+        EXPECT_DOUBLE_EQ(bounded[i].sim.cycles, plain[i].sim.cycles)
+            << jobs[i].name;
+        EXPECT_EQ(comparableStats(bounded[i].compilerStats),
+                  comparableStats(plain[i].compilerStats))
+            << jobs[i].name;
     }
 }
 

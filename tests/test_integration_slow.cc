@@ -5,7 +5,7 @@
  * combinations and design points, and pin the event-driven simulator
  * against the legacy rescan loop on the full bootstrapping trace.
  *
- * The option-corner and design-point sweeps run as one `SweepEngine`
+ * The option-corner and design-point sweeps run as one `runSweep`
  * batch at `EFFACT_THREADS` workers (default: hardware concurrency;
  * set it to 1 for the serial path), which is both the paper-scale
  * soak test of the batch runtime and a large CI wall-clock win.
@@ -106,9 +106,9 @@ TEST(PaperScale, EventCoreMatchesLegacyLoopOnUnoptimizedTrace)
  * bootstrapping on every design point. Corner jobs must match the
  * legacy rescan loop; every job must complete with sane utilization.
  */
-TEST(PaperScale, SweepEngineRunsCornersAndDesignPoints)
+TEST(PaperScale, RunSweepRunsCornersAndDesignPoints)
 {
-    SweepEngine engine({defaultThreadCount()});
+    std::vector<SweepJob> jobs;
 
     // The corners: baseline, each axis alone, and everything on.
     const std::vector<int> corners = {0, 1, 2, 4, 8, 15};
@@ -122,9 +122,9 @@ TEST(PaperScale, SweepEngineRunsCornersAndDesignPoints)
         opts.scheduler =
             mask & 4 ? Scheduler::CriticalPath : Scheduler::ProgramOrder;
         opts.streaming = mask & 8;
-        engine.submit("corner" + std::to_string(mask),
-                      [] { return buildBootstrapping(paperFhe()); }, hw27,
-                      opts);
+        jobs.push_back({"corner" + std::to_string(mask),
+                        [] { return buildBootstrapping(paperFhe()); },
+                        hw27, opts});
     }
 
     const std::vector<HardwareConfig> configs = {
@@ -132,31 +132,25 @@ TEST(PaperScale, SweepEngineRunsCornersAndDesignPoints)
         HardwareConfig::asicEffact108(), HardwareConfig::asicEffact162(),
         HardwareConfig::fpgaEffact()};
     for (const HardwareConfig &hw : configs)
-        engine.submit(hw.name,
-                      [] { return buildBootstrapping(paperFhe()); }, hw,
-                      Platform::fullOptions(hw.sramBytes));
+        jobs.push_back({hw.name,
+                        [] { return buildBootstrapping(paperFhe()); }, hw,
+                        Platform::fullOptions(hw.sramBytes)});
 
-    const std::vector<SweepResult> &results = engine.runAll();
+    const std::vector<PlatformResult> results =
+        runSweep(jobs, defaultThreadCount());
     ASSERT_EQ(results.size(), corners.size() + configs.size());
-    for (const SweepResult &r : results) {
-        EXPECT_GT(r.platform.sim.cycles, 0.0) << r.name;
-        EXPECT_GT(r.platform.benchTimeMs, 0.0) << r.name;
-        EXPECT_NE(r.platform.machineFingerprint, 0u) << r.name;
-        for (double u :
-             {r.platform.sim.dramUtil, r.platform.sim.nttUtil,
-              r.platform.sim.mulAddUtil, r.platform.sim.autoUtil}) {
-            EXPECT_GE(u, 0.0) << r.name;
-            EXPECT_LE(u, 1.0 + 1e-9) << r.name;
+    for (size_t i = 0; i < results.size(); ++i) {
+        const PlatformResult &r = results[i];
+        const std::string &name = jobs[i].name;
+        EXPECT_GT(r.sim.cycles, 0.0) << name;
+        EXPECT_GT(r.benchTimeMs, 0.0) << name;
+        EXPECT_NE(r.machineFingerprint, 0u) << name;
+        for (double u : {r.sim.dramUtil, r.sim.nttUtil, r.sim.mulAddUtil,
+                         r.sim.autoUtil}) {
+            EXPECT_GE(u, 0.0) << name;
+            EXPECT_LE(u, 1.0 + 1e-9) << name;
         }
     }
-    // Aggregates cover the whole batch.
-    const StatSet &agg = engine.aggregates();
-    EXPECT_EQ(agg.get("sweep.jobs"),
-              double(corners.size() + configs.size()));
-    EXPECT_EQ(agg.get("platform.cycles.count"),
-              double(corners.size() + configs.size()));
-    EXPECT_GE(agg.get("platform.cycles.max"),
-              agg.get("platform.cycles.min"));
 }
 
 } // namespace

@@ -92,7 +92,6 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     req.hw.nttMacReuse = !req.hw.nttMacReuse;
     req.hw.issueWindow = 192;
     req.copts.pipeline = "copyprop,constprop";
-    req.copts.pipelineMaxIterations = 17;
     req.copts.scheduler = Scheduler::Latency;
     req.copts.streaming = false;
     req.copts.regalloc = RegAllocPolicy::Priority;
@@ -124,8 +123,6 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     EXPECT_EQ(out.hw.nttMacReuse, req.hw.nttMacReuse);
     EXPECT_EQ(out.hw.issueWindow, req.hw.issueWindow);
     EXPECT_EQ(out.copts.pipeline, req.copts.pipeline);
-    EXPECT_EQ(out.copts.pipelineMaxIterations,
-              req.copts.pipelineMaxIterations);
     EXPECT_EQ(out.copts.scheduler, req.copts.scheduler);
     EXPECT_EQ(out.copts.streaming, req.copts.streaming);
     EXPECT_EQ(out.copts.fifoDepth, req.copts.fifoDepth);
@@ -495,15 +492,15 @@ TEST(ServiceCore, AutoBatchRunsAtBatchSizeWithoutFlush)
     EXPECT_EQ(core.statsSnapshot().get("service.batches"), 2.0);
 }
 
-TEST(ServiceCore, ResultsMatchBatchModeSweepEngine)
+TEST(ServiceCore, ResultsMatchBatchModeRunSweep)
 {
     // The daemon's results must be the batch path's results: same
-    // cycles, fingerprints and instruction counts as a SweepEngine run
-    // of the equivalent jobs.
+    // cycles, fingerprints and instruction counts as a `runSweep` of
+    // the equivalent jobs.
     const HardwareConfig hw = HardwareConfig::asicEffact27();
     const std::vector<uint64_t> records = {32, 48, 64};
 
-    SweepEngine engine({1});
+    std::vector<SweepJob> jobs;
     for (uint64_t n : records) {
         SweepJob job;
         job.name = "batch" + std::to_string(n);
@@ -516,9 +513,9 @@ TEST(ServiceCore, ResultsMatchBatchModeSweepEngine)
         };
         job.hw = hw;
         job.copts = Platform::fullOptions(hw.sramBytes);
-        engine.submit(std::move(job));
+        jobs.push_back(std::move(job));
     }
-    const std::vector<SweepResult> &batch = engine.runAll();
+    const std::vector<PlatformResult> batch = runSweep(jobs, 1);
 
     ServiceOptions opts;
     opts.threads = 2;
@@ -530,20 +527,18 @@ TEST(ServiceCore, ResultsMatchBatchModeSweepEngine)
     ASSERT_EQ(served.size(), batch.size());
     for (size_t i = 0; i < served.size(); ++i) {
         ASSERT_EQ(served[i].status, ServiceStatus::Ok);
-        EXPECT_DOUBLE_EQ(served[i].cycles, batch[i].platform.sim.cycles);
-        EXPECT_EQ(served[i].machineFingerprint,
-                  batch[i].platform.machineFingerprint);
+        EXPECT_DOUBLE_EQ(served[i].cycles, batch[i].sim.cycles);
+        EXPECT_EQ(served[i].machineFingerprint, batch[i].machineFingerprint);
         EXPECT_EQ(served[i].instructions,
-                  uint64_t(batch[i].platform.sim.instructions));
-        EXPECT_DOUBLE_EQ(served[i].benchTimeMs,
-                         batch[i].platform.benchTimeMs);
+                  uint64_t(batch[i].sim.instructions));
+        EXPECT_DOUBLE_EQ(served[i].benchTimeMs, batch[i].benchTimeMs);
     }
     // Repeats hit the shared cache (unbounded here), without changing
     // the results.
     core.submit(smallRequest("again", 32));
     const std::vector<ServiceResult> again = core.flush();
     ASSERT_EQ(again.size(), 1u);
-    EXPECT_DOUBLE_EQ(again[0].cycles, batch[0].platform.sim.cycles);
+    EXPECT_DOUBLE_EQ(again[0].cycles, batch[0].sim.cycles);
     EXPECT_GT(core.statsSnapshot().get("cache.hits"), 0.0);
 }
 

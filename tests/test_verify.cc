@@ -823,24 +823,26 @@ fig11Presets(size_t sram)
             Platform::optimizedOptions(sram)};
 }
 
-/** Submits small-workload jobs for every Fig. 11 preset. */
-void
-submitVerifiedGrid(SweepEngine &engine)
+/** Small-workload jobs for every Fig. 11 preset, fully verified. */
+std::vector<SweepJob>
+verifiedGrid()
 {
     FheParams fhe;
     fhe.logN = 13;
     fhe.levels = 8;
     fhe.dnum = 2;
     const HardwareConfig hw = HardwareConfig::asicEffact27();
-    int preset_idx = 0;
+    std::vector<SweepJob> jobs;
     for (const CompilerOptions &opts : fig11Presets(hw.sramBytes)) {
         SweepJob job;
-        job.name = "preset" + std::to_string(preset_idx++);
+        job.name = "preset" + std::to_string(jobs.size());
         job.build = [fhe] { return buildDbLookup(fhe, 32); };
         job.hw = hw;
         job.copts = opts;
-        engine.submit(std::move(job));
+        job.copts.verifyLevel = 1;
+        jobs.push_back(std::move(job));
     }
+    return jobs;
 }
 
 TEST(VerifiedWorkloads, CleanAtEveryBoundaryAcrossPresetsAndThreads)
@@ -848,22 +850,19 @@ TEST(VerifiedWorkloads, CleanAtEveryBoundaryAcrossPresetsAndThreads)
     // Checkpoint enforcement panics on the first malformed program, so
     // a run to completion IS the assertion that every boundary of every
     // preset is verifier-clean — at each sweep thread count.
+    const std::vector<SweepJob> jobs = verifiedGrid();
     uint64_t serial_fp = 0;
     for (size_t threads : {size_t(1), size_t(2), size_t(8)}) {
-        SweepOptions sopts;
-        sopts.threads = threads;
-        sopts.verifyLevel = 1; // batch-wide override
-        SweepEngine engine(sopts);
-        submitVerifiedGrid(engine);
-        const std::vector<SweepResult> &results = engine.runAll();
+        const std::vector<PlatformResult> results = runSweep(jobs, threads);
         ASSERT_EQ(results.size(), 5u);
         uint64_t fp = 0;
-        for (const SweepResult &r : results) {
-            EXPECT_GT(r.platform.sim.cycles, 0.0) << r.name;
-            fp ^= r.platform.machineFingerprint;
+        double checks = 0;
+        for (size_t i = 0; i < results.size(); ++i) {
+            EXPECT_GT(results[i].sim.cycles, 0.0) << jobs[i].name;
+            fp ^= results[i].machineFingerprint;
+            checks += results[i].compilerStats.get("verify.checks");
         }
-        EXPECT_GT(engine.aggregates().get("compile.verify.checks.sum"),
-                  0.0);
+        EXPECT_GT(checks, 0.0);
         if (threads == 1)
             serial_fp = fp;
         else // verified parallel sweeps stay deterministic
@@ -898,29 +897,27 @@ TEST(SlowVerify, StockWorkloadsAllPresetsVerifyClean)
         {"tfhe", [] { return buildTfheBootstrap(); }},
     };
 
+    std::vector<SweepJob> jobs;
+    int preset_idx = 0;
+    for (const CompilerOptions &opts : fig11Presets(hw.sramBytes)) {
+        for (const W &w : workloads) {
+            SweepJob job;
+            job.name = std::string(w.name) + "/preset" +
+                       std::to_string(preset_idx);
+            job.build = w.build;
+            job.hw = hw;
+            job.copts = opts;
+            job.copts.verifyLevel = 1;
+            jobs.push_back(std::move(job));
+        }
+        ++preset_idx;
+    }
     CompileCache cache;
     for (size_t threads : {size_t(1), size_t(8)}) {
-        SweepOptions sopts;
-        sopts.threads = threads;
-        sopts.verifyLevel = 1;
-        sopts.compileCache = &cache;
-        SweepEngine engine(sopts);
-        int preset_idx = 0;
-        for (const CompilerOptions &opts : fig11Presets(hw.sramBytes)) {
-            for (const W &w : workloads) {
-                SweepJob job;
-                job.name = std::string(w.name) + "/preset" +
-                           std::to_string(preset_idx);
-                job.build = w.build;
-                job.hw = hw;
-                job.copts = opts;
-                engine.submit(std::move(job));
-            }
-            ++preset_idx;
-        }
-        const std::vector<SweepResult> &results = engine.runAll();
-        for (const SweepResult &r : results)
-            EXPECT_GT(r.platform.sim.cycles, 0.0) << r.name;
+        const std::vector<PlatformResult> results =
+            runSweep(jobs, threads, &cache);
+        for (size_t i = 0; i < results.size(); ++i)
+            EXPECT_GT(results[i].sim.cycles, 0.0) << jobs[i].name;
     }
 }
 
