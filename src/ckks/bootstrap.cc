@@ -1,5 +1,6 @@
 #include "ckks/bootstrap.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bitops.h"
@@ -61,30 +62,10 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx,
             finv_mat[i * slots + k] = col2[i];
     }
 
-    auto scaled = [&](const std::vector<cplx> &m, cplx factor,
-                      bool conj_entries) {
-        std::vector<cplx> out(m.size());
-        for (size_t i = 0; i < m.size(); ++i)
-            out[i] = factor * (conj_entries ? std::conj(m[i]) : m[i]);
-        return out;
-    };
-
-    // CtS: lo = Re(F^-1 z) = 0.5 F^-1 z + 0.5 conj(F^-1) z̄
-    //      hi = Im(F^-1 z) = -0.5i F^-1 z + 0.5i conj(F^-1) z̄
-    cts_a_lo_ = std::make_unique<LinearTransform>(
-        scaled(finv_mat, cplx(0.5, 0), false), slots);
-    cts_b_lo_ = std::make_unique<LinearTransform>(
-        scaled(finv_mat, cplx(0.5, 0), true), slots);
-    cts_a_hi_ = std::make_unique<LinearTransform>(
-        scaled(finv_mat, cplx(0, -0.5), false), slots);
-    cts_b_hi_ = std::make_unique<LinearTransform>(
-        scaled(finv_mat, cplx(0, 0.5), true), slots);
-
-    // StC: z' = F lo + (iF) hi.
-    stc_lo_ = std::make_unique<LinearTransform>(
-        scaled(f_mat, cplx(1, 0), false), slots);
-    stc_hi_ = std::make_unique<LinearTransform>(
-        scaled(f_mat, cplx(0, 1), false), slots);
+    for (cplx &v : finv_mat)
+        v *= 0.5;
+    cts_ = std::make_unique<LinearTransform>(std::move(finv_mat), slots);
+    stc_ = std::make_unique<LinearTransform>(std::move(f_mat), slots);
 
     // EvalMod target: f(x) = q'/(2pi) sin(2pi x / q') on |x| <= (K+1) q',
     // where q' = q0 / Delta is the modulus in message units. The range
@@ -109,18 +90,11 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx,
 std::vector<int>
 Bootstrapper::requiredRotations() const
 {
-    std::vector<bool> used(ctx_.slots(), false);
-    for (const auto *lt : {cts_a_lo_.get(), cts_b_lo_.get(),
-                           cts_a_hi_.get(), cts_b_hi_.get(), stc_lo_.get(),
-                           stc_hi_.get()}) {
-        for (int s : lt->requiredRotations())
-            if (s != 0)
-                used[static_cast<size_t>(s)] = true;
-    }
-    std::vector<int> steps;
-    for (size_t s = 0; s < used.size(); ++s)
-        if (used[s])
-            steps.push_back(static_cast<int>(s));
+    std::vector<int> steps = cts_->requiredRotations();
+    const std::vector<int> &stc = stc_->requiredRotations();
+    steps.insert(steps.end(), stc.begin(), stc.end());
+    std::sort(steps.begin(), steps.end());
+    steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
     return steps;
 }
 
@@ -153,20 +127,19 @@ Bootstrapper::modRaise(const Ciphertext &ct) const
 std::pair<Ciphertext, Ciphertext>
 Bootstrapper::coeffToSlot(const Ciphertext &ct) const
 {
-    Ciphertext ct_conj = eval_.conjugate(ct);
-    Ciphertext lo = applyPairedTransform(eval_, *cts_a_lo_, *cts_b_lo_, ct,
-                                         ct_conj);
-    Ciphertext hi = applyPairedTransform(eval_, *cts_a_hi_, *cts_b_hi_, ct,
-                                         ct_conj);
+    // w = F^-1 z / 2, so w + conj(w) = Re(F^-1 z) and
+    // i (conj(w) - w) = Im(F^-1 z).
+    Ciphertext w = cts_->apply(eval_, ct);
+    Ciphertext w_conj = eval_.conjugate(w);
+    Ciphertext lo = eval_.add(w, w_conj);
+    Ciphertext hi = eval_.multByI(eval_.sub(w_conj, w));
     return {std::move(lo), std::move(hi)};
 }
 
 Ciphertext
 Bootstrapper::slotToCoeff(const Ciphertext &lo, const Ciphertext &hi) const
 {
-    Ciphertext a = stc_lo_->apply(eval_, lo);
-    Ciphertext b = stc_hi_->apply(eval_, hi);
-    return eval_.add(a, b);
+    return stc_->apply(eval_, eval_.add(lo, eval_.multByI(hi)));
 }
 
 Ciphertext

@@ -2,8 +2,11 @@
  * @file
  * CKKS bootstrapping (Sec. V-A of the paper): ModRaise, CoeffToSlot,
  * EvalMod (scaled-sine approximation via Chebyshev BSGS evaluation) and
- * SlotToCoeff. Fully-packed: slots = N/2, CtS/StC are dense homomorphic
- * DFT-like transforms realized with the diagonal method.
+ * SlotToCoeff. Fully-packed: slots = N/2. CtS is one BSGS linear
+ * transform by F^-1/2 followed by one conjugation, which splits the
+ * result into its real and imaginary halves; StC is one BSGS transform
+ * by F of lo + i*hi. Both have the shape `buildBootstrapping` models in
+ * the IR (hoisted baby steps, one key switch per giant step).
  */
 #ifndef EFFACT_CKKS_BOOTSTRAP_H
 #define EFFACT_CKKS_BOOTSTRAP_H
@@ -23,7 +26,12 @@ struct BootstrapConfig
      * span in radians, 2*pi*(kRange+1), with margin.
      */
     size_t sineDegree = 255;
-    size_t babySteps = 16; ///< BSGS baby-step count (power of two)
+    /**
+     * Baby-step count of the Chebyshev BSGS evaluation in EvalMod (power
+     * of two). The CtS/StC transforms derive their own split from the
+     * slot count (`babyFor`).
+     */
+    size_t babySteps = 16;
     /**
      * Probabilistic bound K on the ModRaise overflow |I| (standard
      * practice: K=12 covers sparse ternary secrets with h <= 64).
@@ -86,9 +94,8 @@ class Bootstrapper
     const CkksEvaluator &eval_;
     BootstrapConfig config_;
 
-    std::unique_ptr<LinearTransform> cts_a_lo_, cts_b_lo_;
-    std::unique_ptr<LinearTransform> cts_a_hi_, cts_b_hi_;
-    std::unique_ptr<LinearTransform> stc_lo_, stc_hi_;
+    std::unique_ptr<LinearTransform> cts_; ///< F^-1 / 2
+    std::unique_ptr<LinearTransform> stc_; ///< F
     ChebyshevSeries sine_;
 };
 

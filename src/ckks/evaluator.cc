@@ -209,45 +209,82 @@ CkksEvaluator::levelTo(const Ciphertext &ct, size_t target_level) const
 Ciphertext
 CkksEvaluator::rotate(const Ciphertext &ct, int steps) const
 {
-    EFFACT_ASSERT(galois_keys_ != nullptr, "rotate requires Galois keys");
-    if (steps == 0)
-        return ct;
-    const u64 t = galoisElt(steps, ctx_.degree());
-    auto it = galois_keys_->find(t);
-    EFFACT_ASSERT(it != galois_keys_->end(),
-                  "missing Galois key for step %d (element %llu)", steps,
-                  static_cast<unsigned long long>(t));
+    return std::move(rotateHoisted(ct, {steps}).front());
+}
 
-    RnsPoly c0r = ct.polys[0].automorph(t);
-    RnsPoly c1r = ct.polys[1].automorph(t);
-    auto [k0, k1] = keySwitch(c1r, it->second);
-    c0r.addInPlace(k0);
-
-    Ciphertext out;
-    out.scale = ct.scale;
-    out.polys.push_back(std::move(c0r));
-    out.polys.push_back(std::move(k1));
-    return out;
+std::vector<Ciphertext>
+CkksEvaluator::rotateHoisted(const Ciphertext &ct,
+                             const std::vector<int> &steps) const
+{
+    std::vector<u64> elts;
+    elts.reserve(steps.size());
+    for (int s : steps)
+        elts.push_back(galoisElt(s, ctx_.degree()));
+    return automorphHoisted(ct, elts);
 }
 
 Ciphertext
 CkksEvaluator::conjugate(const Ciphertext &ct) const
 {
-    EFFACT_ASSERT(galois_keys_ != nullptr,
-                  "conjugate requires Galois keys");
-    const u64 t = galoisEltConjugate(ctx_.degree());
-    auto it = galois_keys_->find(t);
-    EFFACT_ASSERT(it != galois_keys_->end(), "missing conjugation key");
+    return std::move(
+        automorphHoisted(ct, {galoisEltConjugate(ctx_.degree())}).front());
+}
 
-    RnsPoly c0r = ct.polys[0].automorph(t);
-    RnsPoly c1r = ct.polys[1].automorph(t);
-    auto [k0, k1] = keySwitch(c1r, it->second);
-    c0r.addInPlace(k0);
+std::vector<Ciphertext>
+CkksEvaluator::automorphHoisted(const Ciphertext &ct,
+                                const std::vector<u64> &elts) const
+{
+    // sigma_t(ModUp(c1)) differs from ModUp(sigma_t(c1)) only by a
+    // multiple of each digit's Q_d, which that digit's gadget factor
+    // cancels; so one ModUp serves every element.
+    std::vector<RnsPoly> digits;
+    std::vector<Ciphertext> out;
+    out.reserve(elts.size());
+    for (u64 t : elts) {
+        if (t == 1) {
+            out.push_back(ct);
+            continue;
+        }
+        EFFACT_ASSERT(galois_keys_ != nullptr,
+                      "automorphism requires Galois keys");
+        auto it = galois_keys_->find(t);
+        EFFACT_ASSERT(it != galois_keys_->end(),
+                      "missing Galois key for element %llu",
+                      static_cast<unsigned long long>(t));
+        if (digits.empty())
+            digits = modUp(ct.polys[1]);
 
-    Ciphertext out;
-    out.scale = ct.scale;
-    out.polys.push_back(std::move(c0r));
-    out.polys.push_back(std::move(k1));
+        std::vector<RnsPoly> rotated;
+        rotated.reserve(digits.size());
+        for (const RnsPoly &digit : digits)
+            rotated.push_back(digit.automorph(t));
+        auto [k0, k1] =
+            innerProductModDown(std::move(rotated), it->second, ct.level());
+
+        Ciphertext r;
+        r.scale = ct.scale;
+        r.polys.push_back(ct.polys[0].automorph(t));
+        r.polys[0].addInPlace(k0);
+        r.polys.push_back(std::move(k1));
+        out.push_back(std::move(r));
+    }
+    return out;
+}
+
+Ciphertext
+CkksEvaluator::multByI(const Ciphertext &ct) const
+{
+    // The encoder puts a slot's real part at coefficient k and its
+    // imaginary part at k + N/2; multiplying by X^(N/2) moves c[k] to
+    // k + N/2 and -c[k + N/2] to k, so slot z becomes i*z exactly.
+    const size_t half = ctx_.degree() / 2;
+    RnsPoly x_half(ct.polys[0].basisPtr(), PolyFormat::Coeff);
+    for (size_t j = 0; j < x_half.limbCount(); ++j)
+        x_half.limb(j)[half] = 1;
+    x_half.toEval();
+    Ciphertext out = ct;
+    for (auto &p : out.polys)
+        p.mulEvalInPlace(x_half);
     return out;
 }
 
@@ -290,19 +327,16 @@ CkksEvaluator::modDown(RnsPoly acc, size_t level) const
     return q_part;
 }
 
-std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::keySwitch(const RnsPoly &d, const SwitchingKey &key) const
+std::vector<RnsPoly>
+CkksEvaluator::modUp(const RnsPoly &d) const
 {
     const size_t level = d.limbCount();
     RnsPoly dc = d;
     dc.toCoeff();
 
-    auto qp_basis = ctx_.qpBasisAt(level);
-    RnsPoly acc0(qp_basis, PolyFormat::Eval);
-    RnsPoly acc1(qp_basis, PolyFormat::Eval);
-
     const size_t digits = ctx_.digitCount(level);
-    EFFACT_ASSERT(digits <= key.b.size(), "switching key has too few digits");
+    std::vector<RnsPoly> out;
+    out.reserve(digits);
     for (size_t digit = 0; digit < digits; ++digit) {
         auto [begin, end] = ctx_.digitRange(digit, level);
         std::vector<size_t> idx;
@@ -313,7 +347,23 @@ CkksEvaluator::keySwitch(const RnsPoly &d, const SwitchingKey &key) const
 
         RnsPoly up = ctx_.modUpConverter(digit, level).convert(digit_poly);
         up.toEval();
+        out.push_back(std::move(up));
+    }
+    return out;
+}
 
+std::pair<RnsPoly, RnsPoly>
+CkksEvaluator::innerProductModDown(std::vector<RnsPoly> digits,
+                                   const SwitchingKey &key,
+                                   size_t level) const
+{
+    EFFACT_ASSERT(digits.size() <= key.b.size(),
+                  "switching key has too few digits");
+    auto qp_basis = ctx_.qpBasisAt(level);
+    RnsPoly acc0(qp_basis, PolyFormat::Eval);
+    RnsPoly acc1(qp_basis, PolyFormat::Eval);
+    for (size_t digit = 0; digit < digits.size(); ++digit) {
+        RnsPoly &up = digits[digit];
         RnsPoly prod_b = up;
         prod_b.mulEvalInPlace(restrictKeyPoly(key.b[digit], level));
         acc0.addInPlace(prod_b);
@@ -324,6 +374,12 @@ CkksEvaluator::keySwitch(const RnsPoly &d, const SwitchingKey &key) const
 
     return {modDown(std::move(acc0), level), modDown(std::move(acc1),
                                                      level)};
+}
+
+std::pair<RnsPoly, RnsPoly>
+CkksEvaluator::keySwitch(const RnsPoly &d, const SwitchingKey &key) const
+{
+    return innerProductModDown(modUp(d), key, d.limbCount());
 }
 
 } // namespace effact

@@ -57,11 +57,26 @@ class CkksEvaluator
     /** Drops limbs without dividing (level alignment). */
     Ciphertext levelTo(const Ciphertext &ct, size_t target_level) const;
 
-    /** HROT by `steps` slots (uses the matching Galois key). */
+    /**
+     * HROT by `steps` slots (uses the matching Galois key). A multiple
+     * of the slot count is the identity and needs no key.
+     */
     Ciphertext rotate(const Ciphertext &ct, int steps) const;
+
+    /**
+     * HROT by every entry of `steps`, sharing one ModUp of c1 between
+     * them (hoisting): returns one ciphertext per step, each bit-for-bit
+     * rotate(ct, step).
+     */
+    std::vector<Ciphertext> rotateHoisted(const Ciphertext &ct,
+                                          const std::vector<int> &steps)
+        const;
 
     /** Complex conjugation of every slot. */
     Ciphertext conjugate(const Ciphertext &ct) const;
+
+    /** Multiplies every slot by i; exact, and uses no level and no key. */
+    Ciphertext multByI(const Ciphertext &ct) const;
 
     /**
      * Key switching: given d (a polynomial decryptable under some s'),
@@ -74,6 +89,28 @@ class CkksEvaluator
     const CkksEncoder &encoder() const { return encoder_; }
 
   private:
+    /**
+     * sigma_t(ct) for every Galois element t of `elts`, key-switched back
+     * to s. One ModUp of c1 serves every t != 1; t == 1 returns ct.
+     */
+    std::vector<Ciphertext> automorphHoisted(const Ciphertext &ct,
+                                             const std::vector<u64> &elts)
+        const;
+
+    /**
+     * ModUp: splits d (Q_level) into its dnum digits and raises each to
+     * Q_level ∪ P, in Eval format.
+     */
+    std::vector<RnsPoly> modUp(const RnsPoly &d) const;
+
+    /**
+     * The key-switch tail: (sum_d digit_d * b_d, sum_d digit_d * a_d)
+     * over Q_level ∪ P, each brought back to Q_level by ModDown.
+     */
+    std::pair<RnsPoly, RnsPoly> innerProductModDown(
+        std::vector<RnsPoly> digits, const SwitchingKey &key,
+        size_t level) const;
+
     /** Restricts a full-basis key polynomial to Q_level ∪ P. */
     RnsPoly restrictKeyPoly(const RnsPoly &kp, size_t level) const;
 

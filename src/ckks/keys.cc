@@ -147,8 +147,9 @@ KeyGenerator::genGaloisKeys(const SecretKey &sk,
 {
     GaloisKeys keys;
     for (int step : steps) {
+        // Element 1 (a multiple of the slot count) is the identity.
         u64 t = galoisElt(step, ctx_.degree());
-        if (!keys.count(t))
+        if (t != 1 && !keys.count(t))
             keys.emplace(t, genGaloisKey(sk, t));
     }
     if (conjugate) {

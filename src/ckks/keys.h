@@ -49,7 +49,10 @@ class KeyGenerator
     /** Galois key for element t: switches sigma_t(s) to s. */
     SwitchingKey genGaloisKey(const SecretKey &sk, u64 t);
 
-    /** Galois keys for a set of rotation steps (plus conjugation opt-in) */
+    /**
+     * Galois keys for a set of rotation steps (plus conjugation opt-in);
+     * steps that are multiples of the slot count need none and get none.
+     */
     GaloisKeys genGaloisKeys(const SecretKey &sk,
                              const std::vector<int> &steps,
                              bool conjugate = false);

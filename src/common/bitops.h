@@ -53,6 +53,20 @@ ceilDiv(uint64_t a, uint64_t b)
     return (a + b - 1) / b;
 }
 
+/**
+ * Baby-step count of a baby-step/giant-step split over `count` items
+ * (diagonals of a linear transform): the smallest power of two n1 with
+ * n1 * n1 >= count.
+ */
+constexpr uint64_t
+babyFor(uint64_t count)
+{
+    uint64_t n1 = 1;
+    while (n1 * n1 < count)
+        n1 <<= 1;
+    return n1;
+}
+
 } // namespace effact
 
 #endif // EFFACT_COMMON_BITOPS_H

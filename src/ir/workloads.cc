@@ -42,16 +42,6 @@ stageDiags(size_t slots, size_t stages)
     return std::max<size_t>(d, 3);
 }
 
-/** BSGS baby count ~ sqrt(diags), rounded to a power of two. */
-size_t
-babyFor(size_t diags)
-{
-    size_t n1 = 1;
-    while (n1 * n1 < diags)
-        n1 <<= 1;
-    return n1;
-}
-
 } // namespace
 
 Workload

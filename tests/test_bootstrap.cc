@@ -1,8 +1,9 @@
 /**
  * @file
- * Bootstrapping tests: Chebyshev BSGS evaluation, CtS/StC inverse
- * round-trip, and the full fully-packed pipeline refreshing a level-1
- * ciphertext (Sec. V-A).
+ * Bootstrapping tests: the BSGS linear transform against a plaintext
+ * matrix-vector product, the rotation steps its key set needs,
+ * Chebyshev BSGS evaluation, CtS/StC inverse round-trip, and the full
+ * fully-packed pipeline refreshing a level-1 ciphertext (Sec. V-A).
  */
 #include <cmath>
 
@@ -70,6 +71,75 @@ class BootstrapFixture : public ::testing::Test
     std::unique_ptr<CkksEvaluator> eval;
     std::unique_ptr<Bootstrapper> boot;
 };
+
+TEST_F(BootstrapFixture, RequiredRotationsAreBabyAndGiantSteps)
+{
+    // 128 slots split into n1 = 16 baby steps and 8 giant steps; CtS
+    // and StC are dense, so they need every baby and giant step and
+    // share one key set: 22 rotations plus the conjugation.
+    std::vector<int> expect;
+    for (int r = 1; r < 16; ++r)
+        expect.push_back(r);
+    for (int g = 16; g < 128; g += 16)
+        expect.push_back(g);
+    EXPECT_EQ(boot->requiredRotations(), expect);
+    EXPECT_EQ(galois.size(), expect.size() + 1);
+}
+
+TEST_F(BootstrapFixture, LinearTransformMatchesPlaintextProduct)
+{
+    const size_t slots = ctx.slots();
+    Rng mrng(99);
+    auto uniform = [&] {
+        return cplx(mrng.uniformReal() * 2 - 1, mrng.uniformReal() * 2 - 1);
+    };
+    std::vector<cplx> x(slots);
+    for (cplx &v : x)
+        v = 0.5 * uniform();
+    Ciphertext ct = enc.encrypt(encoder.encode(x, ctx.scale(),
+                                               ctx.levels()));
+
+    // Dense, with entries scaled so each output stays O(1).
+    std::vector<cplx> dense(slots * slots);
+    for (cplx &v : dense)
+        v = uniform() / std::sqrt(double(slots));
+    // Diagonals {0, 1, 2, 126, 127}: baby steps 3..13 and giant steps
+    // 16..96 are empty.
+    std::vector<cplx> banded(slots * slots, cplx(0, 0));
+    for (size_t i = 0; i < slots; ++i)
+        for (size_t d : {size_t(0), size_t(1), size_t(2), slots - 2,
+                         slots - 1})
+            banded[i * slots + (i + d) % slots] = uniform();
+    std::vector<cplx> identity(slots * slots, cplx(0, 0));
+    for (size_t i = 0; i < slots; ++i)
+        identity[i * slots + i] = cplx(1, 0);
+
+    struct Case
+    {
+        const char *name;
+        const std::vector<cplx> &matrix;
+        std::vector<int> steps;
+    };
+    const std::vector<Case> cases = {
+        {"dense", dense, boot->requiredRotations()},
+        {"banded", banded, {1, 2, 14, 15, 112}},
+        {"identity", identity, {}},
+    };
+    for (const Case &c : cases) {
+        LinearTransform lt(c.matrix, slots);
+        EXPECT_EQ(lt.requiredRotations(), c.steps) << c.name;
+        Ciphertext out = lt.apply(*eval, ct);
+        EXPECT_EQ(out.level(), ct.level() - 1) << c.name;
+        auto got = encoder.decode(enc.decrypt(out), slots);
+        for (size_t i = 0; i < slots; ++i) {
+            cplx expect(0, 0);
+            for (size_t j = 0; j < slots; ++j)
+                expect += c.matrix[i * slots + j] * x[j];
+            ASSERT_LT(std::abs(got[i] - expect), 1e-4)
+                << c.name << " slot " << i;
+        }
+    }
+}
 
 TEST_F(BootstrapFixture, ChebyshevEvalMatchesClenshaw)
 {

@@ -1,9 +1,10 @@
 /**
  * @file
  * End-to-end CKKS correctness: encode/decode round trips, encryption,
- * HADD/HMULT/rescale, key switching, rotation and conjugation. This is
- * the repo's stand-in for the paper's Lattigo cross-validation — every
- * homomorphic result is checked against plaintext reference computation.
+ * HADD/HMULT/rescale, key switching, rotation (one step and hoisted
+ * batches), conjugation and multiplication by i. This is the repo's
+ * stand-in for the paper's Lattigo cross-validation — every homomorphic
+ * result is checked against plaintext reference computation.
  */
 #include <cmath>
 
@@ -45,6 +46,23 @@ maxErr(const std::vector<cplx> &a, const std::vector<cplx> &b)
     for (size_t i = 0; i < a.size(); ++i)
         err = std::max(err, std::abs(a[i] - b[i]));
     return err;
+}
+
+/** Same scale and the same residues in every limb of every poly. */
+bool
+sameResidues(const Ciphertext &a, const Ciphertext &b)
+{
+    if (a.scale != b.scale || a.size() != b.size())
+        return false;
+    for (size_t p = 0; p < a.size(); ++p) {
+        if (a.polys[p].format() != b.polys[p].format() ||
+            a.polys[p].limbCount() != b.polys[p].limbCount())
+            return false;
+        for (size_t j = 0; j < a.polys[p].limbCount(); ++j)
+            if (a.polys[p].limb(j) != b.polys[p].limb(j))
+                return false;
+    }
+    return true;
 }
 
 class CkksFixture : public ::testing::Test
@@ -179,16 +197,28 @@ TEST_F(CkksFixture, MultiplicationDepthChain)
 
 TEST_F(CkksFixture, RotationMatchesSlotShift)
 {
+    // A multiple of the slot count maps to Galois element 1, the
+    // identity: it gets no key, and rotating by it needs none.
     const size_t slots = ctx.slots();
+    const int n = static_cast<int>(slots);
+    EXPECT_TRUE(keygen.genGaloisKeys(sk, {n, -n}).empty());
+
     auto a = randomMessage(rng, slots);
     Ciphertext ct = enc.encrypt(encoder.encode(a, ctx.scale(), 3));
-    for (int steps : {1, 2, 3}) {
-        Ciphertext rot = eval.rotate(ct, steps);
-        auto out = encoder.decode(enc.decrypt(rot), slots);
+    const std::vector<int> steps = {1, 2, 3, n, -n};
+    // The batch shares only the ModUp of c1: each of its results is the
+    // one-step call's, bit for bit.
+    const std::vector<Ciphertext> batch = eval.rotateHoisted(ct, steps);
+    ASSERT_EQ(batch.size(), steps.size());
+    for (size_t k = 0; k < steps.size(); ++k) {
+        EXPECT_TRUE(sameResidues(batch[k], eval.rotate(ct, steps[k])))
+            << "steps=" << steps[k];
+        auto out = encoder.decode(enc.decrypt(batch[k]), slots);
+        const size_t shift = size_t((steps[k] % n + n) % n);
         for (size_t i = 0; i < slots; ++i) {
-            cplx expect = a[(i + size_t(steps)) % slots];
+            cplx expect = a[(i + shift) % slots];
             ASSERT_LT(std::abs(out[i] - expect), 1e-4)
-                << "steps=" << steps << " slot=" << i;
+                << "steps=" << steps[k] << " slot=" << i;
         }
     }
 }
@@ -214,6 +244,25 @@ TEST_F(CkksFixture, ConjugationConjugatesSlots)
     auto out = encoder.decode(enc.decrypt(conj), 16);
     for (size_t i = 0; i < 16; ++i)
         EXPECT_LT(std::abs(out[i] - std::conj(a[i])), 1e-4);
+}
+
+TEST_F(CkksFixture, MultByIMultipliesSlotsByI)
+{
+    auto a = randomMessage(rng, ctx.slots());
+    Ciphertext ct = enc.encrypt(encoder.encode(a, ctx.scale(), 3));
+    Ciphertext ict = eval.multByI(ct);
+    EXPECT_EQ(ict.level(), ct.level());
+    EXPECT_EQ(ict.scale, ct.scale);
+    auto out = encoder.decode(enc.decrypt(ict), ctx.slots());
+    for (size_t i = 0; i < ctx.slots(); ++i)
+        EXPECT_LT(std::abs(out[i] - cplx(0, 1) * a[i]), 1e-4)
+            << "slot " << i;
+
+    // i^4 = 1 exactly: X^(N/2) to the fourth is X^(2N) = 1.
+    Ciphertext back = ict;
+    for (int k = 0; k < 3; ++k)
+        back = eval.multByI(back);
+    EXPECT_TRUE(sameResidues(back, ct));
 }
 
 TEST_F(CkksFixture, RescaleTracksScale)
