@@ -24,6 +24,15 @@ arrayBitReverse(std::vector<cplx> &vals)
     }
 }
 
+/** llround(x) as an i64; |x| must be below 2^63, where it is defined. */
+i64
+roundScaled(double x)
+{
+    EFFACT_ASSERT(std::fabs(x) < 0x1p63,
+                  "scaled value %g does not fit in an int64", x);
+    return static_cast<i64>(std::llround(x));
+}
+
 } // namespace
 
 CkksEncoder::CkksEncoder(const CkksContext &ctx) : ctx_(ctx)
@@ -105,10 +114,8 @@ CkksEncoder::encode(const std::vector<cplx> &msg, double scale,
     const size_t gap = nh / slots;
     std::vector<i64> coeffs(n, 0);
     for (size_t i = 0; i < slots; ++i) {
-        coeffs[i * gap] = static_cast<i64>(std::llround(vals[i].real() *
-                                                        scale));
-        coeffs[i * gap + nh] =
-            static_cast<i64>(std::llround(vals[i].imag() * scale));
+        coeffs[i * gap] = roundScaled(vals[i].real() * scale);
+        coeffs[i * gap + nh] = roundScaled(vals[i].imag() * scale);
     }
 
     Plaintext pt;
@@ -126,6 +133,18 @@ CkksEncoder::encodeConstant(cplx value, double scale, size_t level) const
     // message achieves this with one coefficient pair.
     std::vector<cplx> one_slot(1, value);
     return encode(one_slot, scale, level);
+}
+
+std::vector<u64>
+CkksEncoder::encodeRealConstant(double value, double scale,
+                                size_t level) const
+{
+    const i64 c = roundScaled(value * scale);
+    const RnsBasis &basis = *ctx_.qBasisAt(level);
+    std::vector<u64> residues(level);
+    for (size_t j = 0; j < level; ++j)
+        residues[j] = reduceSigned(c, basis.prime(j));
+    return residues;
 }
 
 std::vector<cplx>

@@ -23,13 +23,23 @@ class CkksEncoder
     /**
      * Encodes `msg` (size must divide N/2; shorter vectors are packed
      * sparsely with gap replication) at `scale` onto the `level`-limb
-     * prefix basis. Returns an Eval-format plaintext.
+     * prefix basis. Returns an Eval-format plaintext. Every scaled value
+     * must lie strictly within (-2^63, 2^63).
      */
     Plaintext encode(const std::vector<cplx> &msg, double scale,
                      size_t level) const;
 
     /** Encodes a constant into every slot. */
     Plaintext encodeConstant(cplx value, double scale, size_t level) const;
+
+    /**
+     * A real constant as scalars: entry j is c mod q_j, c =
+     * llround(value * scale). encodeConstant puts c at coefficient 0
+     * alone, so c mod q_j is that plaintext's value at every evaluation
+     * point of limb j.
+     */
+    std::vector<u64> encodeRealConstant(double value, double scale,
+                                        size_t level) const;
 
     /** Decodes `slots` values from a plaintext (any format; not modified) */
     std::vector<cplx> decode(const Plaintext &pt, size_t slots) const;

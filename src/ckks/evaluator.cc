@@ -1,9 +1,11 @@
 #include "ckks/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 #include "math/automorphism.h"
+#include "math/kernels.h"
 
 namespace effact {
 
@@ -86,8 +88,20 @@ CkksEvaluator::addPlain(const Ciphertext &ct, const Plaintext &pt) const
 Ciphertext
 CkksEvaluator::addConst(const Ciphertext &ct, cplx value) const
 {
-    Plaintext pt = encoder_.encodeConstant(value, ct.scale, ct.level());
-    return addPlain(ct, pt);
+    if (value.imag() != 0.0)
+        return addPlain(ct,
+                        encoder_.encodeConstant(value, ct.scale, ct.level()));
+    // A real constant is the same residue at every evaluation point.
+    const std::vector<u64> c =
+        encoder_.encodeRealConstant(value.real(), ct.scale, ct.level());
+    Ciphertext out = ct;
+    RnsPoly &c0 = out.polys[0];
+    for (size_t j = 0; j < c0.limbCount(); ++j) {
+        const u64 q = c0.basis().prime(j);
+        for (u64 &x : c0.limb(j))
+            x = addMod(x, c[j], q);
+    }
+    return out;
 }
 
 Ciphertext
@@ -108,8 +122,16 @@ Ciphertext
 CkksEvaluator::multConst(const Ciphertext &ct, cplx value,
                          double const_scale) const
 {
-    Plaintext pt = encoder_.encodeConstant(value, const_scale, ct.level());
-    return multPlain(ct, pt);
+    if (value.imag() != 0.0)
+        return multPlain(ct, encoder_.encodeConstant(value, const_scale,
+                                                     ct.level()));
+    const std::vector<u64> c =
+        encoder_.encodeRealConstant(value.real(), const_scale, ct.level());
+    Ciphertext out = ct;
+    for (auto &p : out.polys)
+        p.mulScalarPerLimb(c);
+    out.scale = ct.scale * const_scale;
+    return out;
 }
 
 Ciphertext
@@ -164,28 +186,33 @@ CkksEvaluator::rescale(const Ciphertext &ct) const
 {
     const size_t level = ct.level();
     EFFACT_ASSERT(level >= 2, "cannot rescale at level %zu", level);
-    const u64 q_last = ctx_.qBasis()->prime(level - 1);
-    auto new_basis = ctx_.qBasisAt(level - 1);
+    const RnsBasis &q = *ctx_.qBasis();
+    const std::vector<u64> &inv = ctx_.rescaleInv(level);
+    const size_t n = ctx_.degree();
+    const kernels::KernelTable &k = kernels::active();
 
+    // c_j <- (c_j - [c_last]_{q_j}) * q_last^-1 on the evaluation side of
+    // the NTT: only the dropped limb goes through the INTT, and its
+    // reduction into each q_j comes back through q_j's NTT.
     Ciphertext out;
-    out.scale = ct.scale / static_cast<double>(q_last);
+    out.scale = ct.scale / static_cast<double>(q.prime(level - 1));
+    AlignedU64Vec last(n), t(n);
     for (const auto &poly : ct.polys) {
-        RnsPoly c = poly;
-        c.toCoeff();
-        RnsPoly dropped(new_basis, PolyFormat::Coeff);
-        const auto &last = c.limb(level - 1);
+        EFFACT_ASSERT(poly.format() == PolyFormat::Eval,
+                      "rescale expects Eval-format polys");
+        std::copy(poly.limb(level - 1).begin(), poly.limb(level - 1).end(),
+                  last.begin());
+        q.limb(level - 1).ntt.backward(last.data());
+        RnsPoly dropped(ctx_.qBasisAt(level - 1), PolyFormat::Eval);
         for (size_t j = 0; j + 1 < level; ++j) {
-            const u64 qj = ctx_.qBasis()->prime(j);
-            const u64 inv = invMod(q_last % qj, qj);
-            const Barrett &br = ctx_.qBasis()->limb(j).barrett;
-            auto &dst = dropped.limb(j);
-            const auto &src = c.limb(j);
-            for (size_t i = 0; i < src.size(); ++i) {
-                u64 t = subMod(src[i], last[i] % qj, qj);
-                dst[i] = br.mul(t, inv);
-            }
+            const LimbContext &lc = q.limb(j);
+            for (size_t i = 0; i < n; ++i)
+                t[i] = lc.barrett.reduce(last[i]);
+            lc.ntt.forward(t.data());
+            u64 *dst = dropped.limb(j).data();
+            k.subModV(dst, poly.limb(j).data(), t.data(), n, lc.q);
+            k.mulConstV(dst, dst, n, inv[j], lc.barrett);
         }
-        dropped.toEval();
         out.polys.push_back(std::move(dropped));
     }
     return out;
@@ -199,10 +226,14 @@ CkksEvaluator::levelTo(const Ciphertext &ct, size_t target_level) const
                   ct.level());
     if (target_level == ct.level())
         return ct;
+    const auto basis = ctx_.qBasisAt(target_level);
+    std::vector<size_t> idx(target_level);
+    for (size_t j = 0; j < target_level; ++j)
+        idx[j] = j;
     Ciphertext out;
     out.scale = ct.scale;
     for (const auto &poly : ct.polys)
-        out.polys.push_back(poly.prefixLimbs(target_level));
+        out.polys.push_back(RnsPoly::gather(poly, basis, idx));
     return out;
 }
 
@@ -258,8 +289,7 @@ CkksEvaluator::automorphHoisted(const Ciphertext &ct,
         rotated.reserve(digits.size());
         for (const RnsPoly &digit : digits)
             rotated.push_back(digit.automorph(t));
-        auto [k0, k1] =
-            innerProductModDown(std::move(rotated), it->second, ct.level());
+        auto [k0, k1] = innerProductModDown(rotated, it->second, ct.level());
 
         Ciphertext r;
         r.scale = ct.scale;
@@ -289,63 +319,48 @@ CkksEvaluator::multByI(const Ciphertext &ct) const
 }
 
 RnsPoly
-CkksEvaluator::restrictKeyPoly(const RnsPoly &kp, size_t level) const
+CkksEvaluator::modDown(const RnsPoly &acc, size_t level) const
 {
-    const size_t levels = ctx_.levels();
+    // (acc_Q - NTT(BConv_{P->Q_l}(INTT(acc_P)))) * P^-1: only the alpha
+    // P limbs leave the evaluation domain.
     const size_t alpha = ctx_.alpha();
-    std::vector<size_t> idx;
-    idx.reserve(level + alpha);
-    for (size_t j = 0; j < level; ++j)
-        idx.push_back(j);
-    for (size_t j = 0; j < alpha; ++j)
-        idx.push_back(levels + j);
-    return RnsPoly::gather(kp, ctx_.qpBasisAt(level), idx);
-}
-
-RnsPoly
-CkksEvaluator::modDown(RnsPoly acc, size_t level) const
-{
-    const size_t alpha = ctx_.alpha();
-    acc.toCoeff();
-
-    std::vector<size_t> q_idx(level), p_idx(alpha);
-    for (size_t j = 0; j < level; ++j)
-        q_idx[j] = j;
+    std::vector<size_t> p_idx(alpha);
     for (size_t j = 0; j < alpha; ++j)
         p_idx[j] = level + j;
-    RnsPoly q_part = RnsPoly::gather(acc, ctx_.qBasisAt(level), q_idx);
     RnsPoly p_part = RnsPoly::gather(acc, ctx_.pBasis(), p_idx);
+    p_part.toCoeff();
 
-    RnsPoly conv = ctx_.modDownConverter(level).convertExact(p_part);
-    q_part.subInPlace(conv);
-
-    std::vector<u64> p_inv(level);
-    for (size_t j = 0; j < level; ++j)
-        p_inv[j] = ctx_.pInvModQ(j);
-    q_part.mulScalarPerLimb(p_inv);
-    q_part.toEval();
-    return q_part;
+    RnsPoly out = ctx_.modDownConverter(level).convertExact(p_part);
+    out.toEval();
+    const size_t n = ctx_.degree();
+    const kernels::KernelTable &k = kernels::active();
+    for (size_t j = 0; j < level; ++j) {
+        const LimbContext &lc = out.basis().limb(j);
+        u64 *dst = out.limb(j).data();
+        k.subModV(dst, acc.limb(j).data(), dst, n, lc.q);
+        k.mulConstV(dst, dst, n, ctx_.pInvModQ(j), lc.barrett);
+    }
+    return out;
 }
 
 std::vector<RnsPoly>
 CkksEvaluator::modUp(const RnsPoly &d) const
 {
     const size_t level = d.limbCount();
-    RnsPoly dc = d;
-    dc.toCoeff();
-
     const size_t digits = ctx_.digitCount(level);
     std::vector<RnsPoly> out;
     out.reserve(digits);
+    std::vector<size_t> idx;
     for (size_t digit = 0; digit < digits; ++digit) {
+        const BaseConverter &conv = ctx_.modUpConverter(digit, level);
         auto [begin, end] = ctx_.digitRange(digit, level);
-        std::vector<size_t> idx;
+        idx.clear();
         for (size_t j = begin; j < end; ++j)
             idx.push_back(j);
-        RnsPoly digit_poly = RnsPoly::gather(
-            dc, ctx_.qBasis()->range(begin, end), idx);
+        RnsPoly digit_poly = RnsPoly::gather(d, conv.fromPtr(), idx);
+        digit_poly.toCoeff();
 
-        RnsPoly up = ctx_.modUpConverter(digit, level).convert(digit_poly);
+        RnsPoly up = conv.convert(digit_poly);
         up.toEval();
         out.push_back(std::move(up));
     }
@@ -353,27 +368,42 @@ CkksEvaluator::modUp(const RnsPoly &d) const
 }
 
 std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::innerProductModDown(std::vector<RnsPoly> digits,
+CkksEvaluator::innerProductModDown(const std::vector<RnsPoly> &digits,
                                    const SwitchingKey &key,
                                    size_t level) const
 {
     EFFACT_ASSERT(digits.size() <= key.b.size(),
                   "switching key has too few digits");
+    const size_t levels = ctx_.levels();
+    const size_t n = ctx_.degree();
+    const kernels::KernelTable &k = kernels::active();
     auto qp_basis = ctx_.qpBasisAt(level);
     RnsPoly acc0(qp_basis, PolyFormat::Eval);
     RnsPoly acc1(qp_basis, PolyFormat::Eval);
+    AlignedU64Vec prod(n);
     for (size_t digit = 0; digit < digits.size(); ++digit) {
-        RnsPoly &up = digits[digit];
-        RnsPoly prod_b = up;
-        prod_b.mulEvalInPlace(restrictKeyPoly(key.b[digit], level));
-        acc0.addInPlace(prod_b);
-
-        up.mulEvalInPlace(restrictKeyPoly(key.a[digit], level));
-        acc1.addInPlace(up);
+        const RnsPoly &up = digits[digit];
+        const RnsPoly &kb = key.b[digit];
+        const RnsPoly &ka = key.a[digit];
+        EFFACT_ASSERT(kb.limbCount() == levels + ctx_.alpha() &&
+                          ka.limbCount() == kb.limbCount(),
+                      "switching key is not over the full QP basis");
+        for (size_t j = 0; j < qp_basis->size(); ++j) {
+            // Q_l ∪ P limb j is limb kj of the keys' full Q ∪ P basis.
+            const size_t kj = j < level ? j : levels + (j - level);
+            const LimbContext &lc = qp_basis->limb(j);
+            k.mulModV(prod.data(), up.limb(j).data(), kb.limb(kj).data(), n,
+                      lc.barrett);
+            k.addModV(acc0.limb(j).data(), acc0.limb(j).data(), prod.data(),
+                      n, lc.q);
+            k.mulModV(prod.data(), up.limb(j).data(), ka.limb(kj).data(), n,
+                      lc.barrett);
+            k.addModV(acc1.limb(j).data(), acc1.limb(j).data(), prod.data(),
+                      n, lc.q);
+        }
     }
 
-    return {modDown(std::move(acc0), level), modDown(std::move(acc1),
-                                                     level)};
+    return {modDown(acc0, level), modDown(acc1, level)};
 }
 
 std::pair<RnsPoly, RnsPoly>

@@ -51,7 +51,10 @@ class CkksEvaluator
 
     // --- Maintenance (Fig. 1b level 1.5) --------------------------------
 
-    /** Divides by the last chain prime; drops one level. */
+    /**
+     * Divides by the last chain prime; drops one level. Only the dropped
+     * limb leaves the evaluation domain (Eval-format input required).
+     */
     Ciphertext rescale(const Ciphertext &ct) const;
 
     /** Drops limbs without dividing (level alignment). */
@@ -105,17 +108,18 @@ class CkksEvaluator
 
     /**
      * The key-switch tail: (sum_d digit_d * b_d, sum_d digit_d * a_d)
-     * over Q_level ∪ P, each brought back to Q_level by ModDown.
+     * over Q_level ∪ P, each brought back to Q_level by ModDown. Key
+     * limbs are read in place from the keys' full Q ∪ P basis.
      */
     std::pair<RnsPoly, RnsPoly> innerProductModDown(
-        std::vector<RnsPoly> digits, const SwitchingKey &key,
+        const std::vector<RnsPoly> &digits, const SwitchingKey &key,
         size_t level) const;
 
-    /** Restricts a full-basis key polynomial to Q_level ∪ P. */
-    RnsPoly restrictKeyPoly(const RnsPoly &kp, size_t level) const;
-
-    /** ModDown: Q_l ∪ P -> Q_l with P division (exact converter). */
-    RnsPoly modDown(RnsPoly acc, size_t level) const;
+    /**
+     * ModDown: Q_l ∪ P -> Q_l with P division (exact converter); only
+     * the alpha P limbs leave the evaluation domain.
+     */
+    RnsPoly modDown(const RnsPoly &acc, size_t level) const;
 
     /** Aligns b's level/scale to a's for addition-like ops. */
     void checkAddCompatible(const Ciphertext &a, const Ciphertext &b) const;

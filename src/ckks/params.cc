@@ -36,6 +36,12 @@ CkksContext::CkksContext(const CkksParams &params) : params_(params)
     q_basis_ = std::make_shared<RnsBasis>(n_, q_primes);
     p_basis_ = std::make_shared<RnsBasis>(n_, p_primes);
     qp_basis_ = q_basis_->concat(*p_basis_);
+    for (size_t level = 1; level < params.levels; ++level) {
+        q_bases_.push_back(q_basis_->prefix(level));
+        qp_bases_.push_back(q_bases_.back()->concat(*p_basis_));
+    }
+    q_bases_.push_back(q_basis_);
+    qp_bases_.push_back(qp_basis_);
 
     p_mod_q_.resize(params.levels);
     p_inv_mod_q_.resize(params.levels);
@@ -48,6 +54,15 @@ CkksContext::CkksContext(const CkksParams &params) : params_(params)
         p_inv_mod_q_[j] = invMod(acc, qj);
     }
 
+    rescale_inv_.resize(params.levels);
+    for (size_t level = 2; level <= params.levels; ++level) {
+        const u64 q_last = q_basis_->prime(level - 1);
+        for (size_t j = 0; j + 1 < level; ++j) {
+            const u64 qj = q_basis_->prime(j);
+            rescale_inv_[level - 1].push_back(invMod(q_last % qj, qj));
+        }
+    }
+
     mod_up_cache_.resize(params.levels + 1);
     for (auto &per_level : mod_up_cache_)
         per_level.resize(params.dnum);
@@ -57,13 +72,25 @@ CkksContext::CkksContext(const CkksParams &params) : params_(params)
 std::shared_ptr<const RnsBasis>
 CkksContext::qBasisAt(size_t level) const
 {
-    return q_basis_->prefix(level);
+    EFFACT_ASSERT(level >= 1 && level <= params_.levels,
+                  "qBasisAt level %zu out of range", level);
+    return q_bases_[level - 1];
 }
 
 std::shared_ptr<const RnsBasis>
 CkksContext::qpBasisAt(size_t level) const
 {
-    return q_basis_->prefix(level)->concat(*p_basis_);
+    EFFACT_ASSERT(level >= 1 && level <= params_.levels,
+                  "qpBasisAt level %zu out of range", level);
+    return qp_bases_[level - 1];
+}
+
+const std::vector<u64> &
+CkksContext::rescaleInv(size_t level) const
+{
+    EFFACT_ASSERT(level >= 2 && level <= params_.levels,
+                  "rescaleInv level %zu out of range", level);
+    return rescale_inv_[level - 1];
 }
 
 std::pair<size_t, size_t>

@@ -49,10 +49,13 @@ class CkksContext
     /** Special-prime basis (alpha limbs). */
     std::shared_ptr<const RnsBasis> pBasis() const { return p_basis_; }
 
-    /** Q-chain prefix of `level` limbs. */
+    /**
+     * Q-chain prefix of `level` limbs, 1 <= level <= L. Built once by the
+     * constructor: every call at one level returns the same basis.
+     */
     std::shared_ptr<const RnsBasis> qBasisAt(size_t level) const;
 
-    /** Q_l ∪ P basis used during key switching at `level`. */
+    /** Q_l ∪ P basis used during key switching at `level` (built once). */
     std::shared_ptr<const RnsBasis> qpBasisAt(size_t level) const;
 
     /** Full Q ∪ P basis (keys live here). */
@@ -70,6 +73,12 @@ class CkksContext
     /** P^-1 mod q_j. */
     u64 pInvModQ(size_t j) const { return p_inv_mod_q_[j]; }
 
+    /**
+     * Rescale's divisor at `level`: entry j is q_{level-1}^-1 mod q_j,
+     * for j < level - 1.
+     */
+    const std::vector<u64> &rescaleInv(size_t level) const;
+
     /** Cached converter: digit `d` at `level` -> Q_level ∪ P. */
     const BaseConverter &modUpConverter(size_t digit, size_t level) const;
 
@@ -84,8 +93,11 @@ class CkksContext
     std::shared_ptr<RnsBasis> q_basis_;
     std::shared_ptr<RnsBasis> p_basis_;
     std::shared_ptr<RnsBasis> qp_basis_;
+    std::vector<std::shared_ptr<const RnsBasis>> q_bases_;  ///< [level - 1]
+    std::vector<std::shared_ptr<const RnsBasis>> qp_bases_; ///< [level - 1]
     std::vector<u64> p_mod_q_;
     std::vector<u64> p_inv_mod_q_;
+    std::vector<std::vector<u64>> rescale_inv_; ///< [level - 1]
 
     mutable std::vector<std::vector<std::unique_ptr<BaseConverter>>>
         mod_up_cache_; ///< [level][digit]

@@ -20,13 +20,14 @@ BaseConverter::BaseConverter(std::shared_ptr<const RnsBasis> from,
     qhatModPDm_.assign(l, std::vector<u64>(k));
 
     qInvReal_.resize(l);
-    qModP_.resize(k);
+    eqModP_.assign(k, std::vector<u64>(l + 1, 0));
     for (size_t i = 0; i < k; ++i) {
         const u64 pi = to_->prime(i);
         u64 acc = 1;
         for (size_t j = 0; j < l; ++j)
             acc = mulMod(acc, from_->prime(j) % pi, pi);
-        qModP_[i] = acc;
+        for (size_t e = 1; e <= l; ++e)
+            eqModP_[i][e] = addMod(eqModP_[i][e - 1], acc, pi);
     }
 
     for (size_t j = 0; j < l; ++j) {
@@ -99,7 +100,8 @@ BaseConverter::convertExact(const RnsPoly &a) const
     const kernels::KernelTable &kern = kernels::active();
 
     AlignedU64Vec t(l * n);
-    std::vector<u64> overflow(n); // e = round(sum v_j / q_j) per coeff
+    // e = round(sum v_j / q_j) per coeff; each v_j / q_j < 1, so e <= l.
+    std::vector<u64> overflow(n);
     std::vector<long double> frac(n, 0.0L);
     for (size_t j = 0; j < l; ++j) {
         u64 *tj = t.data() + j * n;
@@ -122,11 +124,9 @@ BaseConverter::convertExact(const RnsPoly &a) const
         u64 *dst = out.limb(p).data();
         for (size_t j = 0; j < l; ++j)
             kern.macConstV(dst, t.data() + j * n, n, qhatModP_[j][p], br);
-        const u64 q_mod_p = qModP_[p];
-        for (size_t i = 0; i < n; ++i) {
-            u64 corr = mulMod(overflow[i] % pi, q_mod_p, pi);
-            dst[i] = subMod(dst[i], corr, pi);
-        }
+        const u64 *eq_mod_p = eqModP_[p].data();
+        for (size_t i = 0; i < n; ++i)
+            dst[i] = subMod(dst[i], eq_mod_p[overflow[i]], pi);
     }
     return out;
 }

@@ -31,6 +31,7 @@ class BaseConverter
 
     const RnsBasis &from() const { return *from_; }
     const RnsBasis &to() const { return *to_; }
+    std::shared_ptr<const RnsBasis> fromPtr() const { return from_; }
 
     /**
      * Fast base conversion of a Coeff-format polynomial on `from()` to a
@@ -81,8 +82,11 @@ class BaseConverter
     std::vector<u64> qhatInvNInv_;
     /** 1.0 / q_j for the overflow estimate of convertExact. */
     std::vector<long double> qInvReal_;
-    /** Q mod p_i for overflow subtraction in convertExact. */
-    std::vector<u64> qModP_;
+    /**
+     * e*Q mod p_i for every overflow multiple e in [0, l], indexed
+     * [i][e]: convertExact's correction, looked up rather than computed.
+     */
+    std::vector<std::vector<u64>> eqModP_;
     /** qhat_j^-1 mod q_j in NM form (same as qhatInv_, alias for clarity) */
     /** qhat_j mod p_i in DM form, indexed [j][i]. */
     std::vector<std::vector<u64>> qhatModPDm_;

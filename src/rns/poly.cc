@@ -149,15 +149,6 @@ RnsPoly::automorph(u64 t) const
 }
 
 RnsPoly
-RnsPoly::prefixLimbs(size_t count) const
-{
-    RnsPoly out(basis_->prefix(count), format_);
-    for (size_t j = 0; j < count; ++j)
-        out.limbs_[j] = limbs_[j];
-    return out;
-}
-
-RnsPoly
 RnsPoly::gather(const RnsPoly &src, std::shared_ptr<const RnsBasis> basis,
                 const std::vector<size_t> &limb_idx)
 {

@@ -81,20 +81,14 @@ class RnsPoly
     /** Applies the Galois automorphism sigma_t in the current format. */
     RnsPoly automorph(u64 t) const;
 
-    /**
-     * Returns a copy restricted to the first `count` limbs (the prefix
-     * sub-basis) — used when dropping levels.
-     */
-    RnsPoly prefixLimbs(size_t count) const;
-
     /** True iff every residue of every limb is zero. */
     bool isZero() const;
 
     /**
      * Builds a polynomial over `basis` by copying limbs
-     * src.limb(limb_idx[i]) — the generic "gather limbs" used to restrict
-     * keys and split Q/P parts. The caller guarantees that `basis` prime i
-     * equals the source basis prime limb_idx[i].
+     * src.limb(limb_idx[i]) — the generic "gather limbs" used to drop
+     * levels and split off key-switching digits. The caller guarantees
+     * that `basis` prime i equals the source basis prime limb_idx[i].
      */
     static RnsPoly gather(const RnsPoly &src,
                           std::shared_ptr<const RnsBasis> basis,

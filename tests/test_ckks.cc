@@ -4,7 +4,11 @@
  * HADD/HMULT/rescale, key switching, rotation (one step and hoisted
  * batches), conjugation and multiplication by i. This is the repo's
  * stand-in for the paper's Lattigo cross-validation — every homomorphic
- * result is checked against plaintext reference computation.
+ * result is checked against plaintext reference computation. The
+ * evaluator's evaluation-domain rescale, key switch and constant ops are
+ * also pinned residue for residue to the coefficient-domain oracles of
+ * tests/support/reference_ckks.h, and the context's per-level bases to
+ * one object per level.
  */
 #include <cmath>
 
@@ -12,6 +16,8 @@
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "math/automorphism.h"
+#include "reference_ckks.h"
 
 namespace effact {
 namespace {
@@ -48,20 +54,27 @@ maxErr(const std::vector<cplx> &a, const std::vector<cplx> &b)
     return err;
 }
 
+/** Same format and the same residues in every limb. */
+bool
+samePoly(const RnsPoly &a, const RnsPoly &b)
+{
+    if (a.format() != b.format() || a.limbCount() != b.limbCount())
+        return false;
+    for (size_t j = 0; j < a.limbCount(); ++j)
+        if (a.basis().prime(j) != b.basis().prime(j) || a.limb(j) != b.limb(j))
+            return false;
+    return true;
+}
+
 /** Same scale and the same residues in every limb of every poly. */
 bool
 sameResidues(const Ciphertext &a, const Ciphertext &b)
 {
     if (a.scale != b.scale || a.size() != b.size())
         return false;
-    for (size_t p = 0; p < a.size(); ++p) {
-        if (a.polys[p].format() != b.polys[p].format() ||
-            a.polys[p].limbCount() != b.polys[p].limbCount())
+    for (size_t p = 0; p < a.size(); ++p)
+        if (!samePoly(a.polys[p], b.polys[p]))
             return false;
-        for (size_t j = 0; j < a.polys[p].limbCount(); ++j)
-            if (a.polys[p].limb(j) != b.polys[p].limb(j))
-                return false;
-    }
     return true;
 }
 
@@ -314,6 +327,203 @@ TEST_F(CkksFixture, DifferentDnumValuesAgree)
             EXPECT_LT(std::abs(out[i] - a[i] * b[i]), 1e-3)
                 << "dnum=" << dnum;
     }
+}
+
+// --- Bit-exact oracles -------------------------------------------------
+
+TEST_F(CkksFixture, RescaleMatchesCoefficientDomainReference)
+{
+    for (size_t level = 2; level <= ctx.levels(); ++level) {
+        Ciphertext ct = enc.encrypt(
+            encoder.encode(randomMessage(rng, ctx.slots()), ctx.scale(),
+                           level));
+        EXPECT_TRUE(sameResidues(eval.rescale(ct), referenceRescale(ctx, ct)))
+            << "level=" << level;
+        Ciphertext prod = eval.mult(ct, ct);
+        EXPECT_TRUE(
+            sameResidues(eval.rescale(prod), referenceRescale(ctx, prod)))
+            << "product, level=" << level;
+    }
+}
+
+TEST(CkksOracle, RescaleMatchesReferenceWhenQ0IsNarrowest)
+{
+    // With q_0 narrower than the scale primes, the dropped limb's
+    // residues are mostly above q_0, so rescale's reduction into q_j
+    // does real work (on the fixture's chain it almost never does).
+    CkksParams p = testParams();
+    p.logQ0 = 30;
+    p.logScale = 50;
+    CkksContext ctx(p);
+    CkksEncoder encoder(ctx);
+    CkksEvaluator eval(ctx, encoder);
+    Rng rng(5);
+    for (size_t level = 2; level <= ctx.levels(); ++level) {
+        Ciphertext ct;
+        ct.scale = ctx.scale();
+        for (int i = 0; i < 2; ++i) {
+            ct.polys.emplace_back(ctx.qBasisAt(level), PolyFormat::Eval);
+            ct.polys.back().sampleUniform(rng);
+        }
+        EXPECT_TRUE(sameResidues(eval.rescale(ct), referenceRescale(ctx, ct)))
+            << "level=" << level;
+    }
+}
+
+TEST(CkksOracle, KeySwitchPathsMatchReferenceForEveryDnum)
+{
+    // keySwitch, mult, rotate, rotateHoisted and conjugate share ModUp,
+    // the key inner product and ModDown; each must equal the
+    // coefficient-domain oracle residue for residue at every level.
+    const std::vector<int> steps = {1, 3, -2, 0};
+    for (size_t dnum : {1u, 2u, 3u, 6u}) {
+        CkksParams p = testParams();
+        p.dnum = dnum;
+        CkksContext ctx(p);
+        CkksEncoder encoder(ctx);
+        Rng rng(100 + dnum);
+        KeyGenerator keygen(ctx, rng);
+        SecretKey sk = keygen.genSecretKey();
+        SwitchingKey relin = keygen.genRelinKey(sk);
+        GaloisKeys galois = keygen.genGaloisKeys(sk, steps, true);
+        CkksEncryptor enc(ctx, sk, rng);
+        CkksEvaluator eval(ctx, encoder, &relin, &galois);
+        std::vector<u64> elts;
+        for (int step : steps)
+            elts.push_back(galoisElt(step, ctx.degree()));
+        elts.push_back(galoisEltConjugate(ctx.degree()));
+
+        for (size_t level = 1; level <= ctx.levels(); ++level) {
+            SCOPED_TRACE("dnum=" + std::to_string(dnum) +
+                         " level=" + std::to_string(level));
+            Ciphertext a = enc.encrypt(encoder.encode(
+                randomMessage(rng, ctx.slots()), ctx.scale(), level));
+            Ciphertext b = enc.encrypt(encoder.encode(
+                randomMessage(rng, ctx.slots()), ctx.scale(), level));
+
+            auto [k0, k1] = eval.keySwitch(a.polys[1], relin);
+            auto [r0, r1] = referenceKeySwitch(ctx, a.polys[1], relin);
+            EXPECT_TRUE(samePoly(k0, r0));
+            EXPECT_TRUE(samePoly(k1, r1));
+            EXPECT_TRUE(
+                sameResidues(eval.mult(a, b), referenceMult(ctx, a, b, relin)));
+
+            const std::vector<Ciphertext> ref =
+                referenceAutomorph(ctx, a, elts, galois);
+            const std::vector<Ciphertext> batch = eval.rotateHoisted(a, steps);
+            for (size_t k = 0; k < steps.size(); ++k) {
+                EXPECT_TRUE(sameResidues(batch[k], ref[k]))
+                    << "steps=" << steps[k];
+                EXPECT_TRUE(sameResidues(eval.rotate(a, steps[k]), ref[k]))
+                    << "steps=" << steps[k];
+            }
+            EXPECT_TRUE(sameResidues(eval.conjugate(a), ref.back()));
+        }
+    }
+}
+
+TEST_F(CkksFixture, ConstantsMatchEncodedPlaintextReference)
+{
+    // Real constants take the scalar path, complex ones the encoded
+    // plaintext; both must equal encode-then-multPlain/addPlain. Scale
+    // 2 rounds the quarter values half away from zero.
+    const std::vector<cplx> values = {
+        cplx(0.75, 0),  cplx(3.0, 0),    cplx(-1.0, 0),   cplx(-0.3, 0),
+        cplx(0.0, 0),   cplx(-0.0, 0.0), cplx(0.25, 0),   cplx(-0.25, 0),
+        cplx(2.5, -1.0), cplx(0.0, 0.5), cplx(-1.5, 1e-3)};
+    for (size_t level : {size_t(1), size_t(3), ctx.levels()}) {
+        Ciphertext ct = enc.encrypt(
+            encoder.encode(randomMessage(rng, ctx.slots()), ctx.scale(),
+                           level));
+        for (cplx v : values) {
+            SCOPED_TRACE("level=" + std::to_string(level) + " value=(" +
+                         std::to_string(v.real()) + ", " +
+                         std::to_string(v.imag()) + ")");
+            for (double const_scale : {ctx.scale(), 2.0, 1e6})
+                EXPECT_TRUE(sameResidues(
+                    eval.multConst(ct, v, const_scale),
+                    referenceMultConst(eval, ct, v, const_scale)));
+            EXPECT_TRUE(sameResidues(eval.addConst(ct, v),
+                                     referenceAddConst(eval, ct, v)));
+        }
+    }
+}
+
+// --- Per-level bases ---------------------------------------------------
+
+TEST_F(CkksFixture, PerLevelBasesAreBuiltOnce)
+{
+    const size_t alpha = ctx.alpha();
+    for (size_t level = 1; level <= ctx.levels(); ++level) {
+        const auto q = ctx.qBasisAt(level);
+        const auto qp = ctx.qpBasisAt(level);
+        EXPECT_EQ(q.get(), ctx.qBasisAt(level).get());
+        EXPECT_EQ(qp.get(), ctx.qpBasisAt(level).get());
+        ASSERT_EQ(q->size(), level);
+        ASSERT_EQ(qp->size(), level + alpha);
+        for (size_t j = 0; j < level; ++j) {
+            EXPECT_EQ(q->prime(j), ctx.qBasis()->prime(j));
+            EXPECT_EQ(qp->prime(j), ctx.qBasis()->prime(j));
+        }
+        for (size_t j = 0; j < alpha; ++j)
+            EXPECT_EQ(qp->prime(level + j), ctx.pBasis()->prime(j));
+    }
+    EXPECT_EQ(ctx.qBasisAt(ctx.levels()).get(), ctx.qBasis().get());
+    EXPECT_EQ(ctx.qpBasisAt(ctx.levels()).get(), ctx.qpBasis().get());
+
+    // Encoder and evaluator outputs carry their level's cached basis.
+    Ciphertext ct = enc.encrypt(
+        encoder.encode(randomMessage(rng, 8), ctx.scale(), 4));
+    EXPECT_EQ(ct.polys[0].basisPtr().get(), ctx.qBasisAt(4).get());
+    for (const RnsPoly &p : eval.rescale(ct).polys)
+        EXPECT_EQ(p.basisPtr().get(), ctx.qBasisAt(3).get());
+    for (const RnsPoly &p : eval.levelTo(ct, 2).polys)
+        EXPECT_EQ(p.basisPtr().get(), ctx.qBasisAt(2).get());
+    auto [k0, k1] = eval.keySwitch(ct.polys[1], relin);
+    EXPECT_EQ(k0.basisPtr().get(), ctx.qBasisAt(4).get());
+    EXPECT_EQ(k1.basisPtr().get(), ctx.qBasisAt(4).get());
+}
+
+TEST(CkksDeathTest, BasisLevelOutOfRangeDies)
+{
+    CkksContext ctx(testParams());
+    EXPECT_DEATH(ctx.qBasisAt(0), "out of range");
+    EXPECT_DEATH(ctx.qBasisAt(ctx.levels() + 1), "out of range");
+    EXPECT_DEATH(ctx.qpBasisAt(0), "out of range");
+    EXPECT_DEATH(ctx.qpBasisAt(ctx.levels() + 1), "out of range");
+}
+
+TEST(CkksDeathTest, EncodeRejectsScaledValuesPastInt64)
+{
+    CkksParams p;
+    p.logN = 8;
+    p.levels = 4;
+    p.logScale = 45;
+    CkksContext ctx(p);
+    CkksEncoder encoder(ctx);
+    CkksEvaluator eval(ctx, encoder);
+
+    // 1e5 * 2^45 < 2^63 still encodes exactly enough to read back.
+    const auto back = encoder.decode(
+        encoder.encode({cplx(1e5, -1e5)}, ctx.scale(), 4), 1);
+    EXPECT_LT(std::abs(back[0] - cplx(1e5, -1e5)), 1e-3);
+
+    // 3e5 * 2^45 and 1e6 * 2^45 exceed 2^63; llround's result there is
+    // unspecified (glibc gives INT64_MIN, which decodes as -262144).
+    EXPECT_DEATH(encoder.encode({cplx(300000.0, 0)}, ctx.scale(), 4),
+                 "does not fit in an int64");
+    EXPECT_DEATH(encoder.encode({cplx(0, -1e6)}, ctx.scale(), 4),
+                 "does not fit in an int64");
+    EXPECT_DEATH(encoder.encodeRealConstant(300000.0, ctx.scale(), 4),
+                 "does not fit in an int64");
+
+    Ciphertext ct;
+    ct.scale = ctx.scale();
+    for (int i = 0; i < 2; ++i)
+        ct.polys.emplace_back(ctx.qBasisAt(4), PolyFormat::Eval);
+    EXPECT_DEATH(eval.multConst(ct, cplx(300000.0, 0), ctx.scale()),
+                 "does not fit in an int64");
+    EXPECT_DEATH(eval.addConst(ct, cplx(-1e6, 0)), "does not fit in an int64");
 }
 
 } // namespace

@@ -163,6 +163,43 @@ TEST(BConv, ExactForSmallCenteredValues)
     }
 }
 
+TEST(BConv, ExactMatchesCenteredCrtOnUniformInputs)
+{
+    // Uniform residues span every overflow multiple e in [0, l]; the
+    // exact converter must land on the centered CRT value for each.
+    const size_t n = 256;
+    auto from = makeBasis(n, 4, 50);
+    auto to = makeBasis(n, 3, 45, from->primes());
+    BaseConverter bc(from, to);
+
+    Rng rng(36);
+    RnsPoly a(from, PolyFormat::Coeff);
+    a.sampleUniform(rng);
+    RnsPoly out = bc.convertExact(a);
+
+    const BigInt q = from->product();
+    BigInt half = q;
+    half.shiftRight1();
+    for (size_t i = 0; i < n; ++i) {
+        std::vector<u64> residues;
+        for (size_t j = 0; j < from->size(); ++j)
+            residues.push_back(a.limb(j)[i]);
+        const BigInt x = from->crtReconstruct(residues);
+        const bool negative = x.compare(half) > 0;
+        BigInt mag = q;
+        if (negative)
+            mag.sub(x);
+        else
+            mag = x;
+        for (size_t p = 0; p < to->size(); ++p) {
+            const u64 pr = to->prime(p);
+            const u64 m = mag.modU64(pr);
+            EXPECT_EQ(out.limb(p)[i], negative ? negMod(m, pr) : m)
+                << "coeff " << i << " limb " << p;
+        }
+    }
+}
+
 TEST(BConv, ErrorIsSmallMultipleOfQ)
 {
     // For uniform inputs the HPS fast conversion may add e*Q with
