@@ -10,6 +10,9 @@ namespace effact {
 
 namespace {
 
+/** Chebyshev coefficients below this are treated as zero. */
+constexpr double kZeroCoeff = 1e-15;
+
 /**
  * Divides a Chebyshev-basis polynomial by T_K: c = q*T_K + r, using
  * T_j = 2*T_K*T_{j-K} - T_{2K-j} for K < j < 2K. Requires deg(c) < 2K.
@@ -34,7 +37,48 @@ chebyDivide(std::vector<double> &c, size_t big_k, std::vector<double> &q)
     c.resize(big_k); // remainder has degree < K
 }
 
+/**
+ * Trims c's trailing zeros. A series of degree >= m is split as
+ * c = q*T_K + r with K = m*2^j the largest such step <= deg: r is left
+ * in c, q goes to `q`, and K is returned. A base case (deg < m) returns 0.
+ */
+size_t
+chebySplit(std::vector<double> &c, size_t m, std::vector<double> &q)
+{
+    while (c.size() > 1 && std::fabs(c.back()) < kZeroCoeff)
+        c.pop_back();
+    const size_t deg = c.size() - 1;
+    if (deg < m)
+        return 0;
+    size_t big_k = m;
+    while (big_k * 2 <= deg)
+        big_k *= 2;
+    chebyDivide(c, big_k, q);
+    return big_k;
+}
+
 } // namespace
+
+const Ciphertext &
+Bootstrapper::ChebyBasis::power(size_t big_k) const
+{
+    const size_t m = baby.size() - 1;
+    if (big_k == m)
+        return baby[m];
+    size_t j = 0;
+    for (size_t k = 2 * m; k < big_k; k *= 2)
+        ++j;
+    EFFACT_ASSERT(j < giant.size(), "giant step table too small (K %zu)",
+                  big_k);
+    return giant[j];
+}
+
+size_t
+Bootstrapper::ChebyBasis::sumLevel(const std::vector<double> &coeffs) const
+{
+    // Baby-step levels only fall with k, so the top term is the lowest.
+    return baby[std::max<size_t>(coeffs.size() - 1, 1)].level();
+}
 
 Bootstrapper::Bootstrapper(const CkksContext &ctx,
                            const CkksEncoder &encoder,
@@ -161,7 +205,9 @@ Bootstrapper::evalChebyshev(const ChebyshevSeries &series,
 
     // Baby steps T_1..T_m. T_{2k} = 2 T_k^2 - 1; T_{2k+1} =
     // 2 T_k T_{k+1} - T_1 (doubling via self-add keeps the scale clean).
-    std::vector<Ciphertext> baby(m + 1);
+    ChebyBasis t;
+    std::vector<Ciphertext> &baby = t.baby;
+    baby.resize(m + 1);
     baby[1] = y;
     for (size_t k = 2; k <= m; ++k) {
         if (k % 2 == 0) {
@@ -179,7 +225,6 @@ Bootstrapper::evalChebyshev(const ChebyshevSeries &series,
 
     // Giant steps T_{2m}, T_{4m}, ...; T_{2K} is only needed while
     // 2K <= deg (the BSGS split never divides by more than T_deg).
-    std::vector<Ciphertext> giant; // giant[j] = T_{m * 2^(j+1)}
     {
         Ciphertext cur = baby[m];
         size_t idx = m;
@@ -187,7 +232,7 @@ Bootstrapper::evalChebyshev(const ChebyshevSeries &series,
             Ciphertext sq = eval_.rescale(eval_.mult(cur, cur));
             Ciphertext doubled = eval_.add(sq, sq);
             cur = eval_.addConst(doubled, cplx(-1.0, 0));
-            giant.push_back(cur);
+            t.giant.push_back(cur);
             idx *= 2;
         }
     }
@@ -198,70 +243,71 @@ Bootstrapper::evalChebyshev(const ChebyshevSeries &series,
         coeffs[0] *= 0.5;
     coeffs.resize(deg + 1);
 
-    return evalChebyRec(std::move(coeffs), baby, giant);
+    return evalChebyRec(std::move(coeffs), t, ctx_.scale());
+}
+
+size_t
+Bootstrapper::chebyLevel(std::vector<double> coeffs,
+                         const ChebyBasis &t) const
+{
+    std::vector<double> quot;
+    const size_t big_k = chebySplit(coeffs, config_.babySteps, quot);
+    if (big_k == 0)
+        return t.sumLevel(coeffs) - 1;
+    // The remainder (degree < K) never ends below the product.
+    const size_t q_level = chebyLevel(std::move(quot), t);
+    return std::min(q_level, t.power(big_k).level()) - 1;
 }
 
 Ciphertext
 Bootstrapper::evalChebyBase(const std::vector<double> &coeffs,
-                            const std::vector<Ciphertext> &baby) const
+                            const ChebyBasis &t, double target) const
 {
-    // Direct sum c_0 + sum_{k>=1} c_k T_k for deg < babySteps.
+    // c_0 + sum_{k>=1} c_k T_k for deg < babySteps. Each c_k is encoded
+    // so that its term lands exactly on sum_scale = target * q_drop, where
+    // q_drop is the prime the sum's single rescale divides by. The terms
+    // accumulate into a zero ciphertext, which a series with no term past
+    // c_0 rescales as it is.
+    const size_t level = t.sumLevel(coeffs);
+    const double sum_scale =
+        target * static_cast<double>(ctx_.qBasis()->prime(level - 1));
     Ciphertext acc;
-    bool first = true;
+    acc.scale = sum_scale;
+    acc.polys.assign(2, RnsPoly(ctx_.qBasisAt(level), PolyFormat::Eval));
     for (size_t k = 1; k < coeffs.size(); ++k) {
-        if (std::fabs(coeffs[k]) < 1e-15)
-            continue;
-        Ciphertext term = eval_.rescale(
-            eval_.multConst(baby[k], cplx(coeffs[k], 0), ctx_.scale()));
-        if (first) {
-            acc = std::move(term);
-            first = false;
-        } else {
-            acc = eval_.add(acc, term);
-        }
+        if (std::fabs(coeffs[k]) >= kZeroCoeff)
+            eval_.multConstAddInPlace(acc, t.baby[k], coeffs[k],
+                                      sum_scale / t.baby[k].scale);
     }
-    if (first) {
-        // All higher coefficients vanished: encode the constant alone on
-        // a fresh zero ciphertext derived from T_1.
-        acc = eval_.rescale(
-            eval_.multConst(baby[1], cplx(0, 0), ctx_.scale()));
-    }
-    return eval_.addConst(acc, cplx(coeffs.empty() ? 0.0 : coeffs[0], 0));
+    Ciphertext sum = eval_.rescale(acc);
+    sum.scale = target;
+    return eval_.addConst(sum, cplx(coeffs[0], 0));
 }
 
 Ciphertext
-Bootstrapper::evalChebyRec(std::vector<double> coeffs,
-                           const std::vector<Ciphertext> &baby,
-                           const std::vector<Ciphertext> &giant) const
+Bootstrapper::evalChebyRec(std::vector<double> coeffs, const ChebyBasis &t,
+                           double target) const
 {
-    const size_t m = config_.babySteps;
-    // Trim trailing zeros to find the true degree.
-    while (coeffs.size() > 1 && std::fabs(coeffs.back()) < 1e-15)
-        coeffs.pop_back();
-    const size_t deg = coeffs.size() - 1;
-
-    if (deg < m)
-        return evalChebyBase(coeffs, baby);
-
-    // Pick K = m * 2^j, the largest giant step <= deg.
-    size_t j = 0;
-    size_t big_k = m;
-    while (big_k * 2 <= deg) {
-        big_k *= 2;
-        ++j;
-    }
-    EFFACT_ASSERT(j <= giant.size(),
-                  "giant step table too small (deg %zu, K %zu)", deg,
-                  big_k);
-    // T_K is baby[m] when K == m, otherwise the (j-1)-th giant step.
-    const Ciphertext &t_k = j == 0 ? baby[m] : giant[j - 1];
-
     std::vector<double> quot;
-    chebyDivide(coeffs, big_k, quot);
+    const size_t big_k = chebySplit(coeffs, config_.babySteps, quot);
+    if (big_k == 0)
+        return evalChebyBase(coeffs, t, target);
 
-    Ciphertext q_eval = evalChebyRec(std::move(quot), baby, giant);
-    Ciphertext r_eval = evalChebyRec(std::move(coeffs), baby, giant);
+    // c = q T_K + r. rescale(q T_K) divides by q_m, the last prime at
+    // the product's level, so q is evaluated at target * q_m / T_K's
+    // scale and the product lands on `target`, where r is evaluated.
+    const Ciphertext &t_k = t.power(big_k);
+    const size_t prod_level = std::min(chebyLevel(quot, t), t_k.level());
+    const double q_m =
+        static_cast<double>(ctx_.qBasis()->prime(prod_level - 1));
+    Ciphertext q_eval =
+        evalChebyRec(std::move(quot), t, target * q_m / t_k.scale);
+    Ciphertext r_eval = evalChebyRec(std::move(coeffs), t, target);
+    EFFACT_ASSERT(std::min(q_eval.level(), t_k.level()) == prod_level,
+                  "Chebyshev level plan missed (%zu, planned %zu)",
+                  std::min(q_eval.level(), t_k.level()), prod_level);
     Ciphertext prod = eval_.rescale(eval_.mult(q_eval, t_k));
+    prod.scale = target;
     return eval_.add(prod, r_eval);
 }
 

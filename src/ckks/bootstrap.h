@@ -71,7 +71,11 @@ class Bootstrapper
 
     /**
      * Homomorphic Chebyshev-series evaluation (Han-Ki BSGS): `y` must
-     * hold values in [-1, 1]; depth is about log2(degree) + 1.
+     * hold values in [-1, 1]; depth is about log2(degree) + 1. Each
+     * base-case sum is rescaled once, and constants are encoded so that
+     * every addition sees equal scales (the scale-invariant evaluation
+     * of Bossuat et al., EUROCRYPT 2021): the result's scale is exactly
+     * the context's.
      */
     Ciphertext evalChebyshev(const ChebyshevSeries &series,
                              const Ciphertext &y) const;
@@ -80,14 +84,40 @@ class Bootstrapper
     const ChebyshevSeries &sineSeries() const { return sine_; }
 
   private:
-    /** Base case: direct sum over baby-step Chebyshev polynomials. */
-    Ciphertext evalChebyBase(const std::vector<double> &coeffs,
-                             const std::vector<Ciphertext> &baby) const;
+    /** T_1..T_m (baby steps) and T_{2m}, T_{4m}, ... (giant steps). */
+    struct ChebyBasis
+    {
+        std::vector<Ciphertext> baby;  ///< baby[k] = T_k, k = 1..m
+        std::vector<Ciphertext> giant; ///< giant[j] = T_{m * 2^(j+1)}
 
-    /** Recursive BSGS combine. */
-    Ciphertext evalChebyRec(std::vector<double> coeffs,
-                            const std::vector<Ciphertext> &baby,
-                            const std::vector<Ciphertext> &giant) const;
+        /** T_K for K = m * 2^j. */
+        const Ciphertext &power(size_t big_k) const;
+
+        /**
+         * Level of a base-case sum over `coeffs` before its rescale:
+         * that of its top T_k (T_1 when only c_0 is left).
+         */
+        size_t sumLevel(const std::vector<double> &coeffs) const;
+    };
+
+    /**
+     * Level plan: the level evalChebyRec's result for `coeffs` ends at,
+     * from the coefficients alone. A base case ends one below its sum; a
+     * node one below min(its quotient's level, level(T_K)).
+     */
+    size_t chebyLevel(std::vector<double> coeffs, const ChebyBasis &t)
+        const;
+
+    /**
+     * Base case (deg < m): c_0 + sum_k c_k T_k with one rescale, at
+     * scale exactly `target`.
+     */
+    Ciphertext evalChebyBase(const std::vector<double> &coeffs,
+                             const ChebyBasis &t, double target) const;
+
+    /** Recursive BSGS combine; the result's scale is exactly `target`. */
+    Ciphertext evalChebyRec(std::vector<double> coeffs, const ChebyBasis &t,
+                            double target) const;
 
     const CkksContext &ctx_;
     const CkksEncoder &encoder_;

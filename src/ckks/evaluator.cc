@@ -134,6 +134,28 @@ CkksEvaluator::multConst(const Ciphertext &ct, cplx value,
     return out;
 }
 
+void
+CkksEvaluator::multConstAddInPlace(Ciphertext &acc, const Ciphertext &ct,
+                                   double value, double const_scale) const
+{
+    const size_t level = acc.level();
+    EFFACT_ASSERT(ct.level() >= level && ct.size() == acc.size(),
+                  "multConstAddInPlace needs ct at or above acc's level");
+    const double rel =
+        std::fabs(ct.scale * const_scale - acc.scale) / acc.scale;
+    if (rel > 1e-4)
+        warn("multConstAddInPlace scale mismatch (rel err %.3g)", rel);
+    const std::vector<u64> c =
+        encoder_.encodeRealConstant(value, const_scale, level);
+    const kernels::KernelTable &k = kernels::active();
+    for (size_t i = 0; i < acc.size(); ++i) {
+        RnsPoly &dst = acc.polys[i];
+        for (size_t j = 0; j < level; ++j)
+            k.macConstV(dst.limb(j).data(), ct.polys[i].limb(j).data(),
+                        ctx_.degree(), c[j], dst.basis().limb(j).barrett);
+    }
+}
+
 Ciphertext
 CkksEvaluator::mult(const Ciphertext &a, const Ciphertext &b) const
 {

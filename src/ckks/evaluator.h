@@ -40,6 +40,16 @@ class CkksEvaluator
     Ciphertext multConst(const Ciphertext &ct, cplx value,
                          double const_scale) const;
 
+    /**
+     * acc += ct * value, the real constant encoded at `const_scale` as
+     * multConst encodes it, on acc's level (ct may sit higher): one MAC
+     * per residue and no intermediate ciphertext, bit-identical to
+     * add(acc, multConst(levelTo(ct, acc.level()), value, const_scale)).
+     * acc keeps its scale, which the product's must match.
+     */
+    void multConstAddInPlace(Ciphertext &acc, const Ciphertext &ct,
+                             double value, double const_scale) const;
+
     /** Negation. */
     Ciphertext negate(const Ciphertext &ct) const;
 

@@ -342,12 +342,12 @@ KernelBuilder::polyEval(const IrCt &ct, size_t degree, size_t baby, int evk)
         IrCt run(size_t deg)
         {
             if (deg < baby) {
-                // Base: sum of constant-multiplied baby polynomials.
-                IrCt acc = kb.rescale(kb.multImm(tk[1], 11));
+                // Base: constant-multiplied baby polynomials, summed,
+                // then one rescale.
+                IrCt acc = kb.multImm(tk[1], 11);
                 for (size_t k = 2; k <= deg && k < tk.size(); ++k)
-                    acc = kb.hadd(acc,
-                                  kb.rescale(kb.multImm(tk[k], 11 + k)));
-                return acc;
+                    acc = kb.hadd(acc, kb.multImm(tk[k], 11 + k));
+                return kb.rescale(acc);
             }
             size_t big_k = baby;
             size_t j = 0;

@@ -95,7 +95,9 @@ class KernelBuilder
 
     /**
      * Homomorphic polynomial evaluation of `degree` via BSGS with
-     * `baby` baby steps (the EvalMod pattern).
+     * `baby` baby steps (the EvalMod pattern). Mirrors
+     * Bootstrapper::evalChebyshev: each base-case sum of scalar-multiplied
+     * baby steps is rescaled once, and the result ends at the same level.
      */
     IrCt polyEval(const IrCt &ct, size_t degree, size_t baby, int evk);
 

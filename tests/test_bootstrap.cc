@@ -2,8 +2,10 @@
  * @file
  * Bootstrapping tests: the BSGS linear transform against a plaintext
  * matrix-vector product, the rotation steps its key set needs,
- * Chebyshev BSGS evaluation, CtS/StC inverse round-trip, and the full
- * fully-packed pipeline refreshing a level-1 ciphertext (Sec. V-A).
+ * Chebyshev BSGS evaluation (scale-exact, its recursion's edge cases,
+ * and the levels the IR's `polyEval` mirror consumes), CtS/StC inverse
+ * round-trip, and the full fully-packed pipeline refreshing a level-1
+ * ciphertext (Sec. V-A).
  */
 #include <cmath>
 
@@ -11,6 +13,7 @@
 
 #include "ckks/bootstrap.h"
 #include "ckks/encryptor.h"
+#include "ir/kernels.h"
 
 namespace effact {
 namespace {
@@ -58,6 +61,33 @@ class BootstrapFixture : public ::testing::Test
         eval = std::make_unique<CkksEvaluator>(ctx, encoder, &relin,
                                                &galois);
         boot = std::make_unique<Bootstrapper>(ctx, encoder, *eval, bootConfig());
+    }
+
+    /** What one Chebyshev evaluation left behind. */
+    struct ChebyRun
+    {
+        double err;   ///< max |decrypted - Clenshaw| over the slots
+        size_t level; ///< the result's level
+        double scale; ///< the result's tracked scale
+    };
+
+    /** Evaluates `series` with `b` on slot values spread over [-1, 1],
+     *  encrypted at the top level. */
+    ChebyRun evalSeries(const Bootstrapper &b, const ChebyshevSeries &series)
+    {
+        const size_t slots = ctx.slots();
+        std::vector<cplx> xs(slots);
+        for (size_t i = 0; i < slots; ++i)
+            xs[i] = cplx(-1.0 + 2.0 * double(i) / double(slots - 1), 0.0);
+        Ciphertext ct = enc.encrypt(encoder.encode(xs, ctx.scale(),
+                                                   ctx.levels()));
+        Ciphertext out = b.evalChebyshev(series, ct);
+        auto got = encoder.decode(enc.decrypt(out), slots);
+        double err = 0;
+        for (size_t i = 0; i < slots; ++i)
+            err = std::max(err, std::abs(got[i].real() -
+                                         series.eval(xs[i].real())));
+        return {err, out.level(), out.scale};
     }
 
     CkksContext ctx;
@@ -141,25 +171,99 @@ TEST_F(BootstrapFixture, LinearTransformMatchesPlaintextProduct)
     }
 }
 
-TEST_F(BootstrapFixture, ChebyshevEvalMatchesClenshaw)
+TEST_F(BootstrapFixture, ChebyshevEvalIsScaleExact)
 {
     // Evaluate an arbitrary smooth function homomorphically on values in
     // [-1, 1] and compare with the double-precision Clenshaw reference.
+    // Every base-case sum is rescaled once and every addition sees equal
+    // scales, so the result lands exactly on the context's scale.
     auto f = [](double x) { return std::exp(-x * x) * std::cos(3 * x); };
-    auto series = ChebyshevSeries::fit(f, -1.0, 1.0, 63);
+    const ChebyRun run = evalSeries(*boot, ChebyshevSeries::fit(f, -1.0,
+                                                                1.0, 63));
+    EXPECT_EQ(run.scale, ctx.scale());
+    EXPECT_EQ(run.level, 10u);
+    EXPECT_LT(run.err, 1e-8);
+}
 
-    const size_t slots = ctx.slots();
-    std::vector<cplx> xs(slots);
-    for (size_t i = 0; i < slots; ++i)
-        xs[i] = cplx(-1.0 + 2.0 * double(i) / double(slots - 1), 0.0);
+TEST_F(BootstrapFixture, ChebyshevRecursionEdgeCases)
+{
+    struct Case
+    {
+        const char *name;
+        ChebyshevSeries series;
+        size_t level;
+    };
+    const std::vector<Case> cases = {
+        // Only c_0: the base case rescales its zero sum, then adds c_0.
+        {"constant", ChebyshevSeries::fit([](double) { return 0.7; }, -1.0,
+                                          1.0, 0),
+         15},
+        // deg == K == 2m: the root's quotient has degree 0.
+        {"exp at 32",
+         ChebyshevSeries::fit([](double x) { return std::exp(x); }, -1.0,
+                              1.0, 32),
+         10},
+        // Odd: the base cases skip the even terms.
+        {"sin(5x) at 63",
+         ChebyshevSeries::fit([](double x) { return std::sin(5 * x); },
+                              -1.0, 1.0, 63),
+         9},
+        {"|x - 0.3| at 127",
+         ChebyshevSeries::fit([](double x) { return std::fabs(x - 0.3); },
+                              -1.0, 1.0, 127),
+         8},
+    };
+    // exp keeps its top coefficient, and the fit leaves most of sin's
+    // 32 even coefficients under the 1e-15 the evaluation skips.
+    EXPECT_GE(std::fabs(cases[1].series.coeffs()[32]), 1e-15);
+    size_t skipped = 0;
+    for (size_t k = 0; k <= 63; k += 2)
+        skipped += std::fabs(cases[2].series.coeffs()[k]) < 1e-15;
+    EXPECT_GT(skipped, 16u);
+    for (const Case &c : cases) {
+        const ChebyRun run = evalSeries(*boot, c.series);
+        EXPECT_EQ(run.scale, ctx.scale()) << c.name;
+        EXPECT_EQ(run.level, c.level) << c.name;
+        EXPECT_LT(run.err, 1e-8) << c.name;
+    }
+}
 
-    Ciphertext ct = enc.encrypt(encoder.encode(xs, ctx.scale(),
-                                               ctx.levels()));
-    Ciphertext out = boot->evalChebyshev(series, ct);
-    auto got = encoder.decode(enc.decrypt(out), slots);
-    for (size_t i = 0; i < slots; ++i)
-        EXPECT_NEAR(got[i].real(), series.eval(xs[i].real()), 1e-4)
-            << "slot " << i;
+TEST_F(BootstrapFixture, IrPolyEvalConsumesTheFunctionalLevels)
+{
+    // KernelBuilder::polyEval mirrors evalChebyshev structurally; from
+    // level 16 both must end at the same level, for the EvalMod sine
+    // (159, 16), ResNet-20's ReLU (27, 8) and HELR's sigmoid (7, 4).
+    // Each series keeps its top coefficient, so neither side trims.
+    auto kink = [](double x) { return std::fabs(x - 0.3); };
+    struct Case
+    {
+        size_t degree, baby;
+        ChebyshevSeries series;
+        size_t level;
+    };
+    const std::vector<Case> cases = {
+        {159, 16, boot->sineSeries(), 8},
+        {27, 8, ChebyshevSeries::fit(kink, -1.0, 1.0, 27), 11},
+        {7, 4, ChebyshevSeries::fit(kink, -1.0, 1.0, 7), 12},
+    };
+    for (const Case &c : cases) {
+        ASSERT_EQ(c.series.degree(), c.degree);
+        ASSERT_GE(std::fabs(c.series.coeffs().back()), 1e-15);
+        BootstrapConfig config = bootConfig();
+        config.babySteps = c.baby;
+        const Bootstrapper b(ctx, encoder, *eval, config);
+        const ChebyRun run = evalSeries(b, c.series);
+
+        IrProgram prog;
+        KernelBuilder kb(prog, FheParams{});
+        const IrCt out = kb.polyEval(kb.inputCiphertext("x", ctx.levels()),
+                                     c.degree, c.baby,
+                                     kb.switchingKeyObject("evk"));
+        EXPECT_EQ(run.level, c.level)
+            << "degree " << c.degree << ", baby " << c.baby;
+        EXPECT_EQ(out.level, run.level)
+            << "degree " << c.degree << ", baby " << c.baby;
+    }
 }
 
 TEST_F(BootstrapFixture, CtsThenStcIsIdentity)
@@ -208,7 +312,7 @@ TEST_F(BootstrapFixture, ModRaisePreservesMessageModQ0)
         EXPECT_LT(std::abs(got[i] - msg[i]), 1e-4) << "slot " << i;
 }
 
-TEST_F(BootstrapFixture, FullPipelineRefreshesCiphertext)
+TEST_F(BootstrapFixture, FullPipelinePrecisionFloor)
 {
     const size_t slots = ctx.slots();
     std::vector<cplx> msg(slots);
@@ -220,14 +324,14 @@ TEST_F(BootstrapFixture, FullPipelineRefreshesCiphertext)
     ASSERT_EQ(ct.level(), 1u);
 
     Ciphertext refreshed = boot->bootstrap(ct);
-    EXPECT_GT(refreshed.level(), 2u)
-        << "bootstrapping must leave usable levels";
+    EXPECT_EQ(refreshed.level(), 5u) << "the bootstrap's depth moved";
 
+    // Scale-exact EvalMod keeps the refreshed message within 2^-12.
     auto got = encoder.decode(enc.decrypt(refreshed), slots);
     double err = 0;
     for (size_t i = 0; i < slots; ++i)
         err = std::max(err, std::abs(got[i] - msg[i]));
-    EXPECT_LT(err, 1e-2) << "bootstrapping precision too low";
+    EXPECT_LT(err, std::ldexp(1.0, -12)) << "bootstrapping precision too low";
 }
 
 TEST_F(BootstrapFixture, RefreshedCiphertextSupportsFurtherOps)

@@ -449,6 +449,37 @@ TEST_F(CkksFixture, ConstantsMatchEncodedPlaintextReference)
     }
 }
 
+TEST_F(CkksFixture, MultConstAddMatchesAddOfMultConst)
+{
+    // The fused MAC must leave exactly what add(acc, multConst(levelTo))
+    // leaves, with ct at acc's level or above it.
+    for (size_t ct_level : {size_t(3), ctx.levels()}) {
+        Ciphertext ct = enc.encrypt(
+            encoder.encode(randomMessage(rng, ctx.slots()), ctx.scale(),
+                           ct_level));
+        for (size_t acc_level : {size_t(1), size_t(3)}) {
+            for (double v : {0.75, -0.3, 0.0, 3.0}) {
+                for (double const_scale : {ctx.scale(), 2.0, 1e6}) {
+                    SCOPED_TRACE("ct level " + std::to_string(ct_level) +
+                                 ", acc level " + std::to_string(acc_level) +
+                                 ", value " + std::to_string(v) +
+                                 ", const scale " +
+                                 std::to_string(const_scale));
+                    Ciphertext acc = enc.encrypt(encoder.encode(
+                        randomMessage(rng, ctx.slots()), ctx.scale(),
+                        acc_level));
+                    acc.scale = ct.scale * const_scale;
+                    const Ciphertext expect = eval.add(
+                        acc, eval.multConst(eval.levelTo(ct, acc_level),
+                                            cplx(v, 0), const_scale));
+                    eval.multConstAddInPlace(acc, ct, v, const_scale);
+                    EXPECT_TRUE(sameResidues(acc, expect));
+                }
+            }
+        }
+    }
+}
+
 // --- Per-level bases ---------------------------------------------------
 
 TEST_F(CkksFixture, PerLevelBasesAreBuiltOnce)
