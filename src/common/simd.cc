@@ -10,17 +10,6 @@ namespace effact {
 
 namespace {
 
-/** CPUID AVX2 probe; false on non-x86 builds. */
-bool
-cpuSupportsAvx2()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
-}
-
 /**
  * Parses `EFFACT_SIMD` into a tier request. `native` (and unset) asks
  * for the best supported tier; anything unrecognized warns and falls
@@ -65,6 +54,8 @@ simdTierName(SimdTier tier)
         return "scalar";
     case SimdTier::Avx2:
         return "avx2";
+    case SimdTier::Avx512:
+        return "avx512";
     }
     return "unknown";
 }
@@ -72,8 +63,15 @@ simdTierName(SimdTier tier)
 SimdTier
 maxSupportedSimdTier()
 {
+    // The tier defines are set only where the compiler takes the x86
+    // -mavx2 / -mavx512* flags, so the CPUID builtin exists under them.
+#if defined(EFFACT_SIMD_AVX512_COMPILED)
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq"))
+        return SimdTier::Avx512;
+#endif
 #if defined(EFFACT_SIMD_AVX2_COMPILED)
-    if (cpuSupportsAvx2())
+    if (__builtin_cpu_supports("avx2"))
         return SimdTier::Avx2;
 #endif
     return SimdTier::Scalar;

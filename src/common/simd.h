@@ -29,28 +29,32 @@ namespace effact {
 
 /**
  * Kernel implementation tiers, ordered: a higher tier is a superset
- * requirement (Avx2 needs x86-64 + AVX2 at build and run time).
+ * requirement (Avx2 needs x86-64 + AVX2 at build and run time, Avx512
+ * needs AVX-512F and AVX-512DQ).
  */
 enum class SimdTier : int {
     Scalar = 0, ///< portable C++ loops — the dispatchable oracle
     Avx2 = 1,   ///< 4 x u64 lanes via AVX2 integer intrinsics
+    Avx512 = 2, ///< 8 x u64 lanes via AVX-512F/DQ integer intrinsics
 };
 
-/** Display name ("scalar", "avx2") for logs, stats and tests. */
+/** Display name ("scalar", "avx2", "avx512") for logs, stats and tests. */
 const char *simdTierName(SimdTier tier);
 
 /**
  * Best tier this build *and* this CPU support: compile-time kernel
- * availability (the AVX2 translation unit is only vectorized on x86-64
- * with a compiler that takes -mavx2) intersected with CPUID.
+ * availability (the AVX2 and AVX-512 translation units are only
+ * vectorized on x86-64 with a compiler that takes -mavx2 and
+ * -mavx512f -mavx512dq respectively) intersected with CPUID.
  */
 SimdTier maxSupportedSimdTier();
 
 /**
  * The tier kernels dispatch on. Resolved once on first use:
  * `EFFACT_SIMD` = `scalar` | `avx2` | `native` (default `native` =
- * maxSupportedSimdTier()); a requested tier the host cannot run is
- * clamped down with a warning, never an error.
+ * maxSupportedSimdTier(), which is avx512 on AVX-512F+DQ hosts); a
+ * requested tier the host cannot run is clamped down with a warning,
+ * never an error.
  */
 SimdTier activeSimdTier();
 

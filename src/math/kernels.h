@@ -23,6 +23,11 @@
  *    — exact because a canonical residue is unique: any correct
  *    reduction yields the identical representative in [0, q).
  *
+ *  - kernels_avx512.cc — the AVX2 arithmetic on 8 x u64 lanes
+ *    (AVX-512F + DQ): `_mm512_mullo_epi64` low halves, unsigned-min
+ *    conditional subtracts, and `_mm512_permutex2var_epi64` regrouping
+ *    for the NTT stages whose butterfly span is below eight lanes.
+ *
  * Exactness contracts (same as the scalar classes they mirror):
  * elementwise operands are reduced (< q); `mulConstV`/`macConstV`
  * constants are < q. Outputs are always canonical.

@@ -28,6 +28,9 @@
 namespace effact {
 namespace {
 
+/** The highest `SimdTier` enumerator, whether or not this host has it. */
+constexpr SimdTier kTopTier = SimdTier::Avx512;
+
 /** Tiers above scalar that this build + CPU can actually run. */
 std::vector<SimdTier>
 vectorTiers()
@@ -38,12 +41,16 @@ vectorTiers()
     return tiers;
 }
 
-/** Tail-heavy length set: everything around the 4-lane boundaries. */
-const size_t kLengths[] = {0,  1,  2,  3,   4,   5,    6,    7,   8,
-                           9,  11, 12, 13,  15,  16,   17,   31,  32,
-                           33, 63, 64, 100, 255, 1000, 1024, 4097};
+/**
+ * Tail-heavy length set: everything around the 4- and 8-lane
+ * boundaries, with every residue mod 8 above 8.
+ */
+const size_t kLengths[] = {0,  1,  2,  3,  4,  5,  6,  7,   8,   9,
+                           10, 11, 12, 13, 14, 15, 16, 17,  18,  22,
+                           23, 24, 25, 31, 32, 33, 63, 64,  100, 255,
+                           1000, 1024, 4097};
 
-const unsigned kBitWidths[] = {30, 40, 50, 58};
+const unsigned kBitWidths[] = {17, 30, 40, 50, 58};
 
 std::vector<u64>
 randomResidues(Rng &rng, size_t n, u64 q)
@@ -64,6 +71,7 @@ TEST(SimdTierPlumbing, HostTierReport)
     EXPECT_GE(static_cast<int>(best), static_cast<int>(SimdTier::Scalar));
     EXPECT_STREQ(simdTierName(SimdTier::Scalar), "scalar");
     EXPECT_STREQ(simdTierName(SimdTier::Avx2), "avx2");
+    EXPECT_STREQ(simdTierName(SimdTier::Avx512), "avx512");
 }
 
 TEST(SimdTierPlumbing, SetTierClampsToHostMaximum)
@@ -72,7 +80,7 @@ TEST(SimdTierPlumbing, SetTierClampsToHostMaximum)
     const SimdTier best = maxSupportedSimdTier();
     // Requesting more than the host supports installs the host maximum,
     // never an unusable tier.
-    const SimdTier got = setSimdTier(SimdTier::Avx2);
+    const SimdTier got = setSimdTier(kTopTier);
     EXPECT_LE(static_cast<int>(got), static_cast<int>(best));
     EXPECT_EQ(got, activeSimdTier());
     EXPECT_EQ(setSimdTier(SimdTier::Scalar), SimdTier::Scalar);
@@ -84,7 +92,7 @@ TEST(SimdTierPlumbing, EveryTierValueResolvesToUsableTable)
 {
     // forTier is total: even a tier the build lacks must come back as a
     // usable table (the highest available lower tier).
-    for (int t = 0; t <= static_cast<int>(SimdTier::Avx2); ++t) {
+    for (int t = 0; t <= static_cast<int>(kTopTier); ++t) {
         const kernels::KernelTable &tab = kernels::forTier(SimdTier(t));
         EXPECT_NE(tab.nttForward, nullptr);
         EXPECT_NE(tab.addModV, nullptr);
@@ -164,25 +172,51 @@ TEST(SimdKernelEquivalence, ElementwiseAllTailLengths)
     }
 }
 
+/** Correction subtracts Barrett::reduce makes on a * b (0, 1 or 2). */
+u64
+barrettCorrections(const Barrett &br, u64 a, u64 b)
+{
+    const unsigned k = br.kBits();
+    const u128 x = static_cast<u128>(a) * b;
+    const u64 q3 = static_cast<u64>(((x >> (k - 1)) * br.mu()) >> (k + 1));
+    return static_cast<u64>(x - static_cast<u128>(q3) * br.modulus()) /
+           br.modulus();
+}
+
 TEST(SimdKernelEquivalence, MulModAcceptsAnyReducedOperands)
 {
     // Stress the Barrett replay at the extremes: residues packed near q
-    // (worst-case correction count) and near 0, under the widest q.
-    const u64 q = genNttPrimes(1, 58, 64)[0];
-    const Barrett br(q);
-    const kernels::KernelTable &oracle = kernels::scalarKernels();
-    const size_t n = 64;
-    std::vector<u64> a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-        a[i] = i % 2 == 0 ? q - 1 - i / 2 : i / 2;
-        b[i] = i % 3 == 0 ? q - 1 : (i % 3 == 1 ? 1 : q / 2);
-    }
-    for (SimdTier tier : vectorTiers()) {
-        std::vector<u64> want(n), got(n);
-        oracle.mulModV(want.data(), a.data(), b.data(), n, br);
-        kernels::forTier(tier).mulModV(got.data(), a.data(), b.data(), n,
-                                       br);
-        EXPECT_EQ(want, got) << simdTierName(tier);
+    // and near 0. Under the widest q, a prime just below 2^58, 2^116 / q
+    // is within 1e-6 of an integer and no product needs Barrett's second
+    // correction. The 30-bit prime 1073685121 has 2^60 / q 0.995 above
+    // an integer, so products near q^2 take both corrections.
+    struct Modulus
+    {
+        u64 q;
+        u64 worstCorrections; ///< over the operands below
+    };
+    for (const Modulus m : {Modulus{genNttPrimes(1, 58, 64)[0], 1},
+                            Modulus{1073685121, 2}}) {
+        const u64 q = m.q;
+        const Barrett br(q);
+        const kernels::KernelTable &oracle = kernels::scalarKernels();
+        const size_t n = 64;
+        std::vector<u64> a(n), b(n);
+        u64 corrections = 0;
+        for (size_t i = 0; i < n; ++i) {
+            a[i] = i % 2 == 0 ? q - 1 - i / 2 : i / 2;
+            b[i] = i % 3 == 0 ? q - 1 : (i % 3 == 1 ? 1 : q / 2);
+            corrections =
+                std::max(corrections, barrettCorrections(br, a[i], b[i]));
+        }
+        EXPECT_EQ(corrections, m.worstCorrections) << "q=" << q;
+        for (SimdTier tier : vectorTiers()) {
+            std::vector<u64> want(n), got(n);
+            oracle.mulModV(want.data(), a.data(), b.data(), n, br);
+            kernels::forTier(tier).mulModV(got.data(), a.data(), b.data(),
+                                           n, br);
+            EXPECT_EQ(want, got) << simdTierName(tier) << " q=" << q;
+        }
     }
 }
 
@@ -193,7 +227,7 @@ TEST(SimdKernelEquivalence, NttForwardInverseAllSizes)
     const kernels::KernelTable &oracle = kernels::scalarKernels();
     Rng rng(7002);
     for (size_t n = 2; n <= 4096; n <<= 1) {
-        for (unsigned bits : {30u, 50u}) {
+        for (unsigned bits : {30u, 50u, 54u, 58u}) {
             const u64 q = genNttPrimes(1, bits, n)[0];
             const Ntt plan(n, q);
             const kernels::NttTables tables = plan.kernelTables();
