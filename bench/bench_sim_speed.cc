@@ -4,7 +4,7 @@
  * bootstrapping trace (logN = 16, L = 24, ~150k machine instructions)
  * and measures both issue cores — the legacy O(n * window) rescan loop
  * (`referenceSimulate`, from the test-support library) and the
- * event-driven dependence-graph core (`Simulator::run`) — in simulated
+ * event-driven scoreboard-window core (`Simulator::run`) — in simulated
  * instructions per second.
  * Verifies cycle-count equivalence while at it. Results are recorded
  * in bench/NOTES.md.
@@ -61,7 +61,7 @@ run()
     t.header({"issue core", "time [s]", "insts/s", "cycles"});
     t.row({"legacy rescan loop", Table::num(t_ref, 3),
            Table::num(n / t_ref, 4), Table::num(ref.cycles, 9)});
-    t.row({"event-driven (DepGraph)", Table::num(t_ev, 3),
+    t.row({"event-driven (window)", Table::num(t_ev, 3),
            Table::num(n / t_ev, 4), Table::num(ev.cycles, 9)});
     t.print();
     std::printf("speedup: %.2fx (best of 3 each)\n", t_ref / t_ev);

@@ -22,14 +22,21 @@ Platform::run(Workload &workload, CompileCache *cache) const
     using Ms = std::chrono::duration<double, std::milli>;
 
     const Compiler compiler(copts_);
-    AnalysisManager analyses;
     PlatformResult result;
     const Clock::time_point t0 = Clock::now();
-    compiler.runMiddleEnd(workload.program, analyses, result.compilerStats,
-                          cache);
-    const Clock::time_point t1 = Clock::now();
-    const MachineProgram mp = compiler.runBackEnd(
-        workload.program, analyses, result.compilerStats);
+    Clock::time_point t1;
+    MachineProgram mp;
+    {
+        // The scheduler's analyses (the IR DepGraph, the alias edges)
+        // are dead once the back end returns: free them before the
+        // simulator and the fingerprint run.
+        AnalysisManager analyses;
+        compiler.runMiddleEnd(workload.program, analyses,
+                              result.compilerStats, cache);
+        t1 = Clock::now();
+        mp = compiler.runBackEnd(workload.program, analyses,
+                                 result.compilerStats);
+    }
     const Clock::time_point t2 = Clock::now();
     result.sim = Simulator(hw_).run(mp);
     const Clock::time_point t3 = Clock::now();

@@ -21,26 +21,17 @@ DepGraph::finalize()
 {
     EFFACT_ASSERT(!finalized_, "graph already finalized");
     soff_.assign(n_ + 1, 0);
-    poff_.assign(n_ + 1, 0);
-    for (const Edge &e : raw_) {
+    for (const Edge &e : raw_)
         ++soff_[static_cast<size_t>(e.from) + 1];
-        ++poff_[static_cast<size_t>(e.to) + 1];
-    }
-    for (size_t i = 0; i < n_; ++i) {
+    for (size_t i = 0; i < n_; ++i)
         soff_[i + 1] += soff_[i];
-        poff_[i + 1] += poff_[i];
-    }
     sedge_.resize(raw_.size());
-    pedge_.resize(raw_.size());
     // Stable fill: per-node edge order is append order.
     std::vector<uint32_t> scur(soff_.begin(), soff_.end() - 1);
-    std::vector<uint32_t> pcur(poff_.begin(), poff_.end() - 1);
-    for (const Edge &e : raw_) {
+    for (const Edge &e : raw_)
         sedge_[scur[static_cast<size_t>(e.from)]++] = {e.to, e.kind};
-        pedge_[pcur[static_cast<size_t>(e.to)]++] = {e.from, e.kind};
-    }
-    // The CSR arrays hold every edge, once per direction; the graph lives
-    // through scheduling and simulation, so drop the raw list.
+    // The CSR arrays hold every edge; the graph lives through
+    // scheduling, so drop the raw list.
     std::vector<Edge>().swap(raw_);
     finalized_ = true;
 }
@@ -71,57 +62,13 @@ DepGraph::fromMachine(const MachineProgram &prog)
     const size_t n = prog.insts.size();
     DepGraph g(n);
     g.raw_.reserve(n * 2);
-
-    // Dense producer maps: register ids are small consecutive ints from
-    // the allocator and FIFO tokens are IR value ids, so direct-indexed
-    // tables beat hash maps on the hot build path.
-    u64 max_reg = 0, max_tok = 0;
+    MachineDepResolver resolver(prog);
+    DepEdge producers[MachineDepResolver::kMaxProducers];
     for (size_t i = 0; i < n; ++i) {
-        const MachInst &mi = prog.insts[i];
-        if (mi.dest.kind == OperandKind::Reg) {
-            if (mi.dest.reg < 0)
-                panicMalformedMachine(prog, static_cast<int>(i),
-                                      "destination register id is "
-                                      "negative");
-            max_reg = std::max<u64>(max_reg, static_cast<u64>(mi.dest.reg));
-        }
-        if (mi.dest.kind == OperandKind::Stream && !mi.dest.dram)
-            max_tok = std::max<u64>(max_tok, mi.dest.value);
-    }
-    std::vector<int> last_writer(max_reg + 1, -1);   // register -> inst
-    std::vector<int> fifo_producer(max_tok + 1, -1); // token -> inst
-
-    for (size_t i = 0; i < n; ++i) {
-        const MachInst &mi = prog.insts[i];
-        auto resolveSrc = [&](const Operand &o) {
-            if (o.kind == OperandKind::Reg &&
-                static_cast<u64>(o.reg) <= max_reg)
-                return last_writer[static_cast<size_t>(o.reg)];
-            if (o.kind == OperandKind::Stream && !o.dram &&
-                o.value <= max_tok)
-                return fifo_producer[static_cast<size_t>(o.value)];
-            return -1;
-        };
-        // A source with no resolvable producer (a live-in register, an
-        // HBM address, an immediate) simply has no edge.
-        for (const Operand *src : {&mi.src0, &mi.src1, &mi.src2}) {
-            int def = resolveSrc(*src);
-            if (def >= 0)
-                g.addEdge(def, static_cast<int>(i), DepKind::True);
-        }
-        if (mi.writesDest()) {
-            if (mi.dest.kind == OperandKind::Reg) {
-                int prev = last_writer[static_cast<size_t>(mi.dest.reg)];
-                if (prev >= 0)
-                    g.addEdge(prev, static_cast<int>(i), DepKind::Anti);
-                last_writer[static_cast<size_t>(mi.dest.reg)] =
-                    static_cast<int>(i);
-            } else if (mi.dest.kind == OperandKind::Stream &&
-                       !mi.dest.dram) {
-                fifo_producer[static_cast<size_t>(mi.dest.value)] =
-                    static_cast<int>(i);
-            }
-        }
+        const int count = resolver.resolve(i, producers);
+        for (int k = 0; k < count; ++k)
+            g.addEdge(producers[k].other, static_cast<int>(i),
+                      producers[k].kind);
     }
     g.finalize();
     return g;
@@ -132,8 +79,8 @@ DepGraph::indegrees() const
 {
     EFFACT_ASSERT(finalized_, "graph not finalized");
     std::vector<uint32_t> indeg(n_, 0);
-    for (size_t i = 0; i < n_; ++i)
-        indeg[i] = poff_[i + 1] - poff_[i];
+    for (const DepEdge &e : sedge_)
+        ++indeg[static_cast<size_t>(e.other)];
     return indeg;
 }
 
@@ -150,6 +97,50 @@ DepGraph::criticalPath(const std::vector<double> &node_latency) const
         prio[i] = best + node_latency[i];
     }
     return prio;
+}
+
+int
+MachineDepResolver::resolve(size_t i, DepEdge (&out)[kMaxProducers])
+{
+    EFFACT_ASSERT(i == next_, "machine instruction %zu resolved out of "
+                              "program order (expected %zu)", i, next_);
+    ++next_;
+    const MachInst &mi = prog_.insts[i];
+    if (mi.dest.kind == OperandKind::Reg && mi.dest.reg < 0)
+        panicMalformedMachine(prog_, static_cast<int>(i),
+                              "destination register id is negative");
+
+    // A negative source register id converts to a key past any table.
+    auto producerOf = [](const std::vector<int> &table, u64 key) {
+        return key < table.size() ? table[static_cast<size_t>(key)] : -1;
+    };
+    auto slotOf = [](std::vector<int> &table, u64 key) -> int & {
+        if (key >= table.size())
+            table.resize(static_cast<size_t>(key) + 1, -1);
+        return table[static_cast<size_t>(key)];
+    };
+
+    int count = 0;
+    for (const Operand *src : {&mi.src0, &mi.src1, &mi.src2}) {
+        int def = -1;
+        if (src->kind == OperandKind::Reg)
+            def = producerOf(last_writer_, static_cast<u64>(src->reg));
+        else if (src->kind == OperandKind::Stream && !src->dram)
+            def = producerOf(fifo_producer_, src->value);
+        if (def >= 0)
+            out[count++] = {def, DepKind::True};
+    }
+    if (!mi.writesDest())
+        return count;
+    if (mi.dest.kind == OperandKind::Reg) {
+        int &writer = slotOf(last_writer_, static_cast<u64>(mi.dest.reg));
+        if (writer >= 0)
+            out[count++] = {writer, DepKind::Anti};
+        writer = static_cast<int>(i);
+    } else if (mi.dest.kind == OperandKind::Stream && !mi.dest.dram) {
+        slotOf(fifo_producer_, mi.dest.value) = static_cast<int>(i);
+    }
+    return count;
 }
 
 } // namespace effact

@@ -1,13 +1,13 @@
 /**
  * @file
- * Shared dependence-graph layer. Both the compiler's global list
- * scheduler (IR level, Sec. IV-B) and the cycle simulator's event-driven
- * issue core (machine level, Sec. IV-D) need the same information — who
- * must run before whom, and which of those edges carry data latency —
- * and previously each rebuilt it from scratch with separate ad-hoc code.
- * A `DepGraph` is built once from an instruction stream and exposes
- * successor/predecessor edge ranges, indegrees for ready-list countdown,
- * and critical-path priorities.
+ * Dependence layer. `DepGraph` is built once from an instruction stream
+ * and exposes successor edge ranges, indegrees for ready-list countdown,
+ * and critical-path priorities; the compiler's global list scheduler
+ * (IR level, Sec. IV-B) runs on the IR graph. The machine dependence
+ * rule is `MachineDepResolver`, applied in program order: the cycle
+ * simulator (Sec. IV-D) resolves each instruction as it enters the
+ * scoreboard window, and `DepGraph::fromMachine` collects the same
+ * edges into a whole-program graph.
  */
 #ifndef EFFACT_SCHED_DEPGRAPH_H
 #define EFFACT_SCHED_DEPGRAPH_H
@@ -29,7 +29,7 @@ enum class DepKind : uint8_t {
 };
 
 /** One directed edge; `other` is the successor (in `succs`) or the
- *  predecessor (in `preds`). */
+ *  producer (from `MachineDepResolver`). */
 struct DepEdge
 {
     int other;
@@ -80,12 +80,7 @@ class DepGraph
     static DepGraph fromIr(const IrProgram &prog,
                            const std::vector<std::pair<int, int>> &mem_deps);
 
-    /**
-     * Machine-level graph: register and streaming-FIFO true dependences
-     * (each source operand resolved to its defining instruction), plus
-     * anti-dependence edges from each register write to the previous
-     * writer of the same register.
-     */
+    /** Machine-level graph: every `MachineDepResolver` edge. */
     static DepGraph fromMachine(const MachineProgram &prog);
 
     /** Appends one edge; `from` must precede `to` in the stream. */
@@ -105,12 +100,8 @@ class DepGraph
     {
         return {sedge_.data() + soff_[i], sedge_.data() + soff_[i + 1]};
     }
-    EdgeRange preds(size_t i) const
-    {
-        return {pedge_.data() + poff_[i], pedge_.data() + poff_[i + 1]};
-    }
-
-    /** Per-node indegree snapshot, for ready-list countdown. */
+    /** Per-node indegree, counted over the successor edges, for
+     *  ready-list countdown. */
     std::vector<uint32_t> indegrees() const;
 
     /**
@@ -124,10 +115,48 @@ class DepGraph
   private:
     size_t n_ = 0;
     std::vector<Edge> raw_; // appended edges; released by finalize()
-    // CSR form, valid after finalize().
-    std::vector<uint32_t> soff_, poff_;
-    std::vector<DepEdge> sedge_, pedge_;
+    // Successor CSR, valid after finalize().
+    std::vector<uint32_t> soff_;
+    std::vector<DepEdge> sedge_;
     bool finalized_ = false;
+};
+
+/**
+ * The machine dependence rule. Each source operand depends (`True`) on
+ * the last instruction that wrote its register or produced its on-chip
+ * FIFO token; each register write depends (`Anti`) on the previous
+ * writer of the same register. A source with no producer (a live-in
+ * register, an HBM stream, an immediate) has no edge. Instructions are
+ * resolved one at a time in program order, so a consumer sees exactly
+ * the producers that precede it.
+ */
+class MachineDepResolver
+{
+  public:
+    /** Most producers one instruction has: three sources and the
+     *  previous writer of its destination register. */
+    static constexpr int kMaxProducers = 4;
+
+    explicit MachineDepResolver(const MachineProgram &prog) : prog_(prog) {}
+
+    /**
+     * Resolves instruction `i`, which must be the next in program order:
+     * writes its `(producer, kind)` pairs to `out` (sources in operand
+     * order, then the previous writer of the destination register),
+     * records `i` as the newest writer of its destination, and returns
+     * the pair count. Panics with the verifier's diagnostic on a
+     * negative destination register id.
+     */
+    int resolve(size_t i, DepEdge (&out)[kMaxProducers]);
+
+  private:
+    const MachineProgram &prog_;
+    size_t next_ = 0;
+    // Direct-indexed producer tables: register ids are small consecutive
+    // ints from the allocator and FIFO tokens are IR value ids. Both
+    // grow on the first write past their end.
+    std::vector<int> last_writer_;   // register -> inst
+    std::vector<int> fifo_producer_; // token -> inst
 };
 
 } // namespace effact

@@ -1,6 +1,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <queue>
 #include <vector>
@@ -94,6 +95,7 @@ class ReadyGroups
             tied_[grp].push(idx);
         else
             later_[grp].emplace(data_ready, idx);
+        nonempty_ |= 1u << grp;
     }
 
     /**
@@ -135,13 +137,15 @@ class ReadyGroups
         }
     }
 
-    /** Lexicographic (start, index) minimum over all groups; returns
-     *  the instruction index and its start, or -1 if nothing is ready. */
+    /** Lexicographic (start, index) minimum over the non-empty
+     *  groups; returns the instruction index and its start, or -1 if
+     *  nothing is ready. */
     int best(double &start_out) const
     {
         int best_idx = -1;
         double best_start = 0.0;
-        for (int grp = 0; grp < kGroups; ++grp) {
+        for (uint32_t m = nonempty_; m != 0; m &= m - 1) {
+            const int grp = __builtin_ctz(m);
             int idx;
             double start;
             // Within a group the tied heap dominates: `later` members
@@ -149,11 +153,9 @@ class ReadyGroups
             if (!tied_[grp].empty()) {
                 idx = tied_[grp].top();
                 start = floor_[grp];
-            } else if (!later_[grp].empty()) {
+            } else {
                 idx = later_[grp].top().second;
                 start = later_[grp].top().first;
-            } else {
-                continue;
             }
             if (best_idx < 0 || start < best_start ||
                 (start == best_start && idx < best_idx)) {
@@ -170,12 +172,14 @@ class ReadyGroups
     {
         if (!tied_[grp].empty() && tied_[grp].top() == idx) {
             tied_[grp].pop();
-            return;
+        } else {
+            EFFACT_ASSERT(!later_[grp].empty() &&
+                              later_[grp].top().second == idx,
+                          "issued instruction is not its group's best");
+            later_[grp].pop();
         }
-        EFFACT_ASSERT(!later_[grp].empty() &&
-                          later_[grp].top().second == idx,
-                      "issued instruction is not its group's best");
-        later_[grp].pop();
+        if (tied_[grp].empty() && later_[grp].empty())
+            nonempty_ &= ~(1u << grp);
     }
 
   private:
@@ -222,25 +226,164 @@ class ReadyGroups
     double floor_[kGroups];
     IndexHeap tied_[kGroups];
     TimedHeap later_[kGroups];
+    uint32_t nonempty_ = 0; ///< bit `grp` set iff group `grp` has members
+    static_assert(kGroups <= 32, "one `nonempty_` bit per group");
+};
+
+/**
+ * The scoreboard window's dependence state. Instructions enter in
+ * program order. Each keeps one time, its data-ready time until it
+ * issues and its finish time after, its count of unissued producers,
+ * and its decoded shape: the ready group, which fixes every shape field
+ * `plan` reads, plus the extra-DRAM count `commit` reads. A producer
+ * that has not issued when its consumer enters gets a wake-up entry;
+ * entries live in a pool that issue recycles, so the pool is only as
+ * large as the most edges pending inside the window at once.
+ */
+class ScoreboardWindow
+{
+  public:
+    ScoreboardWindow(const MachineProgram &prog, ResourceModel &res,
+                     ReadyGroups &groups, bool ntt_mac_reuse)
+        : prog_(prog), res_(res), groups_(groups),
+          ntt_mac_reuse_(ntt_mac_reuse), resolver_(prog)
+    {
+        insts_.reserve(prog.insts.size());
+    }
+
+    /** Instructions entered so far; the next to enter is this index. */
+    size_t entered() const { return insts_.size(); }
+
+    /** Enters the next instruction in program order and admits it to
+     *  its ready group if every producer has issued. */
+    void enter()
+    {
+        const size_t i = insts_.size();
+        InstShape shape = res_.decode(prog_.insts[i]);
+        InstState s;
+        s.group = static_cast<uint8_t>(
+            ReadyGroups::groupOf(shape, ntt_mac_reuse_));
+        s.extra_dram = static_cast<uint8_t>(shape.extra_dram);
+        shape.extra_dram = 0;
+        group_shape_[s.group] = shape;
+
+        DepEdge producers[MachineDepResolver::kMaxProducers];
+        const int count = resolver_.resolve(i, producers);
+        for (int k = 0; k < count; ++k) {
+            InstState &p = insts_[static_cast<size_t>(producers[k].other)];
+            const bool data = producers[k].kind == DepKind::True;
+            if (p.group == kIssued) {
+                if (data)
+                    s.time = std::max(s.time, p.time);
+                continue;
+            }
+            int w;
+            if (free_ >= 0) {
+                w = free_;
+                free_ = pool_[static_cast<size_t>(w)].next;
+            } else {
+                w = static_cast<int>(pool_.size());
+                pool_.emplace_back();
+            }
+            pool_[static_cast<size_t>(w)] = {static_cast<int>(i), p.wake,
+                                             data};
+            p.wake = w;
+            ++s.pending;
+        }
+        insts_.push_back(s);
+        if (s.pending == 0)
+            groups_.admit(s.group, static_cast<int>(i), s.time);
+    }
+
+    /**
+     * Issues `idx`, the ready groups' best, at `expected_start`: plans
+     * and commits it, then wakes its consumers. Returns the finish time.
+     */
+    double issue(int idx, double expected_start)
+    {
+        InstState &s = insts_[static_cast<size_t>(idx)];
+        groups_.take(s.group, idx);
+        InstShape shape = group_shape_[s.group];
+        shape.extra_dram = s.extra_dram;
+        const IssuePlan plan = res_.plan(shape, s.time);
+        EFFACT_ASSERT(plan.start == expected_start,
+                      "ready-group floor diverged from the plan");
+        const double finish = res_.commit(shape, plan);
+        groups_.refresh(plan);
+        s.time = finish;
+        s.group = kIssued;
+        for (int w = s.wake; w >= 0;) {
+            Wake &e = pool_[static_cast<size_t>(w)];
+            InstState &c = insts_[static_cast<size_t>(e.consumer)];
+            if (e.data)
+                c.time = std::max(c.time, finish);
+            if (--c.pending == 0)
+                groups_.admit(c.group, e.consumer, c.time);
+            const int next = e.next;
+            e.next = free_;
+            free_ = w;
+            w = next;
+        }
+        s.wake = -1;
+        return finish;
+    }
+
+  private:
+    /** `InstState::group` of an issued instruction. */
+    static constexpr uint8_t kIssued = 0xff;
+    static_assert(ReadyGroups::kGroups < kIssued, "group ids fit a byte");
+
+    /** 16 bytes per instruction, the only per-instruction state. */
+    struct InstState
+    {
+        double time = 0.0;      ///< data-ready time; finish once issued
+        int wake = -1;          ///< first wake-up entry, or -1
+        uint8_t pending = 0;    ///< producers that have not issued
+        uint8_t group = 0;      ///< ready group, or kIssued
+        uint8_t extra_dram = 0; ///< `InstShape::extra_dram`
+    };
+
+    /** "Consumer waits for this producer"; `data` if it waits for the
+     *  producer's result, not just its issue. */
+    struct Wake
+    {
+        int consumer = -1;
+        int next = -1; ///< next entry of the producer's list (or free list)
+        bool data = false;
+    };
+
+    const MachineProgram &prog_;
+    ResourceModel &res_;
+    ReadyGroups &groups_;
+    const bool ntt_mac_reuse_;
+    MachineDepResolver resolver_;
+    std::vector<InstState> insts_;
+    // The group is the FU class, MAC steering and the streaming fill,
+    // and the class sets the occupancy, so `plan` and `commit` treat
+    // every member of a group alike except for `extra_dram`: one shape
+    // per group, with that count zeroed, stands for all of them.
+    InstShape group_shape_[ReadyGroups::kGroups];
+    std::vector<Wake> pool_;
+    int free_ = -1; ///< recycled wake-up entries
 };
 
 } // namespace
 
 /**
- * Event-driven issue core. Readiness is tracked with per-instruction
- * indegree counters over the machine-level dependence graph: when an
- * instruction issues, its wake-up list (graph successors) is walked,
- * true-dependence successors inherit its finish time as their data-ready
- * time, and instructions whose last predecessor issued become ready.
- * The OoO scoreboard window is a boundary that slides over the unissued
- * instructions (a doubly-linked list, so issued instructions are never
- * re-scanned); only ready instructions inside the window are issue
- * candidates, held in `ReadyGroups` priority queues keyed by earliest
- * feasible start. Each round is a peek across the group heads, one
- * `ResourceModel::plan` for the winner, and O(log n) heap maintenance —
- * O((n + e) log n) overall instead of the legacy loop's O(n * window)
- * rescans over an ever-wider issued gap (that loop survives as the
- * test-side reference simulator).
+ * Event-driven issue core. The OoO scoreboard window holds `issueWindow`
+ * unissued instructions and only those are issue candidates, so every
+ * instruction past its far edge is unissued and the edge advances by
+ * exactly one instruction per issue. Instructions therefore enter the
+ * window in program order, and each resolves its producers as it enters
+ * (`ScoreboardWindow`): an issued producer contributes its finish time,
+ * an unissued one a wake-up entry. Ready instructions sit in
+ * `ReadyGroups` priority queues keyed by earliest feasible start. Each
+ * round is a peek across the non-empty group heads, one
+ * `ResourceModel::plan` for the winner, and O(log window) heap
+ * maintenance; dependence state is O(window) plus 16 bytes per
+ * instruction. The policy is the legacy rescan loop's (earliest
+ * feasible start, lowest index on ties), which survives as the
+ * test-side reference simulator.
  */
 SimReport
 Simulator::run(const MachineProgram &prog) const
@@ -249,37 +392,12 @@ Simulator::run(const MachineProgram &prog) const
     ResourceModel res(cfg_, prog.residueBytes);
     if (n == 0)
         return makeReport(res, cfg_, 0, 0.0);
-    res.bind(prog);
-    const DepGraph graph = DepGraph::fromMachine(prog);
-
-    std::vector<uint32_t> indeg = graph.indegrees();
-    std::vector<double> data_ready(n, 0.0);
-    std::vector<uint8_t> ready(n, 0);
-    std::vector<int> group(n);
-    for (size_t i = 0; i < n; ++i)
-        group[i] = ReadyGroups::groupOf(res.shape(i), cfg_.nttMacReuse);
-
-    // Unissued instructions in program order; issue unlinks in O(1).
-    std::vector<int> nxt(n), prv(n);
-    for (size_t i = 0; i < n; ++i) {
-        nxt[i] = static_cast<int>(i) + 1;
-        prv[i] = static_cast<int>(i) - 1;
-    }
-
-    const size_t window = std::max<size_t>(cfg_.issueWindow, 1);
-    // Index of the last unissued instruction inside the scoreboard
-    // window (the window-th unissued in program order); `n` once the
-    // window covers every remaining instruction.
-    size_t bound = window < n ? window - 1 : n;
 
     ReadyGroups groups(res);
-    for (size_t i = 0; i < n; ++i) {
-        if (indeg[i] == 0) {
-            ready[i] = 1;
-            if (i <= bound)
-                groups.admit(group[i], static_cast<int>(i), 0.0);
-        }
-    }
+    ScoreboardWindow window(prog, res, groups, cfg_.nttMacReuse);
+    const size_t width = std::max<size_t>(cfg_.issueWindow, 1);
+    while (window.entered() < std::min(width, n))
+        window.enter();
 
     double t_end = 0.0;
     for (size_t issued = 0; issued < n; ++issued) {
@@ -288,41 +406,11 @@ Simulator::run(const MachineProgram &prog) const
         if (best < 0)
             panicMalformedMachine(prog, -1,
                                   "deadlock: no issuable instruction");
-        groups.take(group[best], best);
-
-        const IssuePlan plan =
-            res.plan(static_cast<size_t>(best), data_ready[best]);
-        EFFACT_ASSERT(plan.start == best_start,
-                      "ready-group floor diverged from the plan");
-
-        if (prv[best] >= 0)
-            nxt[prv[best]] = nxt[best];
-        if (nxt[best] < static_cast<int>(n))
-            prv[nxt[best]] = prv[best];
-        // One in-window instruction issued: slide the boundary to the
-        // next unissued instruction (`best`'s own links are intact, so
-        // this works when best == bound too) and admit it if ready.
-        if (bound < n) {
-            bound = static_cast<size_t>(nxt[bound]);
-            if (bound < n && ready[bound])
-                groups.admit(group[bound], static_cast<int>(bound),
-                             data_ready[bound]);
-        }
-
-        const double finish = res.commit(static_cast<size_t>(best), plan);
-        t_end = std::max(t_end, finish);
-        groups.refresh(plan);
-
-        for (const DepEdge &e : graph.succs(static_cast<size_t>(best))) {
-            const size_t s = static_cast<size_t>(e.other);
-            if (e.kind == DepKind::True)
-                data_ready[s] = std::max(data_ready[s], finish);
-            if (--indeg[s] == 0) {
-                ready[s] = 1;
-                if (s <= bound)
-                    groups.admit(group[s], e.other, data_ready[s]);
-            }
-        }
+        t_end = std::max(t_end, window.issue(best, best_start));
+        // The issue freed one window slot: the next instruction in
+        // program order takes it.
+        if (window.entered() < n)
+            window.enter();
     }
 
     return makeReport(res, cfg_, n, t_end);

@@ -6,10 +6,12 @@
  * operands occupy HBM bandwidth concurrently with execution; LOAD/STORE
  * and streaming fills compete for the same HBM channels (Sec. IV-D1).
  *
- * The issue core is event-driven: dependences come from the shared
- * `DepGraph` layer (sched/depgraph.h), readiness is tracked with
- * indegree counters and wake-up lists, and the FU/HBM occupancy rules
- * live in `ResourceModel` (sim/resources.h).
+ * The issue core is event-driven and simulates inside the scoreboard
+ * window: instructions enter it in program order and resolve their
+ * producers as they enter (`MachineDepResolver`, sched/depgraph.h),
+ * readiness is tracked with unissued-producer counts and wake-up
+ * lists, and the FU/HBM occupancy rules live in `ResourceModel`
+ * (sim/resources.h).
  */
 #ifndef EFFACT_SIM_MACHINE_H
 #define EFFACT_SIM_MACHINE_H

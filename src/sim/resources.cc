@@ -59,81 +59,4 @@ ResourceModel::decode(const MachInst &mi) const
     return s;
 }
 
-void
-ResourceModel::bind(const MachineProgram &prog)
-{
-    shapes_.clear();
-    shapes_.reserve(prog.insts.size());
-    for (const MachInst &mi : prog.insts)
-        shapes_.push_back(decode(mi));
-}
-
-IssuePlan
-ResourceModel::plan(const InstShape &shape, double data_ready) const
-{
-    IssuePlan p;
-    if (shape.fu_class < 0) {
-        p.uses_dram = true;
-        p.dram_cycles = mem_cycles_;
-        p.start = std::max(data_ready, hbm_free_);
-        p.occupancy = mem_cycles_;
-        return p;
-    }
-    int cls = shape.fu_class;
-    if (shape.mac && cfg_.nttMacReuse && fu_min_[FU_NTT] < fu_min_[FU_MUL])
-        cls = FU_NTT;
-    p.fu_class = cls;
-    p.fu_inst = fu_argmin_[cls];
-    p.start = std::max(data_ready, fu_min_[cls]);
-    p.occupancy = shape.occupancy;
-    if (shape.stream_fill) {
-        // The streaming fill competes for HBM and overlaps with
-        // execution (data consumed on arrival, Sec. IV-C).
-        p.uses_dram = true;
-        p.dram_cycles = mem_cycles_;
-        p.start = std::max(p.start, hbm_free_);
-        p.occupancy = std::max(p.occupancy, mem_cycles_);
-    }
-    return p;
-}
-
-double
-ResourceModel::commit(const InstShape &shape, const IssuePlan &p)
-{
-    const double finish = p.start + p.occupancy + kStartupCycles;
-    if (p.uses_dram) {
-        hbm_free_ = p.start + p.dram_cycles;
-        hbm_busy_ += p.dram_cycles;
-        dram_bytes_ += double(residue_bytes_);
-    }
-    if (p.fu_class >= 0) {
-        fu_free_[p.fu_class][p.fu_inst] = p.start + p.occupancy;
-        busy_[p.fu_class] += p.occupancy;
-        refreshMin(p.fu_class);
-    }
-    // Each DRAM-streamed operand beyond the first moves another residue.
-    for (int k = 0; k < shape.extra_dram; ++k) {
-        hbm_free_ += mem_cycles_;
-        hbm_busy_ += mem_cycles_;
-        dram_bytes_ += double(residue_bytes_);
-    }
-    return finish;
-}
-
-void
-ResourceModel::refreshMin(int fu_class)
-{
-    const std::vector<double> &f = fu_free_[fu_class];
-    double best = f[0];
-    int arg = 0;
-    for (size_t u = 1; u < f.size(); ++u) {
-        if (f[u] < best) {
-            best = f[u];
-            arg = static_cast<int>(u);
-        }
-    }
-    fu_min_[fu_class] = best;
-    fu_argmin_[fu_class] = arg;
-}
-
 } // namespace effact

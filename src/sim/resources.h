@@ -11,6 +11,7 @@
 #ifndef EFFACT_SIM_RESOURCES_H
 #define EFFACT_SIM_RESOURCES_H
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -59,13 +60,6 @@ class ResourceModel
     /** Decodes the state-independent shape of one instruction. */
     InstShape decode(const MachInst &mi) const;
 
-    /** Caches decoded shapes for every instruction of `prog` so the
-     *  index-based `plan`/`commit` overloads can be used. */
-    void bind(const MachineProgram &prog);
-
-    /** Cached shape of instruction `i` (valid after `bind`). */
-    const InstShape &shape(size_t i) const { return shapes_[i]; }
-
     /**
      * Cost of issuing `shape` once its operands are ready at
      * `data_ready`, under current occupancy: picks the earliest-free
@@ -74,10 +68,6 @@ class ResourceModel
      * streaming fills, and overlaps a streaming fill with execution.
      */
     IssuePlan plan(const InstShape &shape, double data_ready) const;
-    IssuePlan plan(size_t i, double data_ready) const
-    {
-        return plan(shapes_[i], data_ready);
-    }
 
     /**
      * Commits `p`: occupies the chosen unit, advances the HBM channel
@@ -87,10 +77,6 @@ class ResourceModel
      * the pipeline startup latency.
      */
     double commit(const InstShape &shape, const IssuePlan &p);
-    double commit(size_t i, const IssuePlan &p)
-    {
-        return commit(shapes_[i], p);
-    }
 
     // --- Model constants and state, for reports and tests ---------------
     double ewCycles() const { return ew_cycles_; }
@@ -119,9 +105,78 @@ class ResourceModel
     double hbm_free_ = 0.0;
     double hbm_busy_ = 0.0;
     double dram_bytes_ = 0.0;
-
-    std::vector<InstShape> shapes_;
 };
+
+// `plan` and `commit` run once per issued instruction; they are defined
+// here so the simulator's issue loop inlines them.
+
+inline IssuePlan
+ResourceModel::plan(const InstShape &shape, double data_ready) const
+{
+    IssuePlan p;
+    if (shape.fu_class < 0) {
+        p.uses_dram = true;
+        p.dram_cycles = mem_cycles_;
+        p.start = std::max(data_ready, hbm_free_);
+        p.occupancy = mem_cycles_;
+        return p;
+    }
+    int cls = shape.fu_class;
+    if (shape.mac && cfg_.nttMacReuse && fu_min_[FU_NTT] < fu_min_[FU_MUL])
+        cls = FU_NTT;
+    p.fu_class = cls;
+    p.fu_inst = fu_argmin_[cls];
+    p.start = std::max(data_ready, fu_min_[cls]);
+    p.occupancy = shape.occupancy;
+    if (shape.stream_fill) {
+        // The streaming fill competes for HBM and overlaps with
+        // execution (data consumed on arrival, Sec. IV-C).
+        p.uses_dram = true;
+        p.dram_cycles = mem_cycles_;
+        p.start = std::max(p.start, hbm_free_);
+        p.occupancy = std::max(p.occupancy, mem_cycles_);
+    }
+    return p;
+}
+
+inline double
+ResourceModel::commit(const InstShape &shape, const IssuePlan &p)
+{
+    const double finish = p.start + p.occupancy + kStartupCycles;
+    if (p.uses_dram) {
+        hbm_free_ = p.start + p.dram_cycles;
+        hbm_busy_ += p.dram_cycles;
+        dram_bytes_ += double(residue_bytes_);
+    }
+    if (p.fu_class >= 0) {
+        fu_free_[p.fu_class][p.fu_inst] = p.start + p.occupancy;
+        busy_[p.fu_class] += p.occupancy;
+        refreshMin(p.fu_class);
+    }
+    // Each DRAM-streamed operand beyond the first moves another residue.
+    for (int k = 0; k < shape.extra_dram; ++k) {
+        hbm_free_ += mem_cycles_;
+        hbm_busy_ += mem_cycles_;
+        dram_bytes_ += double(residue_bytes_);
+    }
+    return finish;
+}
+
+inline void
+ResourceModel::refreshMin(int fu_class)
+{
+    const std::vector<double> &f = fu_free_[fu_class];
+    double best = f[0];
+    int arg = 0;
+    for (size_t u = 1; u < f.size(); ++u) {
+        if (f[u] < best) {
+            best = f[u];
+            arg = static_cast<int>(u);
+        }
+    }
+    fu_min_[fu_class] = best;
+    fu_argmin_[fu_class] = arg;
+}
 
 } // namespace effact
 

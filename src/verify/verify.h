@@ -130,12 +130,13 @@ VerifyReport verifyMachine(const MachineProgram &prog,
 void enforceVerified(const VerifyReport &report, const char *context);
 
 /**
- * Rich failure path for machine-code consumers (`DepGraph::fromMachine`
- * and the simulator): verifies `prog` and panics with the full report
- * plus the disassembly of `inst` (when >= 0). Call when a consumer-side
- * sanity check already failed — it upgrades a bare assert into a
- * diagnostic that names the offending instruction and every other
- * violated invariant. Never returns.
+ * Rich failure path for machine-code consumers (`MachineDepResolver`,
+ * which `DepGraph::fromMachine` and the simulator both run, and the
+ * simulator's deadlock check): verifies `prog` and panics with the full
+ * report plus the disassembly of `inst` (when >= 0). Call when a
+ * consumer-side sanity check already failed — it upgrades a bare assert
+ * into a diagnostic that names the offending instruction and every
+ * other violated invariant. Never returns.
  */
 [[noreturn]] void panicMalformedMachine(const MachineProgram &prog,
                                         int inst, const char *what);

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "compiler/pass.h"
 #include "ir/workloads.h"
 #include "reference_sim.h"
@@ -340,6 +342,104 @@ TEST(Simulator, HbmFloorRefreshCoversEveryGroupAfterDualDramCommit)
     EXPECT_NEAR(r.cycles, 5 * mem + 16, 1e-6);
     EXPECT_DOUBLE_EQ(r.dramBytes, 5.0 * double(n * 8));
     expectEquivalent(hw, mp);
+}
+
+// --- Dependences resolved as instructions enter the window ---------------
+
+MachInst
+machInst(Opcode op, Operand dest, Operand src0,
+         Operand src1 = Operand::none())
+{
+    MachInst mi;
+    mi.op = op;
+    mi.dest = dest;
+    mi.src0 = src0;
+    mi.src1 = src1;
+    return mi;
+}
+
+/** Checks `mp` against the reference loop at windows 1, 2, 3 and 64. */
+void
+expectEquivalentAcrossWindows(const MachineProgram &mp)
+{
+    for (size_t window : {1, 2, 3, 64}) {
+        SCOPED_TRACE("issueWindow " + std::to_string(window));
+        HardwareConfig hw = HardwareConfig::asicEffact27();
+        hw.issueWindow = window;
+        expectEquivalent(hw, mp);
+    }
+}
+
+TEST(SimulatorWindowEntry, RegisterReadByMoreInstructionsThanTheWindow)
+{
+    // One long NTT result read by 80 later instructions: readers that
+    // enter after the NTT issued take its finish time at entry, the
+    // others wait on wake-up entries.
+    MachineProgram mp;
+    mp.residueBytes = size_t(1) << 19;
+    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(0),
+                                Operand::regOp(200)));
+    for (int k = 0; k < 80; ++k)
+        mp.insts.push_back(machInst(k % 2 ? Opcode::MMAD : Opcode::MMUL,
+                                    Operand::regOp(1 + k),
+                                    Operand::regOp(0),
+                                    Operand::regOp(201)));
+    expectEquivalentAcrossWindows(mp);
+}
+
+TEST(SimulatorWindowEntry, RegisterRewrittenWhileOldReadersWait)
+{
+    // r0's first writer waits on a slow NTT, so its three readers wait
+    // too while an MMAD rewrites r0 (an anti edge on the first writer)
+    // and three AUTOs read the new value. Independent MMADs take the
+    // ADD units while the rewrite waits, and an NTT chain hangs off a
+    // reader of the new value, so the rewrite's issue order shows in
+    // the cycle count.
+    MachineProgram mp;
+    mp.residueBytes = size_t(1) << 19;
+    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(20),
+                                Operand::regOp(200)));
+    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(0),
+                                Operand::regOp(20)));
+    for (int k = 0; k < 3; ++k)
+        mp.insts.push_back(machInst(Opcode::MMUL, Operand::regOp(10 + k),
+                                    Operand::regOp(0), Operand::regOp(0)));
+    mp.insts.push_back(machInst(Opcode::MMAD, Operand::regOp(0),
+                                Operand::regOp(202), Operand::regOp(203)));
+    for (int k = 0; k < 3; ++k)
+        mp.insts.push_back(machInst(Opcode::AUTO, Operand::regOp(50 + k),
+                                    Operand::regOp(0)));
+    for (int k = 0; k < 12; ++k)
+        mp.insts.push_back(machInst(Opcode::MMAD, Operand::regOp(30 + k),
+                                    Operand::regOp(204),
+                                    Operand::regOp(205)));
+    for (int k = 0; k < 3; ++k)
+        mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(61 + k),
+                                    Operand::regOp(k ? 60 + k : 50)));
+    expectEquivalentAcrossWindows(mp);
+}
+
+TEST(SimulatorWindowEntry, FifoProducerIssuedBeforeItsConsumerEnters)
+{
+    // The token's producer issues first; 70 independent instructions
+    // then fill more than any tested window, so the consumer enters
+    // after its producer issued and takes the finish time at entry. An
+    // NTT chain after the consumer makes that time show in the cycle
+    // count.
+    MachineProgram mp;
+    mp.residueBytes = size_t(1) << 19;
+    mp.insts.push_back(machInst(Opcode::MMUL, Operand::stream(7),
+                                Operand::regOp(100), Operand::regOp(101)));
+    for (int k = 0; k < 70; ++k)
+        mp.insts.push_back(machInst(Opcode::MMAD, Operand::regOp(k),
+                                    Operand::regOp(102),
+                                    Operand::regOp(103)));
+    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(90),
+                                Operand::stream(7)));
+    for (int k = 0; k < 4; ++k)
+        mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(91 + k),
+                                    Operand::regOp(90 + k)));
+    expectEquivalentAcrossWindows(mp);
 }
 
 TEST(Simulator, InOrderWindowOneIsSlower)

@@ -25,6 +25,7 @@
 #include "platform/platform.h"
 #include "runtime/sweep.h"
 #include "sched/depgraph.h"
+#include "sim/machine.h"
 #include "verify/verify.h"
 
 namespace effact {
@@ -533,6 +534,18 @@ TEST(MachVerifierDeathTest, DepGraphNamesTheMalformedInstruction)
     EXPECT_DEATH(DepGraph::fromMachine(mp),
                  "destination register id is negative");
     EXPECT_DEATH(DepGraph::fromMachine(mp), "mach.reg.bounds");
+}
+
+TEST(MachVerifierDeathTest, SimulatorNamesTheMalformedInstruction)
+{
+    // The simulator resolves dependences as instructions enter its
+    // window and reaches the same guard.
+    MachineProgram mp = tinyMachine();
+    mp.insts[2].dest = Operand::regOp(-1);
+    const HardwareConfig hw = HardwareConfig::asicEffact27();
+    EXPECT_DEATH(Simulator(hw).run(mp),
+                 "destination register id is negative");
+    EXPECT_DEATH(Simulator(hw).run(mp), "mach.reg.bounds");
 }
 
 // --- Compiler checkpoints -------------------------------------------------
