@@ -1,9 +1,8 @@
 /**
  * @file
  * Kernel-tier microbench: times the dispatched math kernels — NTT
- * forward/inverse, pointwise modmul, BConv plain and merged-Montgomery
- * — under the scalar oracle tier and under the best tier this host
- * supports, from one binary.
+ * forward/inverse, pointwise modmul, BConv — under the scalar oracle
+ * tier and under the best tier this host supports, from one binary.
  *
  * Two jobs in one harness:
  *
@@ -140,21 +139,11 @@ runBconvPlain(const Scene &s, u64 h)
     return h;
 }
 
-u64
-runBconvMontgomery(const Scene &s, u64 h)
-{
-    RnsPoly out = s.bconv.convertMontgomery(s.rnsInput, true);
-    for (size_t j = 0; j < out.limbCount(); ++j)
-        h = fnv1a(h, out.limb(j).data(), out.limb(j).size());
-    return h;
-}
-
 const Family kFamilies[] = {
     {"ntt_forward", 200, runNttForward},
     {"ntt_inverse", 200, runNttInverse},
     {"pointwise_mul", 400, runPointwiseMul},
     {"bconv", 40, runBconvPlain},
-    {"bconv_montgomery", 40, runBconvMontgomery},
 };
 constexpr size_t kFamilyCount = sizeof(kFamilies) / sizeof(kFamilies[0]);
 

@@ -73,11 +73,16 @@ struct SimSpeedResult
     size_t instructions = 0;
     double cycles = 0;
     double compileWallMs = 0;
-    double simWallMs = 0; ///< best of 3
+    double simWallMs = 0; ///< best of kSimReps
     /** Process peak RSS (MiB) after one uncached `full` compile plus
-     *  three simulations of the paper job. */
+     *  kSimReps simulations of the paper job. */
     double peakRssMb = 0;
 };
+
+/** `sim_wall_ms` is the best of this many `Simulator::run` calls. On a
+ *  shared host three back-to-back calls could all land in a slow spell
+ *  and fail the 25% gate with no code change. */
+constexpr int kSimReps = 9;
 
 /** The `bench_sim_speed` measurement: event-driven core throughput on
  *  the paper-scale bootstrapping trace. */
@@ -96,10 +101,14 @@ measureSimSpeed()
 
     Simulator sim(hw);
     double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kSimReps; ++rep) {
         const Clock::time_point t0 = Clock::now();
         const SimReport report = sim.run(mp);
         best = std::min(best, msSince(t0));
+        // Every run times the same simulation: identical cycles.
+        EFFACT_ASSERT(rep == 0 || report.cycles == r.cycles,
+                      "simulator run %d gave %.0f cycles, run 0 gave %.0f",
+                      rep, report.cycles, r.cycles);
         r.cycles = report.cycles;
     }
     r.simWallMs = best;

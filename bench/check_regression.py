@@ -118,8 +118,6 @@ SCHEMAS = {
             "kernels.pointwise_mul.vector_wall_ms",
             "kernels.bconv.scalar_wall_ms",
             "kernels.bconv.vector_wall_ms",
-            "kernels.bconv_montgomery.scalar_wall_ms",
-            "kernels.bconv_montgomery.vector_wall_ms",
         ],
         "rows": [],
     },

@@ -13,18 +13,21 @@
 # A re-baseline that should move only the deterministic fields keeps
 # the committed wall/RSS values: restore those lines before committing.
 #
-# Every re-baseline is audited: the script ends with
+# Every re-baseline is audited: the script runs
 #   python3 bench/check_regression.py --moved <old baseline> bench/baseline.json
 # which lists each exact field (cycles, fingerprints, counts) that moved,
 # grouped by field, with the old -> new fingerprint table, and fails
-# unless that map is one-to-one. One cause per re-baseline: record the
-# audit's output and the reason in bench/NOTES.md.
+# unless that map is one-to-one; bench/baseline_kernels.json gets the
+# same audit. One cause per re-baseline: record the audit's output and
+# the reason in bench/NOTES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OLD_BASELINE=$(mktemp)
-trap 'rm -f "$OLD_BASELINE"' EXIT
+OLD_KERNELS=$(mktemp)
+trap 'rm -f "$OLD_BASELINE" "$OLD_KERNELS"' EXIT
 cp bench/baseline.json "$OLD_BASELINE"
+cp bench/baseline_kernels.json "$OLD_KERNELS"
 
 BUILD_DIR=${BUILD_DIR:-build-perf}
 cmake -B "$BUILD_DIR" -S . \
@@ -38,6 +41,8 @@ python3 bench/check_regression.py bench/baseline.json bench/baseline.json
 python3 bench/check_regression.py --moved "$OLD_BASELINE" bench/baseline.json
 "$BUILD_DIR"/bench/bench_kernels bench/baseline_kernels.json
 python3 bench/check_regression.py bench/baseline_kernels.json \
+  bench/baseline_kernels.json
+python3 bench/check_regression.py --moved "$OLD_KERNELS" \
   bench/baseline_kernels.json
 echo "wrote bench/baseline.json + bench/baseline_kernels.json —" \
   "review wall_ms headroom before committing"

@@ -40,6 +40,18 @@ struct BootstrapBudget
 Workload buildBootstrapping(const FheParams &fhe,
                             const BootstrapBudget &budget = {});
 
+/**
+ * Fewest `fhe.levels` each paper-scale builder runs at; below it the
+ * builder runs out of levels to rescale and panics. After ModRaise,
+ * CtS, EvalMod (10 levels, the `multImm` rescale included) and StC
+ * must leave the output at level >= 1: 4 + 10 + 3 levels for
+ * buildBootstrapping (default budget) and buildResNet20, 3 + 10 + 2 for
+ * buildHelr's 256-slot bootstrap. Neither logN nor dnum moves them.
+ */
+constexpr size_t kBootstrappingMinLevels = 18;
+constexpr size_t kHelrMinLevels = 16;
+constexpr size_t kResNet20MinLevels = 18;
+
 /** One HELR training iteration pair + its 256-slot bootstrapping. */
 Workload buildHelr(const FheParams &fhe);
 

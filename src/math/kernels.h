@@ -4,9 +4,9 @@
  *
  * Three kernel families dominate workload construction and every
  * crypto test: the Cooley-Tukey / Gentleman-Sande NTT butterflies,
- * Barrett/Montgomery modular multiplication, and the BConv / RnsPoly
- * elementwise MAC chains. Each family is implemented once per
- * `SimdTier` behind a function-pointer table:
+ * Barrett modular multiplication, and the BConv / RnsPoly elementwise
+ * MAC chains. Each family is implemented once per `SimdTier` behind a
+ * function-pointer table:
  *
  *  - kernels_scalar.cc — the original scalar loops, kept verbatim.
  *    This tier is the *oracle*: every other tier must produce the
@@ -17,8 +17,8 @@
  *
  *  - kernels_avx2.cc — 4 x u64 lanes via AVX2 integer intrinsics:
  *    widening 32-bit multiplies (`_mm256_mul_epu32`) compose the
- *    64x64->128 products Barrett/Montgomery need, reductions are
- *    branchless conditional subtracts, and the NTT uses Shoup
+ *    64x64->128 products Barrett needs, reductions are branchless
+ *    conditional subtracts, and the NTT uses Shoup
  *    twiddle pre-scaling (floor(w * 2^64 / q), precomputed per plan)
  *    — exact because a canonical residue is unique: any correct
  *    reduction yields the identical representative in [0, q).
@@ -43,7 +43,6 @@
 
 #include "common/simd.h"
 #include "math/mod_arith.h"
-#include "math/montgomery.h"
 
 namespace effact {
 namespace kernels {
@@ -82,12 +81,6 @@ struct KernelTable
     /** dst[i] = addMod(dst[i], br.mul(a[i], c), q) — the BConv MAC */
     void (*macConstV)(u64 *dst, const u64 *a, size_t n, u64 c,
                       const Barrett &br);
-    /** dst[i] = mont.mul(a[i], c) — REDC(a[i] * c) */
-    void (*montMulConstV)(u64 *dst, const u64 *a, size_t n, u64 c,
-                          const Montgomery &mont);
-    /** dst[i] = addMod(dst[i], mont.mul(a[i], c), q) */
-    void (*montMacConstV)(u64 *dst, const u64 *a, size_t n, u64 c,
-                          const Montgomery &mont);
     /** In-place forward NTT (natural -> bit-reversed), full transform. */
     void (*nttForward)(u64 *a, size_t n, const NttTables &t);
     /** In-place inverse NTT core (no 1/N scale), full transform. */

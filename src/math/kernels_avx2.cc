@@ -1,7 +1,7 @@
 /**
  * @file
  * AVX2 kernel tier: 4 x u64 lanes for the NTT butterflies, the
- * Barrett/Montgomery modular multiplies and the BConv MAC chains.
+ * Barrett modular multiplies and the BConv MAC chains.
  *
  * This translation unit is the only one compiled with -mavx2 (set per
  * source file in src/CMakeLists.txt); it is reached exclusively
@@ -12,24 +12,21 @@
  * scalar oracle.
  *
  * Exactness. Every kernel returns the canonical representative in
- * [0, q) — the same unique value the scalar Barrett/Montgomery code
- * computes — so the tiers are exact-`u64`-identical by construction:
+ * [0, q) — the same unique value the scalar Barrett code computes —
+ * so the tiers are exact-`u64`-identical by construction:
  *
  *  - 64x64->128 products are composed from four widening 32-bit
  *    multiplies (`_mm256_mul_epu32`) with exact carry propagation.
  *  - Barrett reduction replays the scalar algorithm lane-parallel
  *    (same mu, same k, correction loop unrolled to its worst case of
  *    two branchless conditional subtracts).
- *  - Montgomery REDC uses the standard identity lo64(t + m*q) == 0,
- *    so the 128-bit carry is just (lo64(t) != 0).
  *  - NTT twiddle multiplies use Shoup pre-scaling (tables precomputed
  *    per plan, laid out bit-reversed so lane-parallel stages read
  *    them contiguously); the result is reduced to canonical form, so
  *    it equals the scalar Barrett butterfly bit for bit.
  *
  * All comparisons ride signed 64-bit compares: every compared value is
- * < 2^63 (q < 2^62, intermediate residues < 3q < 2^61 for Barrett
- * moduli, < 2q < 2^63 for Montgomery).
+ * < 2^63 (q < 2^62, Barrett intermediates < 3q < 2^61).
  */
 #include "math/kernels.h"
 
@@ -269,48 +266,6 @@ macConstAvx2(u64 *dst, const u64 *a, size_t n, u64 c, const Barrett &br)
         dst[i] = addMod(dst[i], br.mul(a[i], c), q);
 }
 
-// The constant-multiplier Montgomery kernels don't replay REDC per
-// element: REDC(a*c) = a * (c*R^-1 mod q) mod q, and canonical residues
-// are unique, so hoisting d = REDC(c) once per call and Shoup-multiplying
-// by d gives the exact scalar outputs at shoupMul cost (2 muls vs the
-// ~3 muls + carry chain of a lane-parallel REDC).
-
-void
-montMulConstAvx2(u64 *dst, const u64 *a, size_t n, u64 c,
-                 const Montgomery &mont)
-{
-    const u64 q = mont.modulus();
-    const u64 d = mont.reduce(c); // c * R^-1 mod q, canonical
-    const u64 dsh = shoupPrecompute(d, q);
-    const __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
-    const __m256i dv = _mm256_set1_epi64x(static_cast<long long>(d));
-    const __m256i dshv = _mm256_set1_epi64x(static_cast<long long>(dsh));
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        storeu(dst + i, shoupMul4(loadu(a + i), dv, dshv, qv));
-    for (; i < n; ++i)
-        dst[i] = mont.mul(a[i], c);
-}
-
-void
-montMacConstAvx2(u64 *dst, const u64 *a, size_t n, u64 c,
-                 const Montgomery &mont)
-{
-    const u64 q = mont.modulus();
-    const u64 d = mont.reduce(c);
-    const u64 dsh = shoupPrecompute(d, q);
-    const __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
-    const __m256i dv = _mm256_set1_epi64x(static_cast<long long>(d));
-    const __m256i dshv = _mm256_set1_epi64x(static_cast<long long>(dsh));
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i prod = shoupMul4(loadu(a + i), dv, dshv, qv);
-        storeu(dst + i, addMod4(loadu(dst + i), prod, qv));
-    }
-    for (; i < n; ++i)
-        dst[i] = addMod(dst[i], mont.mul(a[i], c), q);
-}
-
 // --- NTT ------------------------------------------------------------------
 
 /** Scalar CT butterfly for the tiny-stage tails (oracle arithmetic). */
@@ -491,7 +446,6 @@ avx2KernelsOrNull()
     static const KernelTable table = {
         addModAvx2,       subModAvx2,       negModAvx2,
         mulModAvx2,       mulConstAvx2,     macConstAvx2,
-        montMulConstAvx2, montMacConstAvx2,
         nttForwardAvx2,   nttInverseAvx2,
     };
     return &table;

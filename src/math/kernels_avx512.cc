@@ -1,7 +1,7 @@
 /**
  * @file
  * AVX-512 kernel tier: 8 x u64 lanes for the NTT butterflies, the
- * Barrett/Montgomery modular multiplies and the BConv MAC chains.
+ * Barrett modular multiplies and the BConv MAC chains.
  *
  * This translation unit is the only one compiled with -mavx512f
  * -mavx512dq (set per source file in src/CMakeLists.txt); it is
@@ -237,43 +237,6 @@ macConstAvx512(u64 *dst, const u64 *a, size_t n, u64 c, const Barrett &br)
         dst[i] = addMod(dst[i], br.mul(a[i], c), q);
 }
 
-// As in the AVX2 tier, REDC(a*c) = a * REDC(c) mod q: hoist d = REDC(c)
-// once per call and Shoup-multiply by it.
-
-void
-montMulConstAvx512(u64 *dst, const u64 *a, size_t n, u64 c,
-                   const Montgomery &mont)
-{
-    const u64 q = mont.modulus();
-    const u64 d = mont.reduce(c); // c * R^-1 mod q, canonical
-    const __m512i qv = splat(q);
-    const __m512i dv = splat(d);
-    const __m512i dshv = splat(shoupPrecompute(d, q));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        storeu(dst + i, shoupMul8(loadu(a + i), dv, dshv, qv));
-    for (; i < n; ++i)
-        dst[i] = mont.mul(a[i], c);
-}
-
-void
-montMacConstAvx512(u64 *dst, const u64 *a, size_t n, u64 c,
-                   const Montgomery &mont)
-{
-    const u64 q = mont.modulus();
-    const u64 d = mont.reduce(c);
-    const __m512i qv = splat(q);
-    const __m512i dv = splat(d);
-    const __m512i dshv = splat(shoupPrecompute(d, q));
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i prod = shoupMul8(loadu(a + i), dv, dshv, qv);
-        storeu(dst + i, addMod8(loadu(dst + i), prod, qv));
-    }
-    for (; i < n; ++i)
-        dst[i] = addMod(dst[i], mont.mul(a[i], c), q);
-}
-
 // --- NTT ------------------------------------------------------------------
 //
 // A stage with butterfly span t < 8 works on 16 consecutive elements,
@@ -443,7 +406,6 @@ avx512KernelsOrNull()
     static const KernelTable table = {
         addModAvx512,       subModAvx512,       negModAvx512,
         mulModAvx512,       mulConstAvx512,     macConstAvx512,
-        montMulConstAvx512, montMacConstAvx512,
         nttForwardAvx512,   nttInverseAvx512,
     };
     return &table;

@@ -3,7 +3,7 @@
  * Scalar kernel tier — the dispatchable oracle.
  *
  * These are the original (pre-SIMD) loop bodies of Ntt::forward /
- * Ntt::transformBackward, the RnsPoly elementwise ops and the
+ * Ntt::backward, the RnsPoly elementwise ops and the
  * BaseConverter inner loops, moved here verbatim. Every other tier is
  * pinned exact-`u64`-identical to these functions by
  * tests/test_simd_kernels.cc; do not "optimize" them — their value is
@@ -60,23 +60,6 @@ macConstScalar(u64 *dst, const u64 *a, size_t n, u64 c, const Barrett &br)
 }
 
 void
-montMulConstScalar(u64 *dst, const u64 *a, size_t n, u64 c,
-                   const Montgomery &mont)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] = mont.mul(a[i], c);
-}
-
-void
-montMacConstScalar(u64 *dst, const u64 *a, size_t n, u64 c,
-                   const Montgomery &mont)
-{
-    const u64 q = mont.modulus();
-    for (size_t i = 0; i < n; ++i)
-        dst[i] = addMod(dst[i], mont.mul(a[i], c), q);
-}
-
-void
 nttForwardScalar(u64 *a, size_t n, const NttTables &tb)
 {
     // Cooley-Tukey DIT with merged psi powers (Longa-Naehrig style):
@@ -130,7 +113,6 @@ scalarKernels()
     static const KernelTable table = {
         addModScalar,      subModScalar,      negModScalar,
         mulModScalar,      mulConstScalar,    macConstScalar,
-        montMulConstScalar, montMacConstScalar,
         nttForwardScalar,  nttInverseScalar,
     };
     return table;

@@ -63,24 +63,11 @@ Ntt::forward(u64 *a) const
 }
 
 void
-Ntt::transformBackward(u64 *a, bool scale) const
+Ntt::backward(u64 *a) const
 {
     const kernels::KernelTable &k = kernels::active();
     k.nttInverse(a, n_, kernelTables());
-    if (scale)
-        k.mulConstV(a, a, n_, nInv_, barrett_);
-}
-
-void
-Ntt::backward(u64 *a) const
-{
-    transformBackward(a, true);
-}
-
-void
-Ntt::backwardNoScale(u64 *a) const
-{
-    transformBackward(a, false);
+    k.mulConstV(a, a, n_, nInv_, barrett_);
 }
 
 void

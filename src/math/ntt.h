@@ -8,10 +8,10 @@
  * EFFACT applies in hardware (Sec. IV-D3: "perform the bit-reversal
  * operation on twiddle factors rather than the N coefficients"). Output is
  * in bit-reversed evaluation order; the inverse (Gentleman-Sande) consumes
- * that order and restores natural coefficient order.
- *
- * `backwardNoScale` omits the final 1/N multiplication so that callers can
- * fold it into the first BConv constant per Eq. 5.
+ * that order and restores natural coefficient order, 1/N scale included.
+ * The merged BConv of Eq. 5, which folds that 1/N into the first BConv
+ * constant, is a compiler rewrite (compiler/peephole.cc); its scalar
+ * oracle lives in tests/support/reference_bconv.h.
  */
 #ifndef EFFACT_MATH_NTT_H
 #define EFFACT_MATH_NTT_H
@@ -41,14 +41,9 @@ class Ntt
     /** In-place forward NTT: natural coeff order -> bit-reversed eval. */
     void forward(u64 *a) const;
 
-    /** In-place inverse NTT: bit-reversed eval -> natural coeff order. */
+    /** In-place inverse NTT: bit-reversed eval -> natural coeff order,
+     *  including the 1/N scale. */
     void backward(u64 *a) const;
-
-    /** Inverse NTT without the final 1/N scaling (Eq. 5 merge). */
-    void backwardNoScale(u64 *a) const;
-
-    /** N^-1 mod q, the scaling the no-scale variant omits. */
-    u64 nInv() const { return nInv_; }
 
     /** Convenience on vectors (size must be N). */
     void forward(std::vector<u64> &a) const;
@@ -61,8 +56,6 @@ class Ntt
     kernels::NttTables kernelTables() const;
 
   private:
-    void transformBackward(u64 *a, bool scale) const;
-
     size_t n_;
     u64 q_;
     u64 psi_;

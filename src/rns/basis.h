@@ -1,8 +1,8 @@
 /**
  * @file
  * RNS bases: ordered sets of NTT-friendly limb primes sharing a ring
- * degree N (Sec. II-A). A basis owns per-prime contexts (Barrett,
- * Montgomery and NTT plans) that polynomials and converters reference.
+ * degree N (Sec. II-A). A basis owns per-prime contexts (Barrett
+ * reducer and NTT plan) that polynomials and converters reference.
  */
 #ifndef EFFACT_RNS_BASIS_H
 #define EFFACT_RNS_BASIS_H
@@ -13,7 +13,6 @@
 
 #include "math/bigint.h"
 #include "math/mod_arith.h"
-#include "math/montgomery.h"
 #include "math/ntt.h"
 
 namespace effact {
@@ -22,12 +21,11 @@ namespace effact {
 struct LimbContext
 {
     LimbContext(size_t n, u64 q_in)
-        : q(q_in), barrett(q_in), mont(q_in), ntt(n, q_in)
+        : q(q_in), barrett(q_in), ntt(n, q_in)
     {}
 
     u64 q;
     Barrett barrett;
-    Montgomery mont;
     Ntt ntt;
 };
 

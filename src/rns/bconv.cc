@@ -15,9 +15,7 @@ BaseConverter::BaseConverter(std::shared_ptr<const RnsBasis> from,
     const size_t k = to_->size();
 
     qhatInv_.resize(l);
-    qhatInvNInv_.resize(l);
     qhatModP_.assign(l, std::vector<u64>(k));
-    qhatModPDm_.assign(l, std::vector<u64>(k));
 
     qInvReal_.resize(l);
     eqModP_.assign(k, std::vector<u64>(l + 1, 0));
@@ -40,8 +38,6 @@ BaseConverter::BaseConverter(std::shared_ptr<const RnsBasis> from,
                 qhat_mod_qj = mulMod(qhat_mod_qj, from_->prime(j2) % qj, qj);
         }
         qhatInv_[j] = invMod(qhat_mod_qj, qj);
-        const u64 n_inv = from_->limb(j).ntt.nInv();
-        qhatInvNInv_[j] = mulMod(qhatInv_[j], n_inv, qj);
 
         for (size_t i = 0; i < k; ++i) {
             const u64 pi = to_->prime(i);
@@ -52,7 +48,6 @@ BaseConverter::BaseConverter(std::shared_ptr<const RnsBasis> from,
                         mulMod(qhat_mod_pi, from_->prime(j2) % pi, pi);
             }
             qhatModP_[j][i] = qhat_mod_pi;
-            qhatModPDm_[j][i] = to_->limb(i).mont.toDoubleMont(qhat_mod_pi);
         }
     }
 }
@@ -127,37 +122,6 @@ BaseConverter::convertExact(const RnsPoly &a) const
         const u64 *eq_mod_p = eqModP_[p].data();
         for (size_t i = 0; i < n; ++i)
             dst[i] = subMod(dst[i], eq_mod_p[overflow[i]], pi);
-    }
-    return out;
-}
-
-RnsPoly
-BaseConverter::convertMontgomery(const RnsPoly &a_sm, bool scale_n_inv) const
-{
-    EFFACT_ASSERT(a_sm.format() == PolyFormat::Coeff,
-                  "BConv operates coefficient-wise (Coeff format)");
-    EFFACT_ASSERT(a_sm.limbCount() == from_->size(), "basis mismatch");
-    const size_t n = a_sm.degree();
-    const size_t l = from_->size();
-    const size_t k = to_->size();
-    const kernels::KernelTable &kern = kernels::active();
-
-    // MontMult(SM input, NM constant) -> NM intermediate (Sec. IV-D5).
-    const std::vector<u64> &c1 = scale_n_inv ? qhatInvNInv_ : qhatInv_;
-    AlignedU64Vec t(l * n);
-    for (size_t j = 0; j < l; ++j)
-        kern.montMulConstV(t.data() + j * n, a_sm.limb(j).data(), n, c1[j],
-                           from_->limb(j).mont);
-
-    // MontMult(NM intermediate, DM constant) -> SM output: the DM constant
-    // re-lifts the result into the Montgomery domain for free.
-    RnsPoly out(to_, PolyFormat::Coeff);
-    for (size_t p = 0; p < k; ++p) {
-        const Montgomery &mont = to_->limb(p).mont;
-        u64 *dst = out.limb(p).data();
-        for (size_t j = 0; j < l; ++j)
-            kern.montMacConstV(dst, t.data() + j * n, n, qhatModPDm_[j][p],
-                               mont);
     }
     return out;
 }

@@ -1,16 +1,15 @@
 /**
  * @file
- * Fast RNS base conversion (BConv, Eq. 3) with the paper's merged
- * double-Montgomery form (Eq. 5).
+ * Fast RNS base conversion (BConv, Eq. 3).
  *
  * BConv_{C->B}(a) = { ( sum_j (a_j * qhat_j^-1 mod q_j) * qhat_j ) mod p_i }
  *
  * EFFACT removes dedicated BConv units: the conversion is expressed as
  * residue-polynomial MULT/MAC instructions on the normal units (Sec. III-1).
- * The merged form keeps runtime data in single-Montgomery (SM) form,
- * pre-folds 1/N from the preceding iNTT into the first constant, and uses
- * a double-Montgomery (DM) second constant so no explicit Montgomery
- * conversions are needed across the modulus switch (Sec. IV-D5).
+ * The paper's merged form (Eq. 5, Sec. IV-D5) folds the preceding iNTT's
+ * 1/N into the first constant; that fold is a compiler rewrite
+ * (compiler/peephole.cc). The library converts plain residues, and
+ * tests/support/reference_bconv.h keeps Eq. 5 as a scalar oracle.
  */
 #ifndef EFFACT_RNS_BCONV_H
 #define EFFACT_RNS_BCONV_H
@@ -48,38 +47,14 @@ class BaseConverter
      */
     RnsPoly convertExact(const RnsPoly &a) const;
 
-    /**
-     * Same conversion computed entirely in the Montgomery domain using
-     * SM inputs / DM constants (Eq. 5). `scale_n_inv` additionally folds
-     * the iNTT's 1/N constant into the first multiply; the input is then
-     * expected to be an un-scaled iNTT output.
-     *
-     * Input limbs are interpreted as SM representations; output limbs are
-     * SM representations. Matches `convert` exactly when fed the same
-     * logical values (see tests).
-     */
-    RnsPoly convertMontgomery(const RnsPoly &a_sm, bool scale_n_inv) const;
-
-    /** Number of MULT ops one conversion costs (for Fig. 3 accounting). */
-    size_t multCount() const { return from_->size() * (1 + to_->size()); }
-
-    /** Number of ADD ops one conversion costs. */
-    size_t addCount() const
-    {
-        return to_->size() * (from_->size() - 1);
-    }
-
   private:
     std::shared_ptr<const RnsBasis> from_;
     std::shared_ptr<const RnsBasis> to_;
 
-    /** qhat_j^-1 mod q_j (plain / NM). */
+    /** qhat_j^-1 mod q_j. */
     std::vector<u64> qhatInv_;
-    /** qhat_j mod p_i, indexed [j][i] (plain / NM). */
+    /** qhat_j mod p_i, indexed [j][i]. */
     std::vector<std::vector<u64>> qhatModP_;
-
-    /** (qhat_j^-1 * 1/N) mod q_j, NM constant of Eq. 5. */
-    std::vector<u64> qhatInvNInv_;
     /** 1.0 / q_j for the overflow estimate of convertExact. */
     std::vector<long double> qInvReal_;
     /**
@@ -87,9 +62,6 @@ class BaseConverter
      * [i][e]: convertExact's correction, looked up rather than computed.
      */
     std::vector<std::vector<u64>> eqModP_;
-    /** qhat_j^-1 mod q_j in NM form (same as qhatInv_, alias for clarity) */
-    /** qhat_j mod p_i in DM form, indexed [j][i]. */
-    std::vector<std::vector<u64>> qhatModPDm_;
 };
 
 } // namespace effact

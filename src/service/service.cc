@@ -65,15 +65,23 @@ validateRequest(const ServiceRequest &req, std::string *error)
         req.workload != "tfhe")
         return fail("unknown workload kind '" + req.workload + "'");
     // Scheme parameters. The paper-scale builders (bootstrapping and
-    // the benchmarks embedding it) assume realistic CKKS parameters;
-    // the small kinds (dblookup, tfhe) accept toy ones.
+    // the benchmarks embedding it) assume realistic CKKS parameters and
+    // need their level floor (ir/workloads.h); the small kinds
+    // (dblookup, tfhe) accept toy ones.
     const size_t min_logn = paper_scale_kind ? 13 : 8;
-    const size_t min_levels = paper_scale_kind ? 9 : 1;
+    size_t min_levels = 1;
+    if (req.workload == "bootstrap")
+        min_levels = kBootstrappingMinLevels;
+    else if (req.workload == "helr")
+        min_levels = kHelrMinLevels;
+    else if (req.workload == "resnet20")
+        min_levels = kResNet20MinLevels;
     if (!inRange(req.fhe.logN, min_logn, 17))
         return fail("fhe.logN out of range for kind '" + req.workload +
                     "'");
     if (!inRange(req.fhe.levels, min_levels, 64))
-        return fail("fhe.levels out of range");
+        return fail("fhe.levels out of range for kind '" + req.workload +
+                    "' (want " + std::to_string(min_levels) + "..64)");
     if (!inRange(req.fhe.dnum, 1, req.fhe.levels))
         return fail("fhe.dnum out of range (want 1 <= dnum <= levels)");
     if (!inRange(req.fhe.lanes, 1, 1u << 16))

@@ -711,8 +711,7 @@ checkSimdTierEquivalence(uint64_t seed, size_t degree)
             }
         }
         std::vector<std::vector<u64>> out;
-        for (const RnsPoly &p :
-             {bc.convert(a), bc.convertExact(a), bc.convertMontgomery(a, true)})
+        for (const RnsPoly &p : {bc.convert(a), bc.convertExact(a)})
             for (size_t j = 0; j < p.limbCount(); ++j)
                 out.emplace_back(p.limb(j).begin(), p.limb(j).end());
         for (size_t j = 0; j < a.limbCount(); ++j)

@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit and property tests for 64-bit modular arithmetic, Barrett and
- * Montgomery reduction, and prime generation.
+ * Unit and property tests for 64-bit modular arithmetic, Barrett
+ * reduction, prime generation, and the Montgomery arithmetic of the
+ * Eq. 5 test oracle (tests/support/reference_bconv.h).
  */
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "math/mod_arith.h"
-#include "math/montgomery.h"
 #include "math/primes.h"
+#include "reference_bconv.h"
 
 namespace effact {
 namespace {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "ir/workloads.h"
 #include "platform/platform.h"
 #include "runtime/sweep.h"
 #include "service/service.h"
@@ -383,6 +384,24 @@ TEST(Protocol, CanonicalResultStripsNondeterminism)
 
 // --- ServiceCore: validation, admission, batching --------------------------
 
+/** A paper-scale request of `kind` at `levels`, valid but for them. */
+ServiceRequest
+paperRequest(const std::string &kind, size_t levels)
+{
+    ServiceRequest req = smallRequest(kind + "@" + std::to_string(levels), 0);
+    req.workload = kind;
+    req.fhe.logN = 13;
+    req.fhe.levels = levels;
+    return req;
+}
+
+/** Each paper-scale kind with the level floor its builder declares. */
+const std::pair<const char *, size_t> kLevelFloors[] = {
+    {"bootstrap", kBootstrappingMinLevels},
+    {"helr", kHelrMinLevels},
+    {"resnet20", kResNet20MinLevels},
+};
+
 TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
 {
     ServiceOptions opts;
@@ -401,11 +420,14 @@ TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
     bad_logn.fhe.logN = 40;
     core.submit(bad_logn);
 
-    // Paper-scale builders refuse toy parameters instead of panicking
-    // inside the workload builder.
+    // Paper-scale kinds are refused at validation instead of panicking
+    // inside their builder: with toy parameters, and one level below
+    // the builder's floor, where it would die ("cannot rescale at level
+    // 1") and take "fine", batched with it, down with the process.
     ServiceRequest tiny_bootstrap = smallRequest("tiny-bootstrap", 0);
     tiny_bootstrap.workload = "bootstrap";
     core.submit(tiny_bootstrap);
+    core.submit(paperRequest("bootstrap", kBootstrappingMinLevels - 1));
 
     // A policy travels as one raw wire byte: an unknown code is refused,
     // never run as some default policy.
@@ -419,17 +441,44 @@ TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
     core.submit(smallRequest("fine", 32));
 
     const std::vector<ServiceResult> results = core.flush();
-    ASSERT_EQ(results.size(), 7u);
+    ASSERT_EQ(results.size(), 8u);
     for (size_t i = 0; i + 1 < results.size(); ++i) {
         EXPECT_EQ(results[i].status, ServiceStatus::BadRequest) << i;
         EXPECT_FALSE(results[i].error.empty()) << i;
         EXPECT_EQ(results[i].cycles, 0.0) << i;
     }
-    EXPECT_NE(results[4].error.find("scheduler"), std::string::npos);
-    EXPECT_NE(results[5].error.find("regalloc"), std::string::npos);
-    EXPECT_EQ(results[6].status, ServiceStatus::Ok);
-    EXPECT_GT(results[6].cycles, 0.0);
-    EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 6.0);
+    EXPECT_NE(results[4].error.find("fhe.levels"), std::string::npos);
+    EXPECT_NE(results[5].error.find("scheduler"), std::string::npos);
+    EXPECT_NE(results[6].error.find("regalloc"), std::string::npos);
+    EXPECT_EQ(results[7].status, ServiceStatus::Ok);
+    EXPECT_GT(results[7].cycles, 0.0);
+    EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 7.0);
+}
+
+TEST(ServiceCore, PaperKindsAreValidatedAgainstTheirBuilderFloor)
+{
+    for (const auto &[kind, floor] : kLevelFloors) {
+        std::string why;
+        EXPECT_TRUE(validateRequest(paperRequest(kind, floor), &why))
+            << kind << ": " << why;
+        EXPECT_FALSE(validateRequest(paperRequest(kind, floor - 1), &why))
+            << kind;
+        EXPECT_NE(why.find("fhe.levels"), std::string::npos) << why;
+    }
+}
+
+TEST(WorkloadFloorDeathTest, EachDeclaredFloorIsTight)
+{
+    // Each builder builds at its declared floor and dies one level
+    // below it, so validation neither refuses a buildable request nor
+    // admits one that would kill the daemon.
+    for (const auto &[kind, floor] : kLevelFloors) {
+        const Workload w = makeWorkloadBuild(paperRequest(kind, floor))();
+        EXPECT_GT(w.program.liveCount(), 0u) << kind;
+        EXPECT_DEATH(makeWorkloadBuild(paperRequest(kind, floor - 1))(),
+                     "cannot rescale")
+            << kind;
+    }
 }
 
 TEST(ServiceCore, RejectsWhenPendingQueueIsFull)

@@ -120,7 +120,6 @@ TEST(SimdKernelEquivalence, ElementwiseAllTailLengths)
     for (unsigned bits : kBitWidths) {
         const u64 q = genNttPrimes(1, bits, 64)[0];
         const Barrett br(q);
-        const Montgomery mont(q);
         for (size_t n : kLengths) {
             const std::vector<u64> a = randomResidues(rng, n, q);
             const std::vector<u64> b = randomResidues(rng, n, q);
@@ -155,18 +154,6 @@ TEST(SimdKernelEquivalence, ElementwiseAllTailLengths)
                 oracle.macConstV(want.data(), a.data(), n, c, br);
                 tab.macConstV(got.data(), a.data(), n, c, br);
                 EXPECT_EQ(want, got) << "macConstV n=" << n << " q=" << q;
-
-                oracle.montMulConstV(want.data(), a.data(), n, c, mont);
-                tab.montMulConstV(got.data(), a.data(), n, c, mont);
-                EXPECT_EQ(want, got)
-                    << "montMulConstV n=" << n << " q=" << q;
-
-                want = acc0;
-                got = acc0;
-                oracle.montMacConstV(want.data(), a.data(), n, c, mont);
-                tab.montMacConstV(got.data(), a.data(), n, c, mont);
-                EXPECT_EQ(want, got)
-                    << "montMacConstV n=" << n << " q=" << q;
             }
         }
     }
@@ -298,10 +285,9 @@ runPolyScene(SimdTier tier, u64 seed)
 
     RnsPoly conv = bc.convert(prod);
     RnsPoly exact = bc.convertExact(prod);
-    RnsPoly mont = bc.convertMontgomery(prod, true);
 
     std::vector<std::vector<u64>> limbs;
-    for (const RnsPoly *p : {&prod, &conv, &exact, &mont})
+    for (const RnsPoly *p : {&prod, &conv, &exact})
         for (size_t j = 0; j < p->limbCount(); ++j)
             limbs.emplace_back(p->limb(j).begin(), p->limb(j).end());
     setSimdTier(prev);
@@ -329,7 +315,6 @@ TEST(SimdKernelEquivalence, FuzzRandomLengthsAndModuli)
         const size_t ntt_n = size_t(64) << rng.uniform(4);    // 64..512
         const u64 q = genNttPrimes(1, bits, ntt_n)[0];
         const Barrett br(q);
-        const Montgomery mont(q);
         const size_t n = 1 + size_t(rng.uniform(300));
         const std::vector<u64> a = randomResidues(rng, n, q);
         const std::vector<u64> b = randomResidues(rng, n, q);
@@ -337,7 +322,7 @@ TEST(SimdKernelEquivalence, FuzzRandomLengthsAndModuli)
         const SimdTier tier = tiers[rng.uniform(tiers.size())];
         const kernels::KernelTable &tab = kernels::forTier(tier);
         std::vector<u64> want(n), got(n);
-        switch (rng.uniform(5)) {
+        switch (rng.uniform(4)) {
           case 0:
             oracle.mulModV(want.data(), a.data(), b.data(), n, br);
             tab.mulModV(got.data(), a.data(), b.data(), n, br);
@@ -351,10 +336,6 @@ TEST(SimdKernelEquivalence, FuzzRandomLengthsAndModuli)
             got = b;
             oracle.macConstV(want.data(), a.data(), n, c, br);
             tab.macConstV(got.data(), a.data(), n, c, br);
-            break;
-          case 3:
-            oracle.montMulConstV(want.data(), a.data(), n, c, mont);
-            tab.montMulConstV(got.data(), a.data(), n, c, mont);
             break;
           default: {
             const std::vector<u64> input = randomResidues(rng, ntt_n, q);
