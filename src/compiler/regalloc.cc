@@ -91,11 +91,12 @@ emitOne(const EmitCtx &cx, int idx, MachineProgram &mp, u64 &scratch_calls)
     auto operandFor = [&](int value) {
         const IrInst &def = cx.prog.insts[value];
         if (def.op == IrOp::Load && cx.streaming.streamedLoad[value]) {
-            // Streaming operand fed straight from DRAM (Sec. IV-C).
-            Operand o = Operand::stream(0, /*from_dram=*/true);
-            o.value = cx.obj_base[def.mem.object] +
-                      static_cast<u64>(def.mem.index) * cx.residue_bytes;
-            return o;
+            // Streaming operand fed straight from DRAM (Sec. IV-C),
+            // addressed in residue units.
+            return Operand::stream(
+                cx.obj_base[def.mem.object] / cx.residue_bytes +
+                    static_cast<u64>(def.mem.index),
+                /*from_dram=*/true);
         }
         if (cx.streaming.fifoForward[value])
             return Operand::stream(static_cast<u64>(value));
@@ -106,8 +107,8 @@ emitOne(const EmitCtx &cx, int idx, MachineProgram &mp, u64 &scratch_calls)
             int r = scratchReg();
             MachInst load;
             load.op = Opcode::LOAD_RES;
-            load.dest = Operand::regOp(r);
-            load.hbmAddr = cx.spill_addr[value];
+            load.setDest(Operand::regOp(r));
+            load.setHbmAddr(cx.spill_addr[value]);
             load.irId = value;
             mp.insts.push_back(load);
             ++mp.spillLoads;
@@ -128,10 +129,10 @@ emitOne(const EmitCtx &cx, int idx, MachineProgram &mp, u64 &scratch_calls)
         // off) has no allocated register; land it in scratch like
         // any other unconsumed result — emitting register id -1
         // would corrupt dependence tracking downstream.
-        mi.dest = cx.assigned[i] >= 0 ? Operand::regOp(cx.assigned[i])
-                                      : Operand::regOp(scratchReg());
-        mi.hbmAddr = cx.obj_base[inst.mem.object] +
-                     static_cast<u64>(inst.mem.index) * cx.residue_bytes;
+        mi.setDest(Operand::regOp(cx.assigned[i] >= 0 ? cx.assigned[i]
+                                                      : scratchReg()));
+        mi.setHbmAddr(cx.obj_base[inst.mem.object] +
+                      static_cast<u64>(inst.mem.index) * cx.residue_bytes);
         mi.modulus = inst.modulus;
         mi.irId = idx;
         mp.insts.push_back(mi);
@@ -141,11 +142,11 @@ emitOne(const EmitCtx &cx, int idx, MachineProgram &mp, u64 &scratch_calls)
     if (inst.op == IrOp::Store) {
         MachInst mi;
         mi.op = Opcode::STORE_RES;
-        mi.src0 = cx.streaming.streamedStore[i]
-                      ? Operand::stream(static_cast<u64>(inst.a))
-                      : operandFor(inst.a);
-        mi.hbmAddr = cx.obj_base[inst.mem.object] +
-                     static_cast<u64>(inst.mem.index) * cx.residue_bytes;
+        mi.setSrc0(cx.streaming.streamedStore[i]
+                       ? Operand::stream(static_cast<u64>(inst.a))
+                       : operandFor(inst.a));
+        mi.setHbmAddr(cx.obj_base[inst.mem.object] +
+                      static_cast<u64>(inst.mem.index) * cx.residue_bytes);
         mi.modulus = inst.modulus;
         mi.irId = idx;
         mp.insts.push_back(mi);
@@ -155,34 +156,31 @@ emitOne(const EmitCtx &cx, int idx, MachineProgram &mp, u64 &scratch_calls)
     MachInst mi;
     mi.op = toOpcode(inst.op);
     mi.modulus = inst.modulus;
-    mi.imm = inst.imm;
+    mi.setImm(inst.imm);
     mi.irId = idx;
     if (inst.a >= 0)
-        mi.src0 = operandFor(inst.a);
+        mi.setSrc0(operandFor(inst.a));
     if (inst.useImm)
-        mi.src1 = Operand::imm(inst.imm);
+        mi.setSrc1(Operand::imm(inst.imm));
     else if (inst.b >= 0)
-        mi.src1 = operandFor(inst.b);
+        mi.setSrc1(operandFor(inst.b));
 
     if (inst.op == IrOp::Mac && inst.c >= 0)
-        mi.src2 = operandFor(inst.c);
+        mi.setSrc2(operandFor(inst.c));
 
-    if (cx.value_streams_to_store[i]) {
-        mi.dest = Operand::stream(static_cast<u64>(i));
-    } else if (cx.streaming.fifoForward[i]) {
-        mi.dest = Operand::stream(static_cast<u64>(i));
-    } else if (cx.assigned[i] >= 0) {
-        mi.dest = Operand::regOp(cx.assigned[i]);
-    } else {
-        mi.dest = Operand::regOp(scratchReg());
-    }
+    if (cx.value_streams_to_store[i] || cx.streaming.fifoForward[i])
+        mi.setDest(Operand::stream(static_cast<u64>(i)));
+    else if (cx.assigned[i] >= 0)
+        mi.setDest(Operand::regOp(cx.assigned[i]));
+    else
+        mi.setDest(Operand::regOp(scratchReg()));
     mp.insts.push_back(mi);
 
     if (cx.spilled[i] && !cx.remat[i]) {
         MachInst spill;
         spill.op = Opcode::STORE_RES;
-        spill.src0 = mi.dest;
-        spill.hbmAddr = cx.spill_addr[i];
+        spill.setSrc0(mi.dest());
+        spill.setHbmAddr(cx.spill_addr[i]);
         spill.irId = idx;
         mp.insts.push_back(spill);
         ++mp.spillStores;

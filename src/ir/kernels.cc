@@ -33,6 +33,10 @@ KernelBuilder::KernelBuilder(IrProgram &prog, const FheParams &params)
 IrCt
 KernelBuilder::inputCiphertext(const std::string &name, size_t level)
 {
+    EFFACT_ASSERT(level <= p_.levels,
+                  "input ciphertext %s at level %zu exceeds the %zu-prime "
+                  "Q chain",
+                  name.c_str(), level, p_.levels);
     int obj = b_.object(name, static_cast<int>(2 * level), false);
     IrCt ct;
     ct.level = level;

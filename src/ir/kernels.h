@@ -43,7 +43,8 @@ class KernelBuilder
     IrBuilder &builder() { return b_; }
     const FheParams &params() const { return p_; }
 
-    /** Declares and loads a fresh input ciphertext at `level`. */
+    /** Declares and loads a fresh input ciphertext at `level`, which
+     *  must not exceed `params().levels`. */
     IrCt inputCiphertext(const std::string &name, size_t level);
 
     /** Declares a switching key object (dnum digits, 2 polys each). */

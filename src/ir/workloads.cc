@@ -1,5 +1,6 @@
 #include "ir/workloads.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bitops.h"
@@ -180,7 +181,8 @@ buildResNet20(const FheParams &fhe)
     int evk = kb.switchingKeyObject("relin_key");
     int gk = kb.switchingKeyObject("galois_keys");
 
-    IrCt act = kb.inputCiphertext("activations", 20);
+    IrCt act = kb.inputCiphertext("activations",
+                                  std::min<size_t>(20, fhe.levels));
     for (int layer = 0; layer < 2; ++layer) {
         int conv_diag = kb.plainObject(
             "conv_diag_" + std::to_string(layer),

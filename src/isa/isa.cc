@@ -7,6 +7,79 @@
 
 namespace effact {
 
+MachInst::MachInst(Opcode opcode, const Operand &dest, const Operand &src0,
+                   const Operand &src1, const Operand &src2)
+    : op(opcode)
+{
+    setDest(dest);
+    setSrc0(src0);
+    setSrc1(src1);
+    setSrc2(src2);
+}
+
+void
+MachInst::setOperand(int slot, const Operand &o)
+{
+    EFFACT_ASSERT(slot >= 0 && slot < kSlots, "operand slot %d", slot);
+    uint32_t word = 0;
+    switch (o.kind) {
+      case OperandKind::None:
+        EFFACT_ASSERT(o.reg == -1 && o.value == 0 && !o.dram,
+                      "an empty operand carries no value");
+        break;
+      case OperandKind::Reg:
+        EFFACT_ASSERT(o.value == 0 && !o.dram,
+                      "a register operand carries only its id");
+        word = static_cast<uint32_t>(o.reg);
+        break;
+      case OperandKind::Stream:
+        EFFACT_ASSERT(o.reg == -1 && o.value <= UINT32_MAX,
+                      "%s %llu does not fit a 32-bit operand slot",
+                      o.dram ? "DRAM stream residue" : "FIFO token",
+                      static_cast<unsigned long long>(o.value));
+        word = static_cast<uint32_t>(o.value);
+        break;
+      case OperandKind::Imm:
+        EFFACT_ASSERT(o.reg == -1 && !o.dram,
+                      "an immediate operand carries only its value");
+        // The immediate is the payload: on a memory op that is the HBM
+        // address, which an Imm operand may read but not change.
+        EFFACT_ASSERT(!isMemoryOp() || o.value == payload_,
+                      "immediate %llu on %s would overwrite its HBM "
+                      "address %llu",
+                      static_cast<unsigned long long>(o.value),
+                      opcodeName(op),
+                      static_cast<unsigned long long>(payload_));
+        payload_ = o.value;
+        break;
+    }
+    kind_[slot] = o.kind;
+    slot_[slot] = word;
+    const uint8_t bit = static_cast<uint8_t>(1u << slot);
+    dram_ = o.kind == OperandKind::Stream && o.dram ? dram_ | bit
+                                                    : dram_ & ~bit;
+}
+
+void
+MachInst::setImm(u64 v)
+{
+    EFFACT_ASSERT(!isMemoryOp() || v == 0,
+                  "%s holds an HBM address, not immediate %llu",
+                  opcodeName(op), static_cast<unsigned long long>(v));
+    if (!isMemoryOp())
+        payload_ = v;
+}
+
+void
+MachInst::setHbmAddr(u64 addr)
+{
+    EFFACT_ASSERT(isMemoryOp() || addr == 0,
+                  "%s holds an immediate, not HBM address %llu",
+                  opcodeName(op), static_cast<unsigned long long>(addr));
+    if (isMemoryOp())
+        payload_ = addr;
+}
+
 uint64_t
 fingerprint(const MachineProgram &prog)
 {
@@ -19,15 +92,16 @@ fingerprint(const MachineProgram &prog)
     h.mix(prog.streamedOps);
     for (const MachInst &mi : prog.insts) {
         h.mix(static_cast<u64>(mi.op));
-        for (const Operand *o : {&mi.dest, &mi.src0, &mi.src1, &mi.src2}) {
-            h.mix(static_cast<u64>(o->kind));
-            h.mix(static_cast<u64>(static_cast<int64_t>(o->reg)));
-            h.mix(o->value);
-            h.mix(o->dram ? 1 : 0);
+        for (int s = 0; s < MachInst::kSlots; ++s) {
+            const Operand o = mi.operand(s);
+            h.mix(static_cast<u64>(o.kind));
+            h.mix(static_cast<u64>(static_cast<int64_t>(o.reg)));
+            h.mix(o.dram ? o.value * prog.residueBytes : o.value);
+            h.mix(o.dram ? 1 : 0);
         }
         h.mix(mi.modulus);
-        h.mix(mi.imm);
-        h.mix(mi.hbmAddr);
+        h.mix(mi.imm());
+        h.mix(mi.hbmAddr());
         h.mix(static_cast<u64>(static_cast<int64_t>(mi.irId)));
     }
     return h.finish();
@@ -62,7 +136,7 @@ operandStr(const Operand &o)
       case OperandKind::Reg:
         return "r" + std::to_string(o.reg);
       case OperandKind::Stream:
-        return "fifo" + std::to_string(o.value);
+        return (o.dram ? "dram" : "fifo") + std::to_string(o.value);
       case OperandKind::Imm:
         return "#" + std::to_string(o.value);
     }
@@ -75,18 +149,18 @@ std::string
 disassemble(const MachInst &inst)
 {
     std::ostringstream os;
-    os << opcodeName(inst.op) << " " << operandStr(inst.dest);
-    if (inst.src0.kind != OperandKind::None)
-        os << ", " << operandStr(inst.src0);
-    if (inst.src1.kind != OperandKind::None)
-        os << ", " << operandStr(inst.src1);
-    if (inst.src2.kind != OperandKind::None)
-        os << ", acc " << operandStr(inst.src2);
+    os << opcodeName(inst.op) << " " << operandStr(inst.dest());
+    if (inst.src0().kind != OperandKind::None)
+        os << ", " << operandStr(inst.src0());
+    if (inst.src1().kind != OperandKind::None)
+        os << ", " << operandStr(inst.src1());
+    if (inst.src2().kind != OperandKind::None)
+        os << ", acc " << operandStr(inst.src2());
     os << " [q" << inst.modulus << "]";
     if (inst.op == Opcode::AUTO)
-        os << " elt=" << inst.imm;
-    if (inst.op == Opcode::LOAD_RES || inst.op == Opcode::STORE_RES)
-        os << " @0x" << std::hex << inst.hbmAddr << std::dec;
+        os << " elt=" << inst.imm();
+    if (inst.isMemoryOp())
+        os << " @0x" << std::hex << inst.hbmAddr() << std::dec;
     return os.str();
 }
 

@@ -43,15 +43,20 @@ enum class OperandKind : uint8_t {
 };
 
 /**
- * One machine operand. Fields are ordered to pack into 16 bytes (the
- * two one-byte fields share the slot before `reg`).
+ * One machine operand: the value type `MachInst`'s accessors return and
+ * its setters take. Instructions do not store `Operand`s; see
+ * `MachInst` for the encoding.
  */
 struct Operand
 {
     OperandKind kind = OperandKind::None;
     bool dram = false; ///< Stream operand fed from DRAM (vs FU FIFO)
-    int reg = -1;    ///< register id for Reg
-    u64 value = 0;   ///< immediate value, HBM address, or stream token
+    int reg = -1;      ///< register id for Reg
+    /**
+     * Imm: the immediate. Stream: the FIFO token, or for a DRAM stream
+     * the HBM address in residue units (bytes / residueBytes).
+     */
+    u64 value = 0;
 
     static Operand none() { return {}; }
     static Operand regOp(int r) { return {OperandKind::Reg, false, r, 0}; }
@@ -61,22 +66,62 @@ struct Operand
     }
     static Operand imm(u64 v) { return {OperandKind::Imm, false, -1, v}; }
 };
-static_assert(sizeof(Operand) <= 16, "Operand grew past 16 bytes");
 
 /**
- * A machine instruction. Fields are ordered to pack into 96 bytes: the
- * 4-byte scalars fill the slot after `op`, then the four operands and
- * the two 64-bit payloads. `fingerprint()` hashes fields by name, so
- * the order here is free.
+ * A machine instruction in 40 bytes. `op`, `modulus` and `irId` are
+ * plain fields; the four operands and the two 64-bit fields are encoded
+ * and go through the accessors:
+ *
+ *  - one 64-bit payload: `imm()` on compute ops, `hbmAddr()` on
+ *    LOAD_RES/STORE_RES (the other reads 0). An `Imm` operand has no
+ *    storage of its own and reads the payload, so on a compute op
+ *    `imm()` and every `Imm` operand are one value.
+ *  - four 32-bit operand slots (dest, src0, src1, src2), each holding
+ *    a register id, a FIFO token, or a DRAM stream's HBM address in
+ *    residue units, with the slot's kind and DRAM flag in the bytes
+ *    after `op`.
+ *
+ * Setters panic on a value the encoding cannot hold (a stream value
+ * past 32 bits, an immediate on a memory op, an address on a compute
+ * op) rather than truncate it.
  */
-struct MachInst
+class MachInst
 {
-    Opcode op = Opcode::MMUL;
+  public:
+    /** Operand slot indices, in encoding and `fingerprint()` order. */
+    enum Slot : int { kDest = 0, kSrc0, kSrc1, kSrc2, kSlots };
+
     uint32_t modulus = 0; ///< limb prime index (selects FU constants)
     int irId = -1;        ///< originating IR value (debug/stats)
-    Operand dest;
-    Operand src0;
-    Operand src1;
+    Opcode op = Opcode::MMUL;
+
+    MachInst() = default;
+    /** `op` with its operands, stored through `setOperand`. */
+    MachInst(Opcode opcode, const Operand &dest,
+             const Operand &src0 = Operand::none(),
+             const Operand &src1 = Operand::none(),
+             const Operand &src2 = Operand::none());
+
+    /** The operand in `slot` (a `Slot`). */
+    Operand
+    operand(int slot) const
+    {
+        const uint32_t w = slot_[slot];
+        switch (kind_[slot]) {
+          case OperandKind::Reg:
+            return Operand::regOp(static_cast<int>(w));
+          case OperandKind::Stream:
+            return Operand::stream(w, (dram_ >> slot) & 1);
+          case OperandKind::Imm:
+            return Operand::imm(payload_);
+          case OperandKind::None:
+            break;
+        }
+        return Operand::none();
+    }
+    Operand dest() const { return operand(kDest); }
+    Operand src0() const { return operand(kSrc0); }
+    Operand src1() const { return operand(kSrc1); }
     /**
      * Third source: the MMAC accumulator (`dest = src0 * src1 + src2`).
      * Like any vector source it may be a register, an FU-to-FU FIFO
@@ -85,30 +130,50 @@ struct MachInst
      * chain. `None` on every other opcode; the destination is always
      * write-only.
      */
-    Operand src2;
-    u64 imm = 0;          ///< automorphism Galois element, etc.
-    u64 hbmAddr = 0;      ///< HBM address for LOAD/STORE/stream fill
+    Operand src2() const { return operand(kSrc2); }
+
+    /** Stores `o` in `slot`; panics if the slot cannot hold it. */
+    void setOperand(int slot, const Operand &o);
+    void setDest(const Operand &o) { setOperand(kDest, o); }
+    void setSrc0(const Operand &o) { setOperand(kSrc0, o); }
+    void setSrc1(const Operand &o) { setOperand(kSrc1, o); }
+    void setSrc2(const Operand &o) { setOperand(kSrc2, o); }
+
+    /** Automorphism Galois element, scalar constant, etc. (compute ops). */
+    u64 imm() const { return isMemoryOp() ? 0 : payload_; }
+    /** HBM byte address of LOAD_RES/STORE_RES. */
+    u64 hbmAddr() const { return isMemoryOp() ? payload_ : 0; }
+    void setImm(u64 v);
+    void setHbmAddr(u64 addr);
 
     // --- Edge accessors (dependence construction / resource decode) ----
 
-    /** True iff `o` is a streaming operand fed straight from DRAM. */
-    static bool dramStream(const Operand &o)
+    /** LOAD_RES or STORE_RES: the payload is `hbmAddr()`. */
+    bool
+    isMemoryOp() const
     {
-        return o.kind == OperandKind::Stream && o.dram;
+        return op == Opcode::LOAD_RES || op == Opcode::STORE_RES;
     }
 
     /** Defines its destination register/FIFO token (stores do not). */
     bool writesDest() const { return op != Opcode::STORE_RES; }
 
     /** Number of source operands streaming from DRAM (0 to 3). */
-    int dramStreamSources() const
+    int
+    dramStreamSources() const
     {
-        return (dramStream(src0) ? 1 : 0) + (dramStream(src1) ? 1 : 0) +
-               (dramStream(src2) ? 1 : 0);
+        return ((dram_ >> kSrc0) & 1) + ((dram_ >> kSrc1) & 1) +
+               ((dram_ >> kSrc2) & 1);
     }
+
+  private:
+    uint8_t dram_ = 0; ///< bit s: slot s is a DRAM stream
+    OperandKind kind_[kSlots] = {};
+    u64 payload_ = 0;
+    uint32_t slot_[kSlots] = {};
 };
 
-static_assert(sizeof(MachInst) <= 96, "MachInst grew past 96 bytes");
+static_assert(sizeof(MachInst) <= 48, "MachInst grew past 48 bytes");
 
 /** A compiled machine program plus metadata the simulator needs. */
 struct MachineProgram
@@ -132,12 +197,14 @@ struct MachineProgram
 
 /**
  * Order-sensitive 64-bit fingerprint over the program metadata and, per
- * instruction, the op, each operand's {kind, reg, value, dram},
- * modulus, imm, hbmAddr and irId (`scratchRegs` is excluded): the
- * word-wise `WordHash` of `common/hash.h`, one step per field, the
- * same scheme as `fingerprint(IrProgram)`. Fields are hashed by name,
- * so a change of `MachInst`'s layout keeps every value, and changing
- * any single field always moves the result. Two programs fingerprint
+ * instruction, 21 logical fields read through the accessors: the op,
+ * each operand's {kind, reg, value, dram}, modulus, imm, hbmAddr and
+ * irId (`scratchRegs` is excluded). A DRAM stream's value is hashed as
+ * its byte address (value x residueBytes). The word-wise `WordHash` of
+ * `common/hash.h`, one step per field, the same scheme as
+ * `fingerprint(IrProgram)`. Fields are hashed by name, so a change of
+ * `MachInst`'s encoding keeps every value, and changing any single
+ * field always moves the result. Two programs fingerprint
  * equal iff codegen emitted the same instruction stream, so batch
  * determinism tests can compare compiles across thread counts without
  * holding every `MachineProgram` in memory.

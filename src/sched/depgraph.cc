@@ -106,7 +106,8 @@ MachineDepResolver::resolve(size_t i, DepEdge (&out)[kMaxProducers])
                               "program order (expected %zu)", i, next_);
     ++next_;
     const MachInst &mi = prog_.insts[i];
-    if (mi.dest.kind == OperandKind::Reg && mi.dest.reg < 0)
+    const Operand dest = mi.dest();
+    if (dest.kind == OperandKind::Reg && dest.reg < 0)
         panicMalformedMachine(prog_, static_cast<int>(i),
                               "destination register id is negative");
 
@@ -121,24 +122,25 @@ MachineDepResolver::resolve(size_t i, DepEdge (&out)[kMaxProducers])
     };
 
     int count = 0;
-    for (const Operand *src : {&mi.src0, &mi.src1, &mi.src2}) {
+    for (int s = MachInst::kSrc0; s < MachInst::kSlots; ++s) {
+        const Operand src = mi.operand(s);
         int def = -1;
-        if (src->kind == OperandKind::Reg)
-            def = producerOf(last_writer_, static_cast<u64>(src->reg));
-        else if (src->kind == OperandKind::Stream && !src->dram)
-            def = producerOf(fifo_producer_, src->value);
+        if (src.kind == OperandKind::Reg)
+            def = producerOf(last_writer_, static_cast<u64>(src.reg));
+        else if (src.kind == OperandKind::Stream && !src.dram)
+            def = producerOf(fifo_producer_, src.value);
         if (def >= 0)
             out[count++] = {def, DepKind::True};
     }
     if (!mi.writesDest())
         return count;
-    if (mi.dest.kind == OperandKind::Reg) {
-        int &writer = slotOf(last_writer_, static_cast<u64>(mi.dest.reg));
+    if (dest.kind == OperandKind::Reg) {
+        int &writer = slotOf(last_writer_, static_cast<u64>(dest.reg));
         if (writer >= 0)
             out[count++] = {writer, DepKind::Anti};
         writer = static_cast<int>(i);
-    } else if (mi.dest.kind == OperandKind::Stream && !mi.dest.dram) {
-        slotOf(fifo_producer_, mi.dest.value) = static_cast<int>(i);
+    } else if (dest.kind == OperandKind::Stream && !dest.dram) {
+        slotOf(fifo_producer_, dest.value) = static_cast<int>(i);
     }
     return count;
 }

@@ -105,10 +105,14 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
 
         // Register ids in range for every Reg operand (the PR 4
         // "register -1" class lands here).
-        const Operand *slots[4] = {&mi.dest, &mi.src0, &mi.src1,
-                                   &mi.src2};
-        for (int s = 0; s < 4; ++s) {
-            const Operand &o = *slots[s];
+        const Operand slots[MachInst::kSlots] = {mi.dest(), mi.src0(),
+                                                 mi.src1(), mi.src2()};
+        const Operand &dest = slots[MachInst::kDest];
+        const Operand &src0 = slots[MachInst::kSrc0];
+        const Operand &src1 = slots[MachInst::kSrc1];
+        const Operand &src2 = slots[MachInst::kSrc2];
+        for (int s = 0; s < MachInst::kSlots; ++s) {
+            const Operand &o = slots[s];
             if (o.kind == OperandKind::Reg &&
                 (o.reg < 0 ||
                  o.reg >= static_cast<int>(prog.numRegs)))
@@ -122,17 +126,17 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
         // Destination shape. Stores define nothing; everything else
         // writes a register or a (FU-fed) FIFO token.
         if (mi.op == Opcode::STORE_RES) {
-            if (mi.dest.kind != OperandKind::None)
+            if (dest.kind != OperandKind::None)
                 report(rep, "mach.stream.dest", i,
                        "store carries a destination in " + who());
         } else {
-            if (mi.dest.kind == OperandKind::None)
+            if (dest.kind == OperandKind::None)
                 report(rep, "mach.stream.dest", i,
                        "missing destination in " + who());
-            else if (mi.dest.kind == OperandKind::Imm)
+            else if (dest.kind == OperandKind::Imm)
                 report(rep, "mach.stream.dest", i,
                        "immediate destination in " + who());
-            else if (mi.dest.kind == OperandKind::Stream && mi.dest.dram)
+            else if (dest.kind == OperandKind::Stream && dest.dram)
                 report(rep, "mach.stream.dest", i,
                        "DRAM-stream destination in " + who());
         }
@@ -140,14 +144,14 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
         // Per-opcode source shapes, matching what codegen can emit
         // (regalloc.cc): src0 is always a vector (register or stream),
         // never an immediate; src1 carries the immediate forms.
-        const bool src0_vec = mi.src0.kind == OperandKind::Reg ||
-                              mi.src0.kind == OperandKind::Stream;
-        const bool src1_vec = mi.src1.kind == OperandKind::Reg ||
-                              mi.src1.kind == OperandKind::Stream;
+        const bool src0_vec = src0.kind == OperandKind::Reg ||
+                              src0.kind == OperandKind::Stream;
+        const bool src1_vec = src1.kind == OperandKind::Reg ||
+                              src1.kind == OperandKind::Stream;
         switch (mi.op) {
           case Opcode::LOAD_RES:
-            if (mi.src0.kind != OperandKind::None ||
-                mi.src1.kind != OperandKind::None)
+            if (src0.kind != OperandKind::None ||
+                src1.kind != OperandKind::None)
                 report(rep, "mach.operand.shape", i,
                        "load takes no source operands in " + who());
             break;
@@ -158,7 +162,7 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
             if (!src0_vec)
                 report(rep, "mach.operand.shape", i,
                        "src0 must be a register or stream in " + who());
-            if (mi.src1.kind != OperandKind::None)
+            if (src1.kind != OperandKind::None)
                 report(rep, "mach.operand.shape", i,
                        "unexpected src1 in " + who());
             break;
@@ -166,8 +170,8 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
             if (!src0_vec)
                 report(rep, "mach.operand.shape", i,
                        "src0 must be a register or stream in " + who());
-            if (mi.src1.kind != OperandKind::None &&
-                mi.src1.kind != OperandKind::Imm)
+            if (src1.kind != OperandKind::None &&
+                src1.kind != OperandKind::Imm)
                 report(rep, "mach.operand.shape", i,
                        "src1 must be empty or the Galois immediate "
                        "in " +
@@ -180,7 +184,7 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
             if (!src0_vec)
                 report(rep, "mach.operand.shape", i,
                        "src0 must be a register or stream in " + who());
-            if (!src1_vec && mi.src1.kind != OperandKind::Imm)
+            if (!src1_vec && src1.kind != OperandKind::Imm)
                 report(rep, "mach.operand.shape", i,
                        "missing second source in " + who());
             break;
@@ -189,21 +193,21 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
         // source (register or stream) there, None everywhere else. The
         // destination is always write-only.
         if (mi.op == Opcode::MMAC) {
-            if (mi.src2.kind != OperandKind::None &&
-                mi.src2.kind != OperandKind::Reg &&
-                mi.src2.kind != OperandKind::Stream)
+            if (src2.kind != OperandKind::None &&
+                src2.kind != OperandKind::Reg &&
+                src2.kind != OperandKind::Stream)
                 report(rep, "mach.operand.shape", i,
                        "MMAC accumulator must be a register or stream "
                        "in " +
                            who());
-        } else if (mi.src2.kind != OperandKind::None) {
+        } else if (src2.kind != OperandKind::None) {
             report(rep, "mach.operand.shape", i,
                    "src2 on a non-MMAC instruction in " + who());
         }
 
         // Reads happen before this instruction's write takes effect.
-        for (int s = 1; s < 4; ++s) {
-            const Operand &o = *slots[s];
+        for (int s = MachInst::kSrc0; s < MachInst::kSlots; ++s) {
+            const Operand &o = slots[s];
             if (o.kind == OperandKind::Reg && o.reg >= 0 &&
                 o.reg < static_cast<int>(prog.numRegs) &&
                 !written[o.reg])
@@ -221,13 +225,13 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
                 fifo_live.erase(o.value); // FIFO tokens are one-shot
         }
         if (mi.writesDest()) {
-            if (mi.dest.kind == OperandKind::Reg && mi.dest.reg >= 0 &&
-                mi.dest.reg < static_cast<int>(prog.numRegs))
-                written[mi.dest.reg] = 1;
-            if (mi.dest.kind == OperandKind::Stream && !mi.dest.dram) {
-                if (!fifo_live.insert(mi.dest.value).second)
+            if (dest.kind == OperandKind::Reg && dest.reg >= 0 &&
+                dest.reg < static_cast<int>(prog.numRegs))
+                written[dest.reg] = 1;
+            if (dest.kind == OperandKind::Stream && !dest.dram) {
+                if (!fifo_live.insert(dest.value).second)
                     report(rep, "mach.stream.producer", i,
-                           "fifo" + std::to_string(mi.dest.value) +
+                           "fifo" + std::to_string(dest.value) +
                                " produced again before being consumed "
                                "in " +
                                who());
@@ -238,16 +242,16 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
         // regalloc lays objects and spill slots out in whole-residue
         // units) and per-address issue order consistent with IR value
         // order (see `mem_history` above).
-        if (mi.op == Opcode::LOAD_RES || mi.op == Opcode::STORE_RES) {
+        if (mi.isMemoryOp()) {
             if (prog.residueBytes != 0 &&
-                mi.hbmAddr % prog.residueBytes != 0)
+                mi.hbmAddr() % prog.residueBytes != 0)
                 report(rep, "mach.mem.align", i,
-                       "HBM address " + std::to_string(mi.hbmAddr) +
+                       "HBM address " + std::to_string(mi.hbmAddr()) +
                            " not a multiple of residueBytes=" +
                            std::to_string(prog.residueBytes) + " in " +
                            who());
             if (mi.irId >= 0) {
-                AddrHistory &h = mem_history[mi.hbmAddr];
+                AddrHistory &h = mem_history[mi.hbmAddr()];
                 if (mi.op == Opcode::STORE_RES) {
                     if (h.maxSeenIr > mi.irId)
                         report(rep, "mach.mem.order", i,

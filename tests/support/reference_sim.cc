@@ -44,18 +44,18 @@ referenceSimulate(const HardwareConfig &cfg, const MachineProgram &prog)
                 }
                 return -1;
             };
-            def_src0[i] = resolveSrc(mi.src0);
-            def_src1[i] = resolveSrc(mi.src1);
-            def_src2[i] = resolveSrc(mi.src2);
+            def_src0[i] = resolveSrc(mi.src0());
+            def_src1[i] = resolveSrc(mi.src1());
+            def_src2[i] = resolveSrc(mi.src2());
+            const Operand dest = mi.dest();
             if (mi.op != Opcode::STORE_RES) {
-                if (mi.dest.kind == OperandKind::Reg) {
-                    auto it = last_writer.find(mi.dest.reg);
+                if (dest.kind == OperandKind::Reg) {
+                    auto it = last_writer.find(dest.reg);
                     dest_prev[i] = it == last_writer.end() ? -1
                                                            : it->second;
-                    last_writer[mi.dest.reg] = static_cast<int>(i);
-                } else if (mi.dest.kind == OperandKind::Stream &&
-                           !mi.dest.dram) {
-                    fifo_producer[mi.dest.value] = static_cast<int>(i);
+                    last_writer[dest.reg] = static_cast<int>(i);
+                } else if (dest.kind == OperandKind::Stream && !dest.dram) {
+                    fifo_producer[dest.value] = static_cast<int>(i);
                 }
             }
         }

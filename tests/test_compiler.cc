@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <functional>
 
+#include "common/hash.h"
 #include "compiler/pass.h"
 #include "compiler/pass_manager.h"
 #include "ir/builder.h"
@@ -620,10 +622,10 @@ TEST(RegAlloc, EmissionBufferIsExactlySized)
                 ++key_reloads;
             if (mi.op == Opcode::MMAC && j > 0) {
                 const MachInst &prev = mp.insts[j - 1];
-                acc_reloaded = mi.src2.kind == OperandKind::Reg &&
+                acc_reloaded = mi.src2().kind == OperandKind::Reg &&
                                prev.op == Opcode::LOAD_RES &&
                                prev.irId == acc &&
-                               prev.dest.reg == mi.src2.reg;
+                               prev.dest().reg == mi.src2().reg;
             }
         }
         EXPECT_GT(key_reloads, 1u);
@@ -778,10 +780,24 @@ fingerprintProgram()
 
 TEST(MachFingerprint, EveryLogicalFieldMovesIt)
 {
-    const MachineProgram base = fingerprintProgram();
+    MachineProgram base = fingerprintProgram();
     ASSERT_GT(base.spillLoads, 0u);
     ASSERT_GT(base.spillStores, 0u);
     ASSERT_GT(base.streamedOps, 0u);
+    // One compute instruction in the middle of the stream with every
+    // operand slot in use (a register, a DRAM stream, an FU FIFO token
+    // and an immediate), and one memory instruction, whose payload is
+    // hbmAddr rather than imm.
+    size_t at = base.insts.size() / 2;
+    while (base.insts[at].isMemoryOp())
+        ++at;
+    base.insts[at] =
+        MachInst(Opcode::MMAC, Operand::regOp(3),
+                 Operand::stream(40, /*from_dram=*/true),
+                 Operand::imm(5), Operand::stream(7));
+    size_t mem_at = 0;
+    while (!base.insts[mem_at].isMemoryOp())
+        ++mem_at;
     const uint64_t fp = fingerprint(base);
 
     using Edit = std::function<void(MachineProgram &)>;
@@ -793,54 +809,171 @@ TEST(MachFingerprint, EveryLogicalFieldMovesIt)
         {"spillStores", [](MachineProgram &m) { ++m.spillStores; }},
         {"streamedOps", [](MachineProgram &m) { ++m.streamedOps; }},
     };
-    // Every field of one instruction in the middle of the stream.
-    const size_t at = base.insts.size() / 2;
+    // Every field the encoding stores.
     auto inst = [at](MachineProgram &m) -> MachInst & {
         return m.insts[at];
     };
     edits.push_back({"op", [&](MachineProgram &m) {
-                         inst(m).op = inst(m).op == Opcode::NTT
-                                          ? Opcode::INTT
-                                          : Opcode::NTT;
+                         inst(m).op = Opcode::MMUL;
                      }});
     edits.push_back({"modulus", [&](MachineProgram &m) {
                          ++inst(m).modulus;
                      }});
-    edits.push_back({"imm", [&](MachineProgram &m) { ++inst(m).imm; }});
-    edits.push_back({"hbmAddr", [&](MachineProgram &m) {
-                         ++inst(m).hbmAddr;
-                     }});
     edits.push_back({"irId", [&](MachineProgram &m) { ++inst(m).irId; }});
-    const std::pair<const char *, Operand MachInst::*> operands[] = {
-        {"dest", &MachInst::dest},
-        {"src0", &MachInst::src0},
-        {"src1", &MachInst::src1},
-        {"src2", &MachInst::src2},
-    };
-    for (const auto &[name, slot] : operands) {
-        const std::string prefix = std::string(name) + ".";
-        edits.push_back({prefix + "kind", [&, slot = slot](MachineProgram &m) {
-                             OperandKind &k = (inst(m).*slot).kind;
-                             k = k == OperandKind::Reg ? OperandKind::Imm
-                                                       : OperandKind::Reg;
+    edits.push_back({"payload as imm", [&](MachineProgram &m) {
+                         inst(m).setImm(inst(m).imm() + 1);
+                     }});
+    edits.push_back({"payload as hbmAddr", [&](MachineProgram &m) {
+                         MachInst &mi = m.insts[mem_at];
+                         mi.setHbmAddr(mi.hbmAddr() + m.residueBytes);
+                     }});
+    for (int s = 0; s < MachInst::kSlots; ++s) {
+        const std::string prefix = "slot" + std::to_string(s) + ".";
+        edits.push_back({prefix + "kind", [&, s](MachineProgram &m) {
+                             const Operand o = inst(m).operand(s);
+                             inst(m).setOperand(
+                                 s, o.kind == OperandKind::Reg
+                                        ? Operand::stream(u64(o.reg))
+                                        : Operand::regOp(0));
                          }});
-        edits.push_back({prefix + "reg", [&, slot = slot](MachineProgram &m) {
-                             ++(inst(m).*slot).reg;
+        edits.push_back({prefix + "word", [&, s](MachineProgram &m) {
+                             Operand o = inst(m).operand(s);
+                             if (o.kind == OperandKind::Reg)
+                                 ++o.reg;
+                             else
+                                 ++o.value; // the payload, for Imm
+                             inst(m).setOperand(s, o);
                          }});
-        edits.push_back({prefix + "value",
-                         [&, slot = slot](MachineProgram &m) {
-                             ++(inst(m).*slot).value;
-                         }});
-        edits.push_back({prefix + "dram", [&, slot = slot](MachineProgram &m) {
-                             (inst(m).*slot).dram = !(inst(m).*slot).dram;
+        if (base.insts[at].operand(s).kind != OperandKind::Stream)
+            continue; // only a stream slot holds a DRAM flag
+        edits.push_back({prefix + "dram", [&, s](MachineProgram &m) {
+                             const Operand o = inst(m).operand(s);
+                             inst(m).setOperand(
+                                 s, Operand::stream(o.value, !o.dram));
                          }});
     }
-    ASSERT_EQ(edits.size(), 6u + 5u + 16u);
+    ASSERT_EQ(edits.size(), 6u + 5u + 4u + 4u + 2u);
     for (const auto &[field, edit] : edits) {
         MachineProgram m = base;
         edit(m);
         EXPECT_NE(fingerprint(m), fp) << field;
     }
+}
+
+// --- Machine-instruction encoding at its limits ---------------------------
+
+TEST(MachEncoding, EveryOperandKindRoundTripsAtItsLimits)
+{
+    const Operand limits[] = {
+        Operand::none(),
+        Operand::regOp(-1),
+        Operand::regOp(INT_MIN),
+        Operand::regOp(INT_MAX),
+        Operand::stream(0),
+        Operand::stream(UINT32_MAX), // the largest FIFO token a slot holds
+        Operand::stream(UINT32_MAX, /*from_dram=*/true),
+    };
+    for (int s = 0; s < MachInst::kSlots; ++s) {
+        for (const Operand &o : limits) {
+            MachInst mi(Opcode::MMAC, Operand::regOp(0));
+            mi.setOperand(s, o);
+            const Operand back = mi.operand(s);
+            EXPECT_EQ(back.kind, o.kind) << s;
+            EXPECT_EQ(back.reg, o.reg) << s;
+            EXPECT_EQ(back.value, o.value) << s;
+            EXPECT_EQ(back.dram, o.dram) << s;
+        }
+    }
+}
+
+TEST(MachEncoding, PayloadIsTheImmediateOrTheHbmAddress)
+{
+    const u64 elt = 0xfedcba9876543211ULL; // all 64 bits
+    MachInst mi(Opcode::AUTO, Operand::regOp(1), Operand::regOp(0));
+    mi.setImm(elt);
+    mi.setSrc1(Operand::imm(elt));
+    EXPECT_EQ(mi.imm(), elt);
+    EXPECT_EQ(mi.src1().value, elt);
+    EXPECT_EQ(mi.hbmAddr(), 0u); // a compute op has no address
+    EXPECT_NE(disassemble(mi).find("elt=" + std::to_string(elt)),
+              std::string::npos);
+    // An Imm operand reads the payload: it and imm() are one value.
+    mi.setImm(3);
+    EXPECT_EQ(mi.src1().value, 3u);
+
+    const u64 addr = (u64(42) << 30) + (u64(1) << 19); // past 32 bits
+    MachInst st(Opcode::STORE_RES, Operand::none(), Operand::regOp(2));
+    st.setHbmAddr(addr);
+    EXPECT_EQ(st.hbmAddr(), addr);
+    EXPECT_EQ(st.imm(), 0u); // a memory op has no immediate
+    st.setImm(0);            // ...and 0 is all it accepts
+    EXPECT_EQ(st.hbmAddr(), addr);
+}
+
+TEST(MachEncoding, FingerprintHashesTheTwentyOneLogicalFields)
+{
+    // A DRAM stream slot holds residue units; the fingerprint hashes its
+    // byte address, past 32 bits here, as the pre-encoding struct did.
+    MachineProgram mp;
+    mp.numRegs = 8;
+    mp.residueBytes = size_t(1) << 19;
+    mp.spillLoads = 1;
+    mp.spillStores = 2;
+    mp.streamedOps = 3;
+    const u64 residue = (u64(1) << 14) + 5; // byte address > 2^33
+    const u64 imm = 0x8000000000000007ULL;
+    const u64 addr = u64(42) << 30;
+    MachInst ld(Opcode::LOAD_RES, Operand::regOp(-1));
+    ld.setHbmAddr(addr);
+    ld.modulus = 645;
+    MachInst mac(Opcode::MMAC, Operand::stream(UINT32_MAX),
+                 Operand::stream(residue, /*from_dram=*/true),
+                 Operand::imm(imm), Operand::regOp(6));
+    mac.irId = 99;
+    mp.insts = {ld, mac};
+
+    WordHash h;
+    for (u64 v : {u64(2), u64(8), u64(1) << 19, u64(1), u64(2), u64(3)})
+        h.mix(v);
+    const u64 none[4] = {0, u64(-1), 0, 0};
+    // op, then {kind, reg, value, dram} per slot, modulus, imm, hbmAddr,
+    // irId.
+    const std::vector<u64> fields[2] = {
+        {u64(Opcode::LOAD_RES),
+         u64(OperandKind::Reg), u64(-1), 0, 0,
+         none[0], none[1], none[2], none[3],
+         none[0], none[1], none[2], none[3],
+         none[0], none[1], none[2], none[3],
+         645, 0, addr, u64(-1)},
+        {u64(Opcode::MMAC),
+         u64(OperandKind::Stream), u64(-1), UINT32_MAX, 0,
+         u64(OperandKind::Stream), u64(-1), residue << 19, 1,
+         u64(OperandKind::Imm), u64(-1), imm, 0,
+         u64(OperandKind::Reg), 6, 0, 0,
+         0, imm, 0, 99},
+    };
+    for (const std::vector<u64> &inst : fields) {
+        ASSERT_EQ(inst.size(), 21u);
+        for (u64 v : inst)
+            h.mix(v);
+    }
+    EXPECT_EQ(fingerprint(mp), h.finish());
+}
+
+TEST(MachEncodingDeathTest, SettersRejectWhatTheEncodingCannotHold)
+{
+    MachInst mi(Opcode::MMUL, Operand::regOp(0), Operand::regOp(1),
+                Operand::regOp(2));
+    EXPECT_DEATH(mi.setSrc0(Operand::stream(u64(UINT32_MAX) + 1)),
+                 "FIFO token 4294967296 does not fit");
+    EXPECT_DEATH(mi.setSrc0(Operand::stream(u64(1) << 40, true)),
+                 "DRAM stream residue 1099511627776 does not fit");
+    EXPECT_DEATH(mi.setHbmAddr(4096), "holds an immediate");
+
+    MachInst ld(Opcode::LOAD_RES, Operand::regOp(0));
+    ld.setHbmAddr(4096);
+    EXPECT_DEATH(ld.setImm(7), "holds an HBM address");
+    EXPECT_DEATH(ld.setSrc0(Operand::imm(7)), "would overwrite its HBM");
 }
 
 TEST(MachFingerprint, OrderSensitiveAndBlindToScratchRegs)

@@ -15,18 +15,6 @@
 namespace effact {
 namespace {
 
-MachInst
-compute(Opcode op, Operand dest, Operand src0,
-        Operand src1 = Operand::none())
-{
-    MachInst mi;
-    mi.op = op;
-    mi.dest = dest;
-    mi.src0 = src0;
-    mi.src1 = src1;
-    return mi;
-}
-
 /** Collects (from, to, kind) triples through the succ ranges. */
 std::vector<std::tuple<int, int, DepKind>>
 allEdges(const DepGraph &g)
@@ -44,13 +32,13 @@ TEST(DepGraphMachine, RegisterTrueDependences)
     mp.residueBytes = 1 << 12;
     MachInst ld;
     ld.op = Opcode::LOAD_RES;
-    ld.dest = Operand::regOp(0);
+    ld.setDest(Operand::regOp(0));
     mp.insts.push_back(ld);                                         // 0
-    mp.insts.push_back(compute(Opcode::NTT, Operand::regOp(1),
-                               Operand::regOp(0)));                 // 1
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(1),
+                                Operand::regOp(0)));                 // 1
     MachInst st;
     st.op = Opcode::STORE_RES;
-    st.src0 = Operand::regOp(1);
+    st.setSrc0(Operand::regOp(1));
     mp.insts.push_back(st);                                         // 2
 
     DepGraph g = DepGraph::fromMachine(mp);
@@ -68,10 +56,10 @@ TEST(DepGraphMachine, FifoTokenDependence)
 {
     MachineProgram mp;
     mp.residueBytes = 1 << 12;
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::stream(7),
-                               Operand::regOp(0), Operand::regOp(1)));
-    mp.insts.push_back(compute(Opcode::MMAD, Operand::regOp(2),
-                               Operand::stream(7), Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::stream(7),
+                                Operand::regOp(0), Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMAD, Operand::regOp(2),
+                                Operand::stream(7), Operand::regOp(1)));
 
     DepGraph g = DepGraph::fromMachine(mp);
     auto edges = allEdges(g);
@@ -85,11 +73,11 @@ TEST(DepGraphMachine, DramStreamSourceHasNoProducer)
     mp.residueBytes = 1 << 12;
     // A DRAM-fed streaming operand comes from memory, not from another
     // instruction: no edge even if a FIFO token would match.
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::stream(3),
-                               Operand::regOp(0), Operand::regOp(1)));
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(2),
-                               Operand::stream(3, /*from_dram=*/true),
-                               Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::stream(3),
+                                Operand::regOp(0), Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(2),
+                                Operand::stream(3, /*from_dram=*/true),
+                                Operand::regOp(1)));
 
     DepGraph g = DepGraph::fromMachine(mp);
     EXPECT_EQ(g.edgeCount(), 0u);
@@ -99,13 +87,13 @@ TEST(DepGraphMachine, RegisterReuseCreatesAntiEdge)
 {
     MachineProgram mp;
     mp.residueBytes = 1 << 12;
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(0),
-                               Operand::regOp(1), Operand::regOp(2)));
-    mp.insts.push_back(compute(Opcode::MMAD, Operand::regOp(3),
-                               Operand::regOp(0), Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(0),
+                                Operand::regOp(1), Operand::regOp(2)));
+    mp.insts.push_back(MachInst(Opcode::MMAD, Operand::regOp(3),
+                                Operand::regOp(0), Operand::regOp(1)));
     // Reuses r0: anti edge from the previous writer (inst 0).
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(0),
-                               Operand::regOp(2), Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(0),
+                                Operand::regOp(2), Operand::regOp(1)));
 
     DepGraph g = DepGraph::fromMachine(mp);
     auto edges = allEdges(g);
@@ -130,14 +118,14 @@ TEST(DepGraphMachine, WarOverwriteDoesNotWaitForUnissuedReaders)
     mp.residueBytes = n * 8;
     // i0 writes r0; i1 reads r0 (the old value); i2 overwrites r0
     // before i1 has necessarily issued; i3 consumes the new r0.
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(0),
-                               Operand::regOp(1), Operand::regOp(2)));
-    mp.insts.push_back(compute(Opcode::MMAD, Operand::regOp(3),
-                               Operand::regOp(0), Operand::regOp(1)));
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(0),
-                               Operand::regOp(2), Operand::regOp(4)));
-    mp.insts.push_back(compute(Opcode::NTT, Operand::regOp(5),
-                               Operand::regOp(0)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(0),
+                                Operand::regOp(1), Operand::regOp(2)));
+    mp.insts.push_back(MachInst(Opcode::MMAD, Operand::regOp(3),
+                                Operand::regOp(0), Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(0),
+                                Operand::regOp(2), Operand::regOp(4)));
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(5),
+                                Operand::regOp(0)));
 
     DepGraph g = DepGraph::fromMachine(mp);
     auto edges = allEdges(g);
@@ -168,11 +156,11 @@ TEST(DepGraphMachine, StoreDoesNotDefineItsOperand)
     mp.residueBytes = 1 << 12;
     MachInst st;
     st.op = Opcode::STORE_RES;
-    st.src0 = Operand::regOp(0);
-    st.dest = Operand::regOp(0); // stores write memory, not registers
+    st.setSrc0(Operand::regOp(0));
+    st.setDest(Operand::regOp(0)); // stores write memory, not registers
     mp.insts.push_back(st);
-    mp.insts.push_back(compute(Opcode::NTT, Operand::regOp(1),
-                               Operand::regOp(0)));
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(1),
+                                Operand::regOp(0)));
 
     DepGraph g = DepGraph::fromMachine(mp);
     // The NTT's source resolves to no producer (live-in register), and
@@ -184,12 +172,12 @@ TEST(DepGraphMachine, DuplicateSourceCountsTwice)
 {
     MachineProgram mp;
     mp.residueBytes = 1 << 12;
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(0),
-                               Operand::regOp(1), Operand::regOp(2)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(0),
+                                Operand::regOp(1), Operand::regOp(2)));
     // Squaring: both sources are the same value; the indegree counts
     // both edges so the wake-up countdown stays consistent.
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(3),
-                               Operand::regOp(0), Operand::regOp(0)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(3),
+                                Operand::regOp(0), Operand::regOp(0)));
 
     DepGraph g = DepGraph::fromMachine(mp);
     EXPECT_EQ(g.edgeCount(), 2u);
@@ -202,14 +190,14 @@ TEST(DepGraphMachine, EdgeCountIsTheCsrEdgeCount)
     // successor CSR, and the indegrees count the same edges.
     MachineProgram mp;
     mp.residueBytes = 1 << 12;
-    mp.insts.push_back(compute(Opcode::NTT, Operand::stream(7),
-                               Operand::regOp(1)));
-    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(0),
-                               Operand::stream(7), Operand::regOp(1)));
-    mp.insts.push_back(compute(Opcode::MMAD, Operand::regOp(0),
-                               Operand::regOp(0), Operand::regOp(0)));
-    mp.insts.push_back(compute(Opcode::NTT, Operand::regOp(2),
-                               Operand::regOp(0)));
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::stream(7),
+                                Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(0),
+                                Operand::stream(7), Operand::regOp(1)));
+    mp.insts.push_back(MachInst(Opcode::MMAD, Operand::regOp(0),
+                                Operand::regOp(0), Operand::regOp(0)));
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(2),
+                                Operand::regOp(0)));
 
     DepGraph g = DepGraph::fromMachine(mp);
     size_t succs = 0, indegrees = 0;

@@ -14,53 +14,41 @@ namespace {
 
 constexpr size_t kResidueBytes = (size_t(1) << 16) * 8;
 
-MachInst
-inst(Opcode op, Operand dest = Operand::none(),
-     Operand src0 = Operand::none(), Operand src1 = Operand::none())
-{
-    MachInst mi;
-    mi.op = op;
-    mi.dest = dest;
-    mi.src0 = src0;
-    mi.src1 = src1;
-    return mi;
-}
-
 TEST(ResourceModel, DecodeShapes)
 {
     ResourceModel res(HardwareConfig::asicEffact27(), kResidueBytes);
 
-    InstShape ld = res.decode(inst(Opcode::LOAD_RES, Operand::regOp(0)));
+    InstShape ld = res.decode(MachInst(Opcode::LOAD_RES, Operand::regOp(0)));
     EXPECT_EQ(ld.fu_class, -1);
 
     InstShape ntt = res.decode(
-        inst(Opcode::NTT, Operand::regOp(1), Operand::regOp(0)));
+        MachInst(Opcode::NTT, Operand::regOp(1), Operand::regOp(0)));
     EXPECT_EQ(ntt.fu_class, FU_NTT);
     EXPECT_DOUBLE_EQ(ntt.occupancy, res.nttCycles());
 
-    InstShape mac = res.decode(inst(Opcode::MMAC, Operand::regOp(2),
-                                    Operand::regOp(0), Operand::regOp(1)));
+    InstShape mac = res.decode(MachInst(Opcode::MMAC, Operand::regOp(2),
+                                        Operand::regOp(0), Operand::regOp(1)));
     EXPECT_EQ(mac.fu_class, FU_MUL);
     EXPECT_TRUE(mac.mac);
     EXPECT_DOUBLE_EQ(mac.occupancy, res.ewCycles());
 
     InstShape fill = res.decode(
-        inst(Opcode::MMUL, Operand::regOp(2),
-             Operand::stream(0, /*from_dram=*/true), Operand::regOp(1)));
+        MachInst(Opcode::MMUL, Operand::regOp(2),
+                 Operand::stream(0, /*from_dram=*/true), Operand::regOp(1)));
     EXPECT_TRUE(fill.stream_fill);
     EXPECT_EQ(fill.extra_dram, 0);
 
     InstShape dual = res.decode(
-        inst(Opcode::MMUL, Operand::regOp(2),
-             Operand::stream(0, /*from_dram=*/true),
-             Operand::stream(1, /*from_dram=*/true)));
+        MachInst(Opcode::MMUL, Operand::regOp(2),
+                 Operand::stream(0, /*from_dram=*/true),
+                 Operand::stream(1, /*from_dram=*/true)));
     EXPECT_EQ(dual.extra_dram, 1);
 
     // A MMAC can stream all three sources from DRAM.
-    MachInst tri = inst(Opcode::MMAC, Operand::regOp(2),
-                        Operand::stream(0, /*from_dram=*/true),
-                        Operand::stream(1, /*from_dram=*/true));
-    tri.src2 = Operand::stream(2, /*from_dram=*/true);
+    const MachInst tri(Opcode::MMAC, Operand::regOp(2),
+                       Operand::stream(0, /*from_dram=*/true),
+                       Operand::stream(1, /*from_dram=*/true),
+                       Operand::stream(2, /*from_dram=*/true));
     InstShape three = res.decode(tri);
     EXPECT_TRUE(three.stream_fill);
     EXPECT_EQ(three.extra_dram, 2);
@@ -81,7 +69,7 @@ TEST(ResourceModel, ModelConstantsMatchConfig)
 TEST(ResourceModel, MemoryOpsSerializeOnHbmChannel)
 {
     ResourceModel res(HardwareConfig::asicEffact27(), kResidueBytes);
-    InstShape ld = res.decode(inst(Opcode::LOAD_RES, Operand::regOp(0)));
+    InstShape ld = res.decode(MachInst(Opcode::LOAD_RES, Operand::regOp(0)));
 
     IssuePlan p1 = res.plan(ld, 0.0);
     EXPECT_DOUBLE_EQ(p1.start, 0.0);
@@ -102,8 +90,8 @@ TEST(ResourceModel, ComputePicksEarliestFreeUnit)
 {
     HardwareConfig hw = HardwareConfig::asicEffact27(); // 2 mul units
     ResourceModel res(hw, kResidueBytes);
-    InstShape mul = res.decode(inst(Opcode::MMUL, Operand::regOp(2),
-                                    Operand::regOp(0), Operand::regOp(1)));
+    InstShape mul = res.decode(MachInst(Opcode::MMUL, Operand::regOp(2),
+                                        Operand::regOp(0), Operand::regOp(1)));
 
     IssuePlan p1 = res.plan(mul, 0.0);
     res.commit(mul, p1);
@@ -122,10 +110,10 @@ TEST(ResourceModel, MacSteersToIdleNttUnits)
 {
     HardwareConfig hw = HardwareConfig::asicEffact27();
     ResourceModel res(hw, kResidueBytes);
-    InstShape mul = res.decode(inst(Opcode::MMUL, Operand::regOp(2),
-                                    Operand::regOp(0), Operand::regOp(1)));
-    InstShape mac = res.decode(inst(Opcode::MMAC, Operand::regOp(3),
-                                    Operand::regOp(0), Operand::regOp(1)));
+    InstShape mul = res.decode(MachInst(Opcode::MMUL, Operand::regOp(2),
+                                        Operand::regOp(0), Operand::regOp(1)));
+    InstShape mac = res.decode(MachInst(Opcode::MMAC, Operand::regOp(3),
+                                        Operand::regOp(0), Operand::regOp(1)));
 
     // Fill both MUL units; the MAC then runs on an idle NTT unit.
     res.commit(mul, res.plan(mul, 0.0));
@@ -148,8 +136,8 @@ TEST(ResourceModel, StreamingFillOverlapsComputeWithTransfer)
 {
     ResourceModel res(HardwareConfig::asicEffact27(), kResidueBytes);
     InstShape fill = res.decode(
-        inst(Opcode::MMUL, Operand::regOp(2),
-             Operand::stream(0, /*from_dram=*/true), Operand::regOp(1)));
+        MachInst(Opcode::MMUL, Operand::regOp(2),
+                 Operand::stream(0, /*from_dram=*/true), Operand::regOp(1)));
 
     IssuePlan p = res.plan(fill, 0.0);
     EXPECT_EQ(p.fu_class, FU_MUL);
@@ -168,9 +156,9 @@ TEST(ResourceModel, DualDramOperandsMoveTwoResidues)
 {
     ResourceModel res(HardwareConfig::asicEffact27(), kResidueBytes);
     InstShape dual = res.decode(
-        inst(Opcode::MMAD, Operand::regOp(2),
-             Operand::stream(0, /*from_dram=*/true),
-             Operand::stream(1, /*from_dram=*/true)));
+        MachInst(Opcode::MMAD, Operand::regOp(2),
+                 Operand::stream(0, /*from_dram=*/true),
+                 Operand::stream(1, /*from_dram=*/true)));
 
     res.commit(dual, res.plan(dual, 0.0));
     EXPECT_DOUBLE_EQ(res.dramBytes(), 2.0 * double(kResidueBytes));
@@ -190,8 +178,8 @@ TEST(ResourceModel, ZeroLengthStreamingFillIsFreeAndMonotone)
     EXPECT_DOUBLE_EQ(res.nttCycles(), 0.0);
 
     InstShape fill = res.decode(
-        inst(Opcode::MMUL, Operand::regOp(2),
-             Operand::stream(0, /*from_dram=*/true), Operand::regOp(1)));
+        MachInst(Opcode::MMUL, Operand::regOp(2),
+                 Operand::stream(0, /*from_dram=*/true), Operand::regOp(1)));
     ASSERT_TRUE(fill.stream_fill);
     IssuePlan p = res.plan(fill, 5.0);
     EXPECT_DOUBLE_EQ(p.start, 5.0);
@@ -217,9 +205,9 @@ TEST(ResourceModel, DualDramBackToBackSaturatesTheChannel)
     // step (no idle gaps), and the k-th op starts at 2k * memCycles.
     ResourceModel res(HardwareConfig::asicEffact27(), kResidueBytes);
     InstShape dual = res.decode(
-        inst(Opcode::MMAD, Operand::regOp(2),
-             Operand::stream(0, /*from_dram=*/true),
-             Operand::stream(1, /*from_dram=*/true)));
+        MachInst(Opcode::MMAD, Operand::regOp(2),
+                 Operand::stream(0, /*from_dram=*/true),
+                 Operand::stream(1, /*from_dram=*/true)));
     const double mem = res.memCycles();
     for (int k = 0; k < 5; ++k) {
         IssuePlan p = res.plan(dual, 0.0);
@@ -232,7 +220,7 @@ TEST(ResourceModel, DualDramBackToBackSaturatesTheChannel)
 
     // A load arriving into the saturated channel queues behind the
     // whole train (both residues of every dual op).
-    InstShape ld = res.decode(inst(Opcode::LOAD_RES, Operand::regOp(0)));
+    InstShape ld = res.decode(MachInst(Opcode::LOAD_RES, Operand::regOp(0)));
     EXPECT_DOUBLE_EQ(res.plan(ld, 0.0).start, 10.0 * mem);
 }
 
@@ -247,12 +235,12 @@ TEST(ResourceModel, DualDramSecondResidueQueuesBehindCommit)
     // never hit.
     ResourceModel res(HardwareConfig::asicEffact27(), kResidueBytes);
     InstShape dual = res.decode(
-        inst(Opcode::MMUL, Operand::regOp(2),
-             Operand::stream(0, /*from_dram=*/true),
-             Operand::stream(1, /*from_dram=*/true)));
+        MachInst(Opcode::MMUL, Operand::regOp(2),
+                 Operand::stream(0, /*from_dram=*/true),
+                 Operand::stream(1, /*from_dram=*/true)));
     InstShape fill = res.decode(
-        inst(Opcode::MMUL, Operand::regOp(3),
-             Operand::stream(2, /*from_dram=*/true), Operand::regOp(1)));
+        MachInst(Opcode::MMUL, Operand::regOp(3),
+                 Operand::stream(2, /*from_dram=*/true), Operand::regOp(1)));
     res.commit(dual, res.plan(dual, 0.0));
     IssuePlan p = res.plan(fill, 0.0);
     EXPECT_DOUBLE_EQ(p.start, 2.0 * res.memCycles());
@@ -262,9 +250,9 @@ TEST(ResourceModel, BusyCountersAccrue)
 {
     ResourceModel res(HardwareConfig::asicEffact27(), kResidueBytes);
     InstShape ntt = res.decode(
-        inst(Opcode::NTT, Operand::regOp(1), Operand::regOp(0)));
-    InstShape add = res.decode(inst(Opcode::MMAD, Operand::regOp(2),
-                                    Operand::regOp(0), Operand::regOp(1)));
+        MachInst(Opcode::NTT, Operand::regOp(1), Operand::regOp(0)));
+    InstShape add = res.decode(MachInst(Opcode::MMAD, Operand::regOp(2),
+                                        Operand::regOp(0), Operand::regOp(1)));
     res.commit(ntt, res.plan(ntt, 0.0));
     res.commit(add, res.plan(add, 0.0));
     res.commit(add, res.plan(add, 0.0));

@@ -23,16 +23,16 @@ loadComputeStore(size_t residue_bytes)
     mp.residueBytes = residue_bytes;
     MachInst ld;
     ld.op = Opcode::LOAD_RES;
-    ld.dest = Operand::regOp(0);
+    ld.setDest(Operand::regOp(0));
     mp.insts.push_back(ld);
     MachInst ntt;
     ntt.op = Opcode::NTT;
-    ntt.dest = Operand::regOp(1);
-    ntt.src0 = Operand::regOp(0);
+    ntt.setDest(Operand::regOp(1));
+    ntt.setSrc0(Operand::regOp(0));
     mp.insts.push_back(ntt);
     MachInst st;
     st.op = Opcode::STORE_RES;
-    st.src0 = Operand::regOp(1);
+    st.setSrc0(Operand::regOp(1));
     mp.insts.push_back(st);
     return mp;
 }
@@ -61,9 +61,9 @@ TEST(Simulator, IndependentOpsOverlapAcrossUnits)
     for (int i = 0; i < 2; ++i) {
         MachInst mi;
         mi.op = Opcode::MMUL;
-        mi.dest = Operand::regOp(2 + i);
-        mi.src0 = Operand::regOp(0);
-        mi.src1 = Operand::regOp(1);
+        mi.setDest(Operand::regOp(2 + i));
+        mi.setSrc0(Operand::regOp(0));
+        mi.setSrc1(Operand::regOp(1));
         mp.insts.push_back(mi);
     }
     SimReport r2 = Simulator(hw).run(mp);
@@ -72,9 +72,9 @@ TEST(Simulator, IndependentOpsOverlapAcrossUnits)
     for (int i = 0; i < 2; ++i) {
         MachInst mi;
         mi.op = Opcode::MMUL;
-        mi.dest = Operand::regOp(4 + i);
-        mi.src0 = Operand::regOp(0);
-        mi.src1 = Operand::regOp(1);
+        mi.setDest(Operand::regOp(4 + i));
+        mi.setSrc0(Operand::regOp(0));
+        mi.setSrc1(Operand::regOp(1));
         mp.insts.push_back(mi);
     }
     SimReport r4 = Simulator(hw).run(mp);
@@ -93,9 +93,9 @@ TEST(Simulator, MacReuseUsesIdleNttUnits)
     for (int i = 0; i < 8; ++i) {
         MachInst mi;
         mi.op = Opcode::MMAC;
-        mi.dest = Operand::regOp(8 + i);
-        mi.src0 = Operand::regOp(0);
-        mi.src1 = Operand::regOp(1);
+        mi.setDest(Operand::regOp(8 + i));
+        mi.setSrc0(Operand::regOp(0));
+        mi.setSrc1(Operand::regOp(1));
         mp.insts.push_back(mi);
     }
     SimReport with = Simulator(hw).run(mp);
@@ -115,13 +115,13 @@ TEST(Simulator, StreamingOperandOverlapsComputeWithTransfer)
     {
         MachInst ld;
         ld.op = Opcode::LOAD_RES;
-        ld.dest = Operand::regOp(0);
+        ld.setDest(Operand::regOp(0));
         mp1.insts.push_back(ld);
         MachInst mul;
         mul.op = Opcode::MMUL;
-        mul.dest = Operand::regOp(2);
-        mul.src0 = Operand::regOp(0);
-        mul.src1 = Operand::regOp(1);
+        mul.setDest(Operand::regOp(2));
+        mul.setSrc0(Operand::regOp(0));
+        mul.setSrc1(Operand::regOp(1));
         mp1.insts.push_back(mul);
     }
     SimReport staged = Simulator(hw).run(mp1);
@@ -132,9 +132,9 @@ TEST(Simulator, StreamingOperandOverlapsComputeWithTransfer)
     {
         MachInst mul;
         mul.op = Opcode::MMUL;
-        mul.dest = Operand::regOp(2);
-        mul.src0 = Operand::stream(0, /*from_dram=*/true);
-        mul.src1 = Operand::regOp(1);
+        mul.setDest(Operand::regOp(2));
+        mul.setSrc0(Operand::stream(0, /*from_dram=*/true));
+        mul.setSrc1(Operand::regOp(1));
         mp2.insts.push_back(mul);
     }
     SimReport streamed = Simulator(hw).run(mp2);
@@ -151,15 +151,15 @@ TEST(Simulator, FifoForwardMatchesProducerConsumer)
     mp.residueBytes = n * 8;
     MachInst prod;
     prod.op = Opcode::MMUL;
-    prod.dest = Operand::stream(7); // FIFO token 7
-    prod.src0 = Operand::regOp(0);
-    prod.src1 = Operand::regOp(1);
+    prod.setDest(Operand::stream(7)); // FIFO token 7
+    prod.setSrc0(Operand::regOp(0));
+    prod.setSrc1(Operand::regOp(1));
     mp.insts.push_back(prod);
     MachInst cons;
     cons.op = Opcode::MMAD;
-    cons.dest = Operand::regOp(2);
-    cons.src0 = Operand::stream(7);
-    cons.src1 = Operand::regOp(1);
+    cons.setDest(Operand::regOp(2));
+    cons.setSrc0(Operand::stream(7));
+    cons.setSrc1(Operand::regOp(1));
     mp.insts.push_back(cons);
     SimReport r = Simulator(hw).run(mp);
     // Consumer starts only after producer finishes: > one op each.
@@ -231,15 +231,15 @@ TEST(SimulatorEquivalence, HandBuiltPrograms)
     fifo.residueBytes = n * 8;
     MachInst prod;
     prod.op = Opcode::MMUL;
-    prod.dest = Operand::stream(7);
-    prod.src0 = Operand::regOp(0);
-    prod.src1 = Operand::regOp(1);
+    prod.setDest(Operand::stream(7));
+    prod.setSrc0(Operand::regOp(0));
+    prod.setSrc1(Operand::regOp(1));
     fifo.insts.push_back(prod);
     MachInst cons;
     cons.op = Opcode::MMAD;
-    cons.dest = Operand::regOp(2);
-    cons.src0 = Operand::stream(7);
-    cons.src1 = Operand::regOp(1);
+    cons.setDest(Operand::regOp(2));
+    cons.setSrc0(Operand::stream(7));
+    cons.setSrc1(Operand::regOp(1));
     fifo.insts.push_back(cons);
     expectEquivalent(hw, fifo);
 
@@ -248,9 +248,9 @@ TEST(SimulatorEquivalence, HandBuiltPrograms)
     for (int i = 0; i < 8; ++i) {
         MachInst mi;
         mi.op = Opcode::MMAC;
-        mi.dest = Operand::regOp(8 + i);
-        mi.src0 = Operand::regOp(0);
-        mi.src1 = Operand::regOp(1);
+        mi.setDest(Operand::regOp(8 + i));
+        mi.setSrc0(Operand::regOp(0));
+        mi.setSrc1(Operand::regOp(1));
         macs.insts.push_back(mi);
     }
     expectEquivalent(hw, macs);
@@ -313,25 +313,25 @@ TEST(Simulator, HbmFloorRefreshCoversEveryGroupAfterDualDramCommit)
 
     MachInst dual; // ADD-class with two DRAM-streamed sources
     dual.op = Opcode::MMAD;
-    dual.dest = Operand::regOp(2);
-    dual.src0 = Operand::stream(0, /*from_dram=*/true);
-    dual.src1 = Operand::stream(1, /*from_dram=*/true);
+    dual.setDest(Operand::regOp(2));
+    dual.setSrc0(Operand::stream(0, /*from_dram=*/true));
+    dual.setSrc1(Operand::stream(1, /*from_dram=*/true));
     mp.insts.push_back(dual);
     MachInst ld; // pure memory group
     ld.op = Opcode::LOAD_RES;
-    ld.dest = Operand::regOp(0);
+    ld.setDest(Operand::regOp(0));
     mp.insts.push_back(ld);
     MachInst fill; // MUL-class streaming-fill group
     fill.op = Opcode::MMUL;
-    fill.dest = Operand::regOp(3);
-    fill.src0 = Operand::stream(2, /*from_dram=*/true);
-    fill.src1 = Operand::regOp(1);
+    fill.setDest(Operand::regOp(3));
+    fill.setSrc0(Operand::stream(2, /*from_dram=*/true));
+    fill.setSrc1(Operand::regOp(1));
     mp.insts.push_back(fill);
     MachInst mac_fill; // steerable-MAC streaming-fill group
     mac_fill.op = Opcode::MMAC;
-    mac_fill.dest = Operand::regOp(4);
-    mac_fill.src0 = Operand::stream(3, /*from_dram=*/true);
-    mac_fill.src1 = Operand::regOp(1);
+    mac_fill.setDest(Operand::regOp(4));
+    mac_fill.setSrc0(Operand::stream(3, /*from_dram=*/true));
+    mac_fill.setSrc1(Operand::regOp(1));
     mp.insts.push_back(mac_fill);
 
     const double mem = double(n * 8) / hw.hbmBytesPerCycle();
@@ -345,18 +345,6 @@ TEST(Simulator, HbmFloorRefreshCoversEveryGroupAfterDualDramCommit)
 }
 
 // --- Dependences resolved as instructions enter the window ---------------
-
-MachInst
-machInst(Opcode op, Operand dest, Operand src0,
-         Operand src1 = Operand::none())
-{
-    MachInst mi;
-    mi.op = op;
-    mi.dest = dest;
-    mi.src0 = src0;
-    mi.src1 = src1;
-    return mi;
-}
 
 /** Checks `mp` against the reference loop at windows 1, 2, 3 and 64. */
 void
@@ -377,10 +365,10 @@ TEST(SimulatorWindowEntry, RegisterReadByMoreInstructionsThanTheWindow)
     // others wait on wake-up entries.
     MachineProgram mp;
     mp.residueBytes = size_t(1) << 19;
-    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(0),
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(0),
                                 Operand::regOp(200)));
     for (int k = 0; k < 80; ++k)
-        mp.insts.push_back(machInst(k % 2 ? Opcode::MMAD : Opcode::MMUL,
+        mp.insts.push_back(MachInst(k % 2 ? Opcode::MMAD : Opcode::MMUL,
                                     Operand::regOp(1 + k),
                                     Operand::regOp(0),
                                     Operand::regOp(201)));
@@ -397,24 +385,24 @@ TEST(SimulatorWindowEntry, RegisterRewrittenWhileOldReadersWait)
     // the cycle count.
     MachineProgram mp;
     mp.residueBytes = size_t(1) << 19;
-    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(20),
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(20),
                                 Operand::regOp(200)));
-    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(0),
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(0),
                                 Operand::regOp(20)));
     for (int k = 0; k < 3; ++k)
-        mp.insts.push_back(machInst(Opcode::MMUL, Operand::regOp(10 + k),
+        mp.insts.push_back(MachInst(Opcode::MMUL, Operand::regOp(10 + k),
                                     Operand::regOp(0), Operand::regOp(0)));
-    mp.insts.push_back(machInst(Opcode::MMAD, Operand::regOp(0),
+    mp.insts.push_back(MachInst(Opcode::MMAD, Operand::regOp(0),
                                 Operand::regOp(202), Operand::regOp(203)));
     for (int k = 0; k < 3; ++k)
-        mp.insts.push_back(machInst(Opcode::AUTO, Operand::regOp(50 + k),
+        mp.insts.push_back(MachInst(Opcode::AUTO, Operand::regOp(50 + k),
                                     Operand::regOp(0)));
     for (int k = 0; k < 12; ++k)
-        mp.insts.push_back(machInst(Opcode::MMAD, Operand::regOp(30 + k),
+        mp.insts.push_back(MachInst(Opcode::MMAD, Operand::regOp(30 + k),
                                     Operand::regOp(204),
                                     Operand::regOp(205)));
     for (int k = 0; k < 3; ++k)
-        mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(61 + k),
+        mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(61 + k),
                                     Operand::regOp(k ? 60 + k : 50)));
     expectEquivalentAcrossWindows(mp);
 }
@@ -428,16 +416,16 @@ TEST(SimulatorWindowEntry, FifoProducerIssuedBeforeItsConsumerEnters)
     // count.
     MachineProgram mp;
     mp.residueBytes = size_t(1) << 19;
-    mp.insts.push_back(machInst(Opcode::MMUL, Operand::stream(7),
+    mp.insts.push_back(MachInst(Opcode::MMUL, Operand::stream(7),
                                 Operand::regOp(100), Operand::regOp(101)));
     for (int k = 0; k < 70; ++k)
-        mp.insts.push_back(machInst(Opcode::MMAD, Operand::regOp(k),
+        mp.insts.push_back(MachInst(Opcode::MMAD, Operand::regOp(k),
                                     Operand::regOp(102),
                                     Operand::regOp(103)));
-    mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(90),
+    mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(90),
                                 Operand::stream(7)));
     for (int k = 0; k < 4; ++k)
-        mp.insts.push_back(machInst(Opcode::NTT, Operand::regOp(91 + k),
+        mp.insts.push_back(MachInst(Opcode::NTT, Operand::regOp(91 + k),
                                     Operand::regOp(90 + k)));
     expectEquivalentAcrossWindows(mp);
 }

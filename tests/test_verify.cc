@@ -12,6 +12,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <functional>
 #include <random>
 #include <string>
@@ -76,21 +78,21 @@ tinyMachine()
     mp.residueBytes = size_t(1) << 12;
     MachInst ld0;
     ld0.op = Opcode::LOAD_RES;
-    ld0.dest = Operand::regOp(0);
+    ld0.setDest(Operand::regOp(0));
     mp.insts.push_back(ld0);
     MachInst ld1;
     ld1.op = Opcode::LOAD_RES;
-    ld1.dest = Operand::regOp(1);
+    ld1.setDest(Operand::regOp(1));
     mp.insts.push_back(ld1);
     MachInst mul;
     mul.op = Opcode::MMUL;
-    mul.dest = Operand::regOp(2);
-    mul.src0 = Operand::regOp(0);
-    mul.src1 = Operand::regOp(1);
+    mul.setDest(Operand::regOp(2));
+    mul.setSrc0(Operand::regOp(0));
+    mul.setSrc1(Operand::regOp(1));
     mp.insts.push_back(mul);
     MachInst st;
     st.op = Opcode::STORE_RES;
-    st.src0 = Operand::regOp(2);
+    st.setSrc0(Operand::regOp(2));
     mp.insts.push_back(st);
     return mp;
 }
@@ -270,25 +272,25 @@ TEST(MachVerifier, ProgramMeta)
 TEST(MachVerifier, RegBounds)
 {
     MachineProgram mp = tinyMachine();
-    mp.insts[2].src0 = Operand::regOp(-1); // the PR 4 class
+    mp.insts[2].setSrc0(Operand::regOp(-1)); // a negative id
     expectOnly(verifyMachine(mp), "mach.reg.bounds");
 
     MachineProgram mp2 = tinyMachine();
-    mp2.insts[2].src1 = Operand::regOp(8); // == numRegs
+    mp2.insts[2].setSrc1(Operand::regOp(8)); // == numRegs
     expectOnly(verifyMachine(mp2), "mach.reg.bounds");
 }
 
 TEST(MachVerifier, RegUninit)
 {
     MachineProgram mp = tinyMachine();
-    mp.insts[2].src1 = Operand::regOp(5); // nothing ever wrote r5
+    mp.insts[2].setSrc1(Operand::regOp(5)); // nothing ever wrote r5
     expectOnly(verifyMachine(mp), "mach.reg.uninit");
 }
 
 TEST(MachVerifier, StreamProducerMissing)
 {
     MachineProgram mp = tinyMachine();
-    mp.insts[2].src0 = Operand::stream(77); // FU FIFO with no producer
+    mp.insts[2].setSrc0(Operand::stream(77)); // FU FIFO with no producer
     expectOnly(verifyMachine(mp), "mach.stream.producer");
 }
 
@@ -298,10 +300,10 @@ TEST(MachVerifier, StreamProducedTwice)
     // duplicated-token shape of the Mac-fusion miscompile this layer
     // was built to catch.
     MachineProgram mp = tinyMachine();
-    mp.insts[0].dest = Operand::stream(7);
-    mp.insts[1].dest = Operand::stream(7);
-    mp.insts[2].src0 = Operand::stream(7);
-    mp.insts[2].src1 = Operand::imm(3);
+    mp.insts[0].setDest(Operand::stream(7));
+    mp.insts[1].setDest(Operand::stream(7));
+    mp.insts[2].setSrc0(Operand::stream(7));
+    mp.insts[2].setSrc1(Operand::imm(3));
     const VerifyReport rep = verifyMachine(mp);
     EXPECT_GE(countRule(rep, "mach.stream.producer"), 1u)
         << rep.toString();
@@ -315,8 +317,8 @@ tinyMachineWithTail()
     MachineProgram mp = tinyMachine();
     MachInst tail;
     tail.op = Opcode::NTT;
-    tail.dest = Operand::regOp(3);
-    tail.src0 = Operand::regOp(2);
+    tail.setDest(Operand::regOp(3));
+    tail.setSrc0(Operand::regOp(2));
     mp.insts.push_back(tail);
     return mp;
 }
@@ -324,40 +326,40 @@ tinyMachineWithTail()
 TEST(MachVerifier, StreamDest)
 {
     MachineProgram mp = tinyMachine();
-    mp.insts[3].dest = Operand::regOp(3); // store with a destination
+    mp.insts[3].setDest(Operand::regOp(3)); // store with a destination
     expectOnly(verifyMachine(mp), "mach.stream.dest");
 
     MachineProgram mp2 = tinyMachineWithTail();
-    mp2.insts[4].dest = Operand::none(); // compute with no destination
+    mp2.insts[4].setDest(Operand::none()); // compute with no destination
     expectOnly(verifyMachine(mp2), "mach.stream.dest");
 
     MachineProgram mp3 = tinyMachineWithTail();
-    mp3.insts[4].dest = Operand::stream(0, /*from_dram=*/true);
+    mp3.insts[4].setDest(Operand::stream(0, /*from_dram=*/true));
     expectOnly(verifyMachine(mp3), "mach.stream.dest");
 
     MachineProgram mp4 = tinyMachineWithTail();
-    mp4.insts[4].dest = Operand::imm(1); // immediate destination
+    mp4.insts[4].setDest(Operand::imm(1)); // immediate destination
     expectOnly(verifyMachine(mp4), "mach.stream.dest");
 }
 
 TEST(MachVerifier, OperandShape)
 {
     MachineProgram mp = tinyMachine();
-    mp.insts[0].src0 = Operand::regOp(1); // load takes no sources
+    mp.insts[0].setSrc0(Operand::regOp(1)); // load takes no sources
     EXPECT_GE(countRule(verifyMachine(mp), "mach.operand.shape"), 1u);
 
     MachineProgram mp2 = tinyMachine();
-    mp2.insts[2].src1 = Operand::none(); // MMUL missing its second source
+    mp2.insts[2].setSrc1(Operand::none()); // MMUL missing its second source
     expectOnly(verifyMachine(mp2), "mach.operand.shape");
 
     // src2 is the MMAC accumulator and nothing else.
     MachineProgram mp3 = tinyMachine();
-    mp3.insts[2].src2 = Operand::regOp(0); // src2 on a MMUL
+    mp3.insts[2].setSrc2(Operand::regOp(0)); // src2 on a MMUL
     expectOnly(verifyMachine(mp3), "mach.operand.shape");
 
     MachineProgram mp4 = tinyMachine();
     mp4.insts[2].op = Opcode::MMAC;
-    mp4.insts[2].src2 = Operand::imm(3); // immediate accumulator
+    mp4.insts[2].setSrc2(Operand::imm(3)); // immediate accumulator
     expectOnly(verifyMachine(mp4), "mach.operand.shape");
 }
 
@@ -365,13 +367,13 @@ TEST(MachVerifier, MmacAccumulatorReadsAreChecked)
 {
     MachineProgram mp = tinyMachine();
     mp.insts[2].op = Opcode::MMAC;
-    mp.insts[2].src2 = Operand::regOp(6); // r6 never written
+    mp.insts[2].setSrc2(Operand::regOp(6)); // r6 never written
     expectOnly(verifyMachine(mp), "mach.reg.uninit");
 
     // A written accumulator register is fine.
     MachineProgram ok = tinyMachine();
     ok.insts[2].op = Opcode::MMAC;
-    ok.insts[2].src2 = Operand::regOp(1);
+    ok.insts[2].setSrc2(Operand::regOp(1));
     EXPECT_TRUE(verifyMachine(ok).ok());
 }
 
@@ -401,12 +403,51 @@ TEST(MachVerifier, MemAlign)
     // The regalloc lays objects and spill slots out in whole-residue
     // units; a mid-residue HBM address is a layout bug.
     MachineProgram mp = tinyMachine();
-    mp.insts[0].hbmAddr = mp.residueBytes + 17;
+    mp.insts[0].setHbmAddr(mp.residueBytes + 17);
     expectOnly(verifyMachine(mp), "mach.mem.align");
 
     MachineProgram ok = tinyMachine();
-    ok.insts[0].hbmAddr = 4 * ok.residueBytes; // aligned: clean
+    ok.insts[0].setHbmAddr(4 * ok.residueBytes); // aligned: clean
     EXPECT_TRUE(verifyMachine(ok).ok());
+}
+
+TEST(MachVerifier, NegativeRegisterIdsKeepTheirRule)
+{
+    for (int r : {-1, INT_MIN}) {
+        MachineProgram mp = tinyMachine();
+        mp.insts[2].setSrc0(Operand::regOp(r));
+        EXPECT_EQ(mp.insts[2].src0().reg, r);
+        expectOnly(verifyMachine(mp), "mach.reg.bounds");
+    }
+}
+
+TEST(MachVerifier, HbmAddressesPast32Bits)
+{
+    // The spill area of bootstrapping at the baseline preset and 13 MB
+    // of SRAM reaches 42 GiB.
+    const u64 far = u64(42) << 30;
+    MachineProgram ok = tinyMachine();
+    ok.insts[0].setHbmAddr(far);
+    ok.insts[3].setHbmAddr(far + ok.residueBytes);
+    EXPECT_EQ(ok.insts[0].hbmAddr(), far);
+    EXPECT_TRUE(verifyMachine(ok).ok());
+
+    MachineProgram mp = tinyMachine();
+    mp.insts[0].setHbmAddr(far + mp.residueBytes / 2);
+    expectOnly(verifyMachine(mp), "mach.mem.align");
+}
+
+TEST(MachVerifier, LargestFifoTokenIsTracked)
+{
+    // Verified only: the dependence resolver's token table is dense, so
+    // this program is not simulated.
+    MachineProgram mp = tinyMachine();
+    mp.insts[2].setDest(Operand::stream(UINT32_MAX));
+    mp.insts[3].setSrc0(Operand::stream(UINT32_MAX));
+    EXPECT_TRUE(verifyMachine(mp).ok());
+
+    mp.insts[3].setSrc0(Operand::stream(UINT32_MAX - 1));
+    expectOnly(verifyMachine(mp), "mach.stream.producer");
 }
 
 TEST(MachVerifier, MemOrder)
@@ -424,7 +465,7 @@ TEST(MachVerifier, MemOrder)
     mp2.insts[3].irId = 9; // store of v9 at address 0
     MachInst ld;
     ld.op = Opcode::LOAD_RES;
-    ld.dest = Operand::regOp(4);
+    ld.setDest(Operand::regOp(4));
     ld.irId = 4; // IR-earlier load issued after it
     mp2.insts.push_back(ld);
     expectOnly(verifyMachine(mp2), "mach.mem.order");
@@ -482,7 +523,7 @@ TEST(MachVerifier, InjectedBadRegisterIsCaughtWithTheRightRule)
     MachineProgram mp = compiler.compile(prog);
     ASSERT_FALSE(mp.insts.empty());
     // Re-inject the bug shape into the compiled program.
-    mp.insts[0].dest = Operand::regOp(-1);
+    mp.insts[0].setDest(Operand::regOp(-1));
     EXPECT_GE(countRule(verifyMachine(mp), "mach.reg.bounds"), 1u);
 }
 
@@ -529,11 +570,13 @@ TEST(MachVerifierDeathTest, DepGraphNamesTheMalformedInstruction)
     // The consumer-side guard: DepGraph::fromMachine on a corrupted
     // program dies with a diagnostic naming the instruction and the
     // violated rule, not a bare assert (let alone a segfault).
-    MachineProgram mp = tinyMachine();
-    mp.insts[2].dest = Operand::regOp(-1);
-    EXPECT_DEATH(DepGraph::fromMachine(mp),
-                 "destination register id is negative");
-    EXPECT_DEATH(DepGraph::fromMachine(mp), "mach.reg.bounds");
+    for (int r : {-1, INT_MIN}) {
+        MachineProgram mp = tinyMachine();
+        mp.insts[2].setDest(Operand::regOp(r));
+        EXPECT_DEATH(DepGraph::fromMachine(mp),
+                     "destination register id is negative");
+        EXPECT_DEATH(DepGraph::fromMachine(mp), "mach.reg.bounds");
+    }
 }
 
 TEST(MachVerifierDeathTest, SimulatorNamesTheMalformedInstruction)
@@ -541,7 +584,7 @@ TEST(MachVerifierDeathTest, SimulatorNamesTheMalformedInstruction)
     // The simulator resolves dependences as instructions enter its
     // window and reaches the same guard.
     MachineProgram mp = tinyMachine();
-    mp.insts[2].dest = Operand::regOp(-1);
+    mp.insts[2].setDest(Operand::regOp(-1));
     const HardwareConfig hw = HardwareConfig::asicEffact27();
     EXPECT_DEATH(Simulator(hw).run(mp),
                  "destination register id is negative");
@@ -751,38 +794,36 @@ TEST(CorruptionFuzz, EveryInjectedMachineDefectIsCaught)
         switch (round % 8) {
           case 0: { // the PR 4 class: negative register id
             int i = pick([](const MachInst &x) {
-                return x.dest.kind == OperandKind::Reg;
+                return x.dest().kind == OperandKind::Reg;
             });
-            mp.insts[i].dest.reg = -1;
+            mp.insts[i].setDest(Operand::regOp(-1));
             break;
           }
           case 1: { // register id past the file
             int i = pick([](const MachInst &x) {
-                return x.src0.kind == OperandKind::Reg;
+                return x.src0().kind == OperandKind::Reg;
             });
-            mp.insts[i].src0.reg = regs + static_cast<int>(rng() % 8);
+            mp.insts[i].setSrc0(
+                Operand::regOp(regs + static_cast<int>(rng() % 8)));
             break;
           }
           case 2: { // compute instruction loses its destination
             int i = pick([](const MachInst &x) {
                 return x.op != Opcode::STORE_RES;
             });
-            mp.insts[i].dest = Operand::none();
+            mp.insts[i].setDest(Operand::none());
             break;
           }
-          case 3: { // FIFO consumer with no producer
-            int i = pick([](const MachInst &x) {
-                return x.op != Opcode::LOAD_RES &&
-                       x.op != Opcode::STORE_RES;
-            });
-            mp.insts[i].src0 = Operand::stream(u64(1) << 40);
+          case 3: { // FIFO consumer with no producer (the largest token)
+            int i = pick([](const MachInst &x) { return !x.isMemoryOp(); });
+            mp.insts[i].setSrc0(Operand::stream(UINT32_MAX));
             break;
           }
           case 4: { // src2 outside MMAC
             int i = pick([](const MachInst &x) {
                 return x.op != Opcode::MMAC;
             });
-            mp.insts[i].src2 = Operand::regOp(0);
+            mp.insts[i].setSrc2(Operand::regOp(0));
             break;
           }
           case 5: { // scratch pool outside the clamp
@@ -790,29 +831,26 @@ TEST(CorruptionFuzz, EveryInjectedMachineDefectIsCaught)
             break;
           }
           case 6: { // mid-residue HBM address on a memory access
-            int i = pick([](const MachInst &x) {
-                return x.op == Opcode::LOAD_RES ||
-                       x.op == Opcode::STORE_RES;
-            });
-            mp.insts[i].hbmAddr +=
-                1 + rng() % (base.residueBytes - 1);
+            int i = pick([](const MachInst &x) { return x.isMemoryOp(); });
+            mp.insts[i].setHbmAddr(mp.insts[i].hbmAddr() + 1 +
+                                   rng() % (base.residueBytes - 1));
             break;
           }
           default: { // reload issued before the IR-ordered spill store
             int i = pick([](const MachInst &x) {
-                return x.dest.kind == OperandKind::Reg;
+                return x.dest().kind == OperandKind::Reg;
             });
             const u64 addr = u64(n + 100) * base.residueBytes;
             MachInst st;
             st.op = Opcode::STORE_RES;
-            st.src0 = base.insts[i].dest;
-            st.hbmAddr = addr;
+            st.setSrc0(base.insts[i].dest());
+            st.setHbmAddr(addr);
             st.irId = 5;
             mp.insts.push_back(st);
             MachInst ld;
             ld.op = Opcode::LOAD_RES;
-            ld.dest = base.insts[i].dest;
-            ld.hbmAddr = addr;
+            ld.setDest(base.insts[i].dest());
+            ld.setHbmAddr(addr);
             ld.irId = 4; // IR-before the store it follows
             mp.insts.push_back(ld);
             break;

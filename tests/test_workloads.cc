@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/workloads.h"
 
 namespace effact {
@@ -102,6 +104,43 @@ TEST(Workloads, KeySwitchOpCountsScaleWithDnum)
     // (2 * dnum * (l + alpha) residues); total compute is NOT monotone
     // in dnum because alpha shrinks as dnum grows.
     EXPECT_GT(loadCount(p4), loadCount(p2));
+}
+
+/** Residues of the object named `name` in `prog` (-1 if absent). */
+int
+objectResidues(const IrProgram &prog, const std::string &name)
+{
+    for (const MemObject &o : prog.objects)
+        if (o.name == name)
+            return o.residues;
+    return -1;
+}
+
+TEST(Workloads, ResNet20InputFitsTheQChain)
+{
+    // The activations enter at level 20, or at the top of a shorter Q
+    // chain: at 18 and 19 levels (both at or above kResNet20MinLevels)
+    // a level-20 input would carry more limbs than there are primes.
+    for (size_t levels : {size_t(18), size_t(19), size_t(24)}) {
+        SCOPED_TRACE(levels);
+        FheParams fhe = paperParams();
+        fhe.levels = levels;
+        const Workload w = buildResNet20(fhe);
+        checkWellFormed(w.program);
+        const size_t level = std::min<size_t>(20, levels);
+        EXPECT_EQ(objectResidues(w.program, "activations"),
+                  static_cast<int>(2 * level));
+    }
+}
+
+TEST(WorkloadsDeathTest, InputCiphertextAboveTheQChainIsRejected)
+{
+    FheParams fhe = paperParams();
+    fhe.levels = 18;
+    IrProgram prog;
+    KernelBuilder kb(prog, fhe);
+    EXPECT_DEATH(kb.inputCiphertext("x", 19),
+                 "level 19 exceeds the 18-prime Q chain");
 }
 
 TEST(Workloads, RescaleCostsLinearInLevel)
