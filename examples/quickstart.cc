@@ -63,7 +63,6 @@ main()
     kb.output("xy", kb.rescale(kb.hmult(x, y, evk)));
 
     Workload w;
-    w.fhe = fhe;
     w.program = std::move(prog);
 
     HardwareConfig hw = HardwareConfig::asicEffact27();

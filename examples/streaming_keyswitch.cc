@@ -21,7 +21,6 @@ keySwitchWorkload()
     fhe.levels = 12;
     fhe.dnum = 4;
     Workload w;
-    w.fhe = fhe;
     w.program.name = "keyswitch_toy";
     KernelBuilder kb(w.program, fhe);
     int evk = kb.switchingKeyObject("evk");

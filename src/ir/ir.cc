@@ -142,7 +142,6 @@ fingerprint(const IrProgram &prog)
 {
     WordHash h;
     h.mix(prog.degree);
-    h.mix(prog.lanes);
     h.mix(prog.objects.size());
     for (const MemObject &obj : prog.objects) {
         h.mix(static_cast<u64>(static_cast<int64_t>(obj.residues)));

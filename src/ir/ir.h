@@ -98,7 +98,6 @@ struct IrProgram
 {
     std::string name;
     size_t degree = 0;   ///< ring degree N
-    size_t lanes = 0;    ///< vector lanes (informational)
     std::vector<IrInst> insts;
     std::vector<MemObject> objects;
 
@@ -209,7 +208,7 @@ std::string display(const IrInst &inst);
 
 /**
  * Order-sensitive 64-bit fingerprint over the instruction stream and
- * the semantic program metadata (degree, lanes, object shapes): the
+ * the semantic program metadata (degree, object shapes): the
  * word-wise `WordHash` of `common/hash.h` (one FNV-1a step per field
  * plus a splitmix64 finalizer), shared with `isa`'s
  * `fingerprint(MachineProgram)`. Two programs fingerprint equal iff

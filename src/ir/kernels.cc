@@ -27,7 +27,6 @@ KernelBuilder::KernelBuilder(IrProgram &prog, const FheParams &params)
     : b_(prog), p_(params)
 {
     prog.degree = params.degree();
-    prog.lanes = params.lanes;
 }
 
 IrCt
@@ -234,7 +233,7 @@ KernelBuilder::rotate(const IrCt &ct, u64 elt, int gk)
 
 IrCt
 KernelBuilder::linearTransform(const IrCt &ct, size_t diags, size_t n1,
-                               int plain_obj, int gk_obj, int)
+                               int plain_obj, int gk_obj)
 {
     EFFACT_ASSERT(n1 >= 1 && diags >= 1, "invalid BSGS split");
     const size_t n2 = (diags + n1 - 1) / n1;

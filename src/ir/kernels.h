@@ -21,7 +21,6 @@ struct FheParams
     size_t logN = 16;  ///< ring degree 2^logN
     size_t levels = 24;///< Q-chain length L
     size_t dnum = 4;   ///< key-switching digits
-    size_t lanes = 1024; ///< hardware vector lanes (informational)
 
     size_t degree() const { return size_t(1) << logN; }
     size_t alpha() const { return (levels + dnum - 1) / dnum; }
@@ -92,7 +91,7 @@ class KernelBuilder
      * into n1 baby x n2 giant; consumes one level (includes rescale).
      */
     IrCt linearTransform(const IrCt &ct, size_t diags, size_t n1,
-                         int plain_obj, int gk_obj, int evk_unused = -1);
+                         int plain_obj, int gk_obj);
 
     /**
      * Homomorphic polynomial evaluation of `degree` via BSGS with
@@ -108,7 +107,6 @@ class KernelBuilder
   private:
     IrBuilder b_;
     FheParams p_;
-    int fresh_ = 0; ///< unique-name counter
 };
 
 } // namespace effact

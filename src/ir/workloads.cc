@@ -8,6 +8,9 @@
 
 namespace effact {
 
+namespace {
+
+/** Emits the ModRaise data movement + broadcast NTTs. */
 IrCt
 emitModRaise(KernelBuilder &kb, const std::string &name)
 {
@@ -30,8 +33,6 @@ emitModRaise(KernelBuilder &kb, const std::string &name)
     return out;
 }
 
-namespace {
-
 /** Per-stage diagonal count for a radix-factored DFT over `slots`. */
 size_t
 stageDiags(size_t slots, size_t stages)
@@ -43,13 +44,57 @@ stageDiags(size_t slots, size_t stages)
     return std::max<size_t>(d, 3);
 }
 
+/**
+ * `stages` radix stages of the `slots`-point DFT (CtS or StC), one
+ * level each: a BSGS linear transform per stage over its own diagonal
+ * object `<prefix><stage>`.
+ */
+IrCt
+emitDftStages(KernelBuilder &kb, IrCt ct, size_t slots, size_t stages,
+              const std::string &prefix, int gk)
+{
+    const size_t diags = stageDiags(slots, stages);
+    for (size_t s = 0; s < stages; ++s) {
+        const int diag_obj = kb.plainObject(
+            prefix + std::to_string(s), static_cast<int>(diags * ct.level));
+        ct = kb.linearTransform(ct, diags, babyFor(diags), diag_obj, gk);
+    }
+    return ct;
+}
+
+/** EvalMod's sine approximation: Chebyshev degree and baby steps. */
+constexpr size_t kSineDegree = 255;
+constexpr size_t kSineBabySteps = 16;
+
+/** EvalMod: the modulus-ratio multiply, its rescale and the sine
+ *  polynomial, the 10 levels `BootstrapBudget::levels()` counts. */
+IrCt
+emitEvalMod(KernelBuilder &kb, const IrCt &ct, int evk)
+{
+    return kb.polyEval(kb.rescale(kb.multImm(ct, 9)), kSineDegree,
+                       kSineBabySteps, evk);
+}
+
+/** The bootstrap HELR and ResNet-20 embed: ModRaise of the level-1
+ *  input object `in`, CtS, one EvalMod and StC, stored to `out`. */
+void
+emitEmbeddedBootstrap(KernelBuilder &kb, const BootstrapBudget &budget,
+                      const std::string &in, const std::string &out,
+                      int evk, int gk)
+{
+    IrCt ct = emitDftStages(kb, emitModRaise(kb, in), budget.slots,
+                            budget.levelsCtS, "cts_diag_", gk);
+    ct = emitEvalMod(kb, ct, evk);
+    kb.output(out, emitDftStages(kb, ct, budget.slots, budget.levelsStC,
+                                 "stc_diag_", gk));
+}
+
 } // namespace
 
 Workload
 buildBootstrapping(const FheParams &fhe, const BootstrapBudget &budget)
 {
     Workload w;
-    w.fhe = fhe;
     // T_A.S. divisor: slots x (L - L_boot), L_boot = CtS+EvalMod+StC.
     w.amortizeFactor = double(budget.slots) *
                        double(fhe.levels - (budget.levelsCtS + 8 + budget.levelsStC));
@@ -60,39 +105,19 @@ buildBootstrapping(const FheParams &fhe, const BootstrapBudget &budget)
     int gk = kb.switchingKeyObject("galois_keys");
     int conj_key = kb.switchingKeyObject("conj_key");
 
-    IrCt ct = emitModRaise(kb, "ct_in");
-
-    // CtS: levelsCtS radix stages on the packed ciphertext, then the
-    // conjugation pair producing the (lo, hi) halves.
-    const size_t cts_diags = stageDiags(budget.slots, budget.levelsCtS);
-    for (size_t s = 0; s < budget.levelsCtS; ++s) {
-        int diag_obj = kb.plainObject(
-            "cts_diag_" + std::to_string(s),
-            static_cast<int>(cts_diags * ct.level));
-        ct = kb.linearTransform(ct, cts_diags, babyFor(cts_diags),
-                                diag_obj, gk);
-    }
+    // CtS on the packed ciphertext, then the conjugation pair producing
+    // the (lo, hi) halves.
+    IrCt ct = emitDftStages(kb, emitModRaise(kb, "ct_in"), budget.slots,
+                            budget.levelsCtS, "cts_diag_", gk);
     IrCt conj = kb.rotate(ct, 2 * fhe.degree() - 1, conj_key);
     IrCt lo = kb.hadd(ct, conj);
     IrCt hi = kb.hadd(ct, conj); // structurally identical (subtract path)
 
-    // EvalMod on both halves.
-    IrCt lo2 = kb.polyEval(kb.rescale(kb.multImm(lo, 9)),
-                           budget.sineDegree, budget.babySteps, evk);
-    IrCt hi2 = kb.polyEval(kb.rescale(kb.multImm(hi, 9)),
-                           budget.sineDegree, budget.babySteps, evk);
-
-    // StC stages, then merge the halves.
-    const size_t stc_diags = stageDiags(budget.slots, budget.levelsStC);
-    IrCt merged = kb.hadd(lo2, hi2);
-    for (size_t s = 0; s < budget.levelsStC; ++s) {
-        int diag_obj = kb.plainObject(
-            "stc_diag_" + std::to_string(s),
-            static_cast<int>(stc_diags * merged.level));
-        merged = kb.linearTransform(merged, stc_diags,
-                                    babyFor(stc_diags), diag_obj, gk);
-    }
-    kb.output("ct_out", merged);
+    // EvalMod on both halves, then StC on their merge.
+    IrCt lo2 = emitEvalMod(kb, lo, evk);
+    IrCt hi2 = emitEvalMod(kb, hi, evk);
+    kb.output("ct_out", emitDftStages(kb, kb.hadd(lo2, hi2), budget.slots,
+                                      budget.levelsStC, "stc_diag_", gk));
     return w;
 }
 
@@ -103,7 +128,6 @@ buildHelr(const FheParams &fhe)
     // HELR performs 256-slot bootstrapping every two iterations); the
     // repeat factor amortizes to a single iteration.
     Workload w;
-    w.fhe = fhe;
     w.amortizeFactor = 256.0;
     w.program.name = "helr";
 
@@ -131,36 +155,9 @@ buildHelr(const FheParams &fhe)
         weights = kb.hadd(kb.rescale(kb.multImm(weights, 17)), scaled);
     }
 
-    // 256-slot bootstrapping budget (Table III row 2): CtS 3, StC 2.
-    BootstrapBudget small;
-    small.slots = 256;
-    small.levelsCtS = 3;
-    small.levelsStC = 2;
-    small.sineDegree = 255;
-    small.babySteps = 16;
-
     // Re-enter the bootstrap pipeline on the (now low-level) weights.
-    KernelBuilder kb2(w.program, fhe);
-    IrCt raised = emitModRaise(kb2, "weights_boot");
-    const size_t cts_diags = stageDiags(small.slots, small.levelsCtS);
-    for (size_t s = 0; s < small.levelsCtS; ++s) {
-        int diag_obj = kb2.plainObject(
-            "helr_cts_" + std::to_string(s),
-            static_cast<int>(cts_diags * raised.level));
-        raised = kb2.linearTransform(raised, cts_diags,
-                                     babyFor(cts_diags), diag_obj, gk);
-    }
-    IrCt em = kb2.polyEval(kb2.rescale(kb2.multImm(raised, 9)),
-                           small.sineDegree, small.babySteps, evk);
-    const size_t stc_diags = stageDiags(small.slots, small.levelsStC);
-    for (size_t s = 0; s < small.levelsStC; ++s) {
-        int diag_obj = kb2.plainObject(
-            "helr_stc_" + std::to_string(s),
-            static_cast<int>(stc_diags * em.level));
-        em = kb2.linearTransform(em, stc_diags, babyFor(stc_diags),
-                                 diag_obj, gk);
-    }
-    kb2.output("weights_out", em);
+    emitEmbeddedBootstrap(kb, kHelrBootstrapBudget, "weights_boot",
+                          "weights_out", evk, gk);
 
     w.repeat = 0.5; // program covers two iterations; report one
     return w;
@@ -173,7 +170,6 @@ buildResNet20(const FheParams &fhe)
     // with 3x3 kernels over packed channels), a degree-27 activation,
     // and one bootstrapping. ResNet-20 ~ 10 such segments.
     Workload w;
-    w.fhe = fhe;
     w.amortizeFactor = double(size_t(1) << 15);
     w.program.name = "resnet20";
 
@@ -191,30 +187,8 @@ buildResNet20(const FheParams &fhe)
         act = kb.polyEval(act, 27, 8, evk); // ReLU approximation
     }
 
-    BootstrapBudget full;
-    full.levelsCtS = 4;
-    full.levelsStC = 3;
-    KernelBuilder kb2(w.program, fhe);
-    IrCt raised = emitModRaise(kb2, "act_boot");
-    const size_t cts_diags = stageDiags(full.slots, full.levelsCtS);
-    for (size_t s = 0; s < full.levelsCtS; ++s) {
-        int diag_obj = kb2.plainObject(
-            "rn_cts_" + std::to_string(s),
-            static_cast<int>(cts_diags * raised.level));
-        raised = kb2.linearTransform(raised, cts_diags,
-                                     babyFor(cts_diags), diag_obj, gk);
-    }
-    IrCt em = kb2.polyEval(kb2.rescale(kb2.multImm(raised, 9)),
-                           full.sineDegree, full.babySteps, evk);
-    const size_t stc_diags = stageDiags(full.slots, full.levelsStC);
-    for (size_t s = 0; s < full.levelsStC; ++s) {
-        int diag_obj = kb2.plainObject(
-            "rn_stc_" + std::to_string(s),
-            static_cast<int>(stc_diags * em.level));
-        em = kb2.linearTransform(em, stc_diags, babyFor(stc_diags),
-                                 diag_obj, gk);
-    }
-    kb2.output("act_out", em);
+    emitEmbeddedBootstrap(kb, BootstrapBudget{}, "act_boot", "act_out", evk,
+                          gk);
 
     w.repeat = 10.0; // 20 layers + ~10 bootstraps
     return w;
@@ -231,7 +205,6 @@ buildDbLookup(const FheParams &fhe, size_t records)
     bgv.logN = 13;
     bgv.levels = 3;
     bgv.dnum = 1;
-    w.fhe = bgv;
     w.amortizeFactor = double(bgv.degree());
     w.program.name = "dblookup";
 
@@ -265,16 +238,14 @@ Workload
 buildRotationBatch(const FheParams &fhe, size_t chains, size_t hops)
 {
     Workload w;
-    FheParams p = fhe;
-    w.fhe = p;
-    w.amortizeFactor = double(p.degree());
+    w.amortizeFactor = double(fhe.degree());
     w.program.name = "rotbatch";
 
-    KernelBuilder kb(w.program, p);
+    KernelBuilder kb(w.program, fhe);
     IrBuilder &b = kb.builder();
     const int gk = kb.switchingKeyObject("galois_keys");
-    IrCt ct = kb.inputCiphertext("ct", p.levels);
-    const u64 two_n = u64(p.degree()) * 2;
+    IrCt ct = kb.inputCiphertext("ct", fhe.levels);
+    const u64 two_n = u64(fhe.degree()) * 2;
 
     // Paired generators (g, g^2): chain 2k steps by g and accumulates
     // every second hop, chain 2k+1 steps by g^2 and accumulates every
@@ -317,7 +288,6 @@ buildTfheBootstrap()
     p.logN = 13;
     p.levels = 2; // l = 2 decomposition digits as limbs
     p.dnum = 1;
-    w.fhe = p;
     w.amortizeFactor = 1.0;
     w.program.name = "tfhe_bootstrap";
 
@@ -376,6 +346,43 @@ buildAllBenchmarks(const FheParams &fhe)
     out.emplace_back("HELR", buildHelr(fhe));
     out.emplace_back("Bootstrapping", buildBootstrapping(fhe));
     return out;
+}
+
+const std::vector<WorkloadKind> &
+workloadKinds()
+{
+    // The paper kinds assume realistic CKKS parameters (logN >= 13) and
+    // need their bootstrap's depth plus the level its output keeps. The
+    // small kinds take toy parameters: dblookup overwrites logN, levels
+    // and dnum, and tfhe reads no `FheParams` field.
+    static const std::vector<WorkloadKind> kinds = {
+        {"bootstrap", 13, BootstrapBudget{}.levels() + 1, 0,
+         [](const FheParams &fhe, uint64_t) {
+             BootstrapBudget budget; // below logN 16, N/2 < 2^15 slots
+             budget.slots = std::min(budget.slots, fhe.degree() / 2);
+             return buildBootstrapping(fhe, budget);
+         }},
+        {"helr", 13, kHelrBootstrapBudget.levels() + 1, 0,
+         [](const FheParams &fhe, uint64_t) { return buildHelr(fhe); }},
+        {"resnet20", 13, BootstrapBudget{}.levels() + 1, 0,
+         [](const FheParams &fhe, uint64_t) { return buildResNet20(fhe); }},
+        {"dblookup", 8, 1, uint64_t(1) << 16,
+         [](const FheParams &fhe, uint64_t records) {
+             return buildDbLookup(fhe, records == 0 ? 256 : records);
+         }},
+        {"tfhe", 8, 1, 0,
+         [](const FheParams &, uint64_t) { return buildTfheBootstrap(); }},
+    };
+    return kinds;
+}
+
+const WorkloadKind *
+findWorkloadKind(const std::string &name)
+{
+    for (const WorkloadKind &kind : workloadKinds())
+        if (name == kind.name)
+            return &kind;
+    return nullptr;
 }
 
 } // namespace effact

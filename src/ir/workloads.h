@@ -6,7 +6,10 @@
  * polynomial IR program at paper-scale parameters plus a `repeat`
  * factor: the simulated runtime of the program times `repeat` is the
  * full-benchmark runtime (the paper similarly scales measured segments,
- * Sec. V-C).
+ * Sec. V-C). The three CKKS benchmarks emit their bootstrap through one
+ * CtS/StC stage emitter and one EvalMod emitter, at one of Table III's
+ * two `BootstrapBudget`s. `workloadKinds()` is the service's table of
+ * the five kinds: each kind's parameter floor beside its builder.
  */
 #ifndef EFFACT_IR_WORKLOADS_H
 #define EFFACT_IR_WORKLOADS_H
@@ -23,34 +26,29 @@ struct Workload
     /** Divisor for amortized-time reporting: slots x (L - L_boot), the
      *  standard T_A.S. definition of [30]. */
     double amortizeFactor = 1.0;
-    FheParams fhe;
 };
 
-/** Bootstrapping stage budget (Table III). */
+/** Bootstrapping stage budget (Table III): the slots and the levels
+ *  the CtS and StC transforms take. */
 struct BootstrapBudget
 {
     size_t slots = size_t(1) << 15;
     size_t levelsCtS = 4;
     size_t levelsStC = 3;
-    size_t sineDegree = 255;
-    size_t babySteps = 16;
+
+    /** Levels one bootstrap consumes: CtS, EvalMod's 10 (its `multImm`
+     *  rescale and the degree-255 sine polynomial's 9) and StC. The
+     *  output sits at level `fhe.levels - levels()`. */
+    constexpr size_t levels() const { return levelsCtS + 10 + levelsStC; }
 };
+
+/** Table III row 2: the sparse 256-slot bootstrap HELR embeds. Row 1,
+ *  the fully packed one, is the `BootstrapBudget` default. */
+constexpr BootstrapBudget kHelrBootstrapBudget{256, 3, 2};
 
 /** Fully-packed CKKS bootstrapping (Table III row 1). */
 Workload buildBootstrapping(const FheParams &fhe,
                             const BootstrapBudget &budget = {});
-
-/**
- * Fewest `fhe.levels` each paper-scale builder runs at; below it the
- * builder runs out of levels to rescale and panics. After ModRaise,
- * CtS, EvalMod (10 levels, the `multImm` rescale included) and StC
- * must leave the output at level >= 1: 4 + 10 + 3 levels for
- * buildBootstrapping (default budget) and buildResNet20, 3 + 10 + 2 for
- * buildHelr's 256-slot bootstrap. Neither logN nor dnum moves them.
- */
-constexpr size_t kBootstrappingMinLevels = 18;
-constexpr size_t kHelrMinLevels = 16;
-constexpr size_t kResNet20MinLevels = 18;
 
 /** One HELR training iteration pair + its 256-slot bootstrapping. */
 Workload buildHelr(const FheParams &fhe);
@@ -82,12 +80,31 @@ Workload buildTfheBootstrap();
 Workload buildRotationBatch(const FheParams &fhe, size_t chains = 4,
                             size_t hops = 8);
 
-/** Emits the ModRaise data movement + broadcast NTTs. */
-IrCt emitModRaise(KernelBuilder &kb, const std::string &name);
-
 /** All four paper benchmarks keyed by name (for Fig. 3). */
 std::vector<std::pair<std::string, Workload>> buildAllBenchmarks(
     const FheParams &fhe);
+
+/**
+ * A workload kind the service builds by name, with its builder's
+ * parameter contract: the smallest `fhe.logN` and `fhe.levels` it
+ * builds at (a paper kind needs its bootstrap's `levels() + 1`; below
+ * that the builder runs out of levels to rescale and panics), and the
+ * largest kind-specific `param` it reads (0: it reads none).
+ */
+struct WorkloadKind
+{
+    const char *name;
+    size_t minLogN;
+    size_t minLevels;
+    uint64_t maxParam;
+    Workload (*build)(const FheParams &fhe, uint64_t param);
+};
+
+/** The five service kinds: bootstrap, helr, resnet20, dblookup, tfhe. */
+const std::vector<WorkloadKind> &workloadKinds();
+
+/** The kind named `name`, or nullptr if there is none. */
+const WorkloadKind *findWorkloadKind(const std::string &name);
 
 } // namespace effact
 

@@ -269,10 +269,8 @@ encodeRequest(const ServiceRequest &req)
     putU64(buf, req.fhe.logN);
     putU64(buf, req.fhe.levels);
     putU64(buf, req.fhe.dnum);
-    putU64(buf, req.fhe.lanes);
     putU64(buf, req.param);
-    // Hardware design point, every field.
-    putString(buf, req.hw.name);
+    // Hardware design point, every field but the display label `name`.
     putU64(buf, req.hw.lanes);
     putF64(buf, req.hw.freqGhz);
     putU64(buf, req.hw.sramBytes);
@@ -307,9 +305,7 @@ decodeRequest(const std::vector<uint8_t> &payload, ServiceRequest *out,
     req.fhe.logN = size_t(r.u64());
     req.fhe.levels = size_t(r.u64());
     req.fhe.dnum = size_t(r.u64());
-    req.fhe.lanes = size_t(r.u64());
     req.param = r.u64();
-    req.hw.name = r.str();
     req.hw.lanes = size_t(r.u64());
     req.hw.freqGhz = r.f64();
     req.hw.sramBytes = size_t(r.u64());

@@ -47,11 +47,11 @@ namespace effact {
 
 /** 'E','F','C','T' read as a little-endian u32. */
 constexpr uint32_t kFrameMagic = 0x54434645u;
-/** v4: request payloads select passes by the pipeline spec alone (no
- *  sweep bound: the fixed point's bound is a compiler constant) and
- *  carry each back-end policy (`CompilerOptions::scheduler` /
+/** v5: request payloads drop v4's `fhe.lanes` and `hw.name`, which
+ *  changed no answer. As in v4, they select passes by the pipeline spec
+ *  alone and carry each back-end policy (`CompilerOptions::scheduler` /
  *  `::regalloc`) as a one-byte enum code after `fifoDepth`. */
-constexpr uint16_t kProtocolVersion = 4;
+constexpr uint16_t kProtocolVersion = 5;
 /** Hard payload bound: a request or result is a few KB; anything
  *  megabytes-large is garbage and refused before allocation. */
 constexpr uint32_t kMaxFramePayload = 1u << 20;
@@ -107,16 +107,17 @@ FrameDecodeStatus decodeFrame(const uint8_t *data, size_t size, Frame *out,
  * name + scheme parameters), the hardware design point, and the
  * compiler options. `hw.sramBytes` / `hw.issueWindow` are authoritative
  * — `Platform` overwrites the corresponding `CompilerOptions` fields,
- * exactly as in batch mode.
+ * exactly as in batch mode. `hw.name` is a display label and is not on
+ * the wire.
  */
 struct ServiceRequest
 {
     uint64_t tag = 0;      ///< client-chosen id, echoed in the result
     std::string name;      ///< display name, echoed in the result
-    std::string workload;  ///< kind: dblookup|bootstrap|helr|resnet20|tfhe
+    std::string workload;  ///< a `workloadKinds()` name (ir/workloads.h)
     FheParams fhe;         ///< scheme parameters for the builder
-    uint64_t param = 0;    ///< kind-specific knob (dblookup: records;
-                           ///< 0 = the builder's default)
+    uint64_t param = 0;    ///< kind-specific knob, at most the kind's
+                           ///< `maxParam` (dblookup: records, 0 = 256)
     HardwareConfig hw;
     CompilerOptions copts;
     /** Wire verify level: -1 = resolve `defaultVerifyLevel()` (the

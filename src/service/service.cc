@@ -58,37 +58,22 @@ validateRequest(const ServiceRequest &req, std::string *error)
             *error = why;
         return false;
     };
-    const bool paper_scale_kind = req.workload == "bootstrap" ||
-                                  req.workload == "helr" ||
-                                  req.workload == "resnet20";
-    if (!paper_scale_kind && req.workload != "dblookup" &&
-        req.workload != "tfhe")
+    const WorkloadKind *kind = findWorkloadKind(req.workload);
+    if (kind == nullptr)
         return fail("unknown workload kind '" + req.workload + "'");
-    // Scheme parameters. The paper-scale builders (bootstrapping and
-    // the benchmarks embedding it) assume realistic CKKS parameters and
-    // need their level floor (ir/workloads.h); the small kinds
-    // (dblookup, tfhe) accept toy ones.
-    const size_t min_logn = paper_scale_kind ? 13 : 8;
-    size_t min_levels = 1;
-    if (req.workload == "bootstrap")
-        min_levels = kBootstrappingMinLevels;
-    else if (req.workload == "helr")
-        min_levels = kHelrMinLevels;
-    else if (req.workload == "resnet20")
-        min_levels = kResNet20MinLevels;
-    if (!inRange(req.fhe.logN, min_logn, 17))
+    // Scheme parameters and the kind knob, against the floors and the
+    // bound the kind's builder declares (ir/workloads.h).
+    if (!inRange(req.fhe.logN, kind->minLogN, 17))
         return fail("fhe.logN out of range for kind '" + req.workload +
                     "'");
-    if (!inRange(req.fhe.levels, min_levels, 64))
+    if (!inRange(req.fhe.levels, kind->minLevels, 64))
         return fail("fhe.levels out of range for kind '" + req.workload +
-                    "' (want " + std::to_string(min_levels) + "..64)");
+                    "' (want " + std::to_string(kind->minLevels) + "..64)");
     if (!inRange(req.fhe.dnum, 1, req.fhe.levels))
         return fail("fhe.dnum out of range (want 1 <= dnum <= levels)");
-    if (!inRange(req.fhe.lanes, 1, 1u << 16))
-        return fail("fhe.lanes out of range");
-    if (req.workload == "dblookup" &&
-        !inRange(req.param == 0 ? 256 : req.param, 1, 1u << 16))
-        return fail("dblookup records out of range");
+    if (req.param > kind->maxParam)
+        return fail("param out of range for kind '" + req.workload +
+                    "' (want 0.." + std::to_string(kind->maxParam) + ")");
     // Hardware design point.
     if (!inRange(req.hw.lanes, 1, 1u << 16))
         return fail("hw.lanes out of range");
@@ -119,32 +104,21 @@ validateRequest(const ServiceRequest &req, std::string *error)
         return fail("copts.scheduler code out of range");
     if (uint8_t(req.copts.regalloc) > uint8_t(RegAllocPolicy::Priority))
         return fail("copts.regalloc code out of range");
-    if (req.verifyLevel < -1 || req.verifyLevel > 8)
-        return fail("verifyLevel out of range (want -1..8)");
+    // A level above 1 would verify exactly as 1 does.
+    if (req.verifyLevel < -1 || req.verifyLevel > 1)
+        return fail("verifyLevel out of range (want -1..1)");
     return true;
 }
 
 std::function<Workload()>
 makeWorkloadBuild(const ServiceRequest &req)
 {
-    const FheParams fhe = req.fhe;
-    if (req.workload == "dblookup") {
-        const size_t records =
-            req.param == 0 ? 256 : static_cast<size_t>(req.param);
-        return [fhe, records] { return buildDbLookup(fhe, records); };
-    }
-    if (req.workload == "bootstrap") {
-        BootstrapBudget budget;
-        budget.slots = std::min(budget.slots, fhe.degree() / 2);
-        return [fhe, budget] { return buildBootstrapping(fhe, budget); };
-    }
-    if (req.workload == "helr")
-        return [fhe] { return buildHelr(fhe); };
-    if (req.workload == "resnet20")
-        return [fhe] { return buildResNet20(fhe); };
-    if (req.workload == "tfhe")
-        return [] { return buildTfheBootstrap(); };
-    return nullptr; // unreachable for validated requests
+    const WorkloadKind *kind = findWorkloadKind(req.workload);
+    if (kind == nullptr)
+        return nullptr; // unreachable for validated requests
+    return [build = kind->build, fhe = req.fhe, param = req.param] {
+        return build(fhe, param);
+    };
 }
 
 ServiceCore::ServiceCore(ServiceOptions opts)

@@ -77,16 +77,18 @@ struct ServiceOptions
 ServiceOptions oracleOptions(const ServiceOptions &base);
 
 /**
- * Validates a request against the service's admission rules: known
- * workload kind, scheme/hardware/compiler parameters inside sane
- * bounds, a parseable pipeline spec (unknown pass names are a client
- * error, reported — never a `fatal` in the daemon) and known policy
- * codes. False + `error` on the first violation.
+ * Validates a request against the service's admission rules: a kind
+ * of `workloadKinds()` with the scheme parameters and `param` inside
+ * its row's bounds, hardware/compiler parameters inside sane bounds,
+ * a parseable pipeline spec (unknown pass names are a client error,
+ * reported — never a `fatal` in the daemon), known policy codes and a
+ * verify level in -1..1. False + `error` on the first violation.
  */
 bool validateRequest(const ServiceRequest &req, std::string *error);
 
-/** The workload factory for a *validated* request (a `SweepJob::build`:
- *  safe to invoke on any worker thread). */
+/** The workload factory for a *validated* request: its kind's build
+ *  function (a `SweepJob::build`: safe to invoke on any worker
+ *  thread). */
 std::function<Workload()> makeWorkloadBuild(const ServiceRequest &req);
 
 /**

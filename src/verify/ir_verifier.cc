@@ -9,8 +9,9 @@
  */
 #include "verify/verify.h"
 
-#include <cstdlib>
+#include <algorithm>
 
+#include "common/env.h"
 #include "common/logging.h"
 
 namespace effact {
@@ -100,10 +101,10 @@ enforceVerified(const VerifyReport &rep, const char *context)
 int
 defaultVerifyLevel()
 {
-    static const int level = [] {
-        const char *env = std::getenv("EFFACT_VERIFY");
-        return env ? std::atoi(env) : 0;
-    }();
+    // Every level above 1 verifies as 1 does; the clamp also keeps a
+    // huge count from wrapping in the `int`.
+    static const int level =
+        int(std::min<size_t>(envSize("EFFACT_VERIFY", 0, /*min=*/0), 1));
     return level;
 }
 

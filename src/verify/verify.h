@@ -143,10 +143,11 @@ void enforceVerified(const VerifyReport &report, const char *context);
 
 /**
  * The process-wide default verify level, read once from `EFFACT_VERIFY`
- * (unset/"0" = 0 = off; any other integer enables checkpoint
- * verification). `CompilerOptions::verifyLevel` defaults to this, so
- * exporting `EFFACT_VERIFY=1` turns every compile in a test binary into
- * a fully verified one without code changes.
+ * (unset/"0" = 0 = off; any other decimal count enables checkpoint
+ * verification as level 1; anything else warns and stays off).
+ * `CompilerOptions::verifyLevel` defaults to this, so exporting
+ * `EFFACT_VERIFY=1` turns every compile in a test binary into a fully
+ * verified one without code changes.
  */
 int defaultVerifyLevel();
 

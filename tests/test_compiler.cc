@@ -28,7 +28,6 @@ tinyProgram()
     IrProgram prog;
     prog.name = "tiny";
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     IrBuilder b(prog);
     int in = b.object("in", 2, false);
     int out = b.object("out", 1, false);
@@ -387,7 +386,7 @@ TEST(Pre, MatchesReferenceOnStockWorkloads)
     const FheParams deep{13, 24, 4};
     std::vector<std::pair<std::string, Workload>> workloads;
     workloads.emplace_back("bootstrapping",
-                           buildBootstrapping(boot, {256, 2, 2, 63, 8}));
+                           buildBootstrapping(boot, {256, 2, 2}));
     workloads.emplace_back("dblookup", buildDbLookup(boot, 64));
     workloads.emplace_back("helr", buildHelr(deep));
     workloads.emplace_back("resnet20", buildResNet20(deep));
@@ -496,7 +495,7 @@ TEST(Compiler, SmallSramForcesSpills)
     fhe.logN = 14;
     fhe.levels = 16;
     fhe.dnum = 4;
-    Workload w = buildBootstrapping(fhe, {256, 2, 2, 63, 8});
+    Workload w = buildBootstrapping(fhe, {256, 2, 2});
 
     CompilerOptions tight;
     tight.sramBytes = size_t(2) << 20; // 2 MB: ~16 registers
@@ -526,7 +525,6 @@ TEST(RegAlloc, SpilledValuesCountedOnce)
     // the allocation runs once.
     IrProgram prog;
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     IrBuilder b(prog);
     const int in = b.object("in", 10, false);
     const int out = b.object("out", 10, false);
@@ -570,7 +568,6 @@ TEST(RegAlloc, EmissionBufferIsExactlySized)
     // reserves exactly the instructions it emits.
     IrProgram prog;
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     IrBuilder b(prog);
     const int in = b.object("in", 11, false);
     const int key = b.object("key", 1, true);
@@ -665,7 +662,6 @@ spillVictimProgram(bool v5_outlives_v4)
     SpillVictimProgram s;
     IrProgram &prog = s.prog;
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     const int in = prog.addObject("in", 9, false);
     const int out = prog.addObject("out", 6, false);
     auto emit = [&prog](IrOp op, int a, int b, MemRef mem = {}) {
@@ -1006,7 +1002,7 @@ TEST(Compiler, OptimizationReducesInstructionCount)
     fhe.logN = 15;
     fhe.levels = 16;
     fhe.dnum = 4;
-    Workload w = buildBootstrapping(fhe, {1024, 3, 2, 127, 8});
+    Workload w = buildBootstrapping(fhe, {1024, 3, 2});
     Compiler compiler;
     compiler.compile(w.program);
     EXPECT_GT(compiler.stats().get("optimized.reductionPct"), 10.0);

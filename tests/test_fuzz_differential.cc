@@ -213,7 +213,6 @@ class ProgramGen
     {
         prog_.name = "fuzz";
         prog_.degree = size_t(1) << (8 + rng_.uniform(3)); // 256..1024
-        prog_.lanes = 64;
         mutable_objs_.push_back(prog_.addObject("mem0", 8, false));
         mutable_objs_.push_back(prog_.addObject("mem1", 8, false));
         ro_obj_ = prog_.addObject("keys", 8, true);

@@ -20,7 +20,7 @@ tinyWorkload()
     fhe.logN = 14;
     fhe.levels = 16;
     fhe.dnum = 4;
-    return buildBootstrapping(fhe, {256, 2, 2, 63, 8});
+    return buildBootstrapping(fhe, {256, 2, 2});
 }
 
 /** Bitmask over {pre, peephole, schedule, streaming}. */

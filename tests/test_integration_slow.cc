@@ -26,7 +26,7 @@ namespace {
 FheParams
 paperFhe()
 {
-    return FheParams{}; // logN=16, L=24, dnum=4, lanes=1024
+    return FheParams{}; // logN=16, L=24, dnum=4
 }
 
 TEST(PaperScale, BootstrappingCompilesAndSimulates)

@@ -33,7 +33,7 @@ stockWorkloads()
     fhe.dnum = 4;
     std::vector<std::pair<std::string, Workload>> all;
     all.emplace_back("bootstrapping",
-                     buildBootstrapping(fhe, {256, 2, 2, 63, 8}));
+                     buildBootstrapping(fhe, {256, 2, 2}));
     all.emplace_back("dblookup", buildDbLookup(fhe, 64));
     return all;
 }
@@ -427,7 +427,7 @@ TEST(FixedPoint, DepGraphBuiltAtMostOncePerCompile)
     fhe.logN = 14;
     fhe.levels = 16;
     fhe.dnum = 4;
-    Workload w = buildBootstrapping(fhe, {256, 2, 2, 63, 8});
+    Workload w = buildBootstrapping(fhe, {256, 2, 2});
     CompilerOptions opts = Platform::baselineOptions(size_t(8) << 20);
     opts.scheduler = Scheduler::CriticalPath;
     Compiler compiler(opts);
@@ -497,7 +497,7 @@ TEST(PassRemovals, MatchLiveCountReplayOnStockWorkloadsAllPresets)
     const FheParams deep{13, 24, 4};
     std::vector<std::pair<std::string, Workload>> workloads;
     workloads.emplace_back("bootstrapping",
-                           buildBootstrapping(boot, {256, 2, 2, 63, 8}));
+                           buildBootstrapping(boot, {256, 2, 2}));
     workloads.emplace_back("dblookup", buildDbLookup(boot, 64));
     workloads.emplace_back("helr", buildHelr(deep));
     workloads.emplace_back("resnet20", buildResNet20(deep));
@@ -564,7 +564,7 @@ TEST(PassRemovals, ManagerCompactsAfterEveryKillingSweep)
             {"kill-sites", killSiteProgram(),
              Platform::optimizedOptions(sram)},
             {"bootstrapping",
-             buildBootstrapping(fhe, {256, 2, 2, 63, 8}).program,
+             buildBootstrapping(fhe, {256, 2, 2}).program,
              Platform::fullOptions(sram)},
         };
     for (const auto &[name, input, opts] : cases) {

@@ -25,7 +25,7 @@ smallBoot()
     fhe.logN = 15;
     fhe.levels = 16;
     fhe.dnum = 4;
-    return buildBootstrapping(fhe, {size_t(1) << 14, 3, 2, 127, 8});
+    return buildBootstrapping(fhe, {size_t(1) << 14, 3, 2});
 }
 
 /** The four Fig. 11 design points, shared by the ordering and the

@@ -79,7 +79,6 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     req.fhe.logN = 15;
     req.fhe.levels = 23;
     req.fhe.dnum = 3;
-    req.fhe.lanes = 512;
     req.param = 77;
     req.hw = HardwareConfig::fpgaEffact();
     req.hw.lanes = 2048;
@@ -99,7 +98,7 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     req.copts.sramBytes = size_t(13) << 20;
     req.copts.fifoDepth = 33;
     req.copts.issueWindow = 128;
-    req.verifyLevel = 2;
+    req.verifyLevel = 1;
 
     ServiceRequest out;
     std::string error;
@@ -110,9 +109,7 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     EXPECT_EQ(out.fhe.logN, req.fhe.logN);
     EXPECT_EQ(out.fhe.levels, req.fhe.levels);
     EXPECT_EQ(out.fhe.dnum, req.fhe.dnum);
-    EXPECT_EQ(out.fhe.lanes, req.fhe.lanes);
     EXPECT_EQ(out.param, req.param);
-    EXPECT_EQ(out.hw.name, req.hw.name);
     EXPECT_EQ(out.hw.lanes, req.hw.lanes);
     EXPECT_EQ(out.hw.freqGhz, req.hw.freqGhz);
     EXPECT_EQ(out.hw.sramBytes, req.hw.sramBytes);
@@ -133,6 +130,9 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     // overwrites them), so a request can't smuggle in a mismatch.
     EXPECT_EQ(out.copts.sramBytes, CompilerOptions{}.sramBytes);
     EXPECT_EQ(out.copts.issueWindow, CompilerOptions{}.issueWindow);
+    // Nor is `hw.name`: a display label changes no answer.
+    EXPECT_NE(req.hw.name, HardwareConfig{}.name);
+    EXPECT_EQ(out.hw.name, HardwareConfig{}.name);
     EXPECT_EQ(out.verifyLevel, req.verifyLevel);
     // The byte encoding is canonical: re-encoding the decoded message
     // reproduces the exact input bytes.
@@ -384,23 +384,29 @@ TEST(Protocol, CanonicalResultStripsNondeterminism)
 
 // --- ServiceCore: validation, admission, batching --------------------------
 
-/** A paper-scale request of `kind` at `levels`, valid but for them. */
+/** A request of `kind` at its smallest logN and at `levels`, valid but
+ *  for them. */
 ServiceRequest
-paperRequest(const std::string &kind, size_t levels)
+floorRequest(const WorkloadKind &kind, size_t levels)
 {
-    ServiceRequest req = smallRequest(kind + "@" + std::to_string(levels), 0);
-    req.workload = kind;
-    req.fhe.logN = 13;
+    ServiceRequest req = smallRequest(
+        std::string(kind.name) + "@" + std::to_string(levels), 0);
+    req.workload = kind.name;
+    req.fhe.logN = kind.minLogN;
     req.fhe.levels = levels;
     return req;
 }
 
-/** Each paper-scale kind with the level floor its builder declares. */
-const std::pair<const char *, size_t> kLevelFloors[] = {
-    {"bootstrap", kBootstrappingMinLevels},
-    {"helr", kHelrMinLevels},
-    {"resnet20", kResNet20MinLevels},
-};
+/** Every kind whose builder declares a level floor above 1. */
+std::vector<WorkloadKind>
+kindsWithLevelFloor()
+{
+    std::vector<WorkloadKind> kinds;
+    for (const WorkloadKind &kind : workloadKinds())
+        if (kind.minLevels > 1)
+            kinds.push_back(kind);
+    return kinds;
+}
 
 TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
 {
@@ -422,12 +428,15 @@ TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
 
     // Paper-scale kinds are refused at validation instead of panicking
     // inside their builder: with toy parameters, and one level below
-    // the builder's floor, where it would die ("cannot rescale at level
-    // 1") and take "fine", batched with it, down with the process.
+    // the builder's floor (every kind: the floor tests below), where it
+    // would die ("cannot rescale at level 1") and take "fine", batched
+    // with it, down with the process.
+    const WorkloadKind *bootstrap = findWorkloadKind("bootstrap");
+    ASSERT_NE(bootstrap, nullptr);
     ServiceRequest tiny_bootstrap = smallRequest("tiny-bootstrap", 0);
     tiny_bootstrap.workload = "bootstrap";
     core.submit(tiny_bootstrap);
-    core.submit(paperRequest("bootstrap", kBootstrappingMinLevels - 1));
+    core.submit(floorRequest(*bootstrap, bootstrap->minLevels - 1));
 
     // A policy travels as one raw wire byte: an unknown code is refused,
     // never run as some default policy.
@@ -438,10 +447,22 @@ TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
     bad_regalloc.copts.regalloc = RegAllocPolicy(2);
     core.submit(bad_regalloc);
 
+    // Values that would change no answer are refused too: a `param` for
+    // a kind that reads none, a verify level above 1 (verifies as 1),
+    // and more dblookup records than its bound.
+    ServiceRequest bootstrap_param =
+        floorRequest(*bootstrap, bootstrap->minLevels);
+    bootstrap_param.param = 77;
+    core.submit(bootstrap_param);
+    ServiceRequest verify_two = smallRequest("verify-two", 32);
+    verify_two.verifyLevel = 2;
+    core.submit(verify_two);
+    core.submit(smallRequest("too-many-records", (uint64_t(1) << 16) + 1));
+
     core.submit(smallRequest("fine", 32));
 
     const std::vector<ServiceResult> results = core.flush();
-    ASSERT_EQ(results.size(), 8u);
+    ASSERT_EQ(results.size(), 11u);
     for (size_t i = 0; i + 1 < results.size(); ++i) {
         EXPECT_EQ(results[i].status, ServiceStatus::BadRequest) << i;
         EXPECT_FALSE(results[i].error.empty()) << i;
@@ -450,20 +471,37 @@ TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
     EXPECT_NE(results[4].error.find("fhe.levels"), std::string::npos);
     EXPECT_NE(results[5].error.find("scheduler"), std::string::npos);
     EXPECT_NE(results[6].error.find("regalloc"), std::string::npos);
-    EXPECT_EQ(results[7].status, ServiceStatus::Ok);
-    EXPECT_GT(results[7].cycles, 0.0);
-    EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 7.0);
+    EXPECT_NE(results[7].error.find("param"), std::string::npos);
+    EXPECT_NE(results[8].error.find("verifyLevel"), std::string::npos);
+    EXPECT_NE(results[9].error.find("param"), std::string::npos);
+    EXPECT_EQ(results[10].status, ServiceStatus::Ok);
+    EXPECT_GT(results[10].cycles, 0.0);
+    EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 10.0);
 }
 
 TEST(ServiceCore, PaperKindsAreValidatedAgainstTheirBuilderFloor)
 {
-    for (const auto &[kind, floor] : kLevelFloors) {
+    // Each kind with a level floor is accepted at it, and one level
+    // below it is a BadRequest that leaves the request batched with it
+    // `Ok`.
+    const std::vector<WorkloadKind> kinds = kindsWithLevelFloor();
+    ASSERT_EQ(kinds.size(), 3u);
+    for (const WorkloadKind &kind : kinds) {
         std::string why;
-        EXPECT_TRUE(validateRequest(paperRequest(kind, floor), &why))
-            << kind << ": " << why;
-        EXPECT_FALSE(validateRequest(paperRequest(kind, floor - 1), &why))
-            << kind;
-        EXPECT_NE(why.find("fhe.levels"), std::string::npos) << why;
+        EXPECT_TRUE(validateRequest(floorRequest(kind, kind.minLevels), &why))
+            << kind.name << ": " << why;
+
+        ServiceOptions opts;
+        opts.threads = 1;
+        ServiceCore core(opts);
+        core.submit(floorRequest(kind, kind.minLevels - 1));
+        core.submit(smallRequest("fine", 32));
+        const std::vector<ServiceResult> results = core.flush();
+        ASSERT_EQ(results.size(), 2u);
+        EXPECT_EQ(results[0].status, ServiceStatus::BadRequest) << kind.name;
+        EXPECT_NE(results[0].error.find("fhe.levels"), std::string::npos)
+            << results[0].error;
+        EXPECT_EQ(results[1].status, ServiceStatus::Ok) << kind.name;
     }
 }
 
@@ -472,12 +510,14 @@ TEST(WorkloadFloorDeathTest, EachDeclaredFloorIsTight)
     // Each builder builds at its declared floor and dies one level
     // below it, so validation neither refuses a buildable request nor
     // admits one that would kill the daemon.
-    for (const auto &[kind, floor] : kLevelFloors) {
-        const Workload w = makeWorkloadBuild(paperRequest(kind, floor))();
-        EXPECT_GT(w.program.liveCount(), 0u) << kind;
-        EXPECT_DEATH(makeWorkloadBuild(paperRequest(kind, floor - 1))(),
-                     "cannot rescale")
-            << kind;
+    for (const WorkloadKind &kind : kindsWithLevelFloor()) {
+        const Workload w =
+            makeWorkloadBuild(floorRequest(kind, kind.minLevels))();
+        EXPECT_GT(w.program.liveCount(), 0u) << kind.name;
+        EXPECT_DEATH(
+            makeWorkloadBuild(floorRequest(kind, kind.minLevels - 1))(),
+            "cannot rescale")
+            << kind.name;
     }
 }
 

@@ -173,7 +173,7 @@ TEST(Simulator, HigherBandwidthShortensMemoryBoundPrograms)
     fhe.logN = 15;
     fhe.levels = 16;
     fhe.dnum = 4;
-    Workload w = buildBootstrapping(fhe, {1024, 2, 2, 63, 8});
+    Workload w = buildBootstrapping(fhe, {1024, 2, 2});
     Compiler compiler;
     MachineProgram mp = compiler.compile(w.program);
 
@@ -190,9 +190,9 @@ TEST(Simulator, UtilizationsAreFractions)
 {
     FheParams fhe;
     fhe.logN = 14;
-    fhe.levels = 14;
+    fhe.levels = 15; // the {2, 2} budget's 14 levels, output at 1
     fhe.dnum = 2;
-    Workload w = buildBootstrapping(fhe, {256, 2, 2, 31, 8});
+    Workload w = buildBootstrapping(fhe, {256, 2, 2});
     Compiler compiler;
     MachineProgram mp = compiler.compile(w.program);
     SimReport r = Simulator(HardwareConfig::asicEffact27()).run(mp);
@@ -264,7 +264,7 @@ TEST(SimulatorEquivalence, CompiledBootstrapAcrossConfigs)
     fhe.logN = 14;
     fhe.levels = 16;
     fhe.dnum = 4;
-    Workload w = buildBootstrapping(fhe, {256, 2, 2, 63, 8});
+    Workload w = buildBootstrapping(fhe, {256, 2, 2});
     Compiler compiler;
     MachineProgram mp = compiler.compile(w.program);
 
@@ -287,7 +287,7 @@ TEST(SimulatorEquivalence, TightSramSpillingProgram)
     fhe.logN = 14;
     fhe.levels = 16;
     fhe.dnum = 4;
-    Workload w = buildBootstrapping(fhe, {256, 2, 2, 63, 8});
+    Workload w = buildBootstrapping(fhe, {256, 2, 2});
     CompilerOptions tight;
     tight.sramBytes = size_t(2) << 20;
     Compiler compiler(tight);
@@ -434,9 +434,9 @@ TEST(Simulator, InOrderWindowOneIsSlower)
 {
     FheParams fhe;
     fhe.logN = 14;
-    fhe.levels = 14;
+    fhe.levels = 15; // the {2, 2} budget's 14 levels, output at 1
     fhe.dnum = 2;
-    Workload w = buildBootstrapping(fhe, {256, 2, 2, 31, 8});
+    Workload w = buildBootstrapping(fhe, {256, 2, 2});
     Compiler compiler;
     MachineProgram mp = compiler.compile(w.program);
 

@@ -14,6 +14,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <random>
 #include <string>
@@ -57,7 +58,6 @@ tinyProgram()
     IrProgram prog;
     prog.name = "tiny";
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     IrBuilder b(prog);
     int in = b.object("in", 2, false);
     int out = b.object("out", 1, false);
@@ -488,7 +488,6 @@ unusedLoadProgram()
     IrProgram prog;
     prog.name = "unused-load";
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     IrBuilder b(prog);
     int in = b.object("in", 2, false);
     int out = b.object("out", 1, false);
@@ -541,7 +540,6 @@ TEST(MachVerifier, SpillPressureNeverStealsAStreamedStoreToken)
     // FU-to-FU forwarding cannot paper over it.
     IrProgram prog;
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     IrBuilder b(prog);
     int in = b.object("in", 64, false);
     int out = b.object("out", 64, false);
@@ -650,7 +648,6 @@ TEST(Checkpoints, PassManagerVerifiesAtPassBoundaries)
     // reports a change and its post-pass checkpoint actually runs.
     IrProgram prog;
     prog.degree = 1 << 12;
-    prog.lanes = 64;
     IrBuilder b(prog);
     int in = b.object("in", 2, false);
     int out = b.object("out", 2, false);
@@ -679,6 +676,29 @@ TEST(CheckpointsDeathTest, MalformedInputNamedAtTheMiddleEndBoundary)
     Compiler compiler(opts);
     EXPECT_DEATH(Compiler(opts).compile(prog), "middle-end input");
     EXPECT_DEATH(compiler.compile(prog), "ir.modulus.range");
+}
+
+TEST(CheckpointsDeathTest, EnvironmentLevelIsADecimalCount)
+{
+    // `defaultVerifyLevel` reads `EFFACT_VERIFY` once per process, so each
+    // value is read in a freshly started child: a count, any count above
+    // 1 verifies as 1 does, and anything else warns and stays off.
+    const std::string style = ::testing::GTEST_FLAG(death_test_style);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::pair<const char *, int> cases[] = {
+        {"0", 0}, {"1", 1}, {"7", 1}, {"99999999999", 1},
+        {"yes", 0}, {"-1", 0}, {"1x", 0},
+    };
+    for (const auto &[text, level] : cases) {
+        EXPECT_EXIT(
+            {
+                ::setenv("EFFACT_VERIFY", text, 1);
+                std::exit(defaultVerifyLevel());
+            },
+            ::testing::ExitedWithCode(level), "")
+            << text;
+    }
+    ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 // --- Randomized corruption fuzz -------------------------------------------
@@ -940,8 +960,7 @@ TEST(SlowVerify, StockWorkloadsAllPresetsVerifyClean)
     const std::vector<W> workloads = {
         {"boot",
          [boot] {
-             return buildBootstrapping(boot,
-                                       {size_t(1) << 14, 3, 2, 127, 8});
+             return buildBootstrapping(boot, {size_t(1) << 14, 3, 2});
          }},
         {"helr", [fhe] { return buildHelr(fhe); }},
         {"dblookup", [fhe] { return buildDbLookup(fhe); }},

@@ -119,8 +119,9 @@ objectResidues(const IrProgram &prog, const std::string &name)
 TEST(Workloads, ResNet20InputFitsTheQChain)
 {
     // The activations enter at level 20, or at the top of a shorter Q
-    // chain: at 18 and 19 levels (both at or above kResNet20MinLevels)
-    // a level-20 input would carry more limbs than there are primes.
+    // chain: at 18 and 19 levels (both at or above the resnet20 kind's
+    // floor) a level-20 input would carry more limbs than there are
+    // primes.
     for (size_t levels : {size_t(18), size_t(19), size_t(24)}) {
         SCOPED_TRACE(levels);
         FheParams fhe = paperParams();
@@ -130,6 +131,34 @@ TEST(Workloads, ResNet20InputFitsTheQChain)
         const size_t level = std::min<size_t>(20, levels);
         EXPECT_EQ(objectResidues(w.program, "activations"),
                   static_cast<int>(2 * level));
+    }
+}
+
+TEST(Workloads, EachBootstrapEndsAtItsDeclaredDepth)
+{
+    // A bootstrap's output sits `budget.levels()` below the chain top, so
+    // the floor `levels() + 1` leaves it at level 1: this pins EvalMod's
+    // declared 10 levels against what polyEval consumes.
+    const struct
+    {
+        Workload (*build)(const FheParams &);
+        const char *output;
+        BootstrapBudget budget;
+    } cases[] = {
+        {[](const FheParams &fhe) { return buildBootstrapping(fhe); },
+         "ct_out", BootstrapBudget{}},
+        {buildHelr, "weights_out", kHelrBootstrapBudget},
+        {buildResNet20, "act_out", BootstrapBudget{}},
+    };
+    for (const auto &c : cases) {
+        for (size_t levels : {c.budget.levels() + 1, size_t(24)}) {
+            SCOPED_TRACE(std::string(c.output) + " @ " +
+                         std::to_string(levels));
+            FheParams fhe = paperParams();
+            fhe.levels = levels;
+            EXPECT_EQ(objectResidues(c.build(fhe).program, c.output),
+                      static_cast<int>(2 * (levels - c.budget.levels())));
+        }
     }
 }
 
