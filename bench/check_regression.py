@@ -87,6 +87,8 @@ SCHEMAS = {
         "threshold": [
             "sim_speed.sim_wall_ms",
             "sim_speed.compile_wall_ms",
+            "sim_speed.middle_wall_ms",
+            "sim_speed.backend_wall_ms",
             "sim_speed.peak_rss_mb",
             "fig11_grid.wall_ms",
         ],

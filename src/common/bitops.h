@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "common/logging.h"
+
 namespace effact {
 
 /** Returns true iff `x` is a (nonzero) power of two. */
@@ -27,10 +29,19 @@ log2Floor(uint64_t x)
     return r;
 }
 
-/** Exact log2 for powers of two. */
+/** ceil(log2(x)) for x > 0. */
+constexpr uint32_t
+log2Ceil(uint64_t x)
+{
+    return x <= 1 ? 0 : log2Floor(x - 1) + 1;
+}
+
+/** Exact log2 for powers of two; panics on anything else. */
 constexpr uint32_t
 log2Exact(uint64_t x)
 {
+    EFFACT_ASSERT(isPowerOfTwo(x), "log2Exact(%llu): not a power of two",
+                  static_cast<unsigned long long>(x));
     return log2Floor(x);
 }
 

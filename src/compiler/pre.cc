@@ -1,5 +1,8 @@
 #include "compiler/pass.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/hash.h"
 
 namespace effact {
@@ -57,8 +60,8 @@ commutative(IrOp op)
 
 /** Builds the VN key from an instruction's current operand values;
  *  returns false for impure instructions (stores, mutable loads).
- *  Inlined into the scan's two call sites: as an out-of-line call it
- *  made the paper-scale scan ~1.6x slower. */
+ *  Inlined into the scan's call sites: as an out-of-line call it made
+ *  the paper-scale scan ~1.6x slower. */
 inline bool
 makeKey(const IrProgram &prog, const IrInst &inst, VnKey &key)
 {
@@ -143,6 +146,22 @@ struct VnSlot
     uint32_t tag;
 };
 
+/** Lookahead of the value-numbering scan, in instructions: how far ahead
+ *  of the probe it keys an instruction and prefetches that key's home
+ *  slot, and how far ahead it reads the slot and prefetches the winner
+ *  the slot names. On the paper job, key distances of 8 to 32 ran
+ *  equally fast and 48 or 64 slightly slower (bench/NOTES.md). */
+constexpr size_t kKeyAhead = 16;
+constexpr size_t kSlotAhead = kKeyAhead / 2;
+
+/** A lookahead key's hash; `pure` is false for an instruction the scan
+ *  will not number (dead or impure). */
+struct PendingKey
+{
+    u64 hash;
+    bool pure;
+};
+
 CseCounts
 runCse(IrProgram &prog)
 {
@@ -159,6 +178,20 @@ runCse(IrProgram &prog)
     // resolved when it was inserted, and re-running `makeKey` on it
     // reproduces its key. The tag rejects almost every non-matching slot
     // before that re-keying has to touch the winner.
+    //
+    // On the paper job both the table (8 MiB) and the IR (10 MiB) are
+    // far larger than the cache, so a hit costs two dependent misses:
+    // the home slot, then the winner's `IrInst`. The scan hides them by
+    // software pipelining. Step i keys a copy of instruction
+    // i + kKeyAhead, its operands resolved through `fwd` as it stands,
+    // and prefetches that key's home slot. It then reads the home slot
+    // of instruction i + kSlotAhead, keyed kKeyAhead - kSlotAhead steps
+    // earlier, and prefetches the winner when the tag matches. Last, it
+    // runs the exact probe for instruction i. The lookahead only reads:
+    // it writes neither the IR, nor `fwd`, nor the table. A provisional
+    // key is stale when one of its operands is merged inside the window;
+    // that costs a wasted prefetch, never a different merge, because the
+    // probe rebuilds the key from the operands it has just resolved.
     const size_t n = prog.insts.size();
     size_t capacity = 1;
     while (capacity < 2 * n)
@@ -174,17 +207,52 @@ runCse(IrProgram &prog)
             v = fwd[v];
         return v;
     };
-
-    CseCounts counts;
-    for (size_t i = 0; i < n; ++i) {
-        IrInst &inst = prog.insts[i];
-        if (inst.dead)
-            continue;
+    // Resolves `inst`'s operands through `fwd` in place, then keys it.
+    auto resolveAndKey = [&](IrInst &inst, VnKey &key) {
         for (int *slot : inst.operandSlots())
             if (*slot >= 0)
                 *slot = resolve(*slot);
+        return makeKey(prog, inst, key);
+    };
+
+    // Ring of lookahead hashes, indexed by instruction modulo kKeyAhead:
+    // instruction j's entry is written at step j - kKeyAhead and read at
+    // step j - kSlotAhead, before step j reuses it.
+    std::array<PendingKey, kKeyAhead> pending{};
+    auto keyAhead = [&](size_t j) {
+        IrInst copy = prog.insts[j];
+        PendingKey &p = pending[j % kKeyAhead];
         VnKey key;
-        if (!makeKey(prog, inst, key))
+        p.pure = !copy.dead && resolveAndKey(copy, key);
+        if (!p.pure)
+            return;
+        p.hash = hashKey(key);
+        __builtin_prefetch(&table[p.hash & mask]);
+    };
+    auto slotAhead = [&](size_t j) {
+        const PendingKey &p = pending[j % kKeyAhead];
+        if (!p.pure)
+            return;
+        const VnSlot slot = table[p.hash & mask];
+        const auto tag = static_cast<uint32_t>(p.hash >> 32);
+        if (slot.winner >= 0 && slot.tag == tag)
+            __builtin_prefetch(&prog.insts[slot.winner]);
+    };
+    for (size_t j = 0; j < std::min(n, kKeyAhead); ++j)
+        keyAhead(j);
+    for (size_t j = 0; j < std::min(n, kSlotAhead); ++j)
+        slotAhead(j);
+
+    CseCounts counts;
+    for (size_t i = 0; i < n; ++i) {
+        if (i + kKeyAhead < n)
+            keyAhead(i + kKeyAhead);
+        if (i + kSlotAhead < n)
+            slotAhead(i + kSlotAhead);
+
+        IrInst &inst = prog.insts[i];
+        VnKey key;
+        if (inst.dead || !resolveAndKey(inst, key))
             continue;
         const u64 h = hashKey(key);
         const auto tag = static_cast<uint32_t>(h >> 32);

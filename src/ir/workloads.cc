@@ -75,6 +75,15 @@ emitEvalMod(KernelBuilder &kb, const IrCt &ct, int evk)
                        kSineBabySteps, evk);
 }
 
+/** `budget` with its slots clamped to the N/2 a ring of `fhe`'s degree
+ *  holds: below logN 16 that is fewer than the 2^15 of Table III. */
+BootstrapBudget
+fitSlots(BootstrapBudget budget, const FheParams &fhe)
+{
+    budget.slots = std::min(budget.slots, fhe.degree() / 2);
+    return budget;
+}
+
 /** The bootstrap HELR and ResNet-20 embed: ModRaise of the level-1
  *  input object `in`, CtS, one EvalMod and StC, stored to `out`. */
 void
@@ -92,8 +101,9 @@ emitEmbeddedBootstrap(KernelBuilder &kb, const BootstrapBudget &budget,
 } // namespace
 
 Workload
-buildBootstrapping(const FheParams &fhe, const BootstrapBudget &budget)
+buildBootstrapping(const FheParams &fhe, const BootstrapBudget &requested)
 {
+    const BootstrapBudget budget = fitSlots(requested, fhe);
     Workload w;
     // T_A.S. divisor: slots x (L - L_boot), L_boot = CtS+EvalMod+StC.
     w.amortizeFactor = double(budget.slots) *
@@ -169,8 +179,9 @@ buildResNet20(const FheParams &fhe)
     // One segment: two homomorphic convolutions (BSGS diagonal matmuls
     // with 3x3 kernels over packed channels), a degree-27 activation,
     // and one bootstrapping. ResNet-20 ~ 10 such segments.
+    const BootstrapBudget budget = fitSlots(BootstrapBudget{}, fhe);
     Workload w;
-    w.amortizeFactor = double(size_t(1) << 15);
+    w.amortizeFactor = double(budget.slots);
     w.program.name = "resnet20";
 
     KernelBuilder kb(w.program, fhe);
@@ -187,8 +198,7 @@ buildResNet20(const FheParams &fhe)
         act = kb.polyEval(act, 27, 8, evk); // ReLU approximation
     }
 
-    emitEmbeddedBootstrap(kb, BootstrapBudget{}, "act_boot", "act_out", evk,
-                          gk);
+    emitEmbeddedBootstrap(kb, budget, "act_boot", "act_out", evk, gk);
 
     w.repeat = 10.0; // 20 layers + ~10 bootstraps
     return w;
@@ -199,7 +209,7 @@ buildDbLookup(const FheParams &fhe, size_t records)
 {
     // HElib-style lookup on BGV: select via encrypted one-hot query
     // (records plaintext multiplies + tree adds) and aggregate with
-    // log2(records) rotations. Depth 1, small chain.
+    // ceil(log2(records)) rotations. Depth 1, small chain.
     Workload w;
     FheParams bgv = fhe;
     bgv.logN = 13;
@@ -228,7 +238,7 @@ buildDbLookup(const FheParams &fhe, size_t records)
         selected = std::move(next);
     }
     IrCt acc = selected[0];
-    for (size_t s = 0; s < log2Exact(records); ++s)
+    for (size_t s = 0; s < log2Ceil(records); ++s)
         acc = kb.hadd(acc, kb.rotate(acc, 5 + s, gk));
     kb.output("result", acc);
     return w;
@@ -358,9 +368,7 @@ workloadKinds()
     static const std::vector<WorkloadKind> kinds = {
         {"bootstrap", 13, BootstrapBudget{}.levels() + 1, 0,
          [](const FheParams &fhe, uint64_t) {
-             BootstrapBudget budget; // below logN 16, N/2 < 2^15 slots
-             budget.slots = std::min(budget.slots, fhe.degree() / 2);
-             return buildBootstrapping(fhe, budget);
+             return buildBootstrapping(fhe);
          }},
         {"helr", 13, kHelrBootstrapBudget.levels() + 1, 0,
          [](const FheParams &fhe, uint64_t) { return buildHelr(fhe); }},

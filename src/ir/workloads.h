@@ -29,7 +29,9 @@ struct Workload
 };
 
 /** Bootstrapping stage budget (Table III): the slots and the levels
- *  the CtS and StC transforms take. */
+ *  the CtS and StC transforms take. `buildBootstrapping` and
+ *  `buildResNet20` clamp `slots` to the N/2 their ring holds; HELR's
+ *  256 fit every ring the helr kind accepts. */
 struct BootstrapBudget
 {
     size_t slots = size_t(1) << 15;

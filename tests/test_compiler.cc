@@ -154,6 +154,22 @@ TEST(Pre, DoesNotMergeMutableLoads)
 
 // --- PRE: directed collisions against the flat value-numbering table --------
 
+/** Runs PRE on `prog` and `referencePre` on a copy of it; both must
+ *  leave the same program fingerprint and the same `pre.*` counts.
+ *  Returns PRE's statistics. */
+StatSet
+preMatchingReference(IrProgram prog, const std::string &tag = "")
+{
+    IrProgram expected = prog;
+    StatSet expected_stats;
+    referencePre(expected, expected_stats);
+    StatSet stats;
+    runPre(prog, stats);
+    EXPECT_EQ(fingerprint(prog), fingerprint(expected)) << tag;
+    EXPECT_EQ(stats.toString(), expected_stats.toString()) << tag;
+    return stats;
+}
+
 struct PreCounts
 {
     double cse = 0;
@@ -183,13 +199,7 @@ preOnPair(EmitFn &&emit)
     b.store(out, 0, PolyVal{{first}});
     b.store(out, 1, PolyVal{{second}});
 
-    IrProgram expected = prog;
-    StatSet expected_stats;
-    referencePre(expected, expected_stats);
-    StatSet stats;
-    runPre(prog, stats);
-    EXPECT_EQ(fingerprint(prog), fingerprint(expected));
-    EXPECT_EQ(stats.toString(), expected_stats.toString());
+    const StatSet stats = preMatchingReference(prog);
     return {stats.get("pre.cseRemoved"),
             stats.get("pre.readOnlyReloadsRemoved")};
 }
@@ -360,18 +370,177 @@ TEST(Pre, CrowdedTableKeepsExactCounts)
 
             const std::string tag = std::to_string(n) + "/" +
                                     std::to_string(variant);
-            IrProgram expected = prog;
-            StatSet expected_stats;
-            referencePre(expected, expected_stats);
-            StatSet stats;
-            runPre(prog, stats);
+            const StatSet stats = preMatchingReference(prog, tag);
             EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"), dups) << tag;
             EXPECT_EQ(stats.get("pre.cseRemoved"), dups) << tag;
             // Nothing is stored, so everything that survived VN is dead.
             EXPECT_EQ(stats.get("pre.deadCodeRemoved"), n - 2 * dups)
                 << tag;
-            EXPECT_EQ(fingerprint(prog), fingerprint(expected)) << tag;
         }
+    }
+}
+
+// --- PRE: the scan's lookahead ------------------------------------------
+//
+// The scan keys instruction i + 16 and reads the home slot of
+// instruction i + 8 before it probes instruction i (`kKeyAhead` and
+// `kSlotAhead` in src/compiler/pre.cc). Those early keys are built from
+// operands as they stand at that moment, so they are stale whenever an
+// operand is merged inside the window; only the probe's own key may
+// decide a merge.
+
+/** A read-only load followed by `length` operations, each reading the
+ *  one before it (NTT, multiply and add by the mutable value `x`, then
+ *  a rotation); returns the last value. */
+int
+emitDependentChain(IrBuilder &b, int key, int x, int length)
+{
+    int v = b.load(key, 0, 1).limbs[0];
+    for (int k = 0; k < length; ++k) {
+        switch (k % 4) {
+          case 0:
+            v = b.emit1(IrOp::Ntt, v, -1, 0);
+            break;
+          case 1:
+            v = b.emit1(IrOp::Mul, v, x, 0);
+            break;
+          case 2:
+            v = b.emit1(IrOp::Add, x, v, 0);
+            break;
+          default:
+            v = b.emit1(IrOp::Auto, v, -1, 0, IrTag::Normal, 5, true);
+            break;
+        }
+    }
+    return v;
+}
+
+TEST(Pre, LookaheadOnShortPrograms)
+{
+    // Every length from 0 to twice the key distance: 0, 1, 8, 16 and 17
+    // among them. Each program repeats a load -> NTT -> multiply -> add
+    // chain, so every repeat merges into the first.
+    for (int n = 0; n <= 33; ++n) {
+        IrProgram prog;
+        prog.degree = 1 << 10;
+        IrBuilder b(prog);
+        const int key = b.object("key", 1, true);
+        int load = -1;
+        int prev = -1;
+        for (int k = 0; k < n; ++k) {
+            switch (k % 4) {
+              case 0:
+                prev = load = b.load(key, 0, 1).limbs[0];
+                break;
+              case 1:
+                prev = b.emit1(IrOp::Ntt, prev, -1, 0);
+                break;
+              case 2:
+                prev = b.emit1(IrOp::Mul, prev, load, 0);
+                break;
+              default:
+                prev = b.emit1(IrOp::Add, prev, load, 0);
+                break;
+            }
+        }
+        ASSERT_EQ(prog.insts.size(), size_t(n));
+        // One load per started repeat; the first repeat's operations are
+        // the winners.
+        const int loads = (n + 3) / 4;
+        const int winners = std::max(0, std::min(n, 4) - 1);
+        const StatSet stats = preMatchingReference(prog, std::to_string(n));
+        EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"),
+                  std::max(0, loads - 1))
+            << n;
+        EXPECT_EQ(stats.get("pre.cseRemoved"), n - loads - winners) << n;
+    }
+}
+
+TEST(Pre, LookaheadKeysOfADuplicatedChainAreAllStale)
+{
+    // The copy of a dependent chain three windows long: each of its
+    // operations reads the one just before it, which is merged one step
+    // before the probe but long after the lookahead keyed it. Every
+    // operation of the copy must still merge.
+    constexpr int kLength = 48;
+    IrProgram prog;
+    prog.degree = 1 << 10;
+    IrBuilder b(prog);
+    const int key = b.object("key", 1, true);
+    const int in = b.object("in", 1, false);
+    const int out = b.object("out", 2, false);
+    const int x = b.load(in, 0, 1).limbs[0];
+    const int first = emitDependentChain(b, key, x, kLength);
+    const int copy = emitDependentChain(b, key, x, kLength);
+    b.store(out, 0, PolyVal{{first}});
+    b.store(out, 1, PolyVal{{copy}});
+
+    const StatSet stats = preMatchingReference(prog);
+    EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"), 1);
+    EXPECT_EQ(stats.get("pre.cseRemoved"), kLength);
+    EXPECT_EQ(stats.get("pre.deadCodeRemoved"), 0);
+}
+
+TEST(Pre, LookaheadSkipsDeadInstructions)
+{
+    // Dead instructions inside the window, each an exact duplicate of a
+    // live one before or after it: a dead instruction never becomes a
+    // winner, and a live duplicate after it still merges (13 products
+    // and 36 key reloads).
+    IrProgram prog;
+    prog.degree = 1 << 10;
+    IrBuilder b(prog);
+    const int key = b.object("key", 4, true);
+    const int in = b.object("in", 1, false);
+    const int out = b.object("out", 1, false);
+    const int x = b.load(in, 0, 1).limbs[0];
+    std::vector<int> dead;
+    int acc = x;
+    for (int k = 0; k < 40; ++k) {
+        const int limb = b.load(key, k % 4, 1).limbs[0];
+        if (k % 3 == 0)
+            dead.push_back(b.emit1(IrOp::Mul, limb, acc, 0));
+        const int prod = b.emit1(IrOp::Mul, limb, acc, 0);
+        if (k % 3 == 1)
+            dead.push_back(b.emit1(IrOp::Mul, acc, limb, 0));
+        if (k % 3 == 2)
+            b.emit1(IrOp::Mul, acc, limb, 0);
+        acc = b.emit1(IrOp::Add, prod, x, 0);
+        if (k % 5 == 0)
+            dead.push_back(b.load(key, k % 4, 1).limbs[0]);
+    }
+    b.store(out, 0, PolyVal{{acc}});
+    for (int v : dead)
+        prog.kill(prog.insts[v]);
+
+    const StatSet stats = preMatchingReference(prog);
+    EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"), 40 - 4);
+    EXPECT_EQ(stats.get("pre.cseRemoved"), 13);
+}
+
+TEST(Pre, LookaheadWinnerPastTheEndOfTheTable)
+{
+    // 15 immediate adds and their 15 duplicates over one mutable load: 31
+    // instructions, so 64 slots. Of the 256 variants (immediates shifted
+    // by 1000 each), with the current key hash, six (23, 28, 45, 84, 162
+    // and 252) hold a duplicate whose home slot near the end of the table
+    // is taken by another key, so its winner sits past the wrap at the
+    // start of the table. The lookahead reads only the home slot, which
+    // names the other key; the probe must walk on around the wrap.
+    constexpr int kDistinct = 15;
+    for (u64 variant = 0; variant < 256; ++variant) {
+        IrProgram prog;
+        prog.degree = 1 << 10;
+        IrBuilder b(prog);
+        const int in = b.object("in", 1, false);
+        const int x = b.load(in, 0, 1).limbs[0];
+        for (int copy = 0; copy < 2; ++copy)
+            for (int j = 0; j < kDistinct; ++j)
+                b.emit1(IrOp::Add, x, -1, 0, IrTag::Normal,
+                        1 + variant * 1000 + u64(j), true);
+        const std::string tag = std::to_string(variant);
+        const StatSet stats = preMatchingReference(prog, tag);
+        EXPECT_EQ(stats.get("pre.cseRemoved"), kDistinct) << tag;
     }
 }
 

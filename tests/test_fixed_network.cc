@@ -44,6 +44,22 @@ TEST_P(FnSizes, MatchesTrueTranspose)
 
 INSTANTIATE_TEST_SUITE_P(Square, FnSizes, ::testing::Values(2, 4, 8, 16, 64));
 
+TEST(BitOps, Log2FloorCeilAndExact)
+{
+    EXPECT_EQ(log2Ceil(1), 0u);
+    EXPECT_EQ(log2Ceil(2), 1u);
+    EXPECT_EQ(log2Ceil(24), 5u);
+    EXPECT_EQ(log2Ceil(32), 5u);
+    EXPECT_EQ(log2Ceil(33), 6u);
+    EXPECT_EQ(log2Floor(24), 4u);
+    EXPECT_EQ(log2Exact(32), 5u);
+}
+
+TEST(BitOpsDeathTest, Log2ExactRejectsANonPowerOfTwo)
+{
+    EXPECT_DEATH(log2Exact(24), "not a power of two");
+}
+
 TEST(FixedNetwork, RowPermutationIsInvolution)
 {
     // Bit reversal is its own inverse: applying the wiring twice is a no-op.

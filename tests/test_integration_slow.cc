@@ -17,6 +17,7 @@
 
 #include "pass_switches.h"
 #include "platform/platform.h"
+#include "reference_pre.h"
 #include "reference_sim.h"
 #include "runtime/sweep.h"
 
@@ -45,6 +46,23 @@ TEST(PaperScale, BootstrappingCompilesAndSimulates)
         EXPECT_GE(u, 0.0);
         EXPECT_LE(u, 1.0 + 1e-9);
     }
+}
+
+/**
+ * PRE against the reference map scan at the scale where the scan's
+ * lookahead pays (an 8 MiB table and a 10 MiB IR): the paper job
+ * through the `full` and `optimized` pipelines, compared at every PRE
+ * step of the fixed point.
+ */
+TEST(PaperScale, PreMatchesReferenceOnPaperJob)
+{
+    const Workload w = buildBootstrapping(paperFhe());
+    const size_t sram = HardwareConfig::asicEffact27().sramBytes;
+    for (const CompilerOptions &opts :
+         {Platform::fullOptions(sram), Platform::optimizedOptions(sram)})
+        EXPECT_GE(expectPreMatchesReference(w.program, opts.pipeline,
+                                            opts.pipeline),
+                  2u);
 }
 
 /**

@@ -162,6 +162,54 @@ TEST(Workloads, EachBootstrapEndsAtItsDeclaredDepth)
     }
 }
 
+size_t
+countOps(const IrProgram &prog, IrOp op)
+{
+    return size_t(std::count_if(
+        prog.insts.begin(), prog.insts.end(),
+        [op](const IrInst &inst) { return inst.op == op; }));
+}
+
+TEST(Workloads, DbLookupAggregatesEveryRecord)
+{
+    // Summing `records` slots takes ceil(log2(records)) rotate-and-adds:
+    // 24 records need as many as 32, one more than 16.
+    const FheParams fhe = paperParams();
+    const size_t per_rotation = countOps(buildDbLookup(fhe, 2).program,
+                                         IrOp::Auto);
+    ASSERT_GT(per_rotation, 0u);
+    EXPECT_EQ(countOps(buildDbLookup(fhe, 1).program, IrOp::Auto), 0u);
+    for (const auto &[records, rotations] :
+         std::vector<std::pair<size_t, size_t>>{
+             {3, 2}, {16, 4}, {17, 5}, {24, 5}, {32, 5}, {40, 6},
+             {48, 6}, {256, 8}}) {
+        EXPECT_EQ(countOps(buildDbLookup(fhe, records).program, IrOp::Auto),
+                  rotations * per_rotation)
+            << records << " records";
+    }
+}
+
+TEST(Workloads, ResNet20BootstrapFitsTheRing)
+{
+    // At logN 13 the ring holds 4 096 slots: ResNet-20's bootstrap runs
+    // the same CtS stages as the bootstrap kind's (17 diagonals, not the
+    // 27 of 2^15 slots) and amortizes over 4 096 slots.
+    FheParams fhe = paperParams();
+    fhe.logN = 13;
+    fhe.levels = BootstrapBudget{}.levels() + 1;
+    const Workload resnet = buildResNet20(fhe);
+    const Workload boot = buildBootstrapping(fhe);
+    const int cts_level = objectResidues(boot.program, "cts_diag_0") / 17;
+    EXPECT_EQ(cts_level, static_cast<int>(fhe.levels));
+    EXPECT_EQ(objectResidues(resnet.program, "cts_diag_0"), 17 * cts_level);
+    EXPECT_EQ(resnet.amortizeFactor, 4096.0);
+
+    // At logN 16 the clamp leaves Table III's 2^15 slots.
+    const Workload paper = buildResNet20(paperParams());
+    EXPECT_EQ(paper.amortizeFactor, double(size_t(1) << 15));
+    EXPECT_EQ(objectResidues(paper.program, "cts_diag_0"), 27 * 24);
+}
+
 TEST(WorkloadsDeathTest, InputCiphertextAboveTheQChainIsRejected)
 {
     FheParams fhe = paperParams();
