@@ -28,12 +28,12 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--socket PATH] [--threads N] [--queue-depth N]\n"
-        "          [--batch N] [--cache-bytes N] [--verify N]\n"
+        "          [--batch N] [--cache-bytes N] [--verify 0|1]\n"
         "          [--record FILE]\n"
         "\n"
         "Defaults: socket $EFFACT_SOCKET (or /tmp/effact.sock), threads\n"
-        "$EFFACT_THREADS, queue depth $EFFACT_QUEUE_DEPTH (64), cache\n"
-        "budget $EFFACT_CACHE_BYTES bytes (0 = unbounded).\n",
+        "$EFFACT_THREADS, queue depth 64, cache budget 0 bytes\n"
+        "(unbounded), verification per request.\n",
         argv0);
 }
 
@@ -69,7 +69,9 @@ main(int argc, char **argv)
             opts.service.batchSize = n;
         } else if (arg == "--cache-bytes" && parseSize(value(), &n)) {
             opts.service.cacheBytes = n;
-        } else if (arg == "--verify" && parseSize(value(), &n)) {
+        } else if (arg == "--verify" && parseSize(value(), &n) && n <= 1) {
+            // The wire protocol's range: any other level is refused,
+            // never truncated.
             opts.service.verifyLevel = int(n);
         } else {
             usage(argv[0]);

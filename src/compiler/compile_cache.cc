@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/env.h"
 #include "common/logging.h"
 
 namespace effact {
@@ -22,12 +21,6 @@ snapshotBytes(const MiddleEndSnapshot &snap)
     return bytes;
 }
 
-size_t
-defaultCacheBytes()
-{
-    return envSize("EFFACT_CACHE_BYTES", 0, /*min=*/0);
-}
-
 uint64_t
 middleEndPresetHash(const CompilerOptions &opts)
 {
@@ -45,13 +38,14 @@ middleEndPresetHash(const CompilerOptions &opts)
         mixByte(static_cast<unsigned char>(c));
     // Back-end options that are part of the preset identity but not of
     // the hardware config (see the header on why they are included).
-    // `verifyLevel` is deliberately absent: checkpoint verification
-    // never changes the emitted code, so verified and unverified
-    // compiles of the same preset share one cache entry.
     mix(uint64_t(opts.scheduler));
     mix(opts.streaming ? 1 : 0);
     mix(opts.fifoDepth);
     mix(uint64_t(opts.regalloc));
+    // Verification never changes the emitted code, but a verified
+    // middle end records `verify.*` stats that an unverified one does
+    // not, and a hit replays the stats of the run that built it.
+    mix(opts.verifyLevel > 0 ? 1 : 0);
     return h;
 }
 

@@ -16,14 +16,15 @@
  *   it;
  * - the preset half covers every `CompilerOptions` field *except* the
  *   hardware-derived knobs `sramBytes` and `issueWindow`, the two
- *   fields `Platform` overwrites from its `HardwareConfig`. That split
- *   is the whole point: jobs that differ only in hardware share an
- *   entry. Presets that happen to share a pipeline spec but differ in
- *   back-end options (e.g. MAD-enhanced vs streaming, both
- *   `"copyprop,constprop,pre"`) keep separate entries on purpose — it
- *   costs one extra pipeline run per such pair, keeps hit accounting
- *   per-(workload, preset) — the unit sweep grids are defined over —
- *   and stays trivially sound if a future pass consults those options.
+ *   fields `Platform` overwrites from its `HardwareConfig`, and reads
+ *   `verifyLevel` only as on/off. That split is the whole point: jobs
+ *   that differ only in hardware share an entry. Presets that happen
+ *   to share a pipeline spec but differ in back-end options (e.g.
+ *   MAD-enhanced vs streaming, both `"copyprop,constprop,pre"`) keep
+ *   separate entries on purpose — it costs one extra pipeline run per
+ *   such pair, keeps hit accounting per-(workload, preset) — the unit
+ *   sweep grids are defined over — and stays trivially sound if a
+ *   future pass consults those options.
  *
  * Concurrency. One mutex guards the index, the LRU list and the
  * counters; builds run outside it. Lookups are single-flight: the
@@ -68,11 +69,14 @@ struct CompileCacheKey
 
 /**
  * FNV-1a hash of the middle-end-relevant compiler preset: the pipeline
- * spec, the fixed-point sweep bound, and the remaining non-hardware
- * options (the `scheduler` and `regalloc` policy codes, `streaming`,
- * `fifoDepth`). `sramBytes` and `issueWindow` are excluded — `Platform`
- * rewrites them from `HardwareConfig`, and splitting on them is exactly
- * what the cache exists to avoid.
+ * spec, the remaining non-hardware options (the `scheduler` and
+ * `regalloc` policy codes, `streaming`, `fifoDepth`) and whether
+ * checkpoint verification is on (`verifyLevel > 0`). Verification never
+ * changes the optimized program, but a verified middle end records
+ * `verify.*` stats that a hit replays, so a verified and an unverified
+ * compile keep separate entries. `sramBytes` and `issueWindow` are
+ * excluded — `Platform` rewrites them from `HardwareConfig`, and
+ * splitting on them is exactly what the cache exists to avoid.
  */
 uint64_t middleEndPresetHash(const CompilerOptions &opts);
 
@@ -104,16 +108,6 @@ struct MiddleEndSnapshot
  * bytes, at any thread count.
  */
 size_t snapshotBytes(const MiddleEndSnapshot &snap);
-
-/**
- * Byte-budget default for daemon-style owners: the `EFFACT_CACHE_BYTES`
- * environment variable when set to a decimal byte count (a signed or
- * non-numeric value warns and is ignored), otherwise 0 = unbounded.
- * Batch sweeps keep the unbounded default — one snapshot per
- * (workload, preset) is small next to the jobs themselves; the budget
- * exists for long-lived services that see thousands of distinct keys.
- */
-size_t defaultCacheBytes();
 
 /**
  * The single-flight snapshot store. Opt-in and shared: one instance

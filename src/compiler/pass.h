@@ -94,9 +94,9 @@ struct CompilerOptions
      * malformed program (see verify/verify.h). Defaults to the
      * `EFFACT_VERIFY` environment variable so test binaries opt in
      * without code changes; Release benches leave it off. Verification
-     * never changes the emitted code, so the level is deliberately NOT
-     * part of `middleEndPresetHash` — verified and unverified compiles
-     * share `CompileCache` entries.
+     * never changes the emitted code, but it does add `verify.*` stats,
+     * so `middleEndPresetHash` mixes in whether it is on: verified and
+     * unverified compiles keep separate `CompileCache` entries.
      */
     int verifyLevel = defaultVerifyLevel();
 };

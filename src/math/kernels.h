@@ -5,8 +5,9 @@
  * Three kernel families dominate workload construction and every
  * crypto test: the Cooley-Tukey / Gentleman-Sande NTT butterflies,
  * Barrett modular multiplication, and the BConv / RnsPoly elementwise
- * MAC chains. Each family is implemented once per `SimdTier` behind a
- * function-pointer table:
+ * MAC chains. Each family has a scalar oracle and one vector
+ * implementation, instantiated per vector `SimdTier`, behind a
+ * function-pointer table per tier:
  *
  *  - kernels_scalar.cc — the original scalar loops, kept verbatim.
  *    This tier is the *oracle*: every other tier must produce the
@@ -15,18 +16,22 @@
  *    `CompileCache` keys and `bench/baseline.json` byte-identical no
  *    matter which tier runs.
  *
- *  - kernels_avx2.cc — 4 x u64 lanes via AVX2 integer intrinsics:
- *    widening 32-bit multiplies (`_mm256_mul_epu32`) compose the
- *    64x64->128 products Barrett needs, reductions are branchless
- *    conditional subtracts, and the NTT uses Shoup
- *    twiddle pre-scaling (floor(w * 2^64 / q), precomputed per plan)
+ *  - kernels_vector.inc — the vector tiers' one body: every kernel
+ *    algorithm (the elementwise loops with their scalar tails, addMod,
+ *    the Shoup multiply, the Barrett replay, both NTT drivers), written
+ *    against a lane-traits type. Twiddles and MAC constants use Shoup
+ *    pre-scaling (floor(w * 2^64 / q), precomputed per plan or call)
  *    — exact because a canonical residue is unique: any correct
  *    reduction yields the identical representative in [0, q).
  *
- *  - kernels_avx512.cc — the AVX2 arithmetic on 8 x u64 lanes
- *    (AVX-512F + DQ): `_mm512_mullo_epi64` low halves, unsigned-min
- *    conditional subtracts, and `_mm512_permutex2var_epi64` regrouping
- *    for the NTT stages whose butterfly span is below eight lanes.
+ *  - kernels_avx2.cc / kernels_avx512.cc — each defines its traits
+ *    (4 x u64 lanes on AVX2, 8 on AVX-512F + DQ) and instantiates the
+ *    body under its own `-m` flags. A tier supplies only what depends
+ *    on the instruction set: load, store, splat and the lane integer
+ *    ops; the 64x64->128 and the low product; the conditional
+ *    subtract, subMod and negMod; and, per NTT butterfly span below
+ *    its lane count, how two loaded vectors split into u/v lanes, how
+ *    block twiddles expand and how results interleave back.
  *
  * Exactness contracts (same as the scalar classes they mirror):
  * elementwise operands are reduced (< q); `mulConstV`/`macConstV`

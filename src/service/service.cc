@@ -9,7 +9,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "compiler/pass_manager.h"
 #include "ir/workloads.h"
@@ -33,12 +32,6 @@ finitePositive(double v, double hi)
 }
 
 } // namespace
-
-size_t
-defaultQueueCapacity()
-{
-    return envSize("EFFACT_QUEUE_DEPTH", 64);
-}
 
 ServiceOptions
 oracleOptions(const ServiceOptions &base)

@@ -35,14 +35,6 @@
 
 namespace effact {
 
-/**
- * Pending-queue capacity default: the `EFFACT_QUEUE_DEPTH` environment
- * variable when set to a positive integer, otherwise 64. This is the
- * admission bound — the maximum accepted-but-not-yet-executed requests;
- * request 65 of a burst is refused with `RejectedQueueFull`.
- */
-size_t defaultQueueCapacity();
-
 /** `ServiceCore` configuration. Every field is part of the replay
  *  contract: two cores with equal options produce byte-identical
  *  result streams for the same request stream. */
@@ -51,15 +43,15 @@ struct ServiceOptions
     /** Most jobs a batch runs at once (1 = run batches serially on
      *  the driver thread; no pool is created). */
     size_t threads = defaultThreadCount();
-    /** Admission bound on accepted-but-unexecuted requests. */
-    size_t queueCapacity = defaultQueueCapacity();
+    /** Admission bound on accepted-but-unexecuted requests: request
+     *  65 of a burst is refused with `RejectedQueueFull`. */
+    size_t queueCapacity = 64;
     /** Auto-execute threshold: once this many requests are pending the
      *  core runs them as one sweep batch without waiting for a flush
      *  (capping both queue latency and window memory). */
     size_t batchSize = 16;
-    /** `CompileCache` byte budget (0 = unbounded; see
-     *  `EFFACT_CACHE_BYTES` / `defaultCacheBytes`). */
-    size_t cacheBytes = defaultCacheBytes();
+    /** `CompileCache` byte budget (0 = unbounded). */
+    size_t cacheBytes = 0;
     /** False = compile every request cold (the oracle configuration) */
     bool useCache = true;
     /** Service-wide verification override: -1 = per-request levels

@@ -750,6 +750,56 @@ TEST(Replay, ReplayingTheSameLogTwiceIsByteIdentical)
     EXPECT_EQ(cached.cache().statsSnapshot().get("cache.evictions"), 0.0);
 }
 
+TEST(Replay, MixedVerifyLevelsOnOneKeyMatchTheOracle)
+{
+    // A verified and an unverified request for one program and preset:
+    // the verified compile records `verify.*` stats, so the two must not
+    // share a cache entry, whichever comes first and whether they run
+    // one after the other or at once.
+    for (const int first_level : {0, 1}) {
+        std::vector<Frame> frames;
+        for (int i = 0; i < 2; ++i) {
+            ServiceRequest req = smallRequest("v" + std::to_string(i), 32);
+            req.tag = 7000 + i;
+            req.verifyLevel = i == 0 ? first_level : 1 - first_level;
+            Frame frame;
+            frame.type = FrameType::Request;
+            frame.payload = encodeRequest(req);
+            frames.push_back(std::move(frame));
+        }
+        Frame flush;
+        flush.type = FrameType::Flush;
+        frames.push_back(flush);
+        for (const size_t threads : {size_t(1), size_t(4)}) {
+            ServiceOptions opts;
+            opts.threads = threads;
+            ServiceCore session(opts);
+            ReplayOutcome live;
+            std::string error;
+            ASSERT_TRUE(replayFrames(frames, session, &live, &error)) << error;
+            ServiceCore oracle(oracleOptions(opts));
+            ReplayOutcome ref;
+            ASSERT_TRUE(replayFrames(frames, oracle, &ref, &error)) << error;
+            ASSERT_EQ(ref.results.size(), 2u);
+            ASSERT_EQ(live.results.size(), 2u);
+            for (int i = 0; i < 2; ++i) {
+                const bool verified = (i == 0) == (first_level == 1);
+                const double checks =
+                    ref.results[i].stats.get("compile.verify.checks");
+                EXPECT_EQ(checks > 0, verified) << i;
+                EXPECT_EQ(live.results[i].stats.get("compile.verify.checks"),
+                          checks)
+                    << "result " << i << ", first level " << first_level
+                    << ", " << threads << " threads";
+            }
+            EXPECT_EQ(concatCanonical(live.results),
+                      concatCanonical(ref.results))
+                << "first level " << first_level << ", " << threads
+                << " threads";
+        }
+    }
+}
+
 TEST(Replay, LogRoundTripsThroughTheWriterAndLoader)
 {
     const std::vector<Frame> frames = recordedSession();
@@ -909,20 +959,6 @@ TEST(ServiceSocket, EndToEndMatchesOfflineReplayAndSurvivesGarbage)
 
 TEST(ServiceDefaults, EnvironmentOverridesParse)
 {
-    ::setenv("EFFACT_QUEUE_DEPTH", "17", 1);
-    EXPECT_EQ(defaultQueueCapacity(), 17u);
-    ::setenv("EFFACT_QUEUE_DEPTH", "not-a-number", 1);
-    EXPECT_EQ(defaultQueueCapacity(), 64u);
-    ::unsetenv("EFFACT_QUEUE_DEPTH");
-    EXPECT_EQ(defaultQueueCapacity(), 64u);
-
-    ::setenv("EFFACT_CACHE_BYTES", "123456", 1);
-    EXPECT_EQ(defaultCacheBytes(), 123456u);
-    ::setenv("EFFACT_CACHE_BYTES", "0", 1); // valid: unbounded
-    EXPECT_EQ(defaultCacheBytes(), 0u);
-    ::unsetenv("EFFACT_CACHE_BYTES");
-    EXPECT_EQ(defaultCacheBytes(), 0u);
-
     // Digits only: a sign, a space, a suffix or an overflow warns and
     // keeps the default, so `-1` can never wrap to 2^64 - 1.
     // EFFACT_THREADS is restored afterwards for the rest of the suite.
@@ -935,19 +971,10 @@ TEST(ServiceDefaults, EnvironmentOverridesParse)
     const size_t thread_default = defaultThreadCount();
     for (const char *bad :
          {"-1", "+5", " 5", "5x", "", "99999999999999999999999"}) {
-        ::setenv("EFFACT_QUEUE_DEPTH", bad, 1);
-        EXPECT_EQ(defaultQueueCapacity(), 64u) << "'" << bad << "'";
-        ::setenv("EFFACT_CACHE_BYTES", bad, 1);
-        EXPECT_EQ(defaultCacheBytes(), 0u) << "'" << bad << "'";
         ::setenv("EFFACT_THREADS", bad, 1);
         EXPECT_EQ(defaultThreadCount(), thread_default)
             << "'" << bad << "'";
     }
-    // The counts need at least one.
-    ::setenv("EFFACT_QUEUE_DEPTH", "0", 1);
-    EXPECT_EQ(defaultQueueCapacity(), 64u);
-    ::unsetenv("EFFACT_QUEUE_DEPTH");
-    ::unsetenv("EFFACT_CACHE_BYTES");
     if (had_threads)
         ::setenv("EFFACT_THREADS", threads_before.c_str(), 1);
     else

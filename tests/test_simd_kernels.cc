@@ -99,6 +99,43 @@ TEST(SimdTierPlumbing, EveryTierValueResolvesToUsableTable)
     }
 }
 
+/** The entries of `tab`, in declaration order, as untyped addresses. */
+std::vector<const void *>
+entries(const kernels::KernelTable &tab)
+{
+    static_assert(sizeof(kernels::KernelTable) == 8 * sizeof(void *),
+                  "list every KernelTable entry below");
+    return {reinterpret_cast<const void *>(tab.addModV),
+            reinterpret_cast<const void *>(tab.subModV),
+            reinterpret_cast<const void *>(tab.negModV),
+            reinterpret_cast<const void *>(tab.mulModV),
+            reinterpret_cast<const void *>(tab.mulConstV),
+            reinterpret_cast<const void *>(tab.macConstV),
+            reinterpret_cast<const void *>(tab.nttForward),
+            reinterpret_cast<const void *>(tab.nttInverse)};
+}
+
+TEST(SimdTierPlumbing, EachTierTableIsItsOwnInstantiation)
+{
+    // The vector tiers share one kernel body, so their outputs agree by
+    // design and no equivalence test would notice a tier handing out
+    // another tier's table. Every entry must be a distinct function.
+    std::vector<SimdTier> tiers = vectorTiers();
+    if (tiers.empty())
+        GTEST_SKIP() << "host has no vector tier";
+    tiers.insert(tiers.begin(), SimdTier::Scalar);
+    for (size_t i = 0; i < tiers.size(); ++i) {
+        const auto mine = entries(kernels::forTier(tiers[i]));
+        for (size_t j = i + 1; j < tiers.size(); ++j) {
+            const auto theirs = entries(kernels::forTier(tiers[j]));
+            for (size_t e = 0; e < mine.size(); ++e)
+                EXPECT_NE(mine[e], theirs[e])
+                    << "entry " << e << " of " << simdTierName(tiers[i])
+                    << " and " << simdTierName(tiers[j]);
+        }
+    }
+}
+
 TEST(SimdAlignment, LimbStorageIs64ByteAligned)
 {
     auto basis =

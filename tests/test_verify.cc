@@ -617,29 +617,36 @@ TEST(Checkpoints, VerificationDoesNotChangeTheEmittedCode)
     EXPECT_EQ(fingerprint(verified), fingerprint(plain));
 }
 
-TEST(Checkpoints, VerifyLevelSharesCompileCacheEntries)
+TEST(Checkpoints, VerifyLevelSplitsCompileCacheEntries)
 {
-    // verifyLevel is excluded from the middle-end preset hash: a
-    // verified and an unverified compile of the same preset hit the
-    // same cache entry.
+    // A verified and an unverified compile of the same preset emit the
+    // same machine code but record different middle-end stats, so they
+    // keep separate cache entries: a hit replays the stats of the run
+    // that built its entry.
     CompileCache cache;
     CompilerOptions opts;
     opts.verifyLevel = 1;
     IrProgram first = tinyProgram();
-    Compiler compiler(opts);
-    compiler.compile(first, &cache);
-    EXPECT_EQ(compiler.stats().get("cache.hit"), 0.0);
-    const double miss_checks = compiler.stats().get("verify.checks");
+    Compiler verified(opts);
+    const MachineProgram verified_code = verified.compile(first, &cache);
+    EXPECT_EQ(verified.stats().get("cache.hit"), 0.0);
+    EXPECT_GT(verified.stats().get("verify.checks"), 0.0);
 
     opts.verifyLevel = 0;
     IrProgram second = tinyProgram();
     Compiler unverified(opts);
-    unverified.compile(second, &cache);
-    EXPECT_EQ(unverified.stats().get("cache.hit"), 1.0);
-    // The replayed snapshot stats carry the miss's middle-end verify
-    // counters (hit == miss byte-identity), even though the hit itself
-    // ran no middle-end verification.
-    EXPECT_GT(miss_checks, 0.0);
+    const MachineProgram plain_code = unverified.compile(second, &cache);
+    EXPECT_EQ(unverified.stats().get("cache.hit"), 0.0);
+    EXPECT_EQ(unverified.stats().get("verify.checks"), 0.0);
+    EXPECT_EQ(fingerprint(verified_code), fingerprint(plain_code));
+    EXPECT_EQ(cache.statsSnapshot().get("cache.entries"), 2.0);
+
+    // Any level above 0 is the same key.
+    opts.verifyLevel = 2;
+    IrProgram third = tinyProgram();
+    Compiler again(opts);
+    again.compile(third, &cache);
+    EXPECT_EQ(again.stats().get("cache.hit"), 1.0);
 }
 
 TEST(Checkpoints, PassManagerVerifiesAtPassBoundaries)
