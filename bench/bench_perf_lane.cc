@@ -1,21 +1,35 @@
 /**
  * @file
- * CI perf lane: four headline measurements — simulator throughput and
- * peak RSS on the paper-scale bootstrapping trace (`bench_sim_speed`'s
- * event-driven core), the `bench_fig11_ablation` 15-job preset x SRAM
- * grid through `runSweep` with a shared `CompileCache`, the
- * per-optimization win matrix (each PR 10 optimization isolated
- * against the full preset), and the paper grid (every paper workload
- * x preset x SRAM point) — emitted as one machine-readable
- * `BENCH_sweep.json` (cycles, wall-clock ms, peak RSS, cache hit
- * stats, thread count, per-job fingerprints).
+ * CI perf lane: five measurements emitted as one machine-readable
+ * `BENCH_sweep.json`, in the order they run:
+ *
+ *  - `sim_speed`: compile wall clock, event-driven simulator wall clock
+ *    and peak RSS on the paper-scale bootstrapping trace. It runs
+ *    first, so `peak_rss_mb` is the RSS of one paper job alone.
+ *  - `kernels`: the dispatched math kernels (NTT forward/inverse,
+ *    pointwise modmul, BConv) under the scalar oracle tier and the best
+ *    tier this host supports. Before timing anything, every kernel
+ *    family runs under every available tier on identical inputs; the
+ *    lane aborts unless each tier's outputs fold to the scalar oracle's
+ *    FNV-1a fingerprint, which it records as `kernels.fingerprint`.
+ *  - `fig11_grid`: the `bench_fig11_ablation` 15-job preset x SRAM grid
+ *    through `runSweep` with a shared `CompileCache`.
+ *  - `opt_wins`: the per-optimization win matrix (each compiler
+ *    optimization isolated against the full preset).
+ *  - `paper_grid`: every paper workload x preset x SRAM point.
+ *
+ * Result rows carry one `name`, `<workload>/<preset or opt>/sram<N>`.
+ * The top-level `host` object records the runner (worker count, SIMD
+ * tiers exercised). Derived ratios (simulated instructions per second,
+ * kernel speedups) go to stderr, not to the file.
  *
  * CI uploads the file as an artifact on every push (the perf
- * trajectory) and gates on `bench/check_regression.py` against the
- * checked-in `bench/baseline.json`: deterministic fields (cycles,
- * fingerprints) must match exactly, wall-clock and peak RSS may regress
- * at most 25% (env-overridable). Regenerate the baseline deliberately
- * with `bench/regen_baseline.sh`.
+ * trajectory) and gates it with `bench/check_regression.py` against the
+ * checked-in `bench/baseline.json`, by a rule read from each field's
+ * name: a `*wall_ms` or `*rss_mb` field may regress at most 25%
+ * (env-overridable), `host` is recorded but not gated, and every other
+ * field (cycles, fingerprints, counts) must match exactly. Regenerate
+ * the baseline deliberately with `bench/regen_baseline.sh`.
  *
  * Usage: bench_perf_lane [output.json]   (default: BENCH_sweep.json)
  */
@@ -29,7 +43,13 @@
 
 #include "bench_common.h"
 #include "common/logging.h"
+#include "common/rng.h"
+#include "common/simd.h"
 #include "compiler/pass_manager.h"
+#include "math/kernels.h"
+#include "math/ntt.h"
+#include "math/primes.h"
+#include "rns/bconv.h"
 
 namespace effact {
 namespace {
@@ -87,8 +107,8 @@ struct SimSpeedResult
  *  and fail the 25% gate with no code change. */
 constexpr int kSimReps = 9;
 
-/** The `bench_sim_speed` measurement: event-driven core throughput on
- *  the paper-scale bootstrapping trace. */
+/** Event-driven simulator throughput on the paper-scale bootstrapping
+ *  trace, plus the compile that produces it. */
 SimSpeedResult
 measureSimSpeed()
 {
@@ -130,10 +150,192 @@ measureSimSpeed()
     return r;
 }
 
+// --- SIMD kernel tiers -----------------------------------------------------
+
+constexpr size_t kKernelDegree = 4096; ///< ring degree of every kernel run
+constexpr int kKernelReps = 5;         ///< best-of reps per kernel wall
+
+u64
+fnv1a(u64 h, const u64 *data, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        h ^= data[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** The fixed inputs every kernel measurement and the exactness gate
+ *  share. */
+struct KernelScene
+{
+    Ntt ntt;
+    AlignedU64Vec poly;  ///< reduced mod ntt.modulus()
+    AlignedU64Vec polyB; ///< second operand, same modulus
+    BaseConverter bconv; ///< 6 x 40-bit primes onto 6 disjoint ones
+    RnsPoly rnsInput;
+
+    static KernelScene
+    make()
+    {
+        const u64 q = genNttPrimes(1, 54, kKernelDegree)[0];
+        Ntt ntt(kKernelDegree, q);
+        Rng rng(1);
+        AlignedU64Vec a(kKernelDegree), b(kKernelDegree);
+        for (auto &c : a)
+            c = rng.uniform(q);
+        for (auto &c : b)
+            c = rng.uniform(q);
+        auto from = std::make_shared<RnsBasis>(
+            kKernelDegree, genNttPrimes(6, 40, kKernelDegree));
+        auto to = std::make_shared<RnsBasis>(
+            kKernelDegree,
+            genNttPrimes(6, 40, kKernelDegree, from->primes()));
+        BaseConverter bc(from, to);
+        RnsPoly p(from, PolyFormat::Coeff);
+        Rng rng2(2);
+        p.sampleUniform(rng2);
+        return KernelScene{std::move(ntt), std::move(a), std::move(b),
+                           std::move(bc), std::move(p)};
+    }
+};
+
+/** One kernel family: how to run it once, folding outputs into `h`. */
+struct KernelFamily
+{
+    const char *name; ///< JSON key
+    int iters;        ///< timed iterations per rep
+    u64 (*runOnce)(const KernelScene &s, u64 h);
+};
+
+u64
+runNttForward(const KernelScene &s, u64 h)
+{
+    AlignedU64Vec a = s.poly;
+    s.ntt.forward(a.data());
+    return fnv1a(h, a.data(), a.size());
+}
+
+u64
+runNttInverse(const KernelScene &s, u64 h)
+{
+    AlignedU64Vec a = s.poly; // any reduced vector is a valid eval input
+    s.ntt.backward(a.data());
+    return fnv1a(h, a.data(), a.size());
+}
+
+u64
+runPointwiseMul(const KernelScene &s, u64 h)
+{
+    AlignedU64Vec dst(kKernelDegree);
+    kernels::active().mulModV(dst.data(), s.poly.data(), s.polyB.data(),
+                              kKernelDegree,
+                              s.ntt.kernelTables().barrett[0]);
+    return fnv1a(h, dst.data(), dst.size());
+}
+
+u64
+runBconv(const KernelScene &s, u64 h)
+{
+    RnsPoly out = s.bconv.convert(s.rnsInput);
+    for (size_t j = 0; j < out.limbCount(); ++j)
+        h = fnv1a(h, out.limb(j).data(), out.limb(j).size());
+    return h;
+}
+
+const KernelFamily kKernelFamilies[] = {
+    {"ntt_forward", 200, runNttForward},
+    {"ntt_inverse", 200, runNttInverse},
+    {"pointwise_mul", 400, runPointwiseMul},
+    {"bconv", 40, runBconv},
+};
+
+/** Runs every family once under `tier` and returns the combined
+ *  fingerprint. */
+u64
+fingerprintTier(const KernelScene &s, SimdTier tier)
+{
+    const SimdTier installed = setSimdTier(tier);
+    EFFACT_ASSERT(installed == tier, "tier %s unavailable mid-gate",
+                  simdTierName(tier));
+    u64 h = 0xcbf29ce484222325ULL;
+    for (const KernelFamily &f : kKernelFamilies)
+        h = f.runOnce(s, h);
+    return h;
+}
+
+/** Best-of-kKernelReps wall clock of `iters` runs of one family. */
+double
+timeFamily(const KernelScene &s, const KernelFamily &f)
+{
+    double best = 1e300;
+    for (int rep = 0; rep < kKernelReps; ++rep) {
+        const Clock::time_point t0 = Clock::now();
+        u64 sink = 0xcbf29ce484222325ULL;
+        for (int it = 0; it < f.iters; ++it)
+            sink = f.runOnce(s, sink);
+        const double ms = msSince(t0);
+        // Keep the fold observable so the loop cannot be elided.
+        if (sink == 0)
+            std::fprintf(stderr, "impossible fold\n");
+        best = std::min(best, ms);
+    }
+    return best;
+}
+
+struct KernelResult
+{
+    u64 fingerprint = 0; ///< the scalar oracle's, which every tier gave
+    std::string tiers;   ///< the tiers checked, comma-separated
+    std::vector<double> scalarMs; ///< per family, scalar tier
+    std::vector<double> vectorMs; ///< per family, best supported tier
+};
+
+/**
+ * The exactness gate, then the walls. Every available tier must agree
+ * with the scalar oracle before any number is recorded. On a host
+ * without a vector tier the "vector" walls are a second scalar
+ * measurement, and the JSON keeps its shape. Leaves the tier that was
+ * active on entry installed.
+ */
+KernelResult
+measureKernels()
+{
+    const KernelScene s = KernelScene::make();
+    const SimdTier entry = activeSimdTier();
+    const SimdTier best = maxSupportedSimdTier();
+
+    KernelResult r;
+    r.fingerprint = fingerprintTier(s, SimdTier::Scalar);
+    r.tiers = simdTierName(SimdTier::Scalar);
+    for (int t = 1; t <= static_cast<int>(best); ++t) {
+        const SimdTier tier = static_cast<SimdTier>(t);
+        const u64 got = fingerprintTier(s, tier);
+        EFFACT_ASSERT(got == r.fingerprint,
+                      "tier %s fingerprint 0x%016llx != scalar oracle "
+                      "0x%016llx",
+                      simdTierName(tier),
+                      static_cast<unsigned long long>(got),
+                      static_cast<unsigned long long>(r.fingerprint));
+        r.tiers += ",";
+        r.tiers += simdTierName(tier);
+    }
+
+    setSimdTier(SimdTier::Scalar);
+    for (const KernelFamily &f : kKernelFamilies)
+        r.scalarMs.push_back(timeFamily(s, f));
+    setSimdTier(best);
+    for (const KernelFamily &f : kKernelFamilies)
+        r.vectorMs.push_back(timeFamily(s, f));
+    setSimdTier(entry);
+    return r;
+}
+
+// --- Compile-and-simulate grids --------------------------------------------
+
 struct GridResult
 {
     double wallMs = 0;
-    size_t threads = 0;
     StatSet cacheStats;
     std::vector<SweepJob> jobs;
     std::vector<PlatformResult> results;
@@ -164,11 +366,9 @@ runFig11Grid()
         }
     }
     CompileCache cache;
-    const size_t threads = defaultThreadCount();
     const Clock::time_point t0 = Clock::now();
-    grid.results = runSweep(grid.jobs, threads, &cache);
+    grid.results = runSweep(grid.jobs, defaultThreadCount(), &cache);
     grid.wallMs = msSince(t0);
-    grid.threads = std::min(threads, grid.jobs.size());
     grid.cacheStats = cache.statsSnapshot();
 
     // The hardware-split invariant the lane records: one middle-end
@@ -193,15 +393,28 @@ runFig11Grid()
 
 // --- Per-optimization cycle wins ------------------------------------------
 
-/** One (workload, variant, SRAM) measurement of the opt-wins matrix. */
-struct WinRow
+/** One job of the `opt_wins` or `paper_grid` sweep. */
+struct JobRow
 {
-    std::string workload;
-    std::string opt;
-    size_t sramMb = 0;
+    std::string name; ///< `<workload>/<opt or preset>/sram<N>`
     double cycles = 0;
     uint64_t fingerprint = 0;
 };
+
+/** Runs `jobs` through `runSweep` with a shared compile cache, one row
+ *  per job in job order. */
+std::vector<JobRow>
+runRows(const std::vector<SweepJob> &jobs)
+{
+    CompileCache cache;
+    const std::vector<PlatformResult> results =
+        runSweep(jobs, defaultThreadCount(), &cache);
+    std::vector<JobRow> rows;
+    for (size_t i = 0; i < jobs.size(); ++i)
+        rows.push_back({jobs[i].name, results[i].sim.cycles,
+                        results[i].machineFingerprint});
+    return rows;
+}
 
 /**
  * Isolates each PR 10 optimization against the full Fig. 11 preset:
@@ -212,7 +425,7 @@ struct WinRow
  * SRAM point. Cycles and fingerprints are deterministic and gated
  * exactly against the baseline (`opt_wins.results`).
  */
-std::vector<WinRow>
+std::vector<JobRow>
 measureOptimizationWins()
 {
     HardwareConfig hw = HardwareConfig::asicEffact27();
@@ -251,7 +464,6 @@ measureOptimizationWins()
                                              size_t(27) << 20};
 
     std::vector<SweepJob> jobs;
-    std::vector<WinRow> rows;
     for (const auto &[wname, build] : workloads) {
         for (size_t sram : sram_points) {
             for (const Variant &v : variants) {
@@ -262,17 +474,10 @@ measureOptimizationWins()
                 jobs.push_back({std::string(wname) + "/" + v.name +
                                     "/sram" + std::to_string(sram >> 20),
                                 build, cfg, opts});
-                rows.push_back({wname, v.name, sram >> 20});
             }
         }
     }
-    CompileCache cache;
-    const std::vector<PlatformResult> results =
-        runSweep(jobs, defaultThreadCount(), &cache);
-    for (size_t i = 0; i < rows.size(); ++i) {
-        rows[i].cycles = results[i].sim.cycles;
-        rows[i].fingerprint = results[i].machineFingerprint;
-    }
+    const std::vector<JobRow> rows = runRows(jobs);
 
     // The measured-win gate: each optimization, isolated, strictly
     // improves at least one (workload, SRAM) point. Rows are blocks of
@@ -284,11 +489,8 @@ measureOptimizationWins()
             const double delta =
                 rows[base].cycles - rows[base + v].cycles;
             std::fprintf(stderr,
-                         "[wins] %s/%s/sram%zu: %.0f cycles (%+.2f%% vs "
-                         "full)\n",
-                         rows[base + v].workload.c_str(),
-                         rows[base + v].opt.c_str(),
-                         rows[base + v].sramMb, rows[base + v].cycles,
+                         "[wins] %s: %.0f cycles (%+.2f%% vs full)\n",
+                         rows[base + v].name.c_str(), rows[base + v].cycles,
                          -100.0 * delta / rows[base].cycles);
             wins |= delta > 0;
         }
@@ -300,16 +502,6 @@ measureOptimizationWins()
 
 // --- Paper workload grid ---------------------------------------------------
 
-/** One (workload, preset, SRAM) job of the paper grid. */
-struct PaperRow
-{
-    std::string workload;
-    std::string preset;
-    size_t sramMb = 0;
-    double cycles = 0;
-    uint64_t fingerprint = 0;
-};
-
 /**
  * The fixed point for every paper workload: the four
  * `buildAllBenchmarks` workloads plus TFHE gate bootstrapping, x the
@@ -319,7 +511,7 @@ struct PaperRow
  * that alters any workload's machine code fails the lane, not only
  * bootstrapping's.
  */
-std::vector<PaperRow>
+std::vector<JobRow>
 measurePaperGrid()
 {
     std::vector<std::pair<std::string, Workload>> workloads =
@@ -328,7 +520,6 @@ measurePaperGrid()
     const std::vector<size_t> sram_mb = {13, 27, 54};
 
     std::vector<SweepJob> jobs;
-    std::vector<PaperRow> rows;
     for (const auto &[wname, w] : workloads) {
         for (size_t mb : sram_mb) {
             for (const Preset &p : kPresets) {
@@ -338,18 +529,27 @@ measurePaperGrid()
                                     std::to_string(mb),
                                 [&w = w] { return w; }, hw,
                                 p.options(hw.sramBytes)});
-                rows.push_back({wname, p.name, mb});
             }
         }
     }
-    CompileCache cache;
-    const std::vector<PlatformResult> results =
-        runSweep(jobs, defaultThreadCount(), &cache);
-    for (size_t i = 0; i < rows.size(); ++i) {
-        rows[i].cycles = results[i].sim.cycles;
-        rows[i].fingerprint = results[i].machineFingerprint;
-    }
-    return rows;
+    return runRows(jobs);
+}
+
+/** Writes a `{"jobs": N, "results": [...]}` section of `rows`. */
+void
+emitRows(std::FILE *f, const char *section, const std::vector<JobRow> &rows)
+{
+    std::fprintf(f, "  \"%s\": {\n", section);
+    std::fprintf(f, "    \"jobs\": %zu,\n", rows.size());
+    std::fprintf(f, "    \"results\": [\n");
+    for (size_t i = 0; i < rows.size(); ++i)
+        std::fprintf(f,
+                     "      {\"name\": \"%s\", \"cycles\": %.0f, "
+                     "\"fingerprint\": \"0x%016" PRIx64 "\"}%s\n",
+                     rows[i].name.c_str(), rows[i].cycles,
+                     rows[i].fingerprint, i + 1 < rows.size() ? "," : "");
+    std::fprintf(f, "    ]\n");
+    std::fprintf(f, "  }");
 }
 
 int
@@ -366,9 +566,11 @@ emit(const char *path)
                   "verification would pollute the recorded wall-clock");
 
     const SimSpeedResult speed = measureSimSpeed();
+    const KernelResult kern = measureKernels();
     const GridResult grid = runFig11Grid();
-    const std::vector<WinRow> wins = measureOptimizationWins();
-    const std::vector<PaperRow> paper = measurePaperGrid();
+    const std::vector<JobRow> wins = measureOptimizationWins();
+    const std::vector<JobRow> paper = measurePaperGrid();
+    const size_t threads = defaultThreadCount();
 
     std::FILE *f = std::fopen(path, "w");
     if (f == nullptr) {
@@ -376,7 +578,11 @@ emit(const char *path)
         return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"effact-bench-sweep-v1\",\n");
+    std::fprintf(f, "  \"schema\": \"effact-bench-sweep-v2\",\n");
+    std::fprintf(f, "  \"host\": {\n");
+    std::fprintf(f, "    \"threads\": %zu,\n", threads);
+    std::fprintf(f, "    \"simd_tiers\": \"%s\"\n", kern.tiers.c_str());
+    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"sim_speed\": {\n");
     std::fprintf(f, "    \"instructions\": %zu,\n", speed.instructions);
     std::fprintf(f, "    \"cycles\": %.0f,\n", speed.cycles);
@@ -386,13 +592,22 @@ emit(const char *path)
     std::fprintf(f, "    \"backend_wall_ms\": %.3f,\n",
                  speed.backendWallMs);
     std::fprintf(f, "    \"sim_wall_ms\": %.3f,\n", speed.simWallMs);
-    std::fprintf(f, "    \"insts_per_sec\": %.0f,\n",
-                 double(speed.instructions) / (speed.simWallMs / 1e3));
     std::fprintf(f, "    \"peak_rss_mb\": %.1f\n", speed.peakRssMb);
+    std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"kernels\": {\n");
+    std::fprintf(f, "    \"fingerprint\": \"0x%016" PRIx64 "\",\n",
+                 kern.fingerprint);
+    std::fprintf(f, "    \"degree\": %zu,\n", kKernelDegree);
+    for (size_t i = 0; i < kern.scalarMs.size(); ++i)
+        std::fprintf(f,
+                     "    \"%s\": {\"scalar_wall_ms\": %.3f, "
+                     "\"vector_wall_ms\": %.3f}%s\n",
+                     kKernelFamilies[i].name, kern.scalarMs[i],
+                     kern.vectorMs[i],
+                     i + 1 < kern.scalarMs.size() ? "," : "");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"fig11_grid\": {\n");
     std::fprintf(f, "    \"jobs\": %zu,\n", grid.results.size());
-    std::fprintf(f, "    \"threads\": %zu,\n", grid.threads);
     std::fprintf(f, "    \"wall_ms\": %.3f,\n", grid.wallMs);
     std::fprintf(f, "    \"cache\": {\n");
     std::fprintf(f, "      \"lookups\": %.0f,\n",
@@ -418,47 +633,30 @@ emit(const char *path)
     }
     std::fprintf(f, "    ]\n");
     std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"opt_wins\": {\n");
-    std::fprintf(f, "    \"jobs\": %zu,\n", wins.size());
-    std::fprintf(f, "    \"results\": [\n");
-    for (size_t i = 0; i < wins.size(); ++i) {
-        const WinRow &r = wins[i];
-        std::fprintf(f,
-                     "      {\"workload\": \"%s\", \"opt\": \"%s\", "
-                     "\"sram_mb\": %zu, \"cycles\": %.0f, "
-                     "\"fingerprint\": \"0x%016" PRIx64 "\"}%s\n",
-                     r.workload.c_str(), r.opt.c_str(), r.sramMb,
-                     r.cycles, r.fingerprint,
-                     i + 1 < wins.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"paper_grid\": {\n");
-    std::fprintf(f, "    \"jobs\": %zu,\n", paper.size());
-    std::fprintf(f, "    \"results\": [\n");
-    for (size_t i = 0; i < paper.size(); ++i) {
-        const PaperRow &r = paper[i];
-        std::fprintf(f,
-                     "      {\"workload\": \"%s\", \"preset\": \"%s\", "
-                     "\"sram_mb\": %zu, \"cycles\": %.0f, "
-                     "\"fingerprint\": \"0x%016" PRIx64 "\"}%s\n",
-                     r.workload.c_str(), r.preset.c_str(), r.sramMb,
-                     r.cycles, r.fingerprint,
-                     i + 1 < paper.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
+    emitRows(f, "opt_wins", wins);
+    std::fprintf(f, ",\n");
+    emitRows(f, "paper_grid", paper);
+    std::fprintf(f, "\n}\n");
     std::fclose(f);
 
     std::fprintf(stderr,
-                 "[perf] sim: %zu insts, %.0f cycles, %.1f ms, peak RSS "
-                 "%.1f MB | grid: %zu jobs on %zu worker(s), %.1f ms, "
-                 "%.0f middle-end run(s) | paper grid: %zu jobs\n",
+                 "[perf] sim: %zu insts, %.0f cycles, %.1f ms (%.0f "
+                 "insts/s), peak RSS %.1f MB | grid: %zu jobs on %zu "
+                 "worker(s), %.1f ms, %.0f middle-end run(s) | paper "
+                 "grid: %zu jobs\n",
                  speed.instructions, speed.cycles, speed.simWallMs,
-                 speed.peakRssMb, grid.results.size(), grid.threads,
-                 grid.wallMs, grid.cacheStats.get("cache.misses"),
-                 paper.size());
+                 double(speed.instructions) / (speed.simWallMs / 1e3),
+                 speed.peakRssMb, grid.results.size(),
+                 std::min(threads, grid.results.size()), grid.wallMs,
+                 grid.cacheStats.get("cache.misses"), paper.size());
+    std::fprintf(stderr, "[kernels] tiers %s, fingerprint 0x%016" PRIx64
+                         "\n",
+                 kern.tiers.c_str(), kern.fingerprint);
+    for (size_t i = 0; i < kern.scalarMs.size(); ++i)
+        std::fprintf(stderr, "[kernels] %-18s scalar %8.3f ms  vector "
+                             "%8.3f ms  x%.2f\n",
+                     kKernelFamilies[i].name, kern.scalarMs[i],
+                     kern.vectorMs[i], kern.scalarMs[i] / kern.vectorMs[i]);
     std::printf("wrote %s\n", path);
     return 0;
 }

@@ -133,18 +133,4 @@ CompileCache::statsSnapshot() const
     return s;
 }
 
-void
-CompileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::shared_ptr<Slot> &slot : lru_)
-        slot->inLru = false;
-    lru_.clear();
-    index_.clear();
-    bytes_ = 0;
-    lookups_ = 0;
-    hits_ = 0;
-    evictions_ = 0;
-}
-
 } // namespace effact

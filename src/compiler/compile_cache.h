@@ -127,7 +127,7 @@ size_t snapshotBytes(const MiddleEndSnapshot &snap);
  * never be evicted out from under the requesters blocked on it. A
  * re-requested evicted key simply rebuilds (counted as a fresh miss).
  *
- * Statistics (all monotone, reset only by `clear()`):
+ * Statistics (all monotone):
  * - `cache.lookups`  — compiles that consulted the cache;
  * - `cache.hits`     — lookups served from an existing entry (including
  *                      ones that waited on an in-flight build); each
@@ -166,10 +166,6 @@ class CompileCache
 
     /** Point-in-time `cache.*` statistics (see class comment). */
     StatSet statsSnapshot() const;
-
-    /** Drops every entry and resets the counters. Not meant to race
-     *  with in-flight compiles (a sweep clears between batches). */
-    void clear();
 
   private:
     /** One build of one key. The LRU list and the waiters hold it by

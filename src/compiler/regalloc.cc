@@ -197,9 +197,6 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     const size_t n = prog.insts.size();
     const size_t residue_bytes = prog.degree * 8;
     size_t num_regs = std::max<size_t>(opts.sramBytes / residue_bytes, 8);
-    // Scratch registers for spill reloads; sized from measured reload
-    // pressure after a first allocation pass (see below).
-    const size_t max_scratch = 4;
 
     // Scheduled position of each instruction.
     std::vector<int> pos(n, -1);
@@ -424,7 +421,8 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     // within the OoO scoreboard's reach creates WAW anti-dependences
     // between reloads; spacing them over `pressure` registers (the
     // most reloads observed in any issue-window span of the schedule)
-    // removes that serialization. The pool is capped at the historic 4:
+    // removes that serialization. The pool is capped at the historic 4
+    // (`kMaxScratchRegs`):
     // a cycle sweep across SRAM sizes showed anti-dependences only gate
     // issue in this machine model (they are nearly free), while every
     // register taken from the allocator adds spills — spill count, not
@@ -450,7 +448,8 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
             pressure = std::max(pressure, in_window);
         }
         stats.add("regalloc.reloadPressure", double(pressure));
-        num_scratch = std::min(std::max<size_t>(pressure, 1), max_scratch);
+        num_scratch =
+            std::min(std::max<size_t>(pressure, 1), kMaxScratchRegs);
         if (num_scratch > 1) {
             // Re-allocate with the final pool (one resize pass; the
             // re-run's pressure is close enough not to iterate).

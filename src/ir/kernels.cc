@@ -148,32 +148,34 @@ KernelBuilder::modDown(const PolyVal &acc, size_t level)
     return b_.mulImm(diff, kPInvImm);
 }
 
+PolyVal
+KernelBuilder::modUpDigit(const PolyVal &dc, size_t d, size_t level)
+{
+    const size_t alpha = p_.alpha();
+    const size_t begin = d * alpha;
+    const size_t end = std::min(begin + alpha, level);
+    return b_.ntt(bconv(slice(dc, begin, end), level + alpha));
+}
+
+template <typename DigitFn>
 std::pair<PolyVal, PolyVal>
-KernelBuilder::keySwitch(const PolyVal &d2, size_t level, int key_obj)
+KernelBuilder::keyInnerProduct(size_t level, int key_obj, DigitFn digit)
 {
     const size_t alpha = p_.alpha();
     const size_t ext = level + alpha;
     const size_t digits = (level + alpha - 1) / alpha;
-    const int key_stride = static_cast<int>(p_.levels + p_.alpha());
-
-    PolyVal dc = b_.intt(d2);
+    const int key_stride = static_cast<int>(p_.levels + alpha);
 
     PolyVal acc0, acc1;
     for (size_t d = 0; d < digits; ++d) {
-        size_t begin = d * alpha;
-        size_t end = std::min(begin + alpha, level);
-        PolyVal digit = slice(dc, begin, end);
-
-        PolyVal up = bconv(digit, ext);
-        PolyVal up_eval = b_.ntt(up);
-
+        PolyVal up = digit(d);
         // evk digit d: b at offset (2d)*stride, a at (2d+1)*stride.
         PolyVal kb = b_.load(key_obj, static_cast<int>(2 * d) * key_stride,
                              ext);
         PolyVal ka = b_.load(key_obj,
                              static_cast<int>(2 * d + 1) * key_stride, ext);
-        PolyVal pb = b_.mul(up_eval, kb);
-        PolyVal pa = b_.mul(up_eval, ka);
+        PolyVal pb = b_.mul(up, kb);
+        PolyVal pa = b_.mul(up, ka);
         if (d == 0) {
             acc0 = pb;
             acc1 = pa;
@@ -182,6 +184,15 @@ KernelBuilder::keySwitch(const PolyVal &d2, size_t level, int key_obj)
             acc1 = b_.add(acc1, pa);
         }
     }
+    return {acc0, acc1};
+}
+
+std::pair<PolyVal, PolyVal>
+KernelBuilder::keySwitch(const PolyVal &d2, size_t level, int key_obj)
+{
+    PolyVal dc = b_.intt(d2);
+    auto [acc0, acc1] = keyInnerProduct(
+        level, key_obj, [&](size_t d) { return modUpDigit(dc, d, level); });
     return {modDown(acc0, level), modDown(acc1, level)};
 }
 
@@ -192,7 +203,12 @@ KernelBuilder::hmult(const IrCt &a, const IrCt &b, int evk)
     IrCt aa = alignTo(a, level);
     IrCt bb = alignTo(b, level);
     PolyVal d0 = b_.mul(aa.c0, bb.c0);
-    PolyVal d1 = b_.add(b_.mul(aa.c0, bb.c1), b_.mul(aa.c1, bb.c0));
+    // Sibling arguments are evaluated in an unspecified order, so the
+    // emission order is spelled out: a.c1 * b.c0 first, the order every
+    // pinned fingerprint records.
+    PolyVal c1b0 = b_.mul(aa.c1, bb.c0);
+    PolyVal c0b1 = b_.mul(aa.c0, bb.c1);
+    PolyVal d1 = b_.add(c0b1, c1b0);
     PolyVal d2 = b_.mul(aa.c1, bb.c1);
     auto [k0, k1] = keySwitch(d2, level, evk);
     return {b_.add(d0, k0), b_.add(d1, k1), level};
@@ -238,45 +254,28 @@ KernelBuilder::linearTransform(const IrCt &ct, size_t diags, size_t n1,
     EFFACT_ASSERT(n1 >= 1 && diags >= 1, "invalid BSGS split");
     const size_t n2 = (diags + n1 - 1) / n1;
     const size_t level = ct.level;
-    const size_t alpha = p_.alpha();
-    const size_t ext = level + alpha;
-    const size_t digits = (level + alpha - 1) / alpha;
-    const int key_stride = static_cast<int>(p_.levels + p_.alpha());
+    const size_t digits = (level + p_.alpha() - 1) / p_.alpha();
 
     // Hoisting [13]: decompose c1 once, reuse for all n1 baby rotations.
     PolyVal dc = b_.intt(ct.c1);
     std::vector<PolyVal> up_eval(digits);
-    for (size_t d = 0; d < digits; ++d) {
-        size_t begin = d * alpha;
-        size_t end = std::min(begin + alpha, level);
-        up_eval[d] = b_.ntt(bconv(slice(dc, begin, end), ext));
-    }
+    for (size_t d = 0; d < digits; ++d)
+        up_eval[d] = modUpDigit(dc, d, level);
 
     // Baby rotations r = 0..n1-1 (r=0 is the unrotated ciphertext).
     std::vector<IrCt> rotated(n1);
     rotated[0] = ct;
     for (size_t r = 1; r < n1; ++r) {
-        PolyVal acc0, acc1;
-        for (size_t d = 0; d < digits; ++d) {
-            PolyVal rot = b_.automorph(up_eval[d], 5 + r);
-            PolyVal kb = b_.load(gk_obj,
-                                 static_cast<int>((2 * d) * key_stride),
-                                 ext);
-            PolyVal ka = b_.load(
-                gk_obj, static_cast<int>((2 * d + 1) * key_stride), ext);
-            PolyVal pb = b_.mul(rot, kb);
-            PolyVal pa = b_.mul(rot, ka);
-            if (d == 0) {
-                acc0 = pb;
-                acc1 = pa;
-            } else {
-                acc0 = b_.add(acc0, pb);
-                acc1 = b_.add(acc1, pa);
-            }
-        }
+        auto [acc0, acc1] = keyInnerProduct(level, gk_obj, [&](size_t d) {
+            return b_.automorph(up_eval[d], 5 + r);
+        });
+        // ModDown of acc0 before the Auto of c0: the order every pinned
+        // fingerprint records.
+        PolyVal down0 = modDown(acc0, level);
+        PolyVal rot0 = b_.automorph(ct.c0, 5 + r);
         IrCt rct;
         rct.level = level;
-        rct.c0 = b_.add(b_.automorph(ct.c0, 5 + r), modDown(acc0, level));
+        rct.c0 = b_.add(rot0, down0);
         rct.c1 = modDown(acc1, level);
         rotated[r] = rct;
     }

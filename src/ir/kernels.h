@@ -105,6 +105,19 @@ class KernelBuilder
     PolyVal modDown(const PolyVal &acc, size_t level);
 
   private:
+    /** ModUp of digit `d` of `dc` (coefficient domain, `level` limbs):
+     *  BConv onto Q_l ∪ P, then NTT. */
+    PolyVal modUpDigit(const PolyVal &dc, size_t d, size_t level);
+
+    /**
+     * Key inner product at `level`: for each digit d, the operand
+     * `digit(d)` times key_obj's b and a polynomials of digit d,
+     * accumulated over the digits into the (Q_l ∪ P) pair ModDown takes.
+     */
+    template <typename DigitFn>
+    std::pair<PolyVal, PolyVal> keyInnerProduct(size_t level, int key_obj,
+                                                DigitFn digit);
+
     IrBuilder b_;
     FheParams p_;
 };

@@ -175,6 +175,10 @@ class MachInst
 
 static_assert(sizeof(MachInst) <= 48, "MachInst grew past 48 bytes");
 
+/** Largest spill-reload scratch pool the register allocator reserves;
+ *  the machine verifier rejects a larger one (`mach.scratch.pool`). */
+constexpr size_t kMaxScratchRegs = 4;
+
 /** A compiled machine program plus metadata the simulator needs. */
 struct MachineProgram
 {
@@ -187,10 +191,11 @@ struct MachineProgram
 
     /**
      * Registers at the top of the file reserved as the spill-reload
-     * scratch pool (0 = unknown, e.g. a hand-built test program). Not
-     * part of `fingerprint()`: it describes the allocator's partition
-     * of the register file, not the instruction stream, and the
-     * checked-in bench baselines pin the fingerprint.
+     * scratch pool (0 = unknown, e.g. a hand-built test program), at
+     * most `kMaxScratchRegs`. Not part of `fingerprint()`: it describes
+     * the allocator's partition of the register file, not the
+     * instruction stream, and the checked-in bench baselines pin the
+     * fingerprint.
      */
     size_t scratchRegs = 0;
 };

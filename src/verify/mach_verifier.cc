@@ -56,12 +56,12 @@ verifyMachine(const MachineProgram &prog, const MachVerifyBudget &budget)
     // register file (regalloc.cc); 0 means "not produced by the
     // allocator" (hand-built test programs) and skips the rule.
     if (prog.scratchRegs != 0 &&
-        (prog.scratchRegs > budget.scratchCap ||
+        (prog.scratchRegs > kMaxScratchRegs ||
          prog.scratchRegs >= prog.numRegs))
         report(rep, "mach.scratch.pool", -1,
                "scratch pool of " + std::to_string(prog.scratchRegs) +
                    " registers outside [1, " +
-                   std::to_string(budget.scratchCap) + "] (numRegs=" +
+                   std::to_string(kMaxScratchRegs) + "] (numRegs=" +
                    std::to_string(prog.numRegs) + ")");
 
     // Register-file/SRAM consistency with the configured hardware: the

@@ -108,8 +108,7 @@ VerifyReport verifyIr(const IrProgram &prog);
  */
 struct MachVerifyBudget
 {
-    size_t sramBytes = 0;  ///< 0 = skip the SRAM-consistency rule
-    size_t scratchCap = 4; ///< regalloc's historic scratch-pool clamp
+    size_t sramBytes = 0; ///< 0 = skip the SRAM-consistency rule
 };
 
 /** Checks a compiled machine program (rules `mach.*`). */

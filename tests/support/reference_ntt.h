@@ -5,8 +5,8 @@
  * and RNS suites compare `Ntt` round trips and `RnsPoly` evaluation-
  * form products against it.
  *
- * Test support only: built as a static library next to the suites and
- * the benches, never installed or exported with `libeffact`.
+ * Test support only: built as a static library next to the suites,
+ * never installed or exported with `libeffact`.
  */
 #ifndef EFFACT_TESTS_SUPPORT_REFERENCE_NTT_H
 #define EFFACT_TESTS_SUPPORT_REFERENCE_NTT_H

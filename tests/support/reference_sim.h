@@ -7,11 +7,11 @@
  * readiness from per-operand issue flags. It is deliberately not built
  * on `DepGraph`/`ResourceModel`, so it stays an independent oracle: the
  * equivalence tests check `Simulator::run` against it on every
- * workload, and `bench_sim_speed` measures the event-driven core
- * against it.
+ * workload, the paper-scale bootstrapping trace included
+ * (`PaperScale.EventCoreMatchesLegacyLoopOnFullTrace`).
  *
- * Test support only: built as a static library next to the suites and
- * the benches, never installed or exported with `libeffact`.
+ * Test support only: built as a static library next to the suites,
+ * never installed or exported with `libeffact`.
  */
 #ifndef EFFACT_TESTS_SUPPORT_REFERENCE_SIM_H
 #define EFFACT_TESTS_SUPPORT_REFERENCE_SIM_H

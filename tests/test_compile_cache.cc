@@ -228,23 +228,6 @@ TEST(CompileCache, HitIsByteIdenticalToUncachedCompile)
     EXPECT_NE(cached27.machineFingerprint, cached13.machineFingerprint);
 }
 
-TEST(CompileCache, ClearResetsEntriesAndCounters)
-{
-    CompileCache cache;
-    Compiler compiler(Platform::fullOptions(size_t(27) << 20));
-    Workload w = buildDbLookup(smallFhe(), 32);
-    compiler.compile(w.program, &cache);
-    ASSERT_EQ(cacheStat(cache, "cache.entries"), 1.0);
-
-    cache.clear();
-    EXPECT_EQ(cacheStat(cache, "cache.entries"), 0.0);
-    EXPECT_EQ(cache.statsSnapshot().get("cache.lookups"), 0.0);
-
-    Workload again = buildDbLookup(smallFhe(), 32);
-    compiler.compile(again.program, &cache);
-    EXPECT_EQ(cache.statsSnapshot().get("cache.misses"), 1.0);
-}
-
 // --- Shared across workers ------------------------------------------------
 
 /** The preset x hardware grid shared by the worker tests: 12 jobs over
@@ -428,10 +411,6 @@ TEST(BoundedLru, BytesAccountingMatchesPayloads)
     EXPECT_EQ(cs.get("cache.budget_bytes"), double(2 * entry));
     EXPECT_EQ(cs.get("cache.evictions"), 1.0);
     EXPECT_EQ(cs.get("cache.entries"), 2.0);
-
-    cache.clear();
-    EXPECT_EQ(cacheStat(cache, "cache.bytes"), 0.0);
-    EXPECT_EQ(cacheStat(cache, "cache.evictions"), 0.0);
 }
 
 TEST(BoundedLru, EntryLargerThanBudgetIsServedThenDropped)

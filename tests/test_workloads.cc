@@ -253,6 +253,60 @@ TEST(Workloads, BconvMatchesAnalyticCounts)
     EXPECT_EQ(cost, 6 + 10 * 6 + 10 * 5);
 }
 
+/** Value id of the first `op` at or after `from` whose operands are
+ *  `a` and `b` (b = -1 matches any), or -1 if there is none. */
+int
+findInst(const IrProgram &prog, IrOp op, int a, int b = -1, size_t from = 0)
+{
+    for (size_t i = from; i < prog.insts.size(); ++i) {
+        const IrInst &inst = prog.insts[i];
+        if (inst.op == op && inst.a == a && (b < 0 || inst.b == b))
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+TEST(Workloads, KernelEmissionOrderIsPinned)
+{
+    // Value ids feed every fingerprint, so the order in which a kernel
+    // emits two sibling computations is fixed in the source, not left
+    // to the C++ compiler's argument evaluation order. The pinned order:
+    // HMULT's cross term emits a.c1 * b.c0 before a.c0 * b.c1, and each
+    // hoisted baby rotation emits the ModDown of its c0 accumulator
+    // before the automorphism of c0.
+    FheParams p = paperParams();
+    p.levels = 4;
+    p.dnum = 2;
+    IrProgram prog;
+    KernelBuilder kb(prog, p);
+    const int evk = kb.switchingKeyObject("evk");
+    const IrCt a = kb.inputCiphertext("a", p.levels);
+    const IrCt b = kb.inputCiphertext("b", p.levels);
+
+    kb.hmult(a, b, evk);
+    const int c1b0 = findInst(prog, IrOp::Mul, a.c1.limbs[0], b.c0.limbs[0]);
+    const int c0b1 = findInst(prog, IrOp::Mul, a.c0.limbs[0], b.c1.limbs[0]);
+    ASSERT_GE(c1b0, 0);
+    ASSERT_GE(c0b1, 0);
+    EXPECT_LT(c1b0, c0b1);
+
+    // Two diagonals, n1 = 2: one baby rotation, by Galois element 6.
+    // Its ModDown holds the transform's first Sub: the hoisted ModUp
+    // and the key inner product emit none.
+    const size_t start = prog.insts.size();
+    const int diag = kb.plainObject("diag", static_cast<int>(2 * p.levels));
+    kb.linearTransform(a, 2, 2, diag, evk);
+    int first_sub = -1;
+    for (size_t i = start; i < prog.insts.size() && first_sub < 0; ++i)
+        if (prog.insts[i].op == IrOp::Sub)
+            first_sub = static_cast<int>(i);
+    const int rot_c0 = findInst(prog, IrOp::Auto, a.c0.limbs[0], -1, start);
+    ASSERT_GE(first_sub, 0);
+    ASSERT_GE(rot_c0, 0);
+    EXPECT_EQ(prog.insts[rot_c0].imm, 6u);
+    EXPECT_LT(first_sub, rot_c0);
+}
+
 TEST(Workloads, TfheUsesAutoAndNtt)
 {
     Workload w = buildTfheBootstrap();
