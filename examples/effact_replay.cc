@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -38,16 +39,18 @@ usage(const char *argv0)
         "  --oracle         offline replay, serial + uncached (the\n"
         "                   determinism oracle)\n"
         "  --connect SOCK   drive the log through a live daemon\n"
-        "  --make-demo      write a 3-request demo log to LOG and exit\n"
+        "  --make-demo      write a 4-request demo log to LOG and exit\n"
         "options: --threads N --queue-depth N --batch N --cache-bytes N\n"
         "         --shutdown (with --connect: stop the daemon after the\n"
         "         log)\n",
         argv0);
 }
 
-/** Three small db-lookup design points across ablation presets: enough
- *  to exercise request/flush framing, distinct middle-end cache keys
- *  and a deterministic diffable output, in well under a second. */
+/** Three small db-lookup design points across ablation presets, plus
+ *  one request that validation refuses: enough to exercise
+ *  request/flush framing, distinct middle-end cache keys, a
+ *  `bad-request` result and a deterministic diffable output, in well
+ *  under a second. */
 int
 writeDemoLog(const std::string &path)
 {
@@ -61,21 +64,26 @@ writeDemoLog(const std::string &path)
     const struct
     {
         const char *name;
+        const char *workload;
         size_t records;
         effact::CompilerOptions copts;
     } requests[] = {
-        {"demo-baseline-32", 32,
+        {"demo-baseline-32", "dblookup", 32,
          effact::Platform::baselineOptions(hw.sramBytes)},
-        {"demo-streaming-48", 48,
+        {"demo-streaming-48", "dblookup", 48,
          effact::Platform::streamingOptions(hw.sramBytes)},
-        {"demo-full-64", 64, effact::Platform::fullOptions(hw.sramBytes)},
+        {"demo-full-64", "dblookup", 64,
+         effact::Platform::fullOptions(hw.sramBytes)},
+        // An unknown kind: every replay mode answers it `bad-request`.
+        {"demo-unknown-kind", "quantum", 32,
+         effact::Platform::fullOptions(hw.sramBytes)},
     };
     uint64_t tag = 100;
     for (const auto &spec : requests) {
         effact::ServiceRequest req;
         req.tag = tag++;
         req.name = spec.name;
-        req.workload = "dblookup";
+        req.workload = spec.workload;
         req.fhe.logN = 12;
         req.fhe.levels = 6;
         req.fhe.dnum = 2;
@@ -86,8 +94,8 @@ writeDemoLog(const std::string &path)
                       effact::encodeRequest(req));
     }
     writer.append(effact::FrameType::Flush, {});
-    std::fprintf(stderr, "effact-replay: wrote 3-request demo log to %s\n",
-                 path.c_str());
+    std::fprintf(stderr, "effact-replay: wrote %zu-request demo log to %s\n",
+                 std::size(requests), path.c_str());
     return 0;
 }
 

@@ -3,15 +3,18 @@
  * The one non-cryptographic hashing scheme of the library: word-wise
  * FNV-1a (one xor-multiply per 64-bit field) closed by a splitmix64
  * finalizer. Both program fingerprints (`fingerprint(IrProgram)`, the
- * `CompileCache` content key, and `fingerprint(MachineProgram)`) and
- * PRE's value-numbering table hash through it. Wire-format checksums
- * (the service frame's bytewise FNV-1a) do not: their bytes are
- * protocol, not an implementation detail.
+ * `CompileCache` content key, and `fingerprint(MachineProgram)`), the
+ * cache key's preset half (`middleEndPresetHash`), PRE's
+ * value-numbering table and the stats fold of a canonical service
+ * result line hash through it. Wire-format checksums (the service
+ * frame's bytewise FNV-1a) do not: their bytes are protocol, not an
+ * implementation detail.
  */
 #ifndef EFFACT_COMMON_HASH_H
 #define EFFACT_COMMON_HASH_H
 
 #include <cstdint>
+#include <string>
 
 namespace effact {
 
@@ -45,6 +48,15 @@ class WordHash
     {
         h_ ^= v;
         h_ *= 1099511628211ULL; // FNV-1a 64-bit prime
+    }
+
+    /** A string: its length, then one word per byte. */
+    void
+    mixString(const std::string &s)
+    {
+        mix(s.size());
+        for (const unsigned char c : s)
+            mix(c);
     }
 
     uint64_t finish() const { return splitmix64(h_); }

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace effact {
@@ -24,29 +25,19 @@ snapshotBytes(const MiddleEndSnapshot &snap)
 uint64_t
 middleEndPresetHash(const CompilerOptions &opts)
 {
-    uint64_t h = 14695981039346656037ULL; // FNV-1a offset basis
-    auto mixByte = [&h](unsigned char byte) {
-        h ^= byte;
-        h *= 1099511628211ULL;
-    };
-    auto mix = [&mixByte](uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte)
-            mixByte((v >> (byte * 8)) & 0xff);
-    };
-    mix(opts.pipeline.size());
-    for (char c : opts.pipeline)
-        mixByte(static_cast<unsigned char>(c));
+    WordHash h;
+    h.mixString(opts.pipeline);
     // Back-end options that are part of the preset identity but not of
     // the hardware config (see the header on why they are included).
-    mix(uint64_t(opts.scheduler));
-    mix(opts.streaming ? 1 : 0);
-    mix(opts.fifoDepth);
-    mix(uint64_t(opts.regalloc));
+    h.mix(uint64_t(opts.scheduler));
+    h.mix(opts.streaming ? 1 : 0);
+    h.mix(opts.fifoDepth);
+    h.mix(uint64_t(opts.regalloc));
     // Verification never changes the emitted code, but a verified
     // middle end records `verify.*` stats that an unverified one does
     // not, and a hit replays the stats of the run that built it.
-    mix(opts.verifyLevel > 0 ? 1 : 0);
-    return h;
+    h.mix(opts.verifyLevel > 0 ? 1 : 0);
+    return h.finish();
 }
 
 CompileCacheKey

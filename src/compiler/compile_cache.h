@@ -68,7 +68,7 @@ struct CompileCacheKey
 };
 
 /**
- * FNV-1a hash of the middle-end-relevant compiler preset: the pipeline
+ * `WordHash` of the middle-end-relevant compiler preset: the pipeline
  * spec, the remaining non-hardware options (the `scheduler` and
  * `regalloc` policy codes, `streaming`, `fifoDepth`) and whether
  * checkpoint verification is on (`verifyLevel > 0`). Verification never

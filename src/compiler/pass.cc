@@ -79,8 +79,10 @@ Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager & /*analyses*/,
     if (hit) {
         // Skip the whole optimization pipeline: adopt a clone of the
         // cached optimized IR. The clone's fresh uid keeps per-worker
-        // analysis caches sound.
-        prog = snap->optimized;
+        // analysis caches sound, and it is a fresh copy, not one
+        // assigned into the input's larger buffer, so the program the
+        // back end keeps holds exactly its instructions.
+        prog = IrProgram(snap->optimized);
     }
     // Replaying the snapshot's stats (also on the miss path, where they
     // are exactly what optimize just recorded) keeps hit and miss

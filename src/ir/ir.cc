@@ -36,8 +36,12 @@ void
 IrProgram::compact()
 {
     const size_t live = liveCount();
-    if (live == insts.size())
-        return; // nothing dead: ids (and cached analyses) stay valid
+    if (live == insts.size()) {
+        // Nothing dead: ids (and cached analyses) stay valid, and only
+        // the builder's spare capacity goes.
+        insts.shrink_to_fit();
+        return;
+    }
     std::vector<int> remap(insts.size(), -1);
     std::vector<IrInst> kept;
     kept.reserve(live); // exact: the back end keeps this buffer to the end

@@ -131,12 +131,12 @@ struct IrProgram
 
     /**
      * Compacts dead instructions and renumbers value ids, keeping their
-     * order. When anything was dead, the result holds exactly its live
-     * instructions (`insts.capacity() == insts.size()`): the
-     * `PassManager` compacts after every sweep that removed
-     * instructions, and the back end and the simulator keep the
-     * compacted program for the rest of the job. With nothing dead it
-     * changes nothing, not even `version()`.
+     * order. The result holds exactly its live instructions
+     * (`insts.capacity() == insts.size()`): the `PassManager` compacts
+     * after every sweep that removed instructions, and the back end and
+     * the simulator keep the compacted program for the rest of the
+     * job. With nothing dead it only releases spare capacity: ids and
+     * `version()` stay.
      */
     void compact();
 

@@ -1,154 +1,322 @@
 #include "service/protocol.h"
 
+#include <cerrno>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
+
+#include <unistd.h>
+
+#include "common/hash.h"
 
 namespace effact {
 
 namespace {
 
-// --- Little-endian wire primitives -----------------------------------------
-
-void
-putU8(std::vector<uint8_t> &buf, uint8_t v)
-{
-    buf.push_back(v);
-}
-
-void
-putU16(std::vector<uint8_t> &buf, uint16_t v)
-{
-    buf.push_back(uint8_t(v & 0xff));
-    buf.push_back(uint8_t(v >> 8));
-}
-
-void
-putU32(std::vector<uint8_t> &buf, uint32_t v)
-{
-    for (int byte = 0; byte < 4; ++byte)
-        buf.push_back(uint8_t((v >> (byte * 8)) & 0xff));
-}
-
-void
-putU64(std::vector<uint8_t> &buf, uint64_t v)
-{
-    for (int byte = 0; byte < 8; ++byte)
-        buf.push_back(uint8_t((v >> (byte * 8)) & 0xff));
-}
-
-/** Doubles travel as IEEE-754 bit patterns: encode/decode is exact, so
- *  byte comparison of encoded results is value comparison. */
-void
-putF64(std::vector<uint8_t> &buf, double v)
+/** A double's IEEE-754 bit pattern: doubles travel as these, so
+ *  encode/decode is exact and byte comparison of encoded results is
+ *  value comparison. */
+uint64_t
+bitsOf(double v)
 {
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
     std::memcpy(&bits, &v, sizeof(bits));
-    putU64(buf, bits);
+    return bits;
 }
 
-void
-putString(std::vector<uint8_t> &buf, const std::string &s)
+// --- The two ends of a field walk -----------------------------------------
+
+/**
+ * Appends fields in wire order: little-endian fixed-width integers,
+ * doubles as bit patterns, strings length-prefixed. Each member takes
+ * the field a walk hands it, so a walk run with a `Writer` encodes.
+ */
+class Writer
 {
-    putU32(buf, uint32_t(s.size()));
-    buf.insert(buf.end(), s.begin(), s.end());
-}
+  public:
+    explicit Writer(size_t reserve = 0) { bytes_.reserve(reserve); }
 
-/** Bounds-checked sequential reader: any out-of-range read latches the
- *  fail flag and returns zeros, so decoders are crash-free on any
- *  input and check `ok()` once at the end. */
+    template <class T> void u8(const T &v) { put(v, 1); }
+    template <class T> void u16(const T &v) { put(v, 2); }
+    template <class T> void u32(const T &v) { put(v, 4); }
+    template <class T> void u64(const T &v) { put(v, 8); }
+    void f64(double v) { put(bitsOf(v), 8); }
+
+    void
+    str(const std::string &s)
+    {
+        u32(s.size());
+        bytes_.insert(bytes_.end(), s.begin(), s.end());
+    }
+
+    void status(ServiceStatus s) { u32(s); }
+
+    /** A count, then each (key, value) sorted by key (StatSet is an
+     *  ordered map), so the encoding is canonical. */
+    void
+    stats(const StatSet &stats)
+    {
+        u32(stats.all().size());
+        for (const auto &[key, value] : stats.all()) {
+            str(key);
+            f64(value);
+        }
+    }
+
+    std::vector<uint8_t> take() { return std::move(bytes_); }
+
+  private:
+    template <class T>
+    void
+    put(const T &field, int width)
+    {
+        static_assert(std::is_integral_v<T> || std::is_enum_v<T>,
+                      "integer fields only: doubles go through f64");
+        const uint64_t v = uint64_t(field);
+        for (int byte = 0; byte < width; ++byte)
+            bytes_.push_back(uint8_t(v >> (byte * 8)));
+    }
+
+    std::vector<uint8_t> bytes_;
+};
+
+/**
+ * Reads fields in wire order under the `Writer`'s member names, so the
+ * same walk run with a `Reader` decodes. Bounds-checked: the first
+ * problem latches and later reads yield zeros, so a walk is crash-free
+ * on any input and `finish` reports that problem once at the end.
+ */
 class Reader
 {
   public:
     Reader(const uint8_t *data, size_t size) : data_(data), size_(size) {}
 
-    bool ok() const { return ok_; }
-    bool atEnd() const { return pos_ == size_; }
+    template <class T> void u8(T &v) { get(v, 1); }
+    template <class T> void u16(T &v) { get(v, 2); }
+    template <class T> void u32(T &v) { get(v, 4); }
+    template <class T> void u64(T &v) { get(v, 8); }
 
-    uint8_t
-    u8()
+    void
+    f64(double &v)
     {
-        if (!need(1))
-            return 0;
-        return data_[pos_++];
-    }
-
-    uint16_t
-    u16()
-    {
-        if (!need(2))
-            return 0;
-        uint16_t v = uint16_t(data_[pos_]) | uint16_t(data_[pos_ + 1]) << 8;
-        pos_ += 2;
-        return v;
-    }
-
-    uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        uint32_t v = 0;
-        for (int byte = 0; byte < 4; ++byte)
-            v |= uint32_t(data_[pos_ + byte]) << (byte * 8);
-        pos_ += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        uint64_t v = 0;
-        for (int byte = 0; byte < 8; ++byte)
-            v |= uint64_t(data_[pos_ + byte]) << (byte * 8);
-        pos_ += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        const uint64_t bits = u64();
-        double v = 0;
+        uint64_t bits = 0;
+        u64(bits);
         std::memcpy(&v, &bits, sizeof(v));
-        return v;
     }
 
-    std::string
-    str()
+    void
+    str(std::string &s)
     {
-        const uint32_t len = u32();
+        uint32_t len = 0;
+        u32(len);
         // A string longer than the payload bound is structurally
         // impossible; refuse before allocating.
-        if (len > kMaxFramePayload || !need(len)) {
-            ok_ = false;
-            return {};
-        }
-        std::string s(reinterpret_cast<const char *>(data_ + pos_), len);
+        if (len > kMaxFramePayload || !need(len))
+            return fail("too short");
+        s.assign(reinterpret_cast<const char *>(data_ + pos_), len);
         pos_ += len;
-        return s;
+    }
+
+    void
+    status(ServiceStatus &s)
+    {
+        uint32_t code = 0;
+        u32(code);
+        if (code > uint32_t(ServiceStatus::InternalError))
+            return fail("has an unknown status code");
+        s = ServiceStatus(code);
+    }
+
+    void
+    stats(StatSet &stats)
+    {
+        uint32_t count = 0;
+        u32(count);
+        // Each entry is at least 12 bytes; an impossible count is
+        // refused up front instead of looping on a failed reader.
+        if (count > kMaxFramePayload / 12)
+            return fail("has an implausible stat count");
+        for (uint32_t i = 0; i < count && problem_ == nullptr; ++i) {
+            std::string key;
+            double value = 0;
+            str(key);
+            f64(value);
+            if (problem_ == nullptr)
+                stats.set(key, value);
+        }
+    }
+
+    /** True when the walk read exactly the payload; otherwise false and
+     *  "<what> payload <problem>" in `error`. */
+    bool
+    finish(const char *what, std::string *error)
+    {
+        if (problem_ == nullptr && pos_ != size_)
+            fail("has trailing bytes");
+        if (problem_ != nullptr && error != nullptr)
+            *error = std::string(what) + " payload " + problem_;
+        return problem_ == nullptr;
     }
 
   private:
+    void
+    fail(const char *problem)
+    {
+        if (problem_ == nullptr)
+            problem_ = problem;
+    }
+
     bool
     need(size_t n)
     {
-        if (!ok_ || size_ - pos_ < n) {
-            ok_ = false;
-            return false;
-        }
-        return true;
+        if (problem_ == nullptr && size_ - pos_ >= n)
+            return true;
+        fail("too short");
+        return false;
+    }
+
+    template <class T>
+    void
+    get(T &field, int width)
+    {
+        static_assert(std::is_integral_v<T> || std::is_enum_v<T>,
+                      "integer fields only: doubles go through f64");
+        uint64_t v = 0;
+        if (need(size_t(width)))
+            for (int byte = 0; byte < width; ++byte)
+                v |= uint64_t(data_[pos_++]) << (byte * 8);
+        field = T(v);
     }
 
     const uint8_t *data_;
     size_t size_;
     size_t pos_ = 0;
-    bool ok_ = true;
+    const char *problem_ = nullptr;
 };
+
+// --- Field walks: each wire layout, written once --------------------------
+
+/** A walk's return type, enabled for `Msg` = `T` or `const T`: the
+ *  `Writer` walks a const message, the `Reader` a mutable one. */
+template <class Msg, class T>
+using WalkOf = std::enable_if_t<std::is_same_v<std::remove_const_t<Msg>, T>>;
+
+/** The fixed frame header (see protocol.h), `kFrameHeaderBytes` long. */
+struct FrameHeader
+{
+    uint32_t magic = kFrameMagic;
+    uint16_t version = kProtocolVersion;
+    uint16_t type = 0;
+    uint32_t length = 0;
+    uint64_t checksum = 0;
+};
+
+template <class Io, class Msg>
+WalkOf<Msg, FrameHeader>
+walk(Io &io, Msg &header)
+{
+    io.u32(header.magic);
+    io.u16(header.version);
+    io.u16(header.type);
+    io.u32(header.length);
+    io.u64(header.checksum);
+}
+
+template <class Io, class Msg>
+WalkOf<Msg, ServiceRequest>
+walk(Io &io, Msg &req)
+{
+    io.u64(req.tag);
+    io.str(req.name);
+    io.str(req.workload);
+    io.u64(req.fhe.logN);
+    io.u64(req.fhe.levels);
+    io.u64(req.fhe.dnum);
+    io.u64(req.param);
+    // Hardware design point, every field but the display label `name`.
+    io.u64(req.hw.lanes);
+    io.f64(req.hw.freqGhz);
+    io.u64(req.hw.sramBytes);
+    io.f64(req.hw.hbmBytesPerSec);
+    io.u64(req.hw.nttUnits);
+    io.u64(req.hw.mulUnits);
+    io.u64(req.hw.addUnits);
+    io.u64(req.hw.autoUnits);
+    io.u8(req.hw.nttMacReuse);
+    io.u64(req.hw.issueWindow);
+    // Compiler preset, minus the hardware-derived fields Platform
+    // overwrites (`sramBytes`, `issueWindow`); each policy is its enum
+    // code, and any byte decodes (`validateRequest` rejects unknown
+    // codes).
+    io.str(req.copts.pipeline);
+    io.u8(req.copts.streaming);
+    io.u64(req.copts.fifoDepth);
+    io.u8(req.copts.scheduler);
+    io.u8(req.copts.regalloc);
+    io.u64(req.verifyLevel);
+}
+
+template <class Io, class Msg>
+WalkOf<Msg, ServiceResult>
+walk(Io &io, Msg &res)
+{
+    io.u64(res.seq);
+    io.u64(res.tag);
+    io.str(res.name);
+    io.status(res.status);
+    io.str(res.error);
+    io.f64(res.cycles);
+    io.f64(res.timeMs);
+    io.f64(res.dramBytes);
+    io.f64(res.dramUtil);
+    io.f64(res.nttUtil);
+    io.f64(res.mulAddUtil);
+    io.f64(res.autoUtil);
+    io.u64(res.instructions);
+    io.u64(res.machineFingerprint);
+    io.f64(res.benchTimeMs);
+    io.f64(res.amortizedUs);
+    io.f64(res.dramGb);
+    io.stats(res.stats);
+    io.u64(res.queueDepth);
+    io.f64(res.queueMs);
+    io.f64(res.serviceMs);
+}
+
+/** The error payload: one string. */
+template <class Io, class Msg>
+WalkOf<Msg, std::string>
+walk(Io &io, Msg &message)
+{
+    io.str(message);
+}
+
+template <class Msg>
+std::vector<uint8_t>
+encode(const Msg &msg)
+{
+    Writer w;
+    walk(w, msg);
+    return w.take();
+}
+
+/** Decodes all of `payload` as one `Msg`; `what` names it in `error`. */
+template <class Msg>
+bool
+decode(const std::vector<uint8_t> &payload, const char *what, Msg *out,
+       std::string *error)
+{
+    Reader r(payload.data(), payload.size());
+    Msg msg{};
+    walk(r, msg);
+    if (!r.finish(what, error))
+        return false;
+    if (out != nullptr)
+        *out = std::move(msg);
+    return true;
+}
 
 uint64_t
 fnv1a(uint64_t h, const uint8_t *data, size_t size)
@@ -160,10 +328,9 @@ fnv1a(uint64_t h, const uint8_t *data, size_t size)
     return h;
 }
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-
-/** The frame checksum: FNV-1a over (version, type, payload), each in
- *  its wire byte order. Covering version and type means a flip between
+/** The frame checksum: bytewise FNV-1a (wire format, so not the
+ *  library's `WordHash`) over (version, type, payload), each in its
+ *  wire byte order. Covering version and type means a flip between
  *  two *valid* values of either field still fails the checksum. */
 uint64_t
 frameChecksum(uint16_t version, uint16_t type, const uint8_t *payload,
@@ -171,7 +338,8 @@ frameChecksum(uint16_t version, uint16_t type, const uint8_t *payload,
 {
     const uint8_t head[4] = {uint8_t(version & 0xff), uint8_t(version >> 8),
                              uint8_t(type & 0xff), uint8_t(type >> 8)};
-    return fnv1a(fnv1a(kFnvOffset, head, sizeof(head)), payload, size);
+    return fnv1a(fnv1a(14695981039346656037ULL, head, sizeof(head)),
+                 payload, size);
 }
 
 bool
@@ -201,16 +369,16 @@ frameDecodeStatusName(FrameDecodeStatus status)
 std::vector<uint8_t>
 encodeFrame(FrameType type, const std::vector<uint8_t> &payload)
 {
-    std::vector<uint8_t> buf;
-    buf.reserve(kFrameHeaderBytes + payload.size());
-    putU32(buf, kFrameMagic);
-    putU16(buf, kProtocolVersion);
-    putU16(buf, uint16_t(type));
-    putU32(buf, uint32_t(payload.size()));
-    putU64(buf, frameChecksum(kProtocolVersion, uint16_t(type),
-                              payload.data(), payload.size()));
-    buf.insert(buf.end(), payload.begin(), payload.end());
-    return buf;
+    FrameHeader header;
+    header.type = uint16_t(type);
+    header.length = uint32_t(payload.size());
+    header.checksum = frameChecksum(header.version, header.type,
+                                    payload.data(), payload.size());
+    Writer w(kFrameHeaderBytes + payload.size());
+    walk(w, header);
+    std::vector<uint8_t> bytes = w.take();
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    return bytes;
 }
 
 FrameDecodeStatus
@@ -218,33 +386,66 @@ decodeFrame(const uint8_t *data, size_t size, Frame *out, size_t *consumed)
 {
     if (size < kFrameHeaderBytes)
         return FrameDecodeStatus::Truncated;
-    Reader r(data, size);
-    const uint32_t magic = r.u32();
-    if (magic != kFrameMagic)
+    Reader r(data, kFrameHeaderBytes);
+    FrameHeader header;
+    walk(r, header);
+    if (header.magic != kFrameMagic)
         return FrameDecodeStatus::BadMagic;
-    const uint16_t version = r.u16();
-    if (version != kProtocolVersion)
+    if (header.version != kProtocolVersion)
         return FrameDecodeStatus::BadVersion;
-    const uint16_t type = r.u16();
-    if (!validFrameType(type))
+    if (!validFrameType(header.type))
         return FrameDecodeStatus::BadType;
-    const uint32_t length = r.u32();
-    if (length > kMaxFramePayload)
+    if (header.length > kMaxFramePayload)
         return FrameDecodeStatus::Oversized;
-    if (size - kFrameHeaderBytes < length)
+    if (size - kFrameHeaderBytes < header.length)
         return FrameDecodeStatus::Truncated;
-    const uint64_t checksum = r.u64();
     const uint8_t *payload = data + kFrameHeaderBytes;
-    if (checksum != frameChecksum(version, type, payload, length))
+    if (header.checksum !=
+        frameChecksum(header.version, header.type, payload, header.length))
         return FrameDecodeStatus::BadChecksum;
     if (out != nullptr) {
-        out->version = version;
-        out->type = FrameType(type);
-        out->payload.assign(payload, payload + length);
+        out->version = header.version;
+        out->type = FrameType(header.type);
+        out->payload.assign(payload, payload + header.length);
     }
     if (consumed != nullptr)
-        *consumed = kFrameHeaderBytes + length;
+        *consumed = kFrameHeaderBytes + header.length;
     return FrameDecodeStatus::Ok;
+}
+
+FrameDecodeStatus
+readFrameFrom(int fd, std::vector<uint8_t> &buf, Frame *out, bool *eof,
+              std::string *error)
+{
+    *eof = false;
+    for (;;) {
+        if (!buf.empty()) {
+            size_t consumed = 0;
+            const FrameDecodeStatus status =
+                decodeFrame(buf.data(), buf.size(), out, &consumed);
+            if (status == FrameDecodeStatus::Ok) {
+                buf.erase(buf.begin(),
+                          buf.begin() + std::ptrdiff_t(consumed));
+                return status;
+            }
+            if (status != FrameDecodeStatus::Truncated)
+                return status; // malformed beyond repair
+        }
+        uint8_t chunk[4096];
+        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            if (error != nullptr)
+                *error = std::string("read failed: ") + std::strerror(errno);
+            return FrameDecodeStatus::Truncated;
+        }
+        if (n == 0) {
+            *eof = true;
+            return FrameDecodeStatus::Truncated;
+        }
+        buf.insert(buf.end(), chunk, chunk + n);
+    }
 }
 
 const char *
@@ -262,185 +463,39 @@ serviceStatusName(ServiceStatus status)
 std::vector<uint8_t>
 encodeRequest(const ServiceRequest &req)
 {
-    std::vector<uint8_t> buf;
-    putU64(buf, req.tag);
-    putString(buf, req.name);
-    putString(buf, req.workload);
-    putU64(buf, req.fhe.logN);
-    putU64(buf, req.fhe.levels);
-    putU64(buf, req.fhe.dnum);
-    putU64(buf, req.param);
-    // Hardware design point, every field but the display label `name`.
-    putU64(buf, req.hw.lanes);
-    putF64(buf, req.hw.freqGhz);
-    putU64(buf, req.hw.sramBytes);
-    putF64(buf, req.hw.hbmBytesPerSec);
-    putU64(buf, req.hw.nttUnits);
-    putU64(buf, req.hw.mulUnits);
-    putU64(buf, req.hw.addUnits);
-    putU64(buf, req.hw.autoUnits);
-    putU8(buf, req.hw.nttMacReuse ? 1 : 0);
-    putU64(buf, req.hw.issueWindow);
-    // Compiler preset, minus the hardware-derived fields Platform
-    // overwrites (`sramBytes`, `issueWindow`); each policy is its enum
-    // code.
-    putString(buf, req.copts.pipeline);
-    putU8(buf, req.copts.streaming ? 1 : 0);
-    putU64(buf, req.copts.fifoDepth);
-    putU8(buf, uint8_t(req.copts.scheduler));
-    putU8(buf, uint8_t(req.copts.regalloc));
-    putU64(buf, uint64_t(req.verifyLevel));
-    return buf;
+    return encode(req);
 }
 
 bool
 decodeRequest(const std::vector<uint8_t> &payload, ServiceRequest *out,
               std::string *error)
 {
-    Reader r(payload.data(), payload.size());
-    ServiceRequest req;
-    req.tag = r.u64();
-    req.name = r.str();
-    req.workload = r.str();
-    req.fhe.logN = size_t(r.u64());
-    req.fhe.levels = size_t(r.u64());
-    req.fhe.dnum = size_t(r.u64());
-    req.param = r.u64();
-    req.hw.lanes = size_t(r.u64());
-    req.hw.freqGhz = r.f64();
-    req.hw.sramBytes = size_t(r.u64());
-    req.hw.hbmBytesPerSec = r.f64();
-    req.hw.nttUnits = size_t(r.u64());
-    req.hw.mulUnits = size_t(r.u64());
-    req.hw.addUnits = size_t(r.u64());
-    req.hw.autoUnits = size_t(r.u64());
-    req.hw.nttMacReuse = r.u8() != 0;
-    req.hw.issueWindow = size_t(r.u64());
-    req.copts.pipeline = r.str();
-    req.copts.streaming = r.u8() != 0;
-    req.copts.fifoDepth = size_t(r.u64());
-    // Any byte decodes; `validateRequest` rejects unknown codes.
-    req.copts.scheduler = Scheduler(r.u8());
-    req.copts.regalloc = RegAllocPolicy(r.u8());
-    req.verifyLevel = int64_t(r.u64());
-    if (!r.ok() || !r.atEnd()) {
-        if (error != nullptr)
-            *error = r.ok() ? "trailing bytes in request payload"
-                            : "short request payload";
-        return false;
-    }
-    *out = std::move(req);
-    return true;
+    return decode(payload, "request", out, error);
 }
 
 std::vector<uint8_t>
 encodeResult(const ServiceResult &res)
 {
-    std::vector<uint8_t> buf;
-    putU64(buf, res.seq);
-    putU64(buf, res.tag);
-    putString(buf, res.name);
-    putU32(buf, uint32_t(res.status));
-    putString(buf, res.error);
-    putF64(buf, res.cycles);
-    putF64(buf, res.timeMs);
-    putF64(buf, res.dramBytes);
-    putF64(buf, res.dramUtil);
-    putF64(buf, res.nttUtil);
-    putF64(buf, res.mulAddUtil);
-    putF64(buf, res.autoUtil);
-    putU64(buf, res.instructions);
-    putU64(buf, res.machineFingerprint);
-    putF64(buf, res.benchTimeMs);
-    putF64(buf, res.amortizedUs);
-    putF64(buf, res.dramGb);
-    // Stats travel sorted by key (StatSet is an ordered map), so the
-    // encoding is canonical.
-    putU32(buf, uint32_t(res.stats.all().size()));
-    for (const auto &[key, value] : res.stats.all()) {
-        putString(buf, key);
-        putF64(buf, value);
-    }
-    putU64(buf, res.queueDepth);
-    putF64(buf, res.queueMs);
-    putF64(buf, res.serviceMs);
-    return buf;
+    return encode(res);
 }
 
 bool
 decodeResult(const std::vector<uint8_t> &payload, ServiceResult *out,
              std::string *error)
 {
-    Reader r(payload.data(), payload.size());
-    ServiceResult res;
-    res.seq = r.u64();
-    res.tag = r.u64();
-    res.name = r.str();
-    const uint32_t status = r.u32();
-    if (status > uint32_t(ServiceStatus::InternalError)) {
-        if (error != nullptr)
-            *error = "unknown status code in result payload";
-        return false;
-    }
-    res.status = ServiceStatus(status);
-    res.error = r.str();
-    res.cycles = r.f64();
-    res.timeMs = r.f64();
-    res.dramBytes = r.f64();
-    res.dramUtil = r.f64();
-    res.nttUtil = r.f64();
-    res.mulAddUtil = r.f64();
-    res.autoUtil = r.f64();
-    res.instructions = r.u64();
-    res.machineFingerprint = r.u64();
-    res.benchTimeMs = r.f64();
-    res.amortizedUs = r.f64();
-    res.dramGb = r.f64();
-    const uint32_t n_stats = r.u32();
-    // Each entry is at least 12 bytes; an impossible count is refused
-    // up front instead of looping on a poisoned reader.
-    if (n_stats > kMaxFramePayload / 12) {
-        if (error != nullptr)
-            *error = "implausible stat count in result payload";
-        return false;
-    }
-    for (uint32_t i = 0; i < n_stats && r.ok(); ++i) {
-        const std::string key = r.str();
-        const double value = r.f64();
-        if (r.ok())
-            res.stats.set(key, value);
-    }
-    res.queueDepth = r.u64();
-    res.queueMs = r.f64();
-    res.serviceMs = r.f64();
-    if (!r.ok() || !r.atEnd()) {
-        if (error != nullptr)
-            *error = r.ok() ? "trailing bytes in result payload"
-                            : "short result payload";
-        return false;
-    }
-    *out = std::move(res);
-    return true;
+    return decode(payload, "result", out, error);
 }
 
 std::vector<uint8_t>
 encodeErrorPayload(const std::string &message)
 {
-    std::vector<uint8_t> buf;
-    putString(buf, message);
-    return buf;
+    return encode(message);
 }
 
 bool
 decodeErrorPayload(const std::vector<uint8_t> &payload, std::string *message)
 {
-    Reader r(payload.data(), payload.size());
-    std::string s = r.str();
-    if (!r.ok() || !r.atEnd())
-        return false;
-    if (message != nullptr)
-        *message = std::move(s);
-    return true;
+    return decode(payload, "error", message, nullptr);
 }
 
 ServiceResult
@@ -473,17 +528,10 @@ std::string
 canonicalResultLine(const ServiceResult &res)
 {
     const ServiceResult canon = canonicalResult(res);
-    uint64_t stats_hash = kFnvOffset;
+    WordHash stats_hash;
     for (const auto &[key, value] : canon.stats.all()) {
-        stats_hash = fnv1a(stats_hash,
-                           reinterpret_cast<const uint8_t *>(key.data()),
-                           key.size());
-        uint64_t bits = 0;
-        std::memcpy(&bits, &value, sizeof(bits));
-        uint8_t raw[8];
-        for (int byte = 0; byte < 8; ++byte)
-            raw[byte] = uint8_t((bits >> (byte * 8)) & 0xff);
-        stats_hash = fnv1a(stats_hash, raw, sizeof(raw));
+        stats_hash.mixString(key);
+        stats_hash.mix(bitsOf(value));
     }
     char buf[512];
     std::snprintf(buf, sizeof(buf),
@@ -495,7 +543,7 @@ canonicalResultLine(const ServiceResult &res)
                   serviceStatusName(canon.status), canon.cycles,
                   canon.timeMs, canon.instructions,
                   canon.machineFingerprint, canon.benchTimeMs,
-                  canon.amortizedUs, canon.dramGb, stats_hash,
+                  canon.amortizedUs, canon.dramGb, stats_hash.finish(),
                   canon.error.empty() ? "" : " error=",
                   canon.error.c_str());
     return std::string(buf);

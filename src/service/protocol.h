@@ -28,6 +28,13 @@
  * buffer and reports structured `FrameDecodeStatus` errors instead of
  * crashing; malformed input from an untrusted client costs one error
  * frame, not the daemon.
+ *
+ * Each layout is written once. In protocol.cc one field walk per
+ * message (frame header, request, result, error payload) lists its
+ * fields in wire order; a `Writer` runs it to encode and a
+ * bounds-checked `Reader` runs the same walk to decode, so no field is
+ * named twice and the two directions cannot disagree. Frames come off
+ * a socket or a recorded log through one reader, `readFrameFrom`.
  */
 #ifndef EFFACT_SERVICE_PROTOCOL_H
 #define EFFACT_SERVICE_PROTOCOL_H
@@ -99,6 +106,17 @@ std::vector<uint8_t> encodeFrame(FrameType type,
  */
 FrameDecodeStatus decodeFrame(const uint8_t *data, size_t size, Frame *out,
                               size_t *consumed);
+
+/**
+ * The one frame reader, for the server, the client and
+ * `loadRequestLog`: reads the next complete frame from `fd` (a socket
+ * or a file) into `out`, keeping bytes read past it in `buf` for the
+ * next call. Returns `Ok`; `Truncated` with `eof` set when the stream
+ * ended (a clean end when `buf` is then empty), or with `error` set
+ * when `read` failed; or the decode failure of a malformed stream.
+ */
+FrameDecodeStatus readFrameFrom(int fd, std::vector<uint8_t> &buf,
+                                Frame *out, bool *eof, std::string *error);
 
 // --- Messages --------------------------------------------------------------
 
@@ -210,7 +228,7 @@ std::vector<uint8_t> canonicalResultBytes(const ServiceResult &res);
 
 /**
  * One-line text form of a canonical result (exact: doubles printed
- * with %.17g round-trip precision, stats folded into an FNV-1a hash),
+ * with %.17g round-trip precision, stats folded into a `WordHash`),
  * for CLI diffing between a live session, an offline replay and the
  * batch oracle.
  */

@@ -3,6 +3,9 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 namespace effact {
 
 RequestLogWriter::~RequestLogWriter() { close(); }
@@ -21,22 +24,16 @@ RequestLogWriter::open(const std::string &path, std::string *error)
 }
 
 bool
-RequestLogWriter::append(const std::vector<uint8_t> &frame_bytes)
+RequestLogWriter::append(FrameType type, const std::vector<uint8_t> &payload)
 {
     if (file_ == nullptr)
         return false;
-    const size_t written =
-        std::fwrite(frame_bytes.data(), 1, frame_bytes.size(), file_);
+    const std::vector<uint8_t> bytes = encodeFrame(type, payload);
+    const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file_);
     // Flush per frame: a recorded log should be replayable up to the
     // last completed request even if the daemon dies mid-session.
     std::fflush(file_);
-    return written == frame_bytes.size();
-}
-
-bool
-RequestLogWriter::append(FrameType type, const std::vector<uint8_t> &payload)
-{
-    return append(encodeFrame(type, payload));
+    return written == bytes.size();
 }
 
 void
@@ -49,45 +46,38 @@ RequestLogWriter::close()
 }
 
 bool
-decodeFrameStream(const std::vector<uint8_t> &bytes,
-                  std::vector<Frame> *frames, std::string *error)
-{
-    size_t pos = 0;
-    while (pos < bytes.size()) {
-        Frame frame;
-        size_t consumed = 0;
-        const FrameDecodeStatus status = decodeFrame(
-            bytes.data() + pos, bytes.size() - pos, &frame, &consumed);
-        if (status != FrameDecodeStatus::Ok) {
-            if (error != nullptr)
-                *error = std::string("frame decode failed at offset ") +
-                         std::to_string(pos) + ": " +
-                         frameDecodeStatusName(status);
-            return false;
-        }
-        frames->push_back(std::move(frame));
-        pos += consumed;
-    }
-    return true;
-}
-
-bool
 loadRequestLog(const std::string &path, std::vector<Frame> *frames,
                std::string *error)
 {
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
         if (error != nullptr)
             *error = "cannot open '" + path + "': " + std::strerror(errno);
         return false;
     }
-    std::vector<uint8_t> bytes;
-    uint8_t chunk[4096];
-    size_t got = 0;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + got);
-    std::fclose(file);
-    return decodeFrameStream(bytes, frames, error);
+    std::vector<uint8_t> buf;
+    size_t offset = 0;
+    bool clean = false;
+    for (;;) {
+        Frame frame;
+        bool eof = false;
+        std::string io_error;
+        const FrameDecodeStatus status =
+            readFrameFrom(fd, buf, &frame, &eof, &io_error);
+        if (status != FrameDecodeStatus::Ok) {
+            clean = eof && buf.empty();
+            if (!clean && error != nullptr)
+                *error = "frame decode failed at offset " +
+                         std::to_string(offset) + ": " +
+                         (io_error.empty() ? frameDecodeStatusName(status)
+                                           : io_error);
+            break;
+        }
+        offset += kFrameHeaderBytes + frame.payload.size();
+        frames->push_back(std::move(frame));
+    }
+    ::close(fd);
+    return clean;
 }
 
 } // namespace effact

@@ -3,11 +3,14 @@
  * Request-log recording and replay. A log is nothing but the raw
  * client->server frame stream (`Request`, `Flush`, `Shutdown` frames,
  * in arrival order) appended to a file — the same checksummed framing
- * as the wire, so a recorded session is self-validating and replays
- * through exactly the decode path the live server uses. Because the
- * service is deterministic given its configuration and the request
- * stream, replaying a log offline (`effact-replay`) reproduces the
- * live session's canonical result bytes.
+ * as the wire, so a recorded session is self-validating. It replays
+ * through exactly the path the live server uses: `loadRequestLog`
+ * reads it with the server's frame reader (`readFrameFrom`), and
+ * `replayFrames` hands each frame to the server's client-frame
+ * dispatcher. Because the service is deterministic given its
+ * configuration and the request stream, replaying a log offline
+ * (`effact-replay`) reproduces the live session's canonical result
+ * bytes.
  */
 #ifndef EFFACT_SERVICE_REQUEST_LOG_H
 #define EFFACT_SERVICE_REQUEST_LOG_H
@@ -35,9 +38,6 @@ class RequestLogWriter
 
     bool isOpen() const { return file_ != nullptr; }
 
-    /** Appends one already-encoded frame (header + payload bytes). */
-    bool append(const std::vector<uint8_t> &frame_bytes);
-
     /** Appends `encodeFrame(type, payload)`. */
     bool append(FrameType type, const std::vector<uint8_t> &payload);
 
@@ -48,16 +48,13 @@ class RequestLogWriter
 };
 
 /**
- * Loads a recorded log back into frames. Strict: the file must be a
- * clean concatenation of valid frames; any decode failure (truncation,
+ * Loads a recorded log back into frames through `readFrameFrom`, the
+ * reader the live server uses. Strict: the file must be a clean
+ * concatenation of valid frames; any decode failure (truncation,
  * corruption) reports the offending offset and status in `error`.
  */
 bool loadRequestLog(const std::string &path, std::vector<Frame> *frames,
                     std::string *error);
-
-/** Decodes a frame stream already in memory (same contract). */
-bool decodeFrameStream(const std::vector<uint8_t> &bytes,
-                       std::vector<Frame> *frames, std::string *error);
 
 } // namespace effact
 

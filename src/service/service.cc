@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -125,52 +126,38 @@ ServiceCore::ServiceCore(ServiceOptions opts)
         opts_.batchSize = 1;
 }
 
-size_t
-ServiceCore::pendingCount() const
-{
-    size_t n = 0;
-    for (const Entry &entry : window_)
-        if (entry.runnable && !entry.done)
-            ++n;
-    return n;
-}
-
 uint64_t
 ServiceCore::submit(const ServiceRequest &req)
 {
-    Entry entry;
-    entry.req = req;
-    entry.submitted = Clock::now();
-    entry.res.seq = next_seq_++;
-    entry.res.tag = req.tag;
-    entry.res.name = req.name;
+    const Clock::time_point submitted = Clock::now();
+    ServiceResult res;
+    res.seq = next_seq_++;
+    res.tag = req.tag;
+    res.name = req.name;
 
     std::string why;
-    const size_t pending = pendingCount();
     if (!validateRequest(req, &why)) {
-        entry.res.status = ServiceStatus::BadRequest;
-        entry.res.error = why;
-        entry.done = true;
+        res.status = ServiceStatus::BadRequest;
+        res.error = why;
         ++bad_requests_;
-    } else if (pending >= opts_.queueCapacity) {
-        // The documented backpressure contract: a full pending queue
-        // refuses the request outright instead of growing without
-        // bound; the client sees the explicit status code and may
-        // retry after a flush.
-        entry.res.status = ServiceStatus::RejectedQueueFull;
-        entry.res.error = "pending queue full (capacity " +
-                          std::to_string(opts_.queueCapacity) + ")";
-        entry.done = true;
+    } else if (pending_.size() >= opts_.queueCapacity) {
+        // The backpressure contract: a full pending queue refuses the
+        // request with an explicit status, and the client may retry
+        // after a flush. Only a capacity below `batchSize` gets here:
+        // otherwise the batch below runs before the queue can fill.
+        res.status = ServiceStatus::RejectedQueueFull;
+        res.error = "pending queue full (capacity " +
+                    std::to_string(opts_.queueCapacity) + ")";
         ++rejected_;
     } else {
-        entry.runnable = true;
-        entry.res.queueDepth = pending;
+        res.queueDepth = pending_.size();
         ++accepted_;
-        queue_peak_ = std::max<uint64_t>(queue_peak_, pending + 1);
+        queue_peak_ = std::max<uint64_t>(queue_peak_, pending_.size() + 1);
+        pending_.push_back({results_.size(), req, submitted});
     }
-    const uint64_t seq = entry.res.seq;
-    window_.push_back(std::move(entry));
-    if (pendingCount() >= opts_.batchSize)
+    const uint64_t seq = res.seq;
+    results_.push_back(std::move(res));
+    if (pending_.size() >= opts_.batchSize)
         runBatch();
     return seq;
 }
@@ -178,18 +165,14 @@ ServiceCore::submit(const ServiceRequest &req)
 void
 ServiceCore::runBatch()
 {
-    std::vector<size_t> batch;
-    for (size_t i = 0; i < window_.size(); ++i)
-        if (window_[i].runnable && !window_[i].done)
-            batch.push_back(i);
-    if (batch.empty())
+    if (pending_.empty())
         return;
     ++batches_;
 
     std::vector<SweepJob> jobs;
-    jobs.reserve(batch.size());
-    for (size_t idx : batch) {
-        const ServiceRequest &req = window_[idx].req;
+    jobs.reserve(pending_.size());
+    for (const Pending &pending : pending_) {
+        const ServiceRequest &req = pending.req;
         CompilerOptions copts = req.copts;
         if (opts_.verifyLevel >= 0)
             copts.verifyLevel = opts_.verifyLevel;
@@ -204,10 +187,9 @@ ServiceCore::runBatch()
         runSweep(jobs, opts_.threads, opts_.useCache ? &cache_ : nullptr);
     const Clock::time_point batch_end = Clock::now();
 
-    for (size_t k = 0; k < batch.size(); ++k) {
-        Entry &entry = window_[batch[k]];
+    for (size_t k = 0; k < pending_.size(); ++k) {
         const PlatformResult &p = results[k];
-        ServiceResult &res = entry.res;
+        ServiceResult &res = results_[pending_[k].result];
         res.status = ServiceStatus::Ok;
         res.cycles = p.sim.cycles;
         res.timeMs = p.sim.timeMs;
@@ -227,10 +209,10 @@ ServiceCore::runBatch()
             res.stats.set("sim." + key, value);
         for (const auto &[key, value] : p.jobStats.all())
             res.stats.set(key, value); // already `job.`-prefixed
-        res.queueMs = Ms(batch_start - entry.submitted).count();
-        res.serviceMs = Ms(batch_end - entry.submitted).count();
-        entry.done = true;
+        res.queueMs = Ms(batch_start - pending_[k].submitted).count();
+        res.serviceMs = Ms(batch_end - pending_[k].submitted).count();
     }
+    pending_.clear();
 }
 
 std::vector<ServiceResult>
@@ -238,12 +220,7 @@ ServiceCore::flush()
 {
     runBatch();
     ++flushes_;
-    std::vector<ServiceResult> out;
-    out.reserve(window_.size());
-    for (Entry &entry : window_)
-        out.push_back(std::move(entry.res));
-    window_.clear();
-    return out;
+    return std::exchange(results_, {});
 }
 
 StatSet
@@ -260,6 +237,55 @@ ServiceCore::statsSnapshot() const
     return s;
 }
 
+namespace {
+
+/** What one client frame did to a core. */
+struct AppliedFrame
+{
+    /** Nonempty when the frame was refused (the core is untouched):
+     *  why, for an `Error` frame or a corrupt-log report. */
+    std::string refusal;
+    /** Results a `Flush` or `Shutdown` returned, in submission order */
+    std::vector<ServiceResult> results;
+    bool stop = false; ///< `Shutdown`: the session ends here
+};
+
+/**
+ * What a client frame means, for the server and the replayer alike: a
+ * `Request` is decoded and submitted, `Flush` flushes, `Shutdown`
+ * flushes and ends the session, and any other frame type or an
+ * undecodable request is refused.
+ */
+AppliedFrame
+applyClientFrame(const Frame &frame, ServiceCore &core)
+{
+    AppliedFrame applied;
+    switch (frame.type) {
+    case FrameType::Request: {
+        ServiceRequest req;
+        std::string why;
+        if (decodeRequest(frame.payload, &req, &why))
+            core.submit(req);
+        else
+            applied.refusal = "bad request: " + why;
+        break;
+    }
+    case FrameType::Shutdown:
+        applied.stop = true;
+        [[fallthrough]];
+    case FrameType::Flush:
+        applied.results = core.flush();
+        break;
+    default:
+        applied.refusal = "unexpected client frame type " +
+                          std::to_string(unsigned(frame.type));
+        break;
+    }
+    return applied;
+}
+
+} // namespace
+
 bool
 replayFrames(const std::vector<Frame> &frames, ServiceCore &core,
              ReplayOutcome *out, std::string *error)
@@ -269,38 +295,18 @@ replayFrames(const std::vector<Frame> &frames, ServiceCore &core,
         for (ServiceResult &res : results)
             outcome.results.push_back(std::move(res));
     };
-    for (size_t i = 0; i < frames.size(); ++i) {
-        const Frame &frame = frames[i];
-        switch (frame.type) {
-        case FrameType::Request: {
-            ServiceRequest req;
-            std::string decode_error;
-            if (!decodeRequest(frame.payload, &req, &decode_error)) {
-                if (error != nullptr)
-                    *error = "corrupt request at frame " +
-                             std::to_string(i) + ": " + decode_error;
-                return false;
-            }
-            core.submit(req);
-            ++outcome.requests;
-            break;
-        }
-        case FrameType::Flush:
-            take(core.flush());
-            break;
-        case FrameType::Shutdown:
-            take(core.flush());
-            outcome.sawShutdown = true;
-            break;
-        default:
+    for (size_t i = 0; i < frames.size() && !outcome.sawShutdown; ++i) {
+        AppliedFrame applied = applyClientFrame(frames[i], core);
+        if (!applied.refusal.empty()) {
             if (error != nullptr)
-                *error = "unexpected server-side frame type in request "
-                         "log at frame " +
-                         std::to_string(i);
+                *error = "corrupt request log at frame " +
+                         std::to_string(i) + ": " + applied.refusal;
             return false;
         }
-        if (outcome.sawShutdown)
-            break;
+        if (frames[i].type == FrameType::Request)
+            ++outcome.requests;
+        take(std::move(applied.results));
+        outcome.sawShutdown = applied.stop;
     }
     if (!outcome.sawShutdown && core.windowCount() > 0)
         take(core.flush());
@@ -340,48 +346,6 @@ sendFrameTo(int fd, FrameType type, const std::vector<uint8_t> &payload,
 {
     const std::vector<uint8_t> bytes = encodeFrame(type, payload);
     return writeAll(fd, bytes.data(), bytes.size(), error);
-}
-
-/**
- * Reads the next complete frame from `fd` into `out`, buffering
- * partial reads in `buf`. Returns Ok, Truncated for a clean EOF with
- * an empty buffer (the caller distinguishes via `eof`), or the decode
- * failure for a malformed stream.
- */
-FrameDecodeStatus
-readFrameFrom(int fd, std::vector<uint8_t> &buf, Frame *out, bool *eof,
-              std::string *error)
-{
-    *eof = false;
-    for (;;) {
-        if (!buf.empty()) {
-            size_t consumed = 0;
-            const FrameDecodeStatus status =
-                decodeFrame(buf.data(), buf.size(), out, &consumed);
-            if (status == FrameDecodeStatus::Ok) {
-                buf.erase(buf.begin(),
-                          buf.begin() + std::ptrdiff_t(consumed));
-                return status;
-            }
-            if (status != FrameDecodeStatus::Truncated)
-                return status; // malformed beyond repair
-        }
-        uint8_t chunk[4096];
-        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (error != nullptr)
-                *error = std::string("recv failed: ") +
-                         std::strerror(errno);
-            return FrameDecodeStatus::Truncated;
-        }
-        if (n == 0) {
-            *eof = true;
-            return FrameDecodeStatus::Truncated;
-        }
-        buf.insert(buf.end(), chunk, chunk + n);
-    }
 }
 
 bool
@@ -500,49 +464,27 @@ ServiceServer::handleConnection(int fd)
             if (!io_error.empty())
                 reply += ": " + io_error;
             sendFrameTo(fd, FrameType::Error, encodeErrorPayload(reply),
-                        &io_error);
+                        nullptr);
             return true;
         }
-        switch (frame.type) {
-        case FrameType::Request: {
-            ServiceRequest req;
-            std::string decode_error;
-            if (!decodeRequest(frame.payload, &req, &decode_error)) {
-                sendFrameTo(fd, FrameType::Error,
-                            encodeErrorPayload("bad request payload: " +
-                                               decode_error),
-                            &decode_error);
-                return true;
+        const AppliedFrame applied = applyClientFrame(frame, core_);
+        if (!applied.refusal.empty()) {
+            sendFrameTo(fd, FrameType::Error,
+                        encodeErrorPayload(applied.refusal), nullptr);
+            return true;
+        }
+        if (recorder_.isOpen())
+            recorder_.append(frame.type, frame.payload);
+        std::string send_error;
+        for (const ServiceResult &res : applied.results)
+            if (!sendFrameTo(fd, FrameType::Result, encodeResult(res),
+                             &send_error)) {
+                warn("service: dropping connection: %s",
+                     send_error.c_str());
+                return !applied.stop;
             }
-            if (recorder_.isOpen())
-                recorder_.append(FrameType::Request, frame.payload);
-            core_.submit(req);
-            break;
-        }
-        case FrameType::Flush:
-        case FrameType::Shutdown: {
-            if (recorder_.isOpen())
-                recorder_.append(frame.type, frame.payload);
-            const std::vector<ServiceResult> results = core_.flush();
-            std::string send_error;
-            for (const ServiceResult &res : results)
-                if (!sendFrameTo(fd, FrameType::Result,
-                                 encodeResult(res), &send_error)) {
-                    warn("service: dropping connection: %s",
-                         send_error.c_str());
-                    return frame.type != FrameType::Shutdown;
-                }
-            if (frame.type == FrameType::Shutdown)
-                return false; // end the accept loop
-            break;
-        }
-        default:
-            sendFrameTo(
-                fd, FrameType::Error,
-                encodeErrorPayload("unexpected client frame type"),
-                nullptr);
-            return true;
-        }
+        if (applied.stop)
+            return false; // end the accept loop
     }
 }
 
@@ -599,27 +541,6 @@ ServiceClient::sendFrame(FrameType type,
 }
 
 bool
-ServiceClient::readFrame(Frame *out, std::string *error)
-{
-    bool eof = false;
-    std::string io_error;
-    const FrameDecodeStatus status =
-        readFrameFrom(fd_, rxbuf_, out, &eof, &io_error);
-    if (status == FrameDecodeStatus::Ok)
-        return true;
-    if (error != nullptr) {
-        if (eof)
-            *error = "server closed the connection";
-        else if (!io_error.empty())
-            *error = io_error;
-        else
-            *error = std::string("malformed server frame: ") +
-                     frameDecodeStatusName(status);
-    }
-    return false;
-}
-
-bool
 ServiceClient::sendRequest(const ServiceRequest &req, std::string *error)
 {
     if (!sendFrame(FrameType::Request, encodeRequest(req), error))
@@ -629,14 +550,43 @@ ServiceClient::sendRequest(const ServiceRequest &req, std::string *error)
 }
 
 bool
-ServiceClient::collectResults(size_t count,
-                              std::vector<ServiceResult> *results,
+ServiceClient::flush(std::vector<ServiceResult> *results, std::string *error)
+{
+    return finish(FrameType::Flush, results, error);
+}
+
+bool
+ServiceClient::shutdownServer(std::vector<ServiceResult> *results,
                               std::string *error)
 {
-    for (size_t i = 0; i < count; ++i) {
+    return finish(FrameType::Shutdown, results, error);
+}
+
+bool
+ServiceClient::finish(FrameType type, std::vector<ServiceResult> *results,
+                      std::string *error)
+{
+    if (!sendFrame(type, {}, error))
+        return false;
+    const size_t expect = std::exchange(outstanding_, 0);
+    for (size_t i = 0; i < expect; ++i) {
         Frame frame;
-        if (!readFrame(&frame, error))
+        bool eof = false;
+        std::string io_error;
+        const FrameDecodeStatus status =
+            readFrameFrom(fd_, rxbuf_, &frame, &eof, &io_error);
+        if (status != FrameDecodeStatus::Ok) {
+            if (error == nullptr)
+                return false;
+            if (eof)
+                *error = "server closed the connection";
+            else if (!io_error.empty())
+                *error = io_error;
+            else
+                *error = std::string("malformed server frame: ") +
+                         frameDecodeStatusName(status);
             return false;
+        }
         if (frame.type == FrameType::Error) {
             std::string message;
             decodeErrorPayload(frame.payload, &message);
@@ -660,27 +610,6 @@ ServiceClient::collectResults(size_t count,
             results->push_back(std::move(res));
     }
     return true;
-}
-
-bool
-ServiceClient::flush(std::vector<ServiceResult> *results, std::string *error)
-{
-    if (!sendFrame(FrameType::Flush, {}, error))
-        return false;
-    const size_t expect = outstanding_;
-    outstanding_ = 0;
-    return collectResults(expect, results, error);
-}
-
-bool
-ServiceClient::shutdownServer(std::vector<ServiceResult> *results,
-                              std::string *error)
-{
-    if (!sendFrame(FrameType::Shutdown, {}, error))
-        return false;
-    const size_t expect = outstanding_;
-    outstanding_ = 0;
-    return collectResults(expect, results, error);
 }
 
 } // namespace effact

@@ -18,6 +18,13 @@
  * - `replayFrames`: drives a recorded frame stream through a
  *   `ServiceCore` offline — the `effact-replay` engine and the replay-
  *   determinism test harness.
+ *
+ * What a client frame means is decided once, in service.cc's
+ * dispatcher: `Request` decodes and submits, `Flush` flushes,
+ * `Shutdown` flushes and ends the session, and anything else is
+ * refused. The server (which then records the frame and streams the
+ * results) and `replayFrames` both call it, so a recorded session
+ * cannot replay differently from how it was served.
  */
 #ifndef EFFACT_SERVICE_SERVICE_H
 #define EFFACT_SERVICE_SERVICE_H
@@ -43,12 +50,15 @@ struct ServiceOptions
     /** Most jobs a batch runs at once (1 = run batches serially on
      *  the driver thread; no pool is created). */
     size_t threads = defaultThreadCount();
-    /** Admission bound on accepted-but-unexecuted requests: request
-     *  65 of a burst is refused with `RejectedQueueFull`. */
+    /** Admission bound on accepted-but-unexecuted requests: a request
+     *  arriving with this many pending is refused with
+     *  `RejectedQueueFull`. Reachable only below `batchSize`: at or
+     *  above it (the defaults), a batch runs first. */
     size_t queueCapacity = 64;
     /** Auto-execute threshold: once this many requests are pending the
      *  core runs them as one sweep batch without waiting for a flush
-     *  (capping both queue latency and window memory). */
+     *  (capping queue latency). Finished results still wait in the
+     *  window until the next flush. */
     size_t batchSize = 16;
     /** `CompileCache` byte budget (0 = unbounded). */
     size_t cacheBytes = 0;
@@ -111,10 +121,10 @@ class ServiceCore
     std::vector<ServiceResult> flush();
 
     /** Accepted requests not yet executed (the admission pressure). */
-    size_t pendingCount() const;
+    size_t pendingCount() const { return pending_.size(); }
 
     /** Results accumulated for the next `flush()` (incl. rejects). */
-    size_t windowCount() const { return window_.size(); }
+    size_t windowCount() const { return results_.size(); }
 
     /**
      * `service.*` counters (accepted/rejected/bad_requests/flushes/
@@ -122,25 +132,26 @@ class ServiceCore
      */
     StatSet statsSnapshot() const;
 
-    CompileCache &cache() { return cache_; }
-
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct Entry
+    /** An accepted request awaiting execution. */
+    struct Pending
     {
+        size_t result; ///< its entry in `results_`
         ServiceRequest req;
-        ServiceResult res;
-        bool runnable = false; ///< accepted, awaiting execution
-        bool done = false;     ///< result fields are final
         Clock::time_point submitted;
     };
 
+    /** Runs every pending request as one `runSweep` batch. */
     void runBatch();
 
     ServiceOptions opts_;
     CompileCache cache_;
-    std::vector<Entry> window_;
+    /** Every result since the last flush, in submission order; a
+     *  pending request's entry is final once its batch has run. */
+    std::vector<ServiceResult> results_;
+    std::vector<Pending> pending_;
     uint64_t next_seq_ = 0;
     uint64_t accepted_ = 0;
     uint64_t rejected_ = 0;
@@ -233,7 +244,6 @@ class ServiceClient
     ServiceClient &operator=(const ServiceClient &) = delete;
 
     bool connect(const std::string &socketPath, std::string *error);
-    bool isConnected() const { return fd_ >= 0; }
 
     /** Sends one request frame (does not wait for its result). */
     bool sendRequest(const ServiceRequest &req, std::string *error);
@@ -250,9 +260,10 @@ class ServiceClient
   private:
     bool sendFrame(FrameType type, const std::vector<uint8_t> &payload,
                    std::string *error);
-    bool readFrame(Frame *out, std::string *error);
-    bool collectResults(size_t count, std::vector<ServiceResult> *results,
-                        std::string *error);
+    /** Sends `type` (`Flush` or `Shutdown`) and collects one result
+     *  per outstanding request. */
+    bool finish(FrameType type, std::vector<ServiceResult> *results,
+                std::string *error);
 
     int fd_ = -1;
     size_t outstanding_ = 0;

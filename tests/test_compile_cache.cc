@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "compiler/compile_cache.h"
+#include "compiler/pass_manager.h"
 #include "runtime/sweep.h"
 
 namespace effact {
@@ -303,6 +304,35 @@ TEST(CompileCache, SingleFlightBuildCountsAreExactAtAnyThreadCount)
             hits += r.compilerStats.get("cache.hit");
         EXPECT_EQ(hits, 8.0) << threads;
     }
+}
+
+TEST(CompileCache, MiddleEndOutputHoldsExactlyItsInstructions)
+{
+    // The back end and the simulator keep the middle end's output for
+    // the rest of the job, so it carries no spare capacity: not under a
+    // pipeline that kills nothing (`baseline`'s empty one), not under
+    // one that kills, and not on a cache hit, which must not copy the
+    // snapshot into the builder's larger buffer.
+    const size_t sram = size_t(27) << 20;
+    CompileCache cache;
+    for (const CompilerOptions &opts :
+         {Platform::baselineOptions(sram), Platform::fullOptions(sram)}) {
+        const Compiler compiler(opts);
+        // Uncached, then a miss, then a hit of the same entry.
+        for (CompileCache *shared : {(CompileCache *)nullptr, &cache, &cache}) {
+            Workload w = buildDbLookup(smallFhe(), 32);
+            // The builder's doubling leaves room to spare, so a buffer
+            // kept as it is fails the check below.
+            ASSERT_GT(w.program.insts.capacity(), w.program.insts.size());
+            AnalysisManager analyses;
+            StatSet stats;
+            compiler.runMiddleEnd(w.program, analyses, stats, shared);
+            EXPECT_EQ(w.program.insts.capacity(), w.program.insts.size())
+                << opts.pipeline << ", cache.hit "
+                << stats.get("cache.hit");
+        }
+    }
+    EXPECT_EQ(cache.statsSnapshot().get("cache.hits"), 2.0);
 }
 
 // --- Bounded LRU ----------------------------------------------------------

@@ -13,7 +13,9 @@
  *
  * The budgets are the peaks recorded in bench/NOTES.md plus 5%: IR
  * build and middle end from "A 40-byte `IrInst` and compaction between
- * sweeps", back end and simulate from "A 40-byte `MachInst`". The
+ * sweeps", back end and simulate from "A 40-byte `MachInst`" (for the
+ * `baseline` job, from "The middle end's output holds exactly its
+ * instructions"). The
  * process's peak RSS follows the largest of them; the perf lane's
  * `sim_speed.peak_rss_mb` sees only part of a job, so it cannot pin
  * them.
@@ -209,8 +211,11 @@ TEST(HeapBudget, LargestServiceProgramStaysWithinRecordedPeaks)
     ASSERT_EQ(p.machineInsts, 473309u);
     ASSERT_EQ(p.cycles, 50529302);
 
-    EXPECT_LE(p.back, 46.0 * kSlack);
-    EXPECT_LE(p.simulate, 45.3 * kSlack);
+    // The empty pipeline kills nothing, and the middle end's compaction
+    // still drops the builder's spare capacity (a 30.3 MiB transient
+    // while it copies), so neither phase below keeps the 20 MiB buffer.
+    EXPECT_LE(p.back, 36.3 * kSlack);
+    EXPECT_LE(p.simulate, 35.6 * kSlack);
 }
 
 } // namespace

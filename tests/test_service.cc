@@ -192,6 +192,90 @@ TEST(Protocol, ResultRoundTripPreservesEveryField)
     EXPECT_EQ(encodeResult(out), encodeResult(res));
 }
 
+/** Bytewise FNV-1a, local to the test so that the pins below move only
+ *  when the wire bytes do. */
+uint64_t
+bytesHash(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 14695981039346656037ULL;
+    for (const uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(Protocol, WireBytesArePinned)
+{
+    // Round trips cannot see a field moved in the encoder and the
+    // decoder at once; these pins can. Every field is set here, none
+    // read from a preset that could change.
+    ServiceRequest req;
+    req.tag = 0x0123456789abcdefULL;
+    req.name = "golden";
+    req.workload = "bootstrap";
+    req.fhe.logN = 16;
+    req.fhe.levels = 24;
+    req.fhe.dnum = 4;
+    req.param = 3;
+    req.hw.lanes = 512;
+    req.hw.freqGhz = 1.25;
+    req.hw.sramBytes = size_t(27) << 20;
+    req.hw.hbmBytesPerSec = 1.5e12;
+    req.hw.nttUnits = 2;
+    req.hw.mulUnits = 3;
+    req.hw.addUnits = 4;
+    req.hw.autoUnits = 5;
+    req.hw.nttMacReuse = true;
+    req.hw.issueWindow = 96;
+    req.copts.pipeline = "copyprop,pre";
+    req.copts.streaming = true;
+    req.copts.fifoDepth = 17;
+    req.copts.scheduler = Scheduler::Latency;
+    req.copts.regalloc = RegAllocPolicy::Priority;
+    req.verifyLevel = -1;
+    const std::vector<uint8_t> request = encodeRequest(req);
+    EXPECT_EQ(request.size(), 171u);
+    EXPECT_EQ(bytesHash(request), 0xfad75941fd8b374fULL);
+
+    ServiceResult res;
+    res.seq = 7;
+    res.tag = 0xfedcba9876543210ULL;
+    res.name = "golden-result";
+    res.status = ServiceStatus::BadRequest;
+    res.error = "why";
+    res.cycles = 12319059;
+    res.timeMs = 12.319059;
+    res.dramBytes = 2.9e10;
+    res.dramUtil = 0.993;
+    res.nttUtil = 0.278;
+    res.mulAddUtil = 0.065;
+    res.autoUtil = 0.03;
+    res.instructions = 149620;
+    res.machineFingerprint = 0x1122334455667788ULL;
+    res.benchTimeMs = 12.5;
+    res.amortizedUs = 0.0835;
+    res.dramGb = 29.38;
+    res.stats.set("compile.optimized.instructions", 98636);
+    res.stats.set("sim.cycles", 12319059);
+    res.queueDepth = 2;
+    res.queueMs = 0.25;
+    res.serviceMs = 40.5;
+    const std::vector<uint8_t> result = encodeResult(res);
+    EXPECT_EQ(result.size(), 232u);
+    EXPECT_EQ(bytesHash(result), 0x4aee2300dd3035d0ULL);
+
+    const std::vector<uint8_t> error =
+        encodeErrorPayload("pending queue full (capacity 64)");
+    EXPECT_EQ(error.size(), 36u);
+    EXPECT_EQ(bytesHash(error), 0x25dfd086cd7e66e5ULL);
+
+    const std::vector<uint8_t> frame =
+        encodeFrame(FrameType::Request, request);
+    EXPECT_EQ(frame.size(), kFrameHeaderBytes + request.size());
+    EXPECT_EQ(bytesHash(frame), 0xd63247c6759f6dd5ULL);
+}
+
 TEST(Protocol, ErrorPayloadRoundTrip)
 {
     const std::string message = "bad request: unknown workload 'x'";
@@ -581,6 +665,27 @@ TEST(ServiceCore, AutoBatchRunsAtBatchSizeWithoutFlush)
     EXPECT_EQ(core.statsSnapshot().get("service.batches"), 2.0);
 }
 
+TEST(ServiceCore, DefaultCapacityNeverFillsBeforeABatchRuns)
+{
+    // At `queueCapacity >= batchSize` (the defaults, 64 and 16) submit
+    // runs a batch before the pending queue can reach the capacity, so
+    // an unflushed stream is never refused; its results wait for the
+    // flush.
+    ServiceOptions opts;
+    ASSERT_GE(opts.queueCapacity, opts.batchSize);
+    ServiceCore core(opts);
+    for (int i = 0; i < 40; ++i) {
+        core.submit(smallRequest("w" + std::to_string(i), 32));
+        EXPECT_LT(core.pendingCount(), opts.batchSize) << i;
+    }
+    EXPECT_EQ(core.windowCount(), 40u);
+    const std::vector<ServiceResult> results = core.flush();
+    ASSERT_EQ(results.size(), 40u);
+    for (const ServiceResult &res : results)
+        EXPECT_EQ(res.status, ServiceStatus::Ok) << res.seq;
+    EXPECT_EQ(core.statsSnapshot().get("service.rejected"), 0.0);
+}
+
 TEST(ServiceCore, ResultsMatchBatchModeRunSweep)
 {
     // The daemon's results must be the batch path's results: same
@@ -701,7 +806,7 @@ TEST(Replay, FiftyRequestSessionMatchesUncachedSerialOracleByteForByte)
 
     // The acceptance gates: the session genuinely exercised eviction
     // and rejection, not just the happy path.
-    EXPECT_GE(session.cache().statsSnapshot().get("cache.evictions"), 1.0);
+    EXPECT_GE(session.statsSnapshot().get("cache.evictions"), 1.0);
     EXPECT_EQ(session.statsSnapshot().get("service.rejected"), 15.0)
         << "7-deep queue x 10-request bursts -> 3 rejections per burst";
     EXPECT_EQ(session.statsSnapshot().get("service.accepted"), 35.0);
@@ -747,7 +852,7 @@ TEST(Replay, ReplayingTheSameLogTwiceIsByteIdentical)
     ASSERT_TRUE(replayFrames(frames, cached, &c, &error)) << error;
     EXPECT_EQ(concatCanonical(c.results), concatCanonical(a.results));
     EXPECT_GT(cached.statsSnapshot().get("cache.hits"), 0.0);
-    EXPECT_EQ(cached.cache().statsSnapshot().get("cache.evictions"), 0.0);
+    EXPECT_EQ(cached.statsSnapshot().get("cache.evictions"), 0.0);
 }
 
 TEST(Replay, MixedVerifyLevelsOnOneKeyMatchTheOracle)
@@ -831,9 +936,17 @@ TEST(Replay, CorruptLogsAreReportedNotReplayed)
     stream.insert(stream.end(), frame.begin(), frame.end());
     stream.insert(stream.end(), frame.begin(), frame.end() - 3); // torn tail
 
+    const std::string path =
+        "/tmp/effact-test-corrupt-" + std::to_string(::getpid()) + ".bin";
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(stream.data(), 1, stream.size(), file),
+              stream.size());
+    std::fclose(file);
     std::vector<Frame> frames;
     std::string error;
-    EXPECT_FALSE(decodeFrameStream(stream, &frames, &error));
+    EXPECT_FALSE(loadRequestLog(path, &frames, &error));
+    std::remove(path.c_str());
     EXPECT_NE(error.find("offset"), std::string::npos)
         << "the error must locate the corruption: " << error;
 
