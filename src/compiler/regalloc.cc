@@ -3,6 +3,7 @@
 #include "common/logging.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace effact {
 
@@ -314,15 +315,17 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
         std::vector<int> free_regs;
         for (size_t r = 0; r < alloc_regs; ++r)
             free_regs.push_back(static_cast<int>(r));
-        // Active intervals as (end, value), sorted ascending. At most
-        // `alloc_regs` entries, so a flat vector beats a node-based set.
+        // Active intervals as (end, value), sorted descending, so the
+        // intervals that expire first sit at the back and leave with a
+        // pop instead of shifting the list. At most `alloc_regs`
+        // entries, so a flat vector beats a node-based set.
         std::vector<std::pair<int, int>> active;
         active.reserve(alloc_regs);
         auto activate = [&active](int end, int v) {
             const std::pair<int, int> entry(end, v);
-            active.insert(
-                std::upper_bound(active.begin(), active.end(), entry),
-                entry);
+            active.insert(std::upper_bound(active.begin(), active.end(),
+                                           entry, std::greater<>()),
+                          entry);
         };
 
         if (priority_alloc)
@@ -341,15 +344,11 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                 continue;
             const int start = pos[i];
             const int end = last_use[i];
-            // Expire finished intervals.
-            size_t expired = 0;
-            while (expired < active.size() &&
-                   active[expired].first < start) {
-                free_regs.push_back(assigned[active[expired].second]);
-                ++expired;
+            // Expire finished intervals, in ascending (end, value) order.
+            while (!active.empty() && active.back().first < start) {
+                free_regs.push_back(assigned[active.back().second]);
+                active.pop_back();
             }
-            active.erase(active.begin(),
-                         active.begin() + static_cast<long>(expired));
             if (!free_regs.empty()) {
                 assigned[i] = free_regs.back();
                 free_regs.pop_back();
@@ -357,13 +356,13 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
             } else if (!priority_alloc) {
                 // Legacy: spill the interval that ends furthest away
                 // (the greatest (end, value)).
-                const std::pair<int, int> furthest = active.back();
+                const std::pair<int, int> furthest = active.front();
                 if (furthest.first > end) {
                     int victim = furthest.second;
                     assigned[i] = assigned[victim];
                     spilled[victim] = 1;
                     assigned[victim] = -1;
-                    active.pop_back();
+                    active.erase(active.begin());
                     activate(end, idx);
                 } else {
                     spilled[i] = 1;
