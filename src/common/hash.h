@@ -9,6 +9,15 @@
  * result line hash through it. Wire-format checksums (the service
  * frame's bytewise FNV-1a) do not: their bytes are protocol, not an
  * implementation detail.
+ *
+ * One accumulator is one chain of dependent multiplies. The program
+ * fingerprints pack each instruction into five words and run five
+ * accumulators side by side, word k of every instruction on
+ * accumulator k, then mix the five `finish()` values into a header
+ * accumulator: five independent multiplies per instruction instead of
+ * one dependent multiply per field. Each step and the finalizer are
+ * bijections, so changing one field of one instruction still moves
+ * the result.
  */
 #ifndef EFFACT_COMMON_HASH_H
 #define EFFACT_COMMON_HASH_H

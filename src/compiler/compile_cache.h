@@ -187,8 +187,8 @@ class CompileCache
     {
         size_t operator()(const CompileCacheKey &k) const
         {
-            // The fingerprints are already well-mixed FNV hashes; one
-            // multiply keeps the two halves from cancelling.
+            // Both halves are already finalized `WordHash` values; one
+            // multiply keeps them from cancelling.
             return static_cast<size_t>(k.irFingerprint * 1099511628211ULL ^
                                        k.presetHash);
         }

@@ -152,19 +152,22 @@ fingerprint(const IrProgram &prog)
         h.mix(obj.readOnly ? 1 : 0);
     }
     h.mix(prog.insts.size());
+    // Two 32-bit fields in one word, each in its own half.
+    auto pair = [](auto lo, auto hi) {
+        return u64(static_cast<uint32_t>(lo)) |
+               u64(static_cast<uint32_t>(hi)) << 32;
+    };
+    WordHash words[5];
     for (const IrInst &inst : prog.insts) {
-        h.mix(static_cast<u64>(inst.op));
-        h.mix(static_cast<u64>(static_cast<int64_t>(inst.a)));
-        h.mix(static_cast<u64>(static_cast<int64_t>(inst.b)));
-        h.mix(static_cast<u64>(static_cast<int64_t>(inst.c)));
-        h.mix(inst.imm);
-        h.mix(inst.useImm ? 1 : 0);
-        h.mix(inst.modulus);
-        h.mix(static_cast<u64>(inst.tag));
-        h.mix(static_cast<u64>(static_cast<int64_t>(inst.mem.object)));
-        h.mix(static_cast<u64>(static_cast<int64_t>(inst.mem.index)));
-        h.mix(inst.dead ? 1 : 0);
+        words[0].mix(inst.imm);
+        words[1].mix(pair(inst.a, inst.b));
+        words[2].mix(pair(inst.c, inst.modulus));
+        words[3].mix(pair(inst.mem.object, inst.mem.index));
+        words[4].mix(u64(inst.op) | u64(inst.useImm) << 8 |
+                     u64(inst.tag) << 16 | u64(inst.dead) << 24);
     }
+    for (const WordHash &acc : words)
+        h.mix(acc.finish());
     return h.finish();
 }
 

@@ -68,7 +68,7 @@ struct MemObject
  * then the five 4-byte words (`a`, `b`, `c`, `modulus`, `mem`), then
  * the four 1-byte fields in the last word. Every IR walk and the IR
  * builder's growth copy move whole instructions, and `snapshotBytes`
- * accounts them by `sizeof`. `fingerprint()` hashes fields by name, so
+ * accounts them by `sizeof`. `fingerprint()` packs fields by name, so
  * the order here is free.
  */
 struct IrInst
@@ -208,10 +208,15 @@ std::string display(const IrInst &inst);
 
 /**
  * Order-sensitive 64-bit fingerprint over the instruction stream and
- * the semantic program metadata (degree, object shapes): the
- * word-wise `WordHash` of `common/hash.h` (one FNV-1a step per field
- * plus a splitmix64 finalizer), shared with `isa`'s
- * `fingerprint(MachineProgram)`. Two programs fingerprint equal iff
+ * the semantic program metadata (degree, object shapes), through the
+ * `WordHash` of `common/hash.h`, the same scheme as `isa`'s
+ * `fingerprint(MachineProgram)`. A header hash takes the metadata and
+ * the instruction count. Each instruction is five packed words, each
+ * field in its own bit range: `imm`; `a|b`; `c|modulus`;
+ * `mem.object|mem.index` (32-bit halves, low|high); and
+ * `op|useImm|tag|dead` (one byte each, from bit 0). Word k of every
+ * instruction feeds accumulator k, and the header mixes the five
+ * accumulators' `finish()` values. Two programs fingerprint equal iff
  * they are structurally identical inputs to the compiler; display-only
  * metadata (`name`, object names) and the process-local state
  * (`uid()`, `version()`, `kills()`) are deliberately excluded, so

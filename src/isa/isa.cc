@@ -90,20 +90,14 @@ fingerprint(const MachineProgram &prog)
     h.mix(prog.spillLoads);
     h.mix(prog.spillStores);
     h.mix(prog.streamedOps);
+    WordHash words[MachInst::kPackedWords];
     for (const MachInst &mi : prog.insts) {
-        h.mix(static_cast<u64>(mi.op));
-        for (int s = 0; s < MachInst::kSlots; ++s) {
-            const Operand o = mi.operand(s);
-            h.mix(static_cast<u64>(o.kind));
-            h.mix(static_cast<u64>(static_cast<int64_t>(o.reg)));
-            h.mix(o.dram ? o.value * prog.residueBytes : o.value);
-            h.mix(o.dram ? 1 : 0);
-        }
-        h.mix(mi.modulus);
-        h.mix(mi.imm());
-        h.mix(mi.hbmAddr());
-        h.mix(static_cast<u64>(static_cast<int64_t>(mi.irId)));
+        const std::array<u64, MachInst::kPackedWords> w = mi.packedWords();
+        for (int k = 0; k < MachInst::kPackedWords; ++k)
+            words[k].mix(w[k]);
     }
+    for (const WordHash &acc : words)
+        h.mix(acc.finish());
     return h.finish();
 }
 

@@ -12,6 +12,7 @@
 #ifndef EFFACT_ISA_ISA_H
 #define EFFACT_ISA_ISA_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -88,8 +89,10 @@ struct Operand
 class MachInst
 {
   public:
-    /** Operand slot indices, in encoding and `fingerprint()` order. */
+    /** Operand slot indices, in encoding and `packedWords()` order. */
     enum Slot : int { kDest = 0, kSrc0, kSrc1, kSrc2, kSlots };
+    /** Words in `packedWords()`. */
+    static constexpr int kPackedWords = 5;
 
     uint32_t modulus = 0; ///< limb prime index (selects FU constants)
     int irId = -1;        ///< originating IR value (debug/stats)
@@ -166,7 +169,39 @@ class MachInst
                ((dram_ >> kSrc2) & 1);
     }
 
+    /**
+     * The whole instruction as five 64-bit words, read straight from
+     * the encoding, each field in its own bit range (what
+     * `fingerprint()` hashes):
+     *
+     *  0. `op` (bits 0-7), slot s's kind (bits 8+2s, 9+2s), slot s's
+     *     DRAM flag (bit 16+s), `modulus` (bits 32-63);
+     *  1. the dest slot word (bits 0-31) and the src0 slot word
+     *     (bits 32-63);
+     *  2. the src1 and src2 slot words, likewise;
+     *  3. the payload (`imm()` or `hbmAddr()`);
+     *  4. `irId` as 32 bits.
+     *
+     * A slot word is a register id, a FIFO token or a DRAM stream's
+     * address in residue units; None and Imm slots hold 0 (an Imm
+     * operand reads the payload). Equal words mean equal instructions.
+     */
+    std::array<u64, kPackedWords>
+    packedWords() const
+    {
+        u64 head = static_cast<u64>(op) | u64(dram_) << 16 |
+                   u64(modulus) << 32;
+        for (int s = 0; s < kSlots; ++s)
+            head |= u64(kind_[s]) << (8 + 2 * s);
+        return {head, u64(slot_[kDest]) | u64(slot_[kSrc0]) << 32,
+                u64(slot_[kSrc1]) | u64(slot_[kSrc2]) << 32, payload_,
+                static_cast<uint32_t>(irId)};
+    }
+
   private:
+    static_assert(static_cast<int>(OperandKind::Imm) < 4,
+                  "an operand kind must fit its two bits of word 0");
+
     uint8_t dram_ = 0; ///< bit s: slot s is a DRAM stream
     OperandKind kind_[kSlots] = {};
     u64 payload_ = 0;
@@ -201,15 +236,16 @@ struct MachineProgram
 };
 
 /**
- * Order-sensitive 64-bit fingerprint over the program metadata and, per
- * instruction, 21 logical fields read through the accessors: the op,
- * each operand's {kind, reg, value, dram}, modulus, imm, hbmAddr and
- * irId (`scratchRegs` is excluded). A DRAM stream's value is hashed as
- * its byte address (value x residueBytes). The word-wise `WordHash` of
- * `common/hash.h`, one step per field, the same scheme as
- * `fingerprint(IrProgram)`. Fields are hashed by name, so a change of
- * `MachInst`'s encoding keeps every value, and changing any single
- * field always moves the result. Two programs fingerprint
+ * Order-sensitive 64-bit fingerprint over the program metadata and the
+ * instruction stream (`scratchRegs` is excluded), through the
+ * `WordHash` of `common/hash.h`, the same scheme as
+ * `fingerprint(IrProgram)`. A header hash takes the metadata; each
+ * instruction's `MachInst::packedWords()` word k feeds accumulator k,
+ * so the five multiply chains run side by side; the header then mixes
+ * the five accumulators' `finish()` values. A DRAM stream's word is
+ * its address in residue units, injective given `residueBytes`, which
+ * the header hashes. Every step is a bijection, so changing any
+ * single field always moves the result. Two programs fingerprint
  * equal iff codegen emitted the same instruction stream, so batch
  * determinism tests can compare compiles across thread counts without
  * holding every `MachineProgram` in memory.

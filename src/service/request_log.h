@@ -2,8 +2,10 @@
  * @file
  * Request-log recording and replay. A log is nothing but the raw
  * client->server frame stream (`Request`, `Flush`, `Shutdown` frames,
- * in arrival order) appended to a file — the same checksummed framing
- * as the wire, so a recorded session is self-validating. It replays
+ * in arrival order, plus the `Flush` the server runs when a client
+ * leaves with unflushed results) appended to a file — the same
+ * checksummed framing as the wire, so a recorded session is
+ * self-validating. It replays
  * through exactly the path the live server uses: `loadRequestLog`
  * reads it with the server's frame reader (`readFrameFrom`), and
  * `replayFrames` hands each frame to the server's client-frame

@@ -447,6 +447,22 @@ ServiceServer::stop()
 bool
 ServiceServer::handleConnection(int fd)
 {
+    const bool keep_serving = serveFrames(fd);
+    // The client is gone, so results it submitted and never flushed
+    // have no reader: flush them out of the window (the next
+    // connection's Flush must return only its own) and record that
+    // flush, so the log replays the batches the daemon ran.
+    if (core_.windowCount() > 0) {
+        core_.flush();
+        if (recorder_.isOpen())
+            recorder_.append(FrameType::Flush, {});
+    }
+    return keep_serving;
+}
+
+bool
+ServiceServer::serveFrames(int fd)
+{
     std::vector<uint8_t> buf;
     for (;;) {
         Frame frame;

@@ -185,7 +185,8 @@ struct ServiceServerOptions
 {
     std::string socketPath;
     /** When nonempty, every accepted client frame is appended here
-     *  (the replayable session log). */
+     *  (the replayable session log), plus a `Flush` wherever a client
+     *  left with unflushed results. */
     std::string recordPath;
     ServiceOptions service;
 };
@@ -193,8 +194,10 @@ struct ServiceServerOptions
 /**
  * Single-threaded AF_UNIX stream server: accepts one connection at a
  * time and speaks the framed protocol. Malformed frames are answered
- * with an `Error` frame and a connection close — never a crash. A
- * `Shutdown` frame (or `stop()` from another thread) ends `run()`.
+ * with an `Error` frame and a connection close — never a crash. When a
+ * connection ends, whatever its client submitted and never flushed is
+ * flushed and dropped, so no client ever receives another's results.
+ * A `Shutdown` frame (or `stop()` from another thread) ends `run()`.
  */
 class ServiceServer
 {
@@ -220,9 +223,12 @@ class ServiceServer
     const std::string &socketPath() const { return opts_.socketPath; }
 
   private:
-    /** Serves one connection; returns false when the server should
+    /** Serves one connection, then flushes and drops the results its
+     *  client left unflushed; returns false when the server should
      *  stop accepting (client sent `Shutdown`). */
     bool handleConnection(int fd);
+    /** The frame loop of `handleConnection`. */
+    bool serveFrames(int fd);
 
     ServiceServerOptions opts_;
     ServiceCore core_;

@@ -9,13 +9,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "compiler/compile_cache.h"
 #include "compiler/pass_manager.h"
 #include "runtime/sweep.h"
@@ -91,6 +94,108 @@ TEST(IrFingerprint, IgnoresDisplayOnlyNames)
     if (!b.program.objects.empty())
         b.program.objects.front().name = "renamed-object";
     EXPECT_EQ(fingerprint(a.program), fingerprint(b.program));
+}
+
+TEST(IrFingerprint, EveryLogicalFieldMovesIt)
+{
+    const Workload base = buildDbLookup(smallFhe(), 32);
+    const uint64_t fp = fingerprint(base.program);
+    // One live instruction in the middle of the stream.
+    const size_t at = base.program.insts.size() / 2;
+    ASSERT_FALSE(base.program.insts[at].dead);
+
+    using Edit = std::function<void(IrProgram &)>;
+    auto inst = [at](IrProgram &p) -> IrInst & { return p.insts[at]; };
+    const std::vector<std::pair<std::string, Edit>> edits = {
+        {"op",
+         [&](IrProgram &p) {
+             inst(p).op = inst(p).op == IrOp::Add ? IrOp::Sub : IrOp::Add;
+         }},
+        {"a", [&](IrProgram &p) { ++inst(p).a; }},
+        {"b", [&](IrProgram &p) { ++inst(p).b; }},
+        {"c", [&](IrProgram &p) { ++inst(p).c; }},
+        {"imm", [&](IrProgram &p) { ++inst(p).imm; }},
+        {"useImm", [&](IrProgram &p) { inst(p).useImm = !inst(p).useImm; }},
+        {"modulus", [&](IrProgram &p) { ++inst(p).modulus; }},
+        {"tag",
+         [&](IrProgram &p) {
+             inst(p).tag = inst(p).tag == IrTag::Normal ? IrTag::BConv
+                                                        : IrTag::Normal;
+         }},
+        {"mem.object", [&](IrProgram &p) { ++inst(p).mem.object; }},
+        {"mem.index", [&](IrProgram &p) { ++inst(p).mem.index; }},
+        {"dead", [&](IrProgram &p) { inst(p).dead = !inst(p).dead; }},
+        {"degree", [](IrProgram &p) { p.degree *= 2; }},
+        {"object residues",
+         [](IrProgram &p) { ++p.objects.front().residues; }},
+        {"object readOnly",
+         [](IrProgram &p) {
+             p.objects.front().readOnly = !p.objects.front().readOnly;
+         }},
+    };
+    ASSERT_EQ(edits.size(), 11u + 3u);
+    for (const auto &[field, edit] : edits) {
+        IrProgram p = base.program;
+        edit(p);
+        EXPECT_NE(fingerprint(p), fp) << field;
+    }
+
+    // Names are display-only.
+    IrProgram renamed = base.program;
+    renamed.name += "-renamed";
+    for (MemObject &obj : renamed.objects)
+        obj.name += "-renamed";
+    EXPECT_EQ(fingerprint(renamed), fp);
+}
+
+TEST(IrFingerprint, HashesFivePackedWordsPerInstruction)
+{
+    IrProgram prog;
+    prog.degree = 4096;
+    prog.addObject("ct", 6, false);
+    prog.addObject("key", 12, true);
+    IrInst ld;
+    ld.op = IrOp::Load;
+    ld.modulus = 5;
+    ld.mem = {1, 11};
+    IrInst mac;
+    mac.op = IrOp::Mac;
+    mac.a = 0;
+    mac.b = 7;
+    mac.c = 3;
+    mac.imm = 0x8000000000000009ULL;
+    mac.useImm = true;
+    mac.tag = IrTag::BConv;
+    mac.modulus = 4;
+    mac.dead = true;
+    prog.emit(ld);
+    prog.emit(mac);
+
+    // The documented packing: imm; a|b; c|modulus; mem.object|mem.index
+    // (low|high 32-bit half); op|useImm|tag|dead (one byte each, from
+    // bit 0).
+    const u64 none = UINT32_MAX; // -1 as a 32-bit half
+    const std::array<u64, 5> words[2] = {
+        {0, none | none << 32, none | u64(5) << 32, 1 | u64(11) << 32,
+         u64(IrOp::Load)},
+        {0x8000000000000009ULL, 0 | u64(7) << 32, 3 | u64(4) << 32,
+         none | u64(0) << 32,
+         u64(IrOp::Mac) | u64(1) << 8 | u64(IrTag::BConv) << 16 |
+             u64(1) << 24},
+    };
+    // The header takes the degree, the object shapes and the
+    // instruction count; word k of every instruction feeds accumulator
+    // k, and the header mixes the five accumulators' finished values.
+    WordHash h;
+    for (u64 v : {u64(4096), u64(2), u64(6), u64(0), u64(12), u64(1), u64(2)})
+        h.mix(v);
+    for (size_t k = 0; k < 5; ++k) {
+        WordHash acc;
+        for (const std::array<u64, 5> &inst : words)
+            acc.mix(inst[k]);
+        h.mix(acc.finish());
+    }
+    EXPECT_EQ(fingerprint(prog), h.finish());
 }
 
 // --- Preset hash ----------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <climits>
 #include <functional>
 
@@ -1075,10 +1076,11 @@ TEST(MachEncoding, PayloadIsTheImmediateOrTheHbmAddress)
     EXPECT_EQ(st.hbmAddr(), addr);
 }
 
-TEST(MachEncoding, FingerprintHashesTheTwentyOneLogicalFields)
+TEST(MachEncoding, FingerprintHashesFivePackedWordsPerInstruction)
 {
-    // A DRAM stream slot holds residue units; the fingerprint hashes its
-    // byte address, past 32 bits here, as the pre-encoding struct did.
+    // A DRAM stream slot holds residue units, and that word is what the
+    // fingerprint hashes: injective given residueBytes, which the
+    // header hashes.
     MachineProgram mp;
     mp.numRegs = 8;
     mp.residueBytes = size_t(1) << 19;
@@ -1097,30 +1099,36 @@ TEST(MachEncoding, FingerprintHashesTheTwentyOneLogicalFields)
     mac.irId = 99;
     mp.insts = {ld, mac};
 
+    // The documented packing. Word 0: op (bits 0-7), slot s's kind
+    // (bits 8 + 2s), slot s's DRAM flag (bit 16 + s), modulus (bits
+    // 32-63); words 1 and 2: the dest|src0 and src1|src2 slot words
+    // (low|high half; None and Imm slots hold 0); word 3: the payload;
+    // word 4: irId as 32 bits.
+    const u64 kinds_ld = u64(OperandKind::Reg) << 8;
+    const u64 kinds_mac =
+        u64(OperandKind::Stream) << 8 | u64(OperandKind::Stream) << 10 |
+        u64(OperandKind::Imm) << 12 | u64(OperandKind::Reg) << 14;
+    const u64 src0_dram = u64(1) << (16 + MachInst::kSrc0);
+    const std::array<u64, 5> words[2] = {
+        {u64(Opcode::LOAD_RES) | kinds_ld | u64(645) << 32, UINT32_MAX, 0,
+         addr, UINT32_MAX},
+        {u64(Opcode::MMAC) | kinds_mac | src0_dram,
+         UINT32_MAX | residue << 32, u64(6) << 32, imm, 99},
+    };
+    EXPECT_EQ(ld.packedWords(), words[0]);
+    EXPECT_EQ(mac.packedWords(), words[1]);
+
+    // The header hash takes the metadata, then word k of every
+    // instruction feeds accumulator k, and the header mixes the five
+    // accumulators' finished values.
     WordHash h;
     for (u64 v : {u64(2), u64(8), u64(1) << 19, u64(1), u64(2), u64(3)})
         h.mix(v);
-    const u64 none[4] = {0, u64(-1), 0, 0};
-    // op, then {kind, reg, value, dram} per slot, modulus, imm, hbmAddr,
-    // irId.
-    const std::vector<u64> fields[2] = {
-        {u64(Opcode::LOAD_RES),
-         u64(OperandKind::Reg), u64(-1), 0, 0,
-         none[0], none[1], none[2], none[3],
-         none[0], none[1], none[2], none[3],
-         none[0], none[1], none[2], none[3],
-         645, 0, addr, u64(-1)},
-        {u64(Opcode::MMAC),
-         u64(OperandKind::Stream), u64(-1), UINT32_MAX, 0,
-         u64(OperandKind::Stream), u64(-1), residue << 19, 1,
-         u64(OperandKind::Imm), u64(-1), imm, 0,
-         u64(OperandKind::Reg), 6, 0, 0,
-         0, imm, 0, 99},
-    };
-    for (const std::vector<u64> &inst : fields) {
-        ASSERT_EQ(inst.size(), 21u);
-        for (u64 v : inst)
-            h.mix(v);
+    for (size_t k = 0; k < 5; ++k) {
+        WordHash acc;
+        for (const std::array<u64, 5> &inst : words)
+            acc.mix(inst[k]);
+        h.mix(acc.finish());
     }
     EXPECT_EQ(fingerprint(mp), h.finish());
 }

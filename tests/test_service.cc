@@ -1068,6 +1068,63 @@ TEST(ServiceSocket, EndToEndMatchesOfflineReplayAndSurvivesGarbage)
     std::remove(record_path.c_str());
 }
 
+TEST(ServiceSocket, ADepartedClientsResultsNeverReachTheNextConnection)
+{
+    const std::string record_path =
+        "/tmp/effact-test-" + std::to_string(::getpid()) + "-depart.log";
+    ServiceServerOptions server_opts;
+    server_opts.socketPath = testSocketPath("depart");
+    server_opts.recordPath = record_path;
+    server_opts.service.threads = 2;
+    ServiceServer server(std::move(server_opts));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::thread server_thread([&server] { server.run(); });
+
+    // Client A submits one request and leaves without a flush.
+    const ServiceRequest from_a = smallRequest("from-client-A", 32);
+    {
+        ServiceClient a;
+        ASSERT_TRUE(a.connect(server.socketPath(), &error)) << error;
+        ASSERT_TRUE(a.sendRequest(from_a, &error)) << error;
+    }
+    // Client B gets exactly its own result.
+    const ServiceRequest from_b = smallRequest("from-client-B", 48);
+    std::vector<ServiceResult> live;
+    {
+        ServiceClient b;
+        ASSERT_TRUE(b.connect(server.socketPath(), &error)) << error;
+        ASSERT_TRUE(b.sendRequest(from_b, &error)) << error;
+        ASSERT_TRUE(b.shutdownServer(&live, &error)) << error;
+    }
+    server_thread.join();
+    ASSERT_EQ(live.size(), 1u);
+    EXPECT_EQ(live[0].tag, from_b.tag);
+    EXPECT_EQ(live[0].name, from_b.name);
+    EXPECT_EQ(live[0].status, ServiceStatus::Ok);
+
+    // The log replays A's dropped result at the disconnect, then B's,
+    // offline exactly as the uncached serial oracle does, and B's
+    // replayed result is the one B received.
+    std::vector<Frame> recorded;
+    ASSERT_TRUE(loadRequestLog(record_path, &recorded, &error)) << error;
+    std::remove(record_path.c_str());
+    ServiceOptions offline_opts;
+    offline_opts.threads = 2;
+    ServiceCore offline(offline_opts);
+    ServiceCore oracle(oracleOptions(offline_opts));
+    ReplayOutcome replayed, reference;
+    ASSERT_TRUE(replayFrames(recorded, offline, &replayed, &error)) << error;
+    ASSERT_TRUE(replayFrames(recorded, oracle, &reference, &error)) << error;
+    EXPECT_EQ(concatCanonical(replayed.results),
+              concatCanonical(reference.results));
+    ASSERT_EQ(replayed.results.size(), 2u);
+    EXPECT_EQ(replayed.results[0].tag, from_a.tag);
+    EXPECT_EQ(concatCanonical({replayed.results[1]}), concatCanonical(live));
+    EXPECT_EQ(offline.statsSnapshot().get("service.batches"),
+              server.core().statsSnapshot().get("service.batches"));
+}
+
 // --- Environment defaults --------------------------------------------------
 
 TEST(ServiceDefaults, EnvironmentOverridesParse)
